@@ -5,17 +5,20 @@
 //! cargo bench -p lt-bench --bench kernel
 //! ```
 //!
-//! Three comparisons:
+//! Four comparisons:
 //!
 //! 1. **tiled vs naive** — the register-blocked, cache-tiled
 //!    `lt_core::kernel::tiled_gemm` against the textbook triple loop
 //!    (`reference_gemm`), for `f64` and `f32`. The two are bit-identical
 //!    (`tests/kernel_equivalence.rs`); this bench shows what the
 //!    identical answer costs.
-//! 2. **f64 vs i8** — the exact float kernel against `quantized_gemm`
+//! 2. **decode GEMV** — the same comparison for `m = 1` products at
+//!    decode-step weight shapes, which the kernel serves on its
+//!    skinny-row path (no packing, no padded rows).
+//! 3. **f64 vs i8** — the exact float kernel against `quantized_gemm`
 //!    on pre-encoded i8 operands (the paper's 8-bit work mode executed
 //!    on real integer codes, grouped per-channel scales).
-//! 3. **fp32 vs int8 forward** — a whole tiny-ViT forward pass with the
+//! 4. **fp32 vs int8 forward** — a whole tiny-ViT forward pass with the
 //!    weight-bearing layers on fp32 vs on the integer path.
 //!
 //! See the RECORDED RESULTS block at the bottom for the captured table
@@ -141,32 +144,62 @@ fn main() {
     println!("== shared GEMM micro-kernel & integer path ==");
     tiled_vs_naive(96, 256, 96);
     tiled_vs_naive(192, 192, 192);
+    // Decode-step weight shapes: servebench's serve_open decoder (dim
+    // 128, FFN 256) and GPT2-small (dim 768, FFN 3072).
+    for (k, n) in [
+        (128, 128),
+        (128, 256),
+        (256, 128),
+        (768, 768),
+        (768, 3072),
+        (3072, 768),
+    ] {
+        tiled_vs_naive(1, k, n);
+    }
     float_vs_integer(96, 256, 96);
     forward_modes();
 }
 
-// RECORDED RESULTS — reference build container, 2026-08-07 (one
-// hardware thread; single-threaded data path only):
+// RECORDED RESULTS — reference build container, 2026-10-16 (2-core
+// shared VM; single-threaded data path only). The `before` column is
+// the same bench run back to back on the parent kernel, where `m = 1`
+// went through the packed tile with three zero rows of padding and a
+// re-pack of B per 8-column strip:
 //
-//   naive f64 96x256x96                  6598 us/iter
-//   tiled f64 96x256x96                   594 us/iter  [11.10x vs naive]
-//   naive f32 96x256x96                  6442 us/iter
-//   tiled f32 96x256x96                   341 us/iter  [18.91x vs naive]
-//   naive f64 192x192x192               20317 us/iter
-//   tiled f64 192x192x192                1945 us/iter  [10.44x vs naive]
-//   naive f32 192x192x192               15797 us/iter
-//   tiled f32 192x192x192                 783 us/iter  [20.19x vs naive]
-//   tiled f64 96x256x96                   573 us/iter
-//   i8 gemm 96x256x96 (group 32)          745 us/iter  [0.77x vs f64]
-//   i4 gemm 96x256x96 (group 32)          873 us/iter  [0.66x vs f64]
-//   i8 encode+gemm 96x256x96             1134 us/iter  [0.51x vs f64]
-//   tiny-ViT forward fp32 (exact)         167 us/iter
-//   tiny-ViT forward int8 (exact)         631 us/iter  [0.26x vs fp32]
-//   tiny-ViT forward int4 (exact)         807 us/iter  [0.21x vs fp32]
+//                                       us/iter  vs naive    before
+//   naive f64 96x256x96                    5519
+//   tiled f64 96x256x96                     668     8.26x
+//   naive f32 96x256x96                    6493
+//   tiled f32 96x256x96                     281    23.11x
+//   naive f64 192x192x192                 15863
+//   tiled f64 192x192x192                  2690     5.90x
+//   naive f32 192x192x192                 15737
+//   tiled f32 192x192x192                   783    20.11x
+//   tiled f64 1x128x128                     4.3     7.53x    22.5 us
+//   tiled f32 1x128x128                     2.4    19.49x    14.5 us
+//   tiled f64 1x128x256                     5.2    12.31x    72.8 us
+//   tiled f32 1x128x256                     2.7    23.89x    43.2 us
+//   tiled f64 1x256x128                     6.6    11.60x    75.2 us
+//   tiled f32 1x256x128                     3.2    27.72x    41.4 us
+//   tiled f64 1x768x768                     166    10.10x    1128 us
+//   tiled f32 1x768x768                      68    22.95x     588 us
+//   tiled f64 1x768x3072                    714    14.03x    6297 us
+//   tiled f32 1x768x3072                    337    27.05x    4198 us
+//   tiled f64 1x3072x768                    674    23.57x    6663 us
+//   tiled f32 1x3072x768                    351    32.25x    3981 us
+//   tiled f64 96x256x96                     677
+//   i8 gemm 96x256x96 (group 32)            675     1.00x vs f64
+//   i4 gemm 96x256x96 (group 32)            734     0.92x vs f64
+//   i8 encode+gemm 96x256x96                935     0.72x vs f64
+//   tiny-ViT forward fp32 (exact)           151
+//   tiny-ViT forward int8 (exact)           454     0.33x vs fp32
+//   tiny-ViT forward int4 (exact)           531     0.28x vs fp32
 //
-// (Numbers vary run to run on the shared container; regenerate with the
-// command above.) The tiled kernel's 10-20x over the naive loop is the
-// host-side half of this PR's speedup claim. The integer path is
+// (Numbers vary run to run on the shared container, by up to 2x between
+// runs of the same binary; regenerate with the command above.) The
+// tiled kernel's 6-23x over the naive loop comes from the packed
+// register tile; the `1 x k x n` rows run the skinny-row path, 7-11x
+// (f64) and 20-33x (f32) faster than before it. The integer path is
 // *slower* on the host — a scalar i8 loop can't beat the autovectorized
 // float micro-kernel, and per-call encoding costs more than it saves —
 // its win is on the modeled accelerator (the 4-bit work mode's cycle

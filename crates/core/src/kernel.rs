@@ -20,6 +20,17 @@
 //!   provide (and reuse) the output matrix, e.g. per-token decode loops
 //!   issuing the same shapes every step.
 //!
+//! # Skinny rows
+//!
+//! Packing pays off only when a packed B panel is reused by `MR` rows.
+//! A strip with fewer rows — every `m = 1` decode GEMV, and the
+//! `m % MR` tail of a prefill or verify pass — would pad the register
+//! tile with zero rows and re-pack all of B for one row of output. Such
+//! strips skip packing: they stream B's rows in place and fold each one
+//! into the output rows (`out[i, :] += a[i, l] * b[l, :]`), so a GEMV
+//! reads every weight once and does no padded arithmetic. The choice
+//! follows the strip height alone; `MR`, `NR` and `KC` are unchanged.
+//!
 //! # Bit-identity contract
 //!
 //! The kernel is *bit-identical* to [`reference_gemm`]: every output
@@ -27,10 +38,12 @@
 //! order into a single accumulator. Chunking does not break this —
 //! between chunks the partial sum round-trips through the output buffer
 //! (an exact operation for IEEE floats) and accumulation resumes in the
-//! same order. Edge tiles are zero-padded in the packing buffers, and
+//! same order. Edge columns are zero-padded in the packing buffers, and
 //! padded lanes are simply never stored, so padding can never
-//! contaminate a valid output. This is what lets `tests/` property
-//! suites assert `tiled == naive` with `==` instead of a tolerance.
+//! contaminate a valid output. Skinny rows accumulate straight into the
+//! zeroed output, one reduction step at a time in increasing `k`. This
+//! is what lets `tests/` property suites assert `tiled == naive` with
+//! `==` instead of a tolerance.
 //!
 //! [`reference_gemm`]: crate::matrix::reference_gemm
 
@@ -84,7 +97,7 @@ pub fn tiled_gemm<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) -> Ma
 /// allocations once its buffer has grown to the largest shape seen.
 ///
 /// The result is bit-identical to [`tiled_gemm`]: both run this one
-/// loop nest over a zeroed output buffer.
+/// function over a zeroed output buffer.
 ///
 /// # Panics
 ///
@@ -107,7 +120,24 @@ pub fn tiled_gemm_into<T: Scalar>(
         return;
     }
     let out = out.data_mut();
+    let full = m - m % MR;
+    if full > 0 {
+        packed_strips(a, b, full, out);
+    }
+    if full < m {
+        skinny_rows(a, b, full, out);
+    }
+}
 
+/// Rows `[0, full)` of the product (`full` a multiple of [`MR`]) through
+/// the packed register tile.
+fn packed_strips<T: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, T>,
+    full: usize,
+    out: &mut [T],
+) {
+    let (k, n) = (a.cols(), b.cols());
     // Fixed-size stack packing buffers, reused across all panels.
     let mut bp = [T::ZERO; KC * NR];
     let mut ap = [T::ZERO; KC * MR];
@@ -129,19 +159,11 @@ pub fn tiled_gemm_into<T: Scalar>(
                 }
             }
             let mut ib = 0;
-            while ib < m {
-                let mr = MR.min(m - ib);
-                // Pack the A chunk `[ib, ib+mr) x [l0, l0+kc)`, l-major.
-                for (r, arow) in (ib..ib + mr).map(|i| a.row(i)).enumerate() {
+            while ib < full {
+                // Pack the A chunk `[ib, ib+MR) x [l0, l0+kc)`, l-major.
+                for (r, arow) in (ib..ib + MR).map(|i| a.row(i)).enumerate() {
                     for (l, &v) in arow[l0..l0 + kc].iter().enumerate() {
                         ap[l * MR + r] = v;
-                    }
-                }
-                if mr < MR {
-                    for l in 0..kc {
-                        for r in mr..MR {
-                            ap[l * MR + r] = T::ZERO;
-                        }
                     }
                 }
                 // Resume accumulation from the previous chunk's partial
@@ -149,14 +171,14 @@ pub fn tiled_gemm_into<T: Scalar>(
                 // load/store round-trip is exact, so the overall
                 // reduction order per element is unchanged.
                 let mut acc = [[T::ZERO; NR]; MR];
-                for (r, row) in acc.iter_mut().enumerate().take(mr) {
-                    if l0 > 0 {
+                if l0 > 0 {
+                    for (r, row) in acc.iter_mut().enumerate() {
                         let o = &out[(ib + r) * n + jb..(ib + r) * n + jb + nr];
                         row[..nr].copy_from_slice(o);
                     }
                 }
                 micro_kernel(kc, &ap[..kc * MR], &bp[..kc * NR], &mut acc);
-                for (r, row) in acc.iter().enumerate().take(mr) {
+                for (r, row) in acc.iter().enumerate() {
                     let o = &mut out[(ib + r) * n + jb..(ib + r) * n + jb + nr];
                     o.copy_from_slice(&row[..nr]);
                 }
@@ -165,6 +187,47 @@ pub fn tiled_gemm_into<T: Scalar>(
             l0 += KC;
         }
         jb += NR;
+    }
+}
+
+/// Rows `[first, m)` of the product — fewer than [`MR`] of them — with
+/// no packing: every row of B is read once, in place, and folded into
+/// each output row as `out[i, :] += a[i, l] * b[l, :]`.
+///
+/// The output buffer arrives zeroed and each element is its own single
+/// accumulator, updated for `l = 0, 1, ..., k-1` in order, so the result
+/// is the reference sum bit for bit. Four reduction steps share one
+/// load/store of the output element; they are still added one at a time
+/// (left to right), which keeps that order.
+fn skinny_rows<T: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, T>,
+    first: usize,
+    out: &mut [T],
+) {
+    const UNROLL: usize = 4;
+    let (k, n) = (a.cols(), b.cols());
+    let rows = &mut out[first * n..];
+    let mut l = 0;
+    while l + UNROLL <= k {
+        let (b0, b1, b2, b3) = (b.row(l), b.row(l + 1), b.row(l + 2), b.row(l + 3));
+        for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
+            let av = &a.row(first + r)[l..l + UNROLL];
+            let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
+            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+            }
+        }
+        l += UNROLL;
+    }
+    for l in l..k {
+        let brow = b.row(l);
+        for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
+            let av = a.row(first + r)[l];
+            for (o, &x) in orow.iter_mut().zip(brow) {
+                *o += av * x;
+            }
+        }
     }
 }
 

@@ -240,8 +240,7 @@ impl MultiHeadAttention {
         let tokens = x.rows();
         let context = cache.context_len();
         debug_assert_eq!(context, prior + tokens);
-        let keys = cache.context_keys();
-        let values = cache.context_values();
+        let (keys, values) = cache.context();
         let mut concat = Tensor::zeros(tokens, self.dim);
         for h in 0..self.heads {
             let qh = q.col_slice(h * dh, dh);
@@ -296,8 +295,7 @@ impl MultiHeadAttention {
         // Decode attends over the whole cached context: every cached
         // K and V row streams back through HBM each step.
         ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (context * self.dim) as u64);
-        let keys = cache.context_keys();
-        let values = cache.context_values();
+        let (keys, values) = cache.context();
         let mut concat = Tensor::zeros(1, self.dim);
         for h in 0..self.heads {
             let qh = q.col_slice(h * dh, dh);

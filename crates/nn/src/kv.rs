@@ -58,10 +58,8 @@ pub trait KvLayer {
     /// Appends the K/V rows of newly seen tokens and reports the
     /// resulting memory traffic (see [`KvWrite`]).
     fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite;
-    /// The cached K rows, materialized `[context, dim]`.
-    fn context_keys(&self) -> Tensor;
-    /// The cached V rows, materialized `[context, dim]`.
-    fn context_values(&self) -> Tensor;
+    /// The cached K and V rows, each materialized `[context, dim]`.
+    fn context(&self) -> (Tensor, Tensor);
 }
 
 impl KvLayer for AttnKvCache {
@@ -78,12 +76,8 @@ impl KvLayer for AttnKvCache {
         }
     }
 
-    fn context_keys(&self) -> Tensor {
-        self.keys().clone()
-    }
-
-    fn context_values(&self) -> Tensor {
-        self.values().clone()
+    fn context(&self) -> (Tensor, Tensor) {
+        (self.keys().clone(), self.values().clone())
     }
 }
 
@@ -472,18 +466,10 @@ impl KvLayer for PagedKvLayer {
         write
     }
 
-    fn context_keys(&self) -> Tensor {
+    fn context(&self) -> (Tensor, Tensor) {
         let t = self.table.lock().expect("table poisoned");
         self.pool
             .gather(&t.blocks, self.layer, t.layer_fill[self.layer])
-            .0
-    }
-
-    fn context_values(&self) -> Tensor {
-        let t = self.table.lock().expect("table poisoned");
-        self.pool
-            .gather(&t.blocks, self.layer, t.layer_fill[self.layer])
-            .1
     }
 }
 
@@ -876,7 +862,7 @@ mod tests {
         assert_eq!(cache.len(), 7);
         assert_eq!(cache.resident_blocks(), 3, "ceil(7/3) blocks");
         for layer in 0..2 {
-            let k = cache.layer_mut(layer).context_keys();
+            let k = cache.layer_mut(layer).context().0;
             assert_eq!(k.shape(), (7, 4));
             assert_eq!(k.get(6, 3), 10.0 * layer as f32 + (6 * 4 + 3) as f32);
         }
@@ -905,18 +891,18 @@ mod tests {
         assert_eq!(w.cow_elems, 0);
         assert_eq!(b.len(), 6);
         // B reads A's values, bit for bit.
-        let (ka, kb) = (a.layer_mut(0).context_keys(), b.layer_mut(0).context_keys());
+        let (ka, kb) = (a.layer_mut(0).context().0, b.layer_mut(0).context().0);
         assert_eq!(ka, kb);
         assert_eq!(pool.used_blocks(), 2, "no extra blocks for B");
 
         // B continues past the prefix into the shared partial block:
         // copy-on-write, and A's view must not change.
-        let before = a.layer_mut(0).context_keys();
+        let before = a.layer_mut(0).context().0;
         let w = write_tokens(&mut b, 0, 1, 50.0);
         assert_eq!(w.rows_written, 1);
         assert_eq!(w.cow_elems, 2 * pool.block_elems(), "one block copied");
-        assert_eq!(a.layer_mut(0).context_keys(), before, "A unchanged");
-        assert_eq!(b.layer_mut(0).context_keys().get(6, 0), 50.0);
+        assert_eq!(a.layer_mut(0).context().0, before, "A unchanged");
+        assert_eq!(b.layer_mut(0).context().0.get(6, 0), 50.0);
         assert_eq!(pool.stats().cow_copies, 1);
     }
 
@@ -942,7 +928,7 @@ mod tests {
         for layer in 0..2 {
             write_tokens(&mut cache, layer, 5, layer as f32);
         }
-        let before: Vec<Tensor> = (0..2).map(|l| cache.layer_mut(l).context_keys()).collect();
+        let before: Vec<Tensor> = (0..2).map(|l| cache.layer_mut(l).context().0).collect();
         let moved = cache.swap_out();
         assert_eq!(moved, 2 * pool.block_elems() * 3);
         assert!(cache.is_swapped());
@@ -952,7 +938,7 @@ mod tests {
         let restored = cache.resume();
         assert_eq!(restored, moved);
         for (l, want) in before.iter().enumerate() {
-            assert_eq!(&cache.layer_mut(l).context_keys(), want);
+            assert_eq!(&cache.layer_mut(l).context().0, want);
         }
     }
 
@@ -984,7 +970,7 @@ mod tests {
         let free_before = pool.free_blocks();
         let kept: Vec<Tensor> = (0..2)
             .map(|l| {
-                let k = cache.layer_mut(l).context_keys();
+                let k = cache.layer_mut(l).context().0;
                 Tensor::from_fn(4, 4, |i, j| k.get(i, j))
             })
             .collect();
@@ -1002,7 +988,7 @@ mod tests {
             "rollback restores the pool free-count exactly"
         );
         for (l, want) in kept.iter().enumerate() {
-            assert_eq!(&cache.layer_mut(l).context_keys(), want);
+            assert_eq!(&cache.layer_mut(l).context().0, want);
         }
         // And the cache keeps working: re-append after rollback.
         write_tokens(&mut cache, 0, 2, 7.0);
@@ -1024,11 +1010,11 @@ mod tests {
 
         // B rolls back into the shared region: its references go, A's
         // blocks stay live and untouched.
-        let a_view = a.layer_mut(0).context_keys();
+        let a_view = a.layer_mut(0).context().0;
         b.truncate(2);
         assert_eq!(b.len(), 2);
         assert_eq!(b.shared_tokens(), 2, "shared watermark clamps");
-        assert_eq!(a.layer_mut(0).context_keys(), a_view, "A unchanged");
+        assert_eq!(a.layer_mut(0).context().0, a_view, "A unchanged");
         {
             let still = index.lookup(&pool, &prompt);
             assert!(still.is_some(), "A's registration is still valid");

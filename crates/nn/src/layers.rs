@@ -133,6 +133,8 @@ impl<'a> ForwardCtx<'a> {
     }
 
     /// As [`ForwardCtx::matmul`], recorded under the given workload role.
+    /// Without fake quantization the operands go to the engine as
+    /// borrowed; nothing is copied on the way.
     pub fn matmul_as(&mut self, kind: OpKind, a: &Tensor, b: &Tensor) -> Tensor {
         let aq = self.quant.apply(a);
         let bq = self.quant.apply(b);
@@ -248,8 +250,8 @@ impl Linear {
             self.cache_w = Some(wq.dequantize());
             return y;
         }
-        let xq = ctx.quant.apply(x);
-        let wq = ctx.quant.apply(&self.w.value);
+        let xq = ctx.quant.apply(x).into_owned();
+        let wq = ctx.quant.apply(&self.w.value).into_owned();
         let y = ctx
             .matmul_prequantized_as(self.role, &xq, &wq)
             .add_row_broadcast(&self.b.value);

@@ -19,9 +19,14 @@
 //!    i8/i4 integer GEMM's deviation from the exact `f64` product is
 //!    bounded element-wise by the half-step triangle bound assembled
 //!    from the operands' grouped scales.
+//! 4. **Skinny rows are exact too.** Strips of fewer than `MR` rows
+//!    (every decode GEMV, and the tail of a taller product) skip the
+//!    packed tile. They are pinned at decode-step weight shapes, for a
+//!    strided single-row view, and through an output buffer reused
+//!    across shapes.
 
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend};
-use lightening_transformer::core::kernel::{tiled_gemm, KC, MR, NR};
+use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, KC, MR, NR};
 use lightening_transformer::core::{
     blocked_gemm, quantized_gemm, reference_gemm, ComputeBackend, GaussianSampler, Matrix32,
     Matrix64, NativeBackend, QuantizedMatrix, RunCtx,
@@ -102,6 +107,85 @@ fn tiled_handles_strided_views_bit_identically() {
             reference_gemm(&a.to_matrix().view(), &b.to_matrix().view()),
             "block ({r0},{c0},{m},{k},{n})"
         );
+    }
+}
+
+/// Row counts that exercise the skinny-row path alone (`m < MR`) and as
+/// the tail after full packed strips (`MR + 1`, `2 * MR + 3`).
+const SKINNY_ROWS: [usize; 5] = [1, 2, 3, MR + 1, 2 * MR + 3];
+
+/// Decode-step weight shapes `(k, n)`: servebench's serve_open decoder
+/// (dim 128, FFN 256) and GPT2-small (dim 768, FFN 3072).
+const DECODE_WEIGHTS: [(usize, usize); 5] =
+    [(128, 128), (128, 256), (256, 128), (768, 768), (768, 3072)];
+
+#[test]
+fn skinny_rows_at_decode_geometry_are_bit_identical_in_f32_and_f64() {
+    let mut rng = GaussianSampler::new(137);
+    for &(k, n) in &DECODE_WEIGHTS {
+        let b64 = Matrix64::randn(k, n, 1.0, &mut rng);
+        let b32 = Matrix32::randn(k, n, 1.0, &mut rng);
+        for m in SKINNY_ROWS {
+            let a64 = Matrix64::randn(m, k, 1.0, &mut rng);
+            assert_eq!(
+                tiled_gemm(&a64.view(), &b64.view()),
+                reference_gemm(&a64.view(), &b64.view()),
+                "f64 ({m},{k},{n})"
+            );
+            let a32 = Matrix32::randn(m, k, 1.0, &mut rng);
+            assert_eq!(
+                tiled_gemm(&a32.view(), &b32.view()),
+                reference_gemm(&a32.view(), &b32.view()),
+                "f32 ({m},{k},{n})"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_strided_single_row_view_multiplies_bit_identically() {
+    // One row cut out of a wider matrix (a decode query sliced from a
+    // batch), against a strided B as well as a contiguous one.
+    let mut rng = GaussianSampler::new(139);
+    let parent = Matrix64::randn(9, 300, 1.0, &mut rng);
+    let b_parent = Matrix64::randn(290, 40, 1.0, &mut rng);
+    for &(r0, c0, k) in &[(4usize, 3usize, 257usize), (8, 0, 7), (0, 11, 1)] {
+        let a = parent.view().block(r0, c0, 1, k);
+        for b in [
+            b_parent.view().block(2, 5, k, 29),
+            b_parent.view().block(0, 0, k, 40),
+        ] {
+            assert_eq!(
+                tiled_gemm(&a, &b),
+                reference_gemm(&a.to_matrix().view(), &b.to_matrix().view()),
+                "row {r0} from column {c0}, k {k}, n {}",
+                b.cols()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_reused_output_buffer_is_fully_overwritten_across_shapes() {
+    // One dirty buffer cycled through shrinking and growing shapes, as a
+    // decode loop's scratch output is: every product must still equal
+    // the reference, so no stale element survives into a smaller shape.
+    let mut rng = GaussianSampler::new(149);
+    let mut out = Matrix64::from_fn(12, 40, |_, _| f64::NAN);
+    for &(m, k, n) in &[
+        (2 * MR + 3, 33, 37),
+        (1, 33, 37),
+        (3, 300, 9),
+        (1, 5, 40),
+        (MR + 1, KC + 1, 17),
+        (2, 1, 1),
+        (12, 12, 40),
+        (1, 128, 256),
+    ] {
+        let a = Matrix64::randn(m, k, 1.0, &mut rng);
+        let b = Matrix64::randn(k, n, 1.0, &mut rng);
+        tiled_gemm_into(&a.view(), &b.view(), &mut out);
+        assert_eq!(out, reference_gemm(&a.view(), &b.view()), "({m},{k},{n})");
     }
 }
 

@@ -115,7 +115,7 @@ fn cow_never_aliases_writes_into_a_shared_prefix() {
         let w = b.layer_mut(0).append(&skipped, &skipped);
         assert_eq!(w.rows_written, 0, "seed {seed}: borrowed rows rewritten");
 
-        let snapshot = a.layer_mut(0).context_keys();
+        let snapshot = a.layer_mut(0).context().0;
         // Interleave random appends from both sessions.
         for step in 0..(2 + rng.below(6)) {
             let (who, mark) = if rng.below(2) == 0 {
@@ -131,8 +131,8 @@ fn cow_never_aliases_writes_into_a_shared_prefix() {
             who.layer_mut(0).append(&x, &x);
         }
         // The shared prefix reads back unchanged from both sides.
-        let a_now = a.layer_mut(0).context_keys();
-        let b_now = b.layer_mut(0).context_keys();
+        let a_now = a.layer_mut(0).context().0;
+        let b_now = b.layer_mut(0).context().0;
         for pos in 0..shared_tokens {
             for j in 0..dim {
                 assert_eq!(
@@ -149,7 +149,7 @@ fn cow_never_aliases_writes_into_a_shared_prefix() {
         }
         // Past the prefix, each session sees only its own marks.
         for (label, t) in [("owner", &mut a), ("borrower", &mut b)] {
-            let keys = t.layer_mut(0).context_keys();
+            let keys = t.layer_mut(0).context().0;
             let own_mark = if label == "owner" { 1000.0 } else { 2000.0 };
             for pos in shared_tokens..t.len() {
                 let v = keys.get(pos, 0);

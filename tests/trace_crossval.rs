@@ -232,6 +232,34 @@ fn recorded_decode_step_trace_matches_the_analytical_decode_trace() {
 }
 
 #[test]
+fn a_recorded_decode_step_at_full_gpt2_small_width_matches_the_analytical_decode_trace() {
+    // The tiny geometry above pins instance counts per layer; this pins
+    // the dims and MACs at the real width (dim 768, 12 heads, FFN 3072),
+    // where every body GEMM is a `[1, d] x [d, n]` skinny-row product.
+    // Two layers keep the executed weights small.
+    let spec = TransformerConfig {
+        layers: 2,
+        ..TransformerConfig::gpt2_small(8)
+    };
+    let model = decoder_at(&spec, 16);
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let prompt = vec![3usize, 1, 4, 1];
+    let mut session = DecodeSession::new(
+        &model,
+        0,
+        prompt.clone(),
+        2,
+        NativeBackend,
+        SessionConfig::default(),
+    );
+    session.prefill(&model, &sim);
+    let recorded = body_gemms(&session.step(&model, &sim)).coalesce();
+    let analytical_ops = DecodeTrace::new(spec.clone(), prompt.len() + 1, 1);
+    assert_eq!(recorded, analytical_ops.op_trace().coalesce());
+    assert_eq!(recorded.total_macs(), analytical_ops.macs_per_token());
+}
+
+#[test]
 fn recorded_verify_step_traces_match_the_analytical_spec_trace() {
     // Speculative decoding's batched verify pass at the executable tiny
     // GPT2-small geometry: every spec step's recorded verify GEMMs must
