@@ -11,7 +11,8 @@
 //!    `lt_core::kernel::tiled_gemm` against the textbook triple loop
 //!    (`reference_gemm`), for `f64` and `f32`. The two are bit-identical
 //!    (`tests/kernel_equivalence.rs`); this bench shows what the
-//!    identical answer costs.
+//!    identical answer costs. On a CPU with AVX2 the tiled rows run the
+//!    kernel's AVX2 build, which it picks at run time.
 //! 2. **decode GEMV** — the same comparison for `m = 1` products at
 //!    decode-step weight shapes, which the kernel serves on its
 //!    skinny-row path (no packing, no padded rows).
@@ -160,48 +161,51 @@ fn main() {
     forward_modes();
 }
 
-// RECORDED RESULTS — reference build container, 2026-10-16 (2-core
-// shared VM; single-threaded data path only). The `before` column is
-// the same bench run back to back on the parent kernel, where `m = 1`
-// went through the packed tile with three zero rows of padding and a
-// re-pack of B per 8-column strip:
+// RECORDED RESULTS — 2-core Intel Xeon VM (shared; AVX2 and AVX-512),
+// 2026-10-17, in a slow phase: the naive loops ran ~1.4x slower than on
+// 2026-10-16; single-threaded data path only. Best of two runs per
+// side, alternated. The `before` column is the parent build, where the
+// kernel ran only as compiled for baseline x86-64 (SSE2); the `tiled`
+// rows now run its AVX2 build, picked at run time on this CPU:
 //
 //                                       us/iter  vs naive    before
-//   naive f64 96x256x96                    5519
-//   tiled f64 96x256x96                     668     8.26x
-//   naive f32 96x256x96                    6493
-//   tiled f32 96x256x96                     281    23.11x
-//   naive f64 192x192x192                 15863
-//   tiled f64 192x192x192                  2690     5.90x
-//   naive f32 192x192x192                 15737
-//   tiled f32 192x192x192                   783    20.11x
-//   tiled f64 1x128x128                     4.3     7.53x    22.5 us
-//   tiled f32 1x128x128                     2.4    19.49x    14.5 us
-//   tiled f64 1x128x256                     5.2    12.31x    72.8 us
-//   tiled f32 1x128x256                     2.7    23.89x    43.2 us
-//   tiled f64 1x256x128                     6.6    11.60x    75.2 us
-//   tiled f32 1x256x128                     3.2    27.72x    41.4 us
-//   tiled f64 1x768x768                     166    10.10x    1128 us
-//   tiled f32 1x768x768                      68    22.95x     588 us
-//   tiled f64 1x768x3072                    714    14.03x    6297 us
-//   tiled f32 1x768x3072                    337    27.05x    4198 us
-//   tiled f64 1x3072x768                    674    23.57x    6663 us
-//   tiled f32 1x3072x768                    351    32.25x    3981 us
-//   tiled f64 96x256x96                     677
-//   i8 gemm 96x256x96 (group 32)            675     1.00x vs f64
-//   i4 gemm 96x256x96 (group 32)            734     0.92x vs f64
-//   i8 encode+gemm 96x256x96                935     0.72x vs f64
-//   tiny-ViT forward fp32 (exact)           151
-//   tiny-ViT forward int8 (exact)           454     0.33x vs fp32
-//   tiny-ViT forward int4 (exact)           531     0.28x vs fp32
+//   naive f64 96x256x96                    8025
+//   tiled f64 96x256x96                     398    20.18x    1107 us
+//   naive f32 96x256x96                    8134
+//   tiled f32 96x256x96                     313    26.01x     383 us
+//   naive f64 192x192x192                 25389
+//   tiled f64 192x192x192                  1313    19.34x    3907 us
+//   naive f32 192x192x192                 23778
+//   tiled f32 192x192x192                   828    28.71x    1639 us
+//   tiled f64 1x128x128                     3.4    16.36x     4.7 us
+//   tiled f32 1x128x128                     1.6    32.92x     3.0 us
+//   tiled f64 1x128x256                     6.1    16.43x    10.7 us
+//   tiled f32 1x128x256                     3.6    29.19x     5.6 us
+//   tiled f64 1x256x128                     6.3    18.38x    10.1 us
+//   tiled f32 1x256x128                     3.8    26.55x     5.7 us
+//   tiled f64 1x768x768                     213    10.80x     228 us
+//   tiled f32 1x768x768                      95    23.41x     120 us
+//   tiled f64 1x768x3072                    933    14.14x     942 us
+//   tiled f32 1x768x3072                    438    28.88x     476 us
+//   tiled f64 1x3072x768                    872    23.24x     924 us
+//   tiled f32 1x3072x768                    443    31.46x     550 us
+//   tiled f64 96x256x96                     327              1355 us
+//   i8 gemm 96x256x96 (group 32)           1247     0.26x vs f64
+//   i4 gemm 96x256x96 (group 32)           1438     0.23x vs f64
+//   i8 encode+gemm 96x256x96               1280     0.26x vs f64
+//   tiny-ViT forward fp32 (exact)           177               301 us
+//   tiny-ViT forward int8 (exact)           599     0.30x vs fp32
+//   tiny-ViT forward int4 (exact)           700     0.25x vs fp32
 //
 // (Numbers vary run to run on the shared container, by up to 2x between
-// runs of the same binary; regenerate with the command above.) The
-// tiled kernel's 6-23x over the naive loop comes from the packed
-// register tile; the `1 x k x n` rows run the skinny-row path, 7-11x
-// (f64) and 20-33x (f32) faster than before it. The integer path is
-// *slower* on the host — a scalar i8 loop can't beat the autovectorized
-// float micro-kernel, and per-call encoding costs more than it saves —
-// its win is on the modeled accelerator (the 4-bit work mode's cycle
-// count) and in memory (i4 halves code bytes), both asserted
-// deterministically in the test suites.
+// runs of the same binary; regenerate with the command above.) The AVX2
+// build runs the packed register tile 2.8-4.1x faster in f64 and 1.2-2x in
+// f32. The small `1 x k x n` rows (serve_open's decode shapes) run the
+// skinny-row path 1.4-1.9x faster; at GPT2-small shapes, whose f64
+// weights (4.5-18 MiB) do not fit in cache, the GEMV is bound by memory
+// bandwidth and gains 1-26 %. The integer path is *slower* on the host
+// — a scalar i8 loop can't beat the autovectorized float micro-kernel,
+// and per-call encoding costs more than it saves — its win is on the
+// modeled accelerator (the 4-bit work mode's cycle count) and in memory
+// (i4 halves code bytes), both asserted deterministically in the test
+// suites.

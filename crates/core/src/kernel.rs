@@ -45,6 +45,19 @@
 //! is what lets `tests/` property suites assert `tiled == naive` with
 //! `==` instead of a tolerance.
 //!
+//! # Instruction set
+//!
+//! The workspace builds for baseline x86-64 (SSE2, 128-bit lanes).
+//! [`tiled_gemm_into`] checks once per call whether the CPU has AVX2 and,
+//! if so, runs the same kernel body compiled with AVX2 enabled, whose
+//! column loops use 256-bit lanes. FMA stays disabled, and Rust never
+//! contracts a multiply and an add on its own, so every lane performs
+//! the same IEEE multiply, then the same IEEE add, on the same operands
+//! in the same order as the portable build: both builds are
+//! bit-identical to [`reference_gemm`]. The unit tests check each build
+//! the CPU can run. There is no AVX-512 build: enabling `avx512f` also
+//! enables FMA (see ARCHITECTURE.md §9).
+//!
 //! [`reference_gemm`]: crate::matrix::reference_gemm
 
 use crate::matrix::{Matrix, MatrixView, Scalar};
@@ -99,6 +112,11 @@ pub fn tiled_gemm<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) -> Ma
 /// The result is bit-identical to [`tiled_gemm`]: both run this one
 /// function over a zeroed output buffer.
 ///
+/// On an x86-64 CPU with AVX2 the kernel runs as compiled for AVX2
+/// (checked at run time); otherwise it runs as compiled for the build's
+/// baseline target. See the module docs for why both builds produce
+/// the same bits.
+///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
@@ -107,6 +125,28 @@ pub fn tiled_gemm_into<T: Scalar>(
     b: &MatrixView<'_, T>,
     out: &mut Matrix<T>,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_avx2` needs nothing but a CPU that executes
+        // AVX2 instructions, which the feature check above established.
+        unsafe { gemm_avx2(a, b, out) };
+        return;
+    }
+    gemm_body(a, b, out);
+}
+
+/// [`gemm_body`] compiled with AVX2 enabled (and FMA not), so the
+/// compiler may widen its column loops to 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut Matrix<T>) {
+    gemm_body(a, b, out);
+}
+
+/// The kernel itself. Always inlined, like everything it calls, so each
+/// caller compiles its own copy for its own target features.
+#[inline(always)]
+fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut Matrix<T>) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -131,6 +171,7 @@ pub fn tiled_gemm_into<T: Scalar>(
 
 /// Rows `[0, full)` of the product (`full` a multiple of [`MR`]) through
 /// the packed register tile.
+#[inline(always)]
 fn packed_strips<T: Scalar>(
     a: &MatrixView<'_, T>,
     b: &MatrixView<'_, T>,
@@ -199,6 +240,7 @@ fn packed_strips<T: Scalar>(
 /// is the reference sum bit for bit. Four reduction steps share one
 /// load/store of the output element; they are still added one at a time
 /// (left to right), which keeps that order.
+#[inline(always)]
 fn skinny_rows<T: Scalar>(
     a: &MatrixView<'_, T>,
     b: &MatrixView<'_, T>,
@@ -234,11 +276,29 @@ fn skinny_rows<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{reference_gemm, Matrix64};
+    use crate::matrix::{reference_gemm, Matrix32, Matrix64};
     use crate::noise::GaussianSampler;
 
+    /// Asserts that the dispatching entry point, the portable build and,
+    /// when this CPU has AVX2, the AVX2 build each equal the reference
+    /// product under `==`.
+    fn assert_every_build_exact<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) {
+        let want = reference_gemm(a, b);
+        let label = format!("{:?} x {:?}", a.shape(), b.shape());
+        assert_eq!(tiled_gemm(a, b), want, "dispatched, {label}");
+        let mut out = Matrix::zeros(0, 0);
+        gemm_body(a, b, &mut out);
+        assert_eq!(out, want, "portable build, {label}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2 (checked just above).
+            unsafe { gemm_avx2(a, b, &mut out) };
+            assert_eq!(out, want, "AVX2 build, {label}");
+        }
+    }
+
     #[test]
-    fn tiled_matches_reference_across_edge_shapes() {
+    fn every_build_matches_reference_across_edge_shapes() {
         let mut rng = GaussianSampler::new(7);
         let shapes = [
             (0, 0, 0),
@@ -255,21 +315,22 @@ mod tests {
         for &(m, k, n) in &shapes {
             let a = Matrix64::randn(m, k, 1.0, &mut rng);
             let b = Matrix64::randn(k, n, 1.0, &mut rng);
-            let got = tiled_gemm(&a.view(), &b.view());
-            let want = reference_gemm(&a.view(), &b.view());
-            assert_eq!(got, want, "shape ({m},{k},{n})");
+            assert_every_build_exact(&a.view(), &b.view());
+            let a = Matrix32::randn(m, k, 1.0, &mut rng);
+            let b = Matrix32::randn(k, n, 1.0, &mut rng);
+            assert_every_build_exact(&a.view(), &b.view());
         }
     }
 
     #[test]
-    fn strided_operands_supported() {
+    fn every_build_supports_strided_operands() {
         let mut rng = GaussianSampler::new(11);
         let m = Matrix64::randn(20, 20, 1.0, &mut rng);
-        let a = m.view().block(1, 2, 9, 13);
-        let b = m.view().block(3, 1, 13, 11);
-        assert_eq!(
-            tiled_gemm(&a, &b),
-            reference_gemm(&a.to_matrix().view(), &b.to_matrix().view())
-        );
+        assert_every_build_exact(&m.view().block(1, 2, 9, 13), &m.view().block(3, 1, 13, 11));
+        // A strided single row takes the skinny path.
+        assert_every_build_exact(&m.view().block(4, 3, 1, 13), &m.view().block(2, 0, 13, 17));
+        let m = Matrix32::randn(20, 20, 1.0, &mut rng);
+        assert_every_build_exact(&m.view().block(1, 2, 9, 13), &m.view().block(3, 1, 13, 11));
+        assert_every_build_exact(&m.view().block(4, 3, 1, 13), &m.view().block(2, 0, 13, 17));
     }
 }

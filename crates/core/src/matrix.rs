@@ -248,7 +248,13 @@ impl<T: Scalar> Matrix<T> {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix<T> {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
+        let mut data = Vec::with_capacity(self.data.len());
+        // Row `j` of the transpose is column `j`: every `cols`-th element
+        // starting at `j`.
+        for j in 0..self.cols {
+            data.extend(self.data.iter().skip(j).step_by(self.cols));
+        }
+        Matrix::from_vec(self.cols, self.rows, data)
     }
 
     /// Element-wise sum with another matrix.
@@ -287,7 +293,13 @@ impl<T: Scalar> Matrix<T> {
     pub fn add_row_broadcast(&self, bias: &Matrix<T>) -> Matrix<T> {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(bias.cols(), self.cols, "bias width mismatch");
-        Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j) + bias.get(0, j))
+        let mut out = self.clone();
+        for i in 0..out.rows {
+            for (v, &b) in out.row_mut(i).iter_mut().zip(&bias.data) {
+                *v += b;
+            }
+        }
+        out
     }
 
     /// Scales every element.
@@ -336,7 +348,11 @@ impl<T: Scalar> Matrix<T> {
     /// Panics if the range exceeds the matrix width.
     pub fn col_slice(&self, start: usize, width: usize) -> Matrix<T> {
         assert!(start + width <= self.cols, "column slice out of bounds");
-        Matrix::from_fn(self.rows, width, |i, j| self.get(i, start + j))
+        let mut data = Vec::with_capacity(self.rows * width);
+        for i in 0..self.rows {
+            data.extend_from_slice(&self.row(i)[start..start + width]);
+        }
+        Matrix::from_vec(self.rows, width, data)
     }
 
     /// Writes a block into the given column offset.
@@ -351,9 +367,7 @@ impl<T: Scalar> Matrix<T> {
             "column slice out of bounds"
         );
         for i in 0..block.rows() {
-            for j in 0..block.cols() {
-                self.set(i, start + j, block.get(i, j));
-            }
+            self.row_mut(i)[start..start + block.cols()].copy_from_slice(block.row(i));
         }
     }
 
@@ -613,8 +627,17 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let mut rng = GaussianSampler::new(1);
-        let t = Matrix32::randn(5, 7, 1.0, &mut rng);
-        assert_eq!(t.transpose().transpose(), t);
+        for (rows, cols) in [(5, 7), (1, 4), (4, 1), (0, 3), (3, 0), (0, 0)] {
+            let t = Matrix32::randn(rows, cols, 1.0, &mut rng);
+            let tt = t.transpose();
+            assert_eq!(tt.shape(), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(tt.get(j, i), t.get(i, j));
+                }
+            }
+            assert_eq!(tt.transpose(), t);
+        }
     }
 
     #[test]
@@ -683,6 +706,11 @@ mod tests {
         assert_eq!(x.hadamard(&x).data(), &[1.0, 4.0, 9.0, 16.0]);
         assert_eq!(x.col_sum().data(), &[4.0, 6.0]);
         assert_eq!(x.scale(2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
+        // Broadcasting onto no rows, or rows of no columns.
+        let none = Matrix32::zeros(0, 2).add_row_broadcast(&b);
+        assert_eq!(none.shape(), (0, 2));
+        let empty = Matrix32::zeros(3, 0).add_row_broadcast(&Matrix32::zeros(1, 0));
+        assert_eq!(empty.shape(), (3, 0));
     }
 
     #[test]
@@ -693,8 +721,27 @@ mod tests {
         assert_eq!(block.get(1, 0), 10.0);
         let mut y = Matrix32::zeros(3, 8);
         y.set_col_slice(2, &block);
-        assert_eq!(y.get(2, 3), x.get(2, 3));
-        assert_eq!(y.get(0, 0), 0.0);
+        for i in 0..3 {
+            for j in 0..8 {
+                let want = if (2..6).contains(&j) {
+                    x.get(i, j)
+                } else {
+                    0.0
+                };
+                assert_eq!(y.get(i, j), want, "({i},{j})");
+            }
+        }
+        // Zero-width slices, and slices of a matrix with no rows.
+        for (rows, start, width) in [(3, 5, 0), (3, 8, 0), (0, 2, 4), (0, 0, 0)] {
+            let x = Matrix32::from_fn(rows, 8, |i, j| (i * 8 + j) as f32);
+            let block = x.col_slice(start, width);
+            assert_eq!(block.shape(), (rows, width));
+            let mut y = x.clone();
+            y.set_col_slice(start, &block);
+            assert_eq!(y, x);
+        }
+        let x = Matrix32::zeros(3, 0);
+        assert_eq!(x.col_slice(0, 0).shape(), (3, 0));
     }
 
     #[test]

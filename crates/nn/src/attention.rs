@@ -440,14 +440,14 @@ mod tests {
         let dy = Tensor::randn(4, 8, 1.0, &mut rng);
         let _ = forward_loss(&mut attn, &x, &dy);
         let _ = attn.backward(&dy);
-        let got = attn.wq.w.grad.get(2, 3);
+        let got = attn.wq.w().grad.get(2, 3);
 
         let h = 1e-2f32;
-        let w0 = attn.wq.w.value.get(2, 3);
+        let w0 = attn.wq.w().value.get(2, 3);
         let mut ap = attn.clone();
-        ap.wq.w.value.set(2, 3, w0 + h);
+        ap.wq.w_mut().value.set(2, 3, w0 + h);
         let mut am = attn.clone();
-        am.wq.w.value.set(2, 3, w0 - h);
+        am.wq.w_mut().value.set(2, 3, w0 - h);
         let num = (forward_loss(&mut ap, &x, &dy) - forward_loss(&mut am, &x, &dy)) / (2.0 * h);
         assert!(
             (got - num).abs() < 0.05 * num.abs().max(1.0),

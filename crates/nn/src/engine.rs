@@ -2,17 +2,19 @@
 //! pluggable [`ComputeBackend`]s.
 //!
 //! Inference can execute every matrix product on any backend: the exact
-//! shared kernel ([`ExactEngine`]), the quantized-but-noiseless digital
-//! reference of Fig. 14 ([`QuantizedEngine`]), the noisy photonic DPTC
+//! shared kernel ([`ExactEngine`]), the noisy photonic DPTC
 //! ([`PhotonicEngine`]), or *any* other [`ComputeBackend`] — including
-//! the MZI/MRR/PCM baselines — via the generic [`BackendEngine`]. The
-//! engines only widen `f32 -> f64`, delegate, and narrow back; all
-//! compute semantics live in the backends.
+//! the quantized-but-noiseless digital reference of Fig. 14
+//! (`DptcBackend::quantized`) and the MZI/MRR/PCM baselines — via the
+//! generic [`BackendEngine`]. The engines only widen `f32 -> f64`,
+//! delegate, and narrow back; all compute semantics live in the
+//! backends.
 
 use crate::tensor::Tensor;
 use lt_core::{ComputeBackend, Matrix64, RunCtx};
 use lt_dptc::{DptcBackend, NoiseModel};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A pluggable matrix-multiplication engine for the `f32` NN stack.
 ///
@@ -21,6 +23,19 @@ use std::fmt;
 pub trait MatmulEngine: fmt::Debug {
     /// Computes `a x b`.
     fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor;
+
+    /// Computes `a x w` for a model weight `w` whose `f64` copy is
+    /// staged in `w64`. An engine that computes in `f64` reads that copy,
+    /// building it from `w` on first use, instead of widening `w` on
+    /// every call; the result is bit-identical to [`MatmulEngine::matmul`].
+    /// The default is plain `matmul`, which leaves `w64` unbuilt.
+    ///
+    /// The caller keeps `w64` current: once built it must equal
+    /// `w.to_f64()`, so every change to `w` must empty it first.
+    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, w64: &OnceLock<Matrix64>) -> Tensor {
+        let _ = w64;
+        self.matmul(a, w)
+    }
 
     /// A short human-readable backend name.
     fn name(&self) -> &str;
@@ -55,6 +70,8 @@ pub struct BackendEngine<B> {
     /// Per-token decode issues the same shapes every step, so after the
     /// first pass the widen/narrow adapter allocates nothing beyond the
     /// returned f32 tensor ([`lt_core::kernel::tiled_gemm_into`]).
+    /// Layer weights skip `b64`: their copy is staged once per layer
+    /// ([`MatmulEngine::matmul_staged`]).
     a64: Matrix64,
     b64: Matrix64,
     out64: Matrix64,
@@ -100,6 +117,14 @@ impl<B: ComputeBackend> MatmulEngine for BackendEngine<B> {
         self.out64.to_f32()
     }
 
+    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, w64: &OnceLock<Matrix64>) -> Tensor {
+        let w64 = w64.get_or_init(|| w.to_f64());
+        a.to_f64_into(&mut self.a64);
+        self.backend
+            .gemm_into(self.a64.view(), w64.view(), &mut self.ctx, &mut self.out64);
+        self.out64.to_f32()
+    }
+
     fn name(&self) -> &str {
         self.backend.name()
     }
@@ -123,26 +148,6 @@ impl MatmulEngine for ExactEngine {
 
     fn name(&self) -> &str {
         "exact"
-    }
-}
-
-/// Exact execution on operands quantized to `bits` — the digital
-/// quantized reference accuracy ("GPU" lines in Figs. 14-15). A thin
-/// adapter over [`DptcBackend::quantized`].
-#[derive(Debug, Clone, Copy)]
-pub struct QuantizedEngine {
-    /// Operand bit-width.
-    pub bits: u32,
-}
-
-impl MatmulEngine for QuantizedEngine {
-    fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        let backend = DptcBackend::quantized(self.bits);
-        run_backend(&backend, &mut RunCtx::new(0), a, b)
-    }
-
-    fn name(&self) -> &str {
-        "quantized-exact"
     }
 }
 
@@ -223,10 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engine_tracks_exact() {
+    fn quantized_backend_engine_tracks_exact() {
         let (a, b) = rand_pair(8, 16, 8, 2);
         let exact = a.matmul(&b);
-        let q = QuantizedEngine { bits: 8 }.matmul(&a, &b);
+        let q = BackendEngine::new(DptcBackend::quantized(8), 0).matmul(&a, &b);
         let scale = exact.max_abs();
         assert!(q.max_abs_diff(&exact) < 0.1 * scale.max(1.0));
     }

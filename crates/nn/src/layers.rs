@@ -4,8 +4,9 @@ use crate::engine::MatmulEngine;
 use crate::quant::{IntegerQuant, QuantConfig};
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, Op, OpKind, TraceRecorder};
-use lt_core::{quantized_gemm, QuantizedMatrix};
+use lt_core::{quantized_gemm, Matrix64, QuantizedMatrix};
 use lt_photonics::noise::GaussianSampler;
+use std::sync::OnceLock;
 
 /// A trainable parameter with its gradient and Adam state.
 #[derive(Debug, Clone)]
@@ -158,6 +159,26 @@ impl<'a> ForwardCtx<'a> {
         self.apply_train_noise(y)
     }
 
+    /// As [`ForwardCtx::matmul_as`] for a layer weight `w` whose `f64`
+    /// copy is staged in `w64` ([`MatmulEngine::matmul_staged`]).
+    /// Fake quantization replaces `w` with its quantized value, which
+    /// the staged copy is not, so a quantizing context takes
+    /// `matmul_as` and leaves `w64` alone.
+    pub(crate) fn matmul_weight_as(
+        &mut self,
+        kind: OpKind,
+        x: &Tensor,
+        w: &Tensor,
+        w64: &OnceLock<Matrix64>,
+    ) -> Tensor {
+        if self.quant.bits.is_some() {
+            return self.matmul_as(kind, x, w);
+        }
+        self.record(Op::gemm(kind, x.rows(), x.cols(), w.cols()));
+        let y = self.engine.matmul_staged(x, w, w64);
+        self.apply_train_noise(y)
+    }
+
     /// Executes a true integer matmul on pre-encoded operands: i8/i4
     /// codes with grouped per-channel scales, f32 accumulation
     /// ([`lt_core::quantized_gemm`]). Recorded under the given workload
@@ -201,10 +222,18 @@ fn encode_integer_operands(
 }
 
 /// A fully connected layer `y = x W + b`.
+///
+/// The weight is private so that every change to it goes through
+/// [`Linear::w_mut`] (or [`Linear::visit_params`]), which drops the
+/// layer's staged `f64` copy of the weight. An `f64` engine builds that
+/// copy on the layer's first fp32 inference ([`Linear::infer`]) and
+/// reuses it after, instead of widening the weight on every call; it
+/// costs 8 bytes per weight element while it exists.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    /// Weight, `in x out`.
-    pub w: Param,
+    w: Param,
+    /// `w.value` widened to `f64`; empty until an `f64` engine needs it.
+    w64: OnceLock<Matrix64>,
     /// Bias, `1 x out`.
     pub b: Param,
     /// Workload role this linear's product records as (defaults to
@@ -220,6 +249,7 @@ impl Linear {
         let std = (2.0 / (inputs + outputs) as f32).sqrt();
         Linear {
             w: Param::new(Tensor::randn(inputs, outputs, std, rng)),
+            w64: OnceLock::new(),
             b: Param::new(Tensor::zeros(1, outputs)),
             role: OpKind::Other,
             cache_x: None,
@@ -232,6 +262,18 @@ impl Linear {
     pub fn with_role(mut self, role: OpKind) -> Self {
         self.role = role;
         self
+    }
+
+    /// The weight, `in x out`.
+    pub fn w(&self) -> &Param {
+        &self.w
+    }
+
+    /// The weight, mutably. Drops the staged `f64` copy, so the next
+    /// inference on an `f64` engine widens the weight as changed.
+    pub fn w_mut(&mut self) -> &mut Param {
+        self.w64.take();
+        &mut self.w
     }
 
     /// Forward pass; caches (quantized) operands for backward.
@@ -271,7 +313,7 @@ impl Linear {
                 .matmul_integer_as(self.role, &xq, &wq)
                 .add_row_broadcast(&self.b.value);
         }
-        ctx.matmul_as(self.role, x, &self.w.value)
+        ctx.matmul_weight_as(self.role, x, &self.w.value, &self.w64)
             .add_row_broadcast(&self.b.value)
     }
 
@@ -288,9 +330,10 @@ impl Linear {
         dy.matmul(&w.transpose())
     }
 
-    /// Visits the layer's parameters.
+    /// Visits the layer's parameters (the weight through
+    /// [`Linear::w_mut`]).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w);
+        f(self.w_mut());
         f(&mut self.b);
     }
 }
@@ -514,7 +557,9 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExactEngine;
+    use crate::engine::{BackendEngine, ExactEngine};
+    use lt_core::{ComputeBackend, NativeBackend};
+    use lt_dptc::DptcBackend;
 
     fn ctx_parts() -> (ExactEngine, GaussianSampler) {
         (ExactEngine, GaussianSampler::new(0))
@@ -744,6 +789,63 @@ mod tests {
         // STE gradient through the dequantized weights: close to fp32's.
         let dx_ref = dy.matmul(&layer.w.value.transpose());
         assert!(dx.max_abs_diff(&dx_ref) < 0.05);
+    }
+
+    /// Infers two inputs through `layer` (the first call stages the
+    /// weight, the second reuses it) and the same two through the
+    /// unstaged `matmul_as` plus bias, each side on its own engine over
+    /// `backend`, and asserts that the outputs and the engines' call
+    /// counts agree.
+    fn assert_staged_matches_unstaged<B: ComputeBackend + Clone>(backend: B, layer: &Linear) {
+        let mut rng = GaussianSampler::new(21);
+        let xs = [
+            Tensor::randn(3, layer.w().value.rows(), 1.0, &mut rng),
+            Tensor::randn(1, layer.w().value.rows(), 1.0, &mut rng),
+        ];
+        let mut staged = BackendEngine::new(backend.clone(), 5);
+        let mut unstaged = BackendEngine::new(backend, 5);
+        for x in &xs {
+            let mut nrng = GaussianSampler::new(0);
+            let mut ctx = ForwardCtx::inference(&mut staged, QuantConfig::fp32(), &mut nrng);
+            let got = layer.infer(x, &mut ctx);
+            let mut nrng = GaussianSampler::new(0);
+            let mut ctx = ForwardCtx::inference(&mut unstaged, QuantConfig::fp32(), &mut nrng);
+            let want = ctx
+                .matmul_as(layer.role, x, &layer.w().value)
+                .add_row_broadcast(&layer.b.value);
+            assert_eq!(got, want);
+        }
+        assert_eq!(staged.calls(), unstaged.calls());
+        assert!(layer.w64.get().is_some(), "an f64 engine stages the weight");
+    }
+
+    #[test]
+    fn staged_weight_inference_is_bit_identical_to_the_unstaged_product() {
+        let mut rng = GaussianSampler::new(20);
+        let mut layer = Linear::new(24, 10, &mut rng);
+        layer.b.value = Tensor::randn(1, 10, 0.5, &mut rng);
+        assert_staged_matches_unstaged(NativeBackend, &layer);
+        layer.w64.take();
+        assert_staged_matches_unstaged(DptcBackend::paper(8, 13), &layer);
+    }
+
+    #[test]
+    fn f32_and_quantizing_inference_leave_the_weight_unstaged() {
+        let mut rng = GaussianSampler::new(22);
+        let layer = Linear::new(8, 4, &mut rng);
+        let x = Tensor::randn(2, 8, 1.0, &mut rng);
+        let (mut eng, mut nrng) = ctx_parts();
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let _ = layer.infer(&x, &mut ctx);
+        assert!(layer.w64.get().is_none(), "ExactEngine computes in f32");
+        // Fake quantization feeds the engine a quantized weight, which the
+        // staged copy is not; the integer path never calls the engine.
+        for quant in [QuantConfig::low_bit(8), QuantConfig::int8()] {
+            let mut eng = BackendEngine::new(NativeBackend, 0);
+            let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut nrng);
+            let _ = layer.infer(&x, &mut ctx);
+            assert!(layer.w64.get().is_none(), "{quant:?}");
+        }
     }
 
     #[test]

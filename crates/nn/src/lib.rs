@@ -72,7 +72,7 @@ pub use decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, KvCache, SessionConfig,
     SpecOutcome, SpecSessionStats, SpecStepReport,
 };
-pub use engine::{BackendEngine, ExactEngine, MatmulEngine, PhotonicEngine, QuantizedEngine};
+pub use engine::{BackendEngine, ExactEngine, MatmulEngine, PhotonicEngine};
 pub use kv::{BlockPool, KvLayer, ModelKv, PagedKvCache, PreemptPolicy, PrefixIndex};
 pub use model::{TextClassifier, VisionTransformer};
 pub use quant::{IntegerQuant, QuantConfig};

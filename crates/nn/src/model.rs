@@ -42,7 +42,7 @@ impl EncoderBlock {
     /// `DecoderLm::taper_deep_blocks`).
     pub fn scale_residual(&mut self, gain: f32) {
         for lin in [&mut self.attn.wo, &mut self.ffn2] {
-            for v in lin.w.value.data_mut() {
+            for v in lin.w_mut().value.data_mut() {
                 *v *= gain;
             }
             for v in lin.b.value.data_mut() {
@@ -424,8 +424,9 @@ impl Classifier<[usize]> for TextClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExactEngine;
+    use crate::engine::{BackendEngine, ExactEngine};
     use crate::quant::QuantConfig;
+    use lt_core::NativeBackend;
 
     #[test]
     fn vit_forward_shapes() {
@@ -515,6 +516,48 @@ mod tests {
                 "dx[{i},{j}] {got} vs numeric {num}"
             );
         }
+    }
+
+    /// `lin.infer(x)` on the f64 native engine, which stages the weight.
+    fn infer_f64(lin: &Linear, x: &Tensor) -> Tensor {
+        let mut eng = BackendEngine::new(NativeBackend, 0);
+        let mut nrng = GaussianSampler::new(0);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        lin.infer(x, &mut ctx)
+    }
+
+    /// Asserts that `lin` infers exactly like a freshly built layer with
+    /// its current weight and bias (which has nothing staged), and
+    /// differently from `before`, its output before the change.
+    fn assert_follows_new_weight(lin: &Linear, x: &Tensor, before: &Tensor) {
+        let (rows, cols) = lin.w().value.shape();
+        let mut fresh = Linear::new(rows, cols, &mut GaussianSampler::new(0));
+        *fresh.w_mut() = lin.w().clone();
+        fresh.b = lin.b.clone();
+        let got = infer_f64(lin, x);
+        assert_eq!(got, infer_f64(&fresh, x));
+        assert_ne!(&got, before, "the change must show in the output");
+    }
+
+    #[test]
+    fn every_weight_change_drops_the_staged_copy() {
+        let mut rng = GaussianSampler::new(7);
+        let mut block = EncoderBlock::new(8, 2, 16, &mut rng);
+        let x = Tensor::randn(2, 8, 1.0, &mut rng);
+        let h = Tensor::randn(2, 16, 1.0, &mut rng);
+
+        let (wo, ffn2) = (infer_f64(&block.attn.wo, &x), infer_f64(&block.ffn2, &h));
+        block.scale_residual(0.5);
+        assert_follows_new_weight(&block.attn.wo, &x, &wo);
+        assert_follows_new_weight(&block.ffn2, &h, &ffn2);
+
+        let ffn1 = infer_f64(&block.ffn1, &x);
+        block.ffn1.w_mut().value.data_mut()[3] += 1.0;
+        assert_follows_new_weight(&block.ffn1, &x, &ffn1);
+
+        let wq = infer_f64(&block.attn.wq, &x);
+        block.visit_params(&mut |p| p.value = p.value.map(|v| v * 1.5 + 0.25));
+        assert_follows_new_weight(&block.attn.wq, &x, &wq);
     }
 
     #[test]

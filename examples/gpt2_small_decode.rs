@@ -4,10 +4,12 @@
 //! downloaded) decodes one 64-token session on `NativeBackend`.
 //!
 //! Prints the host time of the prefill and of the decode steps, host
-//! milliseconds per decoded token, and the modeled LT-B cost of the same
-//! tokens. Every GEMM of a decode step is a `[1, d] x [d, n]`
-//! matrix-vector product, so the host rate here is the exact kernel's
-//! skinny-row path plus the per-op costs around it.
+//! milliseconds per decoded token, the process's peak resident memory,
+//! and the modeled LT-B cost of the same tokens. Every GEMM of a decode
+//! step is a `[1, d] x [d, n]` matrix-vector product, so the host rate
+//! here is the exact kernel's skinny-row path plus the per-op costs
+//! around it. Peak memory includes the `f64` copy of every weight that
+//! the engine stages on first use (8 bytes per weight parameter).
 //!
 //! ```sh
 //! cargo run --release --example gpt2_small_decode
@@ -22,6 +24,21 @@ use std::time::Instant;
 const NEW_TOKENS: usize = 64;
 /// Prompt length.
 const PROMPT: usize = 8;
+
+/// Peak resident set size of this process in MiB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file is unavailable.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
 
 fn main() {
     let config = DecoderConfig {
@@ -67,8 +84,9 @@ fn main() {
         "prefill ({PROMPT} tokens)    {:>9.1} ms host",
         prefill_s * 1e3
     );
+    let peak = peak_rss_mib().map_or("n/a".to_string(), |m| format!("{m:.0} MiB"));
     println!(
-        "decode ({steps} steps)     {:>9.1} ms host, {:.1} ms/token",
+        "decode ({steps} steps)     {:>9.1} ms host, {:.1} ms/token, peak RSS {peak}",
         decode_s * 1e3,
         decode_s * 1e3 / steps as f64
     );
