@@ -1,5 +1,7 @@
 //! Benches for the DPTC core: one-shot MM and tiled GEMM at the
-//! simulation fidelities, plus the ragged-vs-flat storage comparison.
+//! simulation fidelities, the ragged-vs-flat storage comparison, the
+//! noisy backend per call at serving shapes, and bulk vs per-draw
+//! Gaussian sampling.
 //!
 //! # Before/after note (flat `Matrix` migration)
 //!
@@ -12,22 +14,34 @@
 //! The `ragged(pre-PR)` benchmarks below re-implement the seed's ragged
 //! kernel verbatim so the win stays measurable in the bench history.
 //!
-//! Measured on the reference container (release, 12x12x12 one-shot):
-//! the *deterministic* path (`one_shot_det/*`, noiseless model — what
-//! the quantized digital reference and every zero-sigma tile runs) went
-//! from ~17.5 us/iter (pre-PR ragged kernel, which re-evaluated the
-//! Eq. 9 `sin` for all 1728 MACs) to ~3.7 us/iter on the flat kernel
-//! with the multiplier hoisted into the `WavelengthCoefficients` cache —
-//! a ~4.8x speedup. The *stochastic* path (`one_shot_noisy/*`) is bound
-//! by its 1728 Gaussian draws per call (~56 us/iter), so storage is
-//! parity there — the allocations it no longer performs are hidden
-//! behind the RNG, and the win surfaces exactly where compute, not
-//! noise, dominates.
+//! On the 2-core Intel Xeon VM (release, 12x12x12 one-shot) the
+//! *deterministic* path (`one_shot_det/*`, noiseless model — what the
+//! quantized digital reference and every zero-sigma tile runs) takes
+//! ~33-35 us/iter on the ragged kernel, which re-evaluates the Eq. 9
+//! `sin` for all 1728 MACs, and ~4.3 us/iter on the flat kernel with the
+//! multiplier hoisted into the `WavelengthCoefficients` cache. The
+//! *stochastic* path (`one_shot_noisy/*`) goes from ~56 us/iter ragged
+//! (1728 phase draws per call) to ~11-16 us/iter flat (576 draws: one
+//! encoding per operand element, one phase and one systematic draw per
+//! output).
+//!
+//! # Before/after note (bulk noise draws, table-free DAC)
+//!
+//! The analytic tiled GEMM draws each tile's Gaussians with one
+//! `GaussianSampler::fill_normal` and quantizes without a lookup table,
+//! with every output bit-identical (ARCHITECTURE.md §9). Four alternated
+//! runs per side on the same VM: `backend_paper_8bit/1x32x32` went from
+//! 25-35 us to 17-20 us, `4x32x32` from 45-58 us to 31-40 us, `1x8x17`
+//! from 3.9-5.7 us to 2.5-3.5 us and `1x768x768` from 16.8-19.8 ms to
+//! 10.3-12.4 ms. `normal_4096/*` took 38-49 us before the change (one
+//! out-of-line `sample()` per draw, which `fill_normal` also was); it
+//! takes 27-35 us through the now-inlined `sample` and 22-27 us through
+//! `fill_normal`.
 
 use lt_bench::timing::bench;
-use lt_core::{GaussianSampler, Matrix64};
+use lt_core::{ComputeBackend, GaussianSampler, Matrix64, RunCtx};
 use lt_dptc::ddot::WavelengthCoefficients;
-use lt_dptc::{DdotCircuit, Dptc, DptcConfig, Fidelity, NoiseModel};
+use lt_dptc::{DdotCircuit, Dptc, DptcBackend, DptcConfig, Fidelity, NoiseModel};
 
 fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix64 {
     let mut rng = GaussianSampler::new(seed);
@@ -159,4 +173,48 @@ fn main() {
         });
         println!("{}", r.row());
     }
+
+    // The serving path: `BackendEngine` calls `gemm_into` on a reused
+    // buffer. The first three shapes are servebench `dptc_pressure`'s
+    // decode GEMMs (tiny decoder, dim 32), the last a GPT2-small
+    // projection.
+    println!();
+    let backend = DptcBackend::paper(8, 5);
+    let mut out = Matrix64::zeros(0, 0);
+    for &(m, k, n) in &[
+        (1usize, 32usize, 32usize),
+        (4, 32, 32),
+        (1, 8, 17),
+        (1, 768, 768),
+    ] {
+        let a = rand_matrix(m, k, 5);
+        let b = rand_matrix(k, n, 6);
+        let mut ctx = RunCtx::new(7);
+        let r = bench(&format!("backend_paper_8bit/{m}x{k}x{n}"), || {
+            backend.gemm_into(a.view(), b.view(), &mut ctx, &mut out);
+            out.get(0, 0)
+        });
+        println!("{}", r.row());
+    }
+
+    // Bulk Gaussian draws against one `sample()` call per draw.
+    println!();
+    let mut rng = GaussianSampler::new(9);
+    let mut draws = vec![0.0; 4096];
+    let per_draw = bench("normal_4096/per-draw sample", || {
+        for v in draws.iter_mut() {
+            *v = rng.sample();
+        }
+        draws[0]
+    });
+    println!("{}", per_draw.row());
+    let bulk = bench("normal_4096/fill_normal", || {
+        rng.fill_normal(&mut draws);
+        draws[0]
+    });
+    println!("{}", bulk.row());
+    println!(
+        "  -> fill_normal speedup: {:.2}x",
+        bulk.speedup_vs(&per_draw)
+    );
 }

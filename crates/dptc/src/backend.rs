@@ -11,6 +11,7 @@
 use crate::ddot::WavelengthCoefficients;
 use crate::dptc::{Dptc, DptcConfig};
 use crate::noise_model::NoiseModel;
+use lt_core::backend::split_seed;
 use lt_core::{blocked_gemm, ComputeBackend, Matrix64, MatrixView, RunCtx};
 use std::sync::Arc;
 
@@ -237,6 +238,38 @@ impl ComputeBackend for DptcBackend {
         blocked_gemm(self, a, b, ctx)
     }
 
+    fn gemm_into(
+        &self,
+        a: MatrixView<'_, f64>,
+        b: MatrixView<'_, f64>,
+        ctx: &mut RunCtx,
+        out: &mut Matrix64,
+    ) {
+        // A product of at most one row block (every per-token decode
+        // GEMM) is the single block `blocked_gemm` would run under
+        // `split_seed(call_seed, 0)`; the analytic loop writes it straight
+        // into `out`, with no zeroed full-size output, strip matrix, row
+        // copy or block list around it.
+        if let (Fidelity::AnalyticNoisy { noise, seed }, Some(coeffs)) =
+            (self.fidelity, &self.coeffs)
+        {
+            if a.rows() <= self.preferred_block_rows() {
+                let block_seed = split_seed(ctx.next_seed(), 0);
+                self.core.gemm_tiled_analytic_into(
+                    a,
+                    b,
+                    self.bits,
+                    &noise,
+                    seed ^ block_seed,
+                    coeffs,
+                    out,
+                );
+                return;
+            }
+        }
+        *out = self.gemm(a, b, ctx);
+    }
+
     fn preferred_block_rows(&self) -> usize {
         // Blocks stay a whole number of `Nh`-row hardware strips, but
         // span several of them: every `gemm_block` call re-gathers,
@@ -360,6 +393,31 @@ mod tests {
             let plain = backend.gemm(a.view(), b.view(), &mut RunCtx::new(11));
             let blocked = blocked_gemm(&backend, a.view(), b.view(), &mut RunCtx::new(11));
             assert_eq!(plain, blocked, "{}", ComputeBackend::name(&backend));
+        }
+    }
+
+    #[test]
+    fn gemm_into_equals_gemm_on_a_reused_buffer() {
+        // Single-block products take the in-place analytic path, taller
+        // ones the blocked fallback; both must equal `gemm` bit for bit,
+        // advance the seed stream alike, and fully overwrite the buffer.
+        let mut out = Matrix64::from_fn(50, 50, |_, _| f64::NAN);
+        for backend in [
+            DptcBackend::paper(8, 3),
+            DptcBackend::quantized(4),
+            DptcBackend::ideal(DptcConfig::lt_paper()),
+        ] {
+            let (mut want_ctx, mut got_ctx) = (RunCtx::new(21), RunCtx::new(21));
+            for (i, &(m, k, n)) in [(1, 32, 32), (48, 17, 9), (4, 8, 8), (49, 13, 30), (0, 5, 3)]
+                .iter()
+                .enumerate()
+            {
+                let (a, b) = rand_pair(m, k, n, 40 + i as u64);
+                let want = backend.gemm(a.view(), b.view(), &mut want_ctx);
+                backend.gemm_into(a.view(), b.view(), &mut got_ctx, &mut out);
+                assert_eq!(out, want, "{} {m}x{k}x{n}", ComputeBackend::name(&backend));
+                assert_eq!(got_ctx, want_ctx, "seed stream position");
+            }
         }
     }
 

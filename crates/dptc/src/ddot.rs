@@ -225,9 +225,34 @@ pub fn ddot_term(x: f64, y: f64, t: f64, k: f64, dphi_lambda: f64, dphi_d: f64) 
     2.0 * t * k * (-phi.sin()) * x * y + (t * t - k * k) * (x * x - y * y) / 2.0
 }
 
+// The noise model's Gaussian terms as functions of one standard-normal
+// draw `z`. Callers that draw per term and callers that draw a whole
+// tile's noise with one `fill_normal` (the tiled GEMM in `crate::dptc`)
+// evaluate these same expressions, so they compute the same bits.
+
+/// `N(0, std_dev^2)` for the draw `z`, spelled the way
+/// `GaussianSampler::normal(0.0, std_dev)` computes it (the `0.0 +`
+/// turns a `-0.0` product into `+0.0`, so it is not a no-op).
+#[inline(always)]
+pub(crate) fn zero_mean_normal(std_dev: f64, z: f64) -> f64 {
+    0.0 + std_dev * z
+}
+
+/// Magnitude noise: `v + N(0, (sigma |v|)^2)`.
+#[inline(always)]
+pub(crate) fn magnitude_noise(v: f64, sigma: f64, z: f64) -> f64 {
+    v + zero_mean_normal(sigma * v.abs(), z)
+}
+
+/// Systematic output noise: `io * (1 + N(0, sigma^2))`.
+#[inline(always)]
+pub(crate) fn systematic_noise(io: f64, sigma: f64, z: f64) -> f64 {
+    io * (1.0 + zero_mean_normal(sigma, z))
+}
+
 pub(crate) fn perturb_magnitude(v: f64, sigma: f64, rng: &mut GaussianSampler) -> f64 {
     if sigma > 0.0 {
-        v + rng.normal(0.0, sigma * v.abs())
+        magnitude_noise(v, sigma, rng.sample())
     } else {
         v
     }
@@ -235,7 +260,7 @@ pub(crate) fn perturb_magnitude(v: f64, sigma: f64, rng: &mut GaussianSampler) -
 
 pub(crate) fn apply_systematic(io: f64, noise: &NoiseModel, rng: &mut GaussianSampler) -> f64 {
     if noise.sigma_systematic > 0.0 {
-        io * (1.0 + rng.normal(0.0, noise.sigma_systematic))
+        systematic_noise(io, noise.sigma_systematic, rng.sample())
     } else {
         io
     }

@@ -16,7 +16,10 @@
 
 use crate::backend::Fidelity;
 use crate::circuit::DdotCircuit;
-use crate::ddot::{perturb_magnitude, DDot, WavelengthCoefficients};
+use crate::ddot::{
+    magnitude_noise, perturb_magnitude, systematic_noise, zero_mean_normal, DDot,
+    WavelengthCoefficients,
+};
 use crate::noise_model::NoiseModel;
 use crate::quant::Quantizer;
 use lt_core::{GaussianSampler, Matrix64, MatrixView};
@@ -293,6 +296,7 @@ impl Dptc {
             noise,
             coeffs,
             rng,
+            &mut vec![0.0; 2 * nh * nv],
             out.data_mut(),
         );
         out
@@ -343,6 +347,22 @@ impl Dptc {
         out
     }
 
+    /// The shared tiled-GEMM loop ([`Dptc::gemm_tiled_analytic_into`])
+    /// into a fresh matrix.
+    pub(crate) fn gemm_tiled_analytic(
+        &self,
+        a: MatrixView<'_, f64>,
+        b: MatrixView<'_, f64>,
+        bits: u32,
+        noise: &NoiseModel,
+        seed: u64,
+        coeffs: &WavelengthCoefficients,
+    ) -> Matrix64 {
+        let mut out = Matrix64::zeros(0, 0);
+        self.gemm_tiled_analytic_into(a, b, bits, noise, seed, coeffs, &mut out);
+        out
+    }
+
     /// The shared tiled-GEMM loop.
     ///
     /// The analytic path is the workspace's hottest loop (every recorded
@@ -366,6 +386,15 @@ impl Dptc {
     /// fidelity keeps the straightforward gather-per-tile structure — it
     /// is a validation path, not a hot one.
     ///
+    /// Gaussians are drawn in bulk: one [`GaussianSampler::fill_normal`]
+    /// per encoded tile and one per tile product, each in the order the
+    /// per-draw formulation consumed them, and the draws are then
+    /// applied through the same expressions (`crate::ddot`'s
+    /// `magnitude_noise`, `zero_mean_normal` and `systematic_noise`). The
+    /// stream, the number and order of draws, and every rounding step
+    /// are those of one `sample()` call per term, so the output is the
+    /// same bit for bit; `tests/backend_equivalence.rs` pins it.
+    ///
     /// Per-call fixed costs are hoisted out of this loop: the wavelength
     /// transfer coefficients are passed in precomputed (the backend
     /// caches them — the dispersion model is a config constant, not a
@@ -373,8 +402,15 @@ impl Dptc {
     /// thread-local scratch so a decode token's ~25 matrix-vector calls
     /// allocate nothing. Scratch reuse is sound without re-zeroing
     /// because every loop below reads only the valid region it just
-    /// wrote (`rows_used x cols_used x lambda_used`).
-    pub(crate) fn gemm_tiled_analytic(
+    /// wrote (`rows_used x cols_used x lambda_used`). The product is
+    /// written into `out`, reshaped in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions disagree or `bits` is outside the
+    /// quantizer's `2..=16`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_tiled_analytic_into(
         &self,
         a: MatrixView<'_, f64>,
         b: MatrixView<'_, f64>,
@@ -382,27 +418,37 @@ impl Dptc {
         noise: &NoiseModel,
         seed: u64,
         coeffs: &WavelengthCoefficients,
-    ) -> Matrix64 {
+        out: &mut Matrix64,
+    ) {
+        assert_eq!(
+            a.cols(),
+            b.rows(),
+            "gemm shape mismatch: {:?} x {:?}",
+            a.shape(),
+            b.shape()
+        );
         let (m, d) = a.shape();
         let n = b.cols();
-        let quant = Quantizer::new(bits);
+        let levels = f64::from(Quantizer::new(bits).positive_levels());
         let mut rng = GaussianSampler::new(seed);
         let DptcConfig { nh, nv, nlambda } = self.config;
-        let mut out = Matrix64::zeros(m, n);
+        out.reset_zeroed(m, n);
         if m == 0 || n == 0 || d == 0 {
-            return out;
+            return;
         }
 
         let nd = d.div_ceil(nlambda);
         let nn = n.div_ceil(nv);
         let tlen_a = nh * nlambda;
         let tlen_b = nv * nlambda;
+        // One tile's encoding draws, or one tile product's (phase,
+        // systematic) pairs, whichever is larger.
+        let draws = (nh.max(nv) * nlambda).max(2 * nh * nv);
 
         TILE_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let (b_tiles, beta_b, a_tiles, beta_a, tile_out, dequant) =
-                scratch.prepare(bits, nn * nd * tlen_b, nn * nd, nd * tlen_a, nd, nh * nv);
-            let levels = quant.positive_levels() as f64;
+            let (b_tiles, beta_b, a_tiles, beta_a, tile_out, z) =
+                scratch.prepare(nn * nd * tlen_b, nn * nd, nd * tlen_a, nd, nh * nv, draws);
 
             // Gather, normalize, quantize, and magnitude-perturb every B tile
             // once (the DAC drive), transposed to wavelength-contiguous
@@ -413,27 +459,22 @@ impl Dptc {
                 for (dj, di) in (0..d).step_by(nlambda).enumerate() {
                     let lambda_used = nlambda.min(d - di);
                     let tile = &mut b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b];
-                    let mut beta = 0.0f64;
                     for tl in 0..lambda_used {
                         let brow = b.row(di + tl);
                         for (tj, &v) in brow[ni..ni + cols_used].iter().enumerate() {
                             tile[tj * nlambda + tl] = v;
-                            beta = beta.max(v.abs());
                         }
                     }
-                    if beta > 0.0 {
-                        encode_tile(
-                            tile,
-                            cols_used,
-                            lambda_used,
-                            nlambda,
-                            beta,
-                            levels,
-                            dequant,
-                            noise,
-                            &mut rng,
-                        );
-                    }
+                    let beta = encode_tile(
+                        tile,
+                        cols_used,
+                        lambda_used,
+                        nlambda,
+                        levels,
+                        noise.sigma_magnitude,
+                        &mut rng,
+                        z,
+                    );
                     beta_b[nj * nd + dj] = beta;
                 }
             }
@@ -445,28 +486,20 @@ impl Dptc {
                 for (dj, di) in (0..d).step_by(nlambda).enumerate() {
                     let lambda_used = nlambda.min(d - di);
                     let tile = &mut a_tiles[dj * tlen_a..][..tlen_a];
-                    let mut beta = 0.0f64;
                     for ti in 0..rows_used {
-                        let arow = a.row(mi + ti);
-                        for (tl, &v) in arow[di..di + lambda_used].iter().enumerate() {
-                            tile[ti * nlambda + tl] = v;
-                            beta = beta.max(v.abs());
-                        }
+                        tile[ti * nlambda..][..lambda_used]
+                            .copy_from_slice(&a.row(mi + ti)[di..di + lambda_used]);
                     }
-                    if beta > 0.0 {
-                        encode_tile(
-                            tile,
-                            rows_used,
-                            lambda_used,
-                            nlambda,
-                            beta,
-                            levels,
-                            dequant,
-                            noise,
-                            &mut rng,
-                        );
-                    }
-                    beta_a[dj] = beta;
+                    beta_a[dj] = encode_tile(
+                        tile,
+                        rows_used,
+                        lambda_used,
+                        nlambda,
+                        levels,
+                        noise.sigma_magnitude,
+                        &mut rng,
+                        z,
+                    );
                 }
                 for nj in 0..nn {
                     let ni = nj * nv;
@@ -490,6 +523,7 @@ impl Dptc {
                             noise,
                             coeffs,
                             &mut rng,
+                            z,
                             tile_out,
                         );
                         // Rescale and accumulate (analog-domain accumulation).
@@ -505,7 +539,6 @@ impl Dptc {
                 }
             }
         });
-        out
     }
 
     /// Circuit-fidelity tiled GEMM: gather-per-tile, field propagation
@@ -606,17 +639,7 @@ impl Dptc {
     }
 }
 
-/// Normalizes a gathered tile into `[-1, 1]`, quantizes it (the DAC),
-/// and draws its magnitude-noise realization — one encoding per tile
-/// load, shared by every product the loaded tile participates in.
-///
-/// Only the valid region is encoded: `outer` rows of `inner` entries at
-/// stride `stride` (`stride = N_lambda` for both the row-major `A` tile
-/// and the transposed `B` tile). Zero-padded entries are never driven
-/// onto a modulator, so they consume no DAC work and no noise draws —
-/// and `quantize_unit(0) == 0` exactly, so skipping them is
-/// value-identical on the noiseless path.
-/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic`].
+/// Reusable tile staging buffers for [`Dptc::gemm_tiled_analytic_into`].
 ///
 /// One instance per thread (see [`TILE_SCRATCH`]): the analytic GEMM is
 /// called hundreds of times per decoded token with identical small
@@ -631,36 +654,29 @@ struct TileScratch {
     a_tiles: Vec<f64>,
     beta_a: Vec<f64>,
     tile_out: Vec<f64>,
-    /// Bit-width the dequantization table below was built for (0 = none).
-    quant_bits: u32,
-    /// `dequant[q] == q / levels` for `q in 0..=levels`, computed with
-    /// the same division [`Quantizer::quantize_unit`] performs — so a
-    /// table lookup reproduces the quantizer's output bit-for-bit while
-    /// skipping the per-element divide and `round()` (see
-    /// [`encode_tile`]).
-    dequant: Vec<f64>,
+    /// Standard-normal draws of one tile encoding or one tile product.
+    z: Vec<f64>,
 }
 
 impl TileScratch {
-    /// Grows each buffer to at least the requested length, rebuilds the
-    /// dequantization table if the bit-width changed, and returns
-    /// exact-length mutable slices plus the table.
+    /// Grows each buffer to at least the requested length and returns
+    /// exact-length mutable slices.
     #[allow(clippy::type_complexity)]
     fn prepare(
         &mut self,
-        bits: u32,
         b_tiles: usize,
         beta_b: usize,
         a_tiles: usize,
         beta_a: usize,
         tile_out: usize,
+        z: usize,
     ) -> (
         &mut [f64],
         &mut [f64],
         &mut [f64],
         &mut [f64],
         &mut [f64],
-        &[f64],
+        &mut [f64],
     ) {
         fn grow(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
             if buf.len() < len {
@@ -668,20 +684,13 @@ impl TileScratch {
             }
             &mut buf[..len]
         }
-        if self.quant_bits != bits {
-            let levels = (1u32 << (bits - 1)) - 1;
-            self.dequant.clear();
-            self.dequant
-                .extend((0..=levels).map(|q| f64::from(q) / f64::from(levels)));
-            self.quant_bits = bits;
-        }
         (
             grow(&mut self.b_tiles, b_tiles),
             grow(&mut self.beta_b, beta_b),
             grow(&mut self.a_tiles, a_tiles),
             grow(&mut self.beta_a, beta_a),
             grow(&mut self.tile_out, tile_out),
-            &self.dequant,
+            grow(&mut self.z, z),
         )
     }
 }
@@ -693,45 +702,97 @@ thread_local! {
         std::cell::RefCell::new(TileScratch::default());
 }
 
-/// DAC quantization here is a bit-for-bit reimplementation of
-/// [`Quantizer::quantize_unit`] tuned for this loop: the division by
-/// `levels` becomes a lookup in the precomputed `dequant` table (built
-/// with the very same division), and `round()` — a libm call at the
-/// baseline x86-64 target — becomes an add-and-truncate on the absolute
-/// value with the sign restored by `copysign` (which also reproduces
-/// `round`'s signed zero for negative inputs rounding to zero). The
-/// add-and-truncate equals round-half-away-from-zero exactly because
-/// `|x| <= levels < 2^15`, so `|x| + 0.5` is computed without rounding
-/// error.
+/// The DAC: quantizes a value normalized to `[-1, 1]` onto `levels`
+/// positive levels. Equal to [`Quantizer::quantize_unit`] bit for bit
+/// for every input, without its libm `round` call, so the loops that
+/// call it vectorize under the baseline SSE2 target.
+///
+/// NaN propagates, as it does in `quantize_unit`. The lookup table this
+/// replaced (`floor(|x| + 0.5)` as an index) encoded NaN as `±0`, and it
+/// also rounded the one scaled value `|x| = 0.5 - 2^-54` up, because
+/// `|x| + 0.5` rounds to 1.0 there; those are the only inputs whose
+/// code changed.
+///
+/// The clamped, scaled `x` has `|x| <= levels < 2^15`. Adding and then
+/// subtracting `2^52` rounds `|x|` to the nearest integer with ties to
+/// even, exactly (the sum's unit in the last place is 1). `round`
+/// breaks ties away from zero instead, so an exact tie (`|x| - r ==
+/// 0.5`, itself computed exactly) moves up by one. Dividing by `levels`
+/// is the division `quantize_unit` performs, and `copysign` restores the
+/// sign, including `round`'s `-0.0` for small negative inputs.
+#[inline(always)]
+fn dac_quantize(u: f64, levels: f64) -> f64 {
+    const ROUND: f64 = (1u64 << 52) as f64;
+    let x = u.clamp(-1.0, 1.0) * levels;
+    let a = x.abs();
+    let r = (a + ROUND) - ROUND;
+    let r = r + if a - r == 0.5 { 1.0 } else { 0.0 };
+    (r / levels).copysign(x)
+}
+
+/// Normalizes a gathered tile into `[-1, 1]`, quantizes it (the DAC),
+/// and draws its magnitude-noise realization — one encoding per tile
+/// load, shared by every product the loaded tile participates in.
+/// Returns the tile scale `beta = max |v|`; `0` marks an all-zero tile,
+/// which is left as gathered and draws no noise.
+///
+/// Only the valid region is encoded: `outer` rows of `inner` entries at
+/// stride `stride` (`stride = N_lambda` for both the row-major `A` tile
+/// and the transposed `B` tile). Zero-padded entries are never driven
+/// onto a modulator, so they consume no DAC work and no noise draws.
+///
+/// `beta` is the maximum of four independent running maxima instead of
+/// one serial chain; `max` is exact and does not depend on order, so
+/// the value is the same. The region is quantized in full before its
+/// `outer x inner` magnitude draws are taken with one `fill_normal` into
+/// `z`, in the row-major order a per-element loop would draw them.
 #[allow(clippy::too_many_arguments)]
 fn encode_tile(
     tile: &mut [f64],
     outer: usize,
     inner: usize,
     stride: usize,
-    beta: f64,
     levels: f64,
-    dequant: &[f64],
-    noise: &NoiseModel,
+    sigma_magnitude: f64,
     rng: &mut GaussianSampler,
-) {
-    let inv = 1.0 / beta;
-    let quantize = |v: f64| {
-        let x = (v * inv).clamp(-1.0, 1.0) * levels;
-        dequant[(x.abs() + 0.5) as usize].copysign(x)
+    z: &mut [f64],
+) -> f64 {
+    // A region whose rows fill the stride is one contiguous run.
+    let (outer, inner) = if inner == stride {
+        (1, outer * inner)
+    } else {
+        (outer, inner)
     };
+    // `max(m, |v|)` as a compare-and-select (one `maxpd` lane): it
+    // equals `f64::max` here because `m` starts at 0 and is never NaN.
+    let mut lanes = [0.0f64; 4];
     for o in 0..outer {
-        let row = &mut tile[o * stride..o * stride + inner];
-        if noise.sigma_magnitude > 0.0 {
-            for v in row.iter_mut() {
-                *v = perturb_magnitude(quantize(*v), noise.sigma_magnitude, rng);
-            }
-        } else {
-            for v in row.iter_mut() {
-                *v = quantize(*v);
+        for quad in tile[o * stride..][..inner].chunks(4) {
+            for (m, &v) in lanes.iter_mut().zip(quad) {
+                *m = if v.abs() > *m { v.abs() } else { *m };
             }
         }
     }
+    let beta = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+    if beta == 0.0 {
+        return beta;
+    }
+    let inv = 1.0 / beta;
+    for o in 0..outer {
+        for v in &mut tile[o * stride..][..inner] {
+            *v = dac_quantize(*v * inv, levels);
+        }
+    }
+    if sigma_magnitude > 0.0 {
+        let z = &mut z[..outer * inner];
+        rng.fill_normal(z);
+        for (o, zrow) in z.chunks_exact(inner).enumerate() {
+            for (v, &zv) in tile[o * stride..][..inner].iter_mut().zip(zrow) {
+                *v = magnitude_noise(*v, sigma_magnitude, zv);
+            }
+        }
+    }
+    beta
 }
 
 /// The per-output DDot loop shared by the one-shot MM and the tiled
@@ -742,11 +803,13 @@ fn encode_tile(
 /// strip computes one row, not the full `Nh x Nv` crossbar — and each
 /// output draws one phase realization (folded into the precomputed
 /// angle-addition tables — see [`WavelengthCoefficients::msin`]) and
-/// one systematic realization; the wavelength loop is a branch-free
-/// multiply-add chain over two interleaved accumulators (the strict
-/// single-chain version serializes on FP-add latency). `out` keeps row
-/// stride `out_stride` (`>= cols`); entries beyond `rows x cols` are
-/// left untouched.
+/// one systematic realization, in that order, output by output; all of
+/// them come from one `fill_normal` into `z` (`2 * rows * cols`
+/// entries at most). The wavelength loop is a branch-free multiply-add
+/// chain over two interleaved accumulators (the strict single-chain
+/// version serializes on FP-add latency). `out` keeps row stride
+/// `out_stride` (`>= cols`); entries beyond `rows x cols` are left
+/// untouched.
 #[allow(clippy::too_many_arguments)]
 fn noisy_mm_rows(
     a_rows: &[f64],
@@ -759,9 +822,14 @@ fn noisy_mm_rows(
     noise: &NoiseModel,
     coeffs: &WavelengthCoefficients,
     rng: &mut GaussianSampler,
+    z: &mut [f64],
     out: &mut [f64],
 ) {
     let drift = noise.sigma_phase_rad > 0.0;
+    let systematic = noise.sigma_systematic > 0.0;
+    let per_output = usize::from(drift) + usize::from(systematic);
+    let z = &mut z[..rows * cols * per_output];
+    rng.fill_normal(z);
     let mult0 = &coeffs.mult0[..lambda_used];
     let msin = &coeffs.msin[..lambda_used];
     let imb = &coeffs.imbalance[..lambda_used];
@@ -770,8 +838,9 @@ fn noisy_mm_rows(
         let out_row = &mut out[i * out_stride..i * out_stride + cols];
         for (j, out_ij) in out_row.iter_mut().enumerate() {
             let b_col = &bt_rows[j * nlambda..j * nlambda + lambda_used];
+            let zij = &z[(i * cols + j) * per_output..][..per_output];
             let (sg, cg) = if drift {
-                rng.normal(0.0, noise.sigma_phase_rad).sin_cos()
+                zero_mean_normal(noise.sigma_phase_rad, zij[0]).sin_cos()
             } else {
                 (0.0, 1.0)
             };
@@ -789,7 +858,11 @@ fn noisy_mm_rows(
                 let (x, y) = (a_row[l], b_col[l]);
                 io0 += (mult0[l] * cg - msin[l] * sg) * x * y + imb[l] * (x * x - y * y);
             }
-            *out_ij = crate::ddot::apply_systematic(io0 + io1, noise, rng);
+            *out_ij = if systematic {
+                systematic_noise(io0 + io1, noise.sigma_systematic, zij[per_output - 1])
+            } else {
+                io0 + io1
+            };
         }
     }
 }
@@ -929,6 +1002,43 @@ mod tests {
             "max quantization error {}",
             out.max_abs_diff(&exact)
         );
+    }
+
+    #[test]
+    fn dac_quantizer_equals_quantize_unit_bit_for_bit() {
+        let specials = [
+            0.0,
+            1.0,
+            0.5,
+            1.5,
+            2.0,
+            1e300,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1), // smallest subnormal
+        ];
+        for bits in 2..=16 {
+            let quant = Quantizer::new(bits);
+            let levels = f64::from(quant.positive_levels());
+            // Every code boundary `(k + 0.5) / levels` and its neighbours
+            // (at 2 bits, `levels == 1` puts `0.5.next_down()` here, whose
+            // `|x| + 0.5` rounds up to 1.0), plus the specials, both signs.
+            let boundaries = (0..quant.positive_levels())
+                .map(|k| (f64::from(k) + 0.5) / levels)
+                .flat_map(|u| [u.next_down(), u, u.next_up()]);
+            for u in specials.into_iter().chain(boundaries) {
+                for u in [u, -u] {
+                    assert_eq!(
+                        dac_quantize(u, levels).to_bits(),
+                        quant.quantize_unit(u).to_bits(),
+                        "{bits} bits, input {u:e}"
+                    );
+                }
+            }
+            assert!(dac_quantize(f64::NAN, levels).is_nan(), "{bits} bits");
+            assert!(quant.quantize_unit(f64::NAN).is_nan(), "{bits} bits");
+        }
     }
 
     #[test]

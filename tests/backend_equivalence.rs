@@ -9,12 +9,21 @@
 //! 2. The analytic-noisy fidelity at the paper's operating point stays
 //!    inside the error bound asserted by `lt_dptc`'s crate-level
 //!    doc-test (`err < 0.5` on paper-geometry one-shot products).
+//!
+//! It also pins the noisy DPTC's outputs bit for bit (digests of the
+//! tiled GEMM, the one-shot MM and a starved-pool scheduler run), so a
+//! speed change to the Eq. 9 loop cannot move a single noise draw.
 
+use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend, SvdBackend};
 use lightening_transformer::core::{
     reference_gemm, ComputeBackend, GaussianSampler, Matrix64, NativeBackend, RunCtx,
 };
 use lightening_transformer::dptc::{Dptc, DptcBackend, DptcConfig, Fidelity};
+use lightening_transformer::nn::decode::{DecoderConfig, DecoderLm, SessionConfig};
+use lightening_transformer::nn::kv::PreemptPolicy;
+use lightening_transformer::nn::serve::decode::DecodeRequest;
+use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
 
 fn rand_pair(rng: &mut GaussianSampler, m: usize, k: usize, n: usize) -> (Matrix64, Matrix64) {
     (
@@ -132,4 +141,177 @@ fn batched_gemm_matches_sequential_for_deterministic_backends() {
     assert_eq!(outs.len(), 2);
     assert_eq!(outs[0], a.matmul(&b));
     assert_eq!(outs[1], c.matmul(&d));
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    h
+}
+
+fn digest(values: &[f64]) -> u64 {
+    fnv1a(values.iter().map(|v| v.to_bits()))
+}
+
+/// The `[m, k] x [k, n]` products of servebench's `dptc_pressure` pass
+/// (tiny decoder, dim 32, chunked prefill of 4).
+const PRESSURE_SHAPES: [(usize, usize, usize); 8] = [
+    (1, 32, 32),
+    (4, 32, 32),
+    (1, 32, 64),
+    (1, 64, 32),
+    (1, 32, 16),
+    (1, 8, 17),
+    (1, 17, 8),
+    (4, 8, 8),
+];
+
+/// Ragged shapes: a lone element, partial tiles on every axis, and more
+/// than one row strip and reduction tile.
+const EDGE_SHAPES: [(usize, usize, usize); 3] = [(1, 1, 1), (3, 7, 5), (13, 25, 14)];
+
+/// Operands at a few magnitudes. `edge` operands also get a zero row in
+/// `a`, a zero column in `b`, and scattered `-0.0` entries, so all-zero
+/// tiles, signed zeros and zero-magnitude encodings are all exercised.
+fn pinned_operands(
+    rng: &mut GaussianSampler,
+    (m, k, n): (usize, usize, usize),
+    edge: bool,
+) -> (Matrix64, Matrix64) {
+    let scale = [0.5, 1.0, 3.0][rng.below(3)];
+    let mut a = Matrix64::from_fn(m, k, |_, _| rng.uniform_in(-scale, scale));
+    let mut b = Matrix64::from_fn(k, n, |_, _| rng.uniform_in(-scale, scale));
+    if edge {
+        let zero_row = rng.below(m);
+        let zero_col = rng.below(n);
+        for (i, v) in a.data_mut().iter_mut().enumerate() {
+            if i / k == zero_row || i % 5 == 2 {
+                *v = -0.0;
+            }
+        }
+        for (i, v) in b.data_mut().iter_mut().enumerate() {
+            if i % n == zero_col {
+                *v = 0.0;
+            } else if i % 7 == 3 {
+                *v = -0.0;
+            }
+        }
+    }
+    (a, b)
+}
+
+/// One starved-pool scheduler run on the noisy DPTC, configured as
+/// servebench's `dptc_pressure` (14 blocks of 4 tokens, swap-out,
+/// chunked prefill of 4, 16 active sessions): the tokens of every
+/// request in ticket order.
+fn pressure_run_tokens(seed: u64, requests: usize) -> Vec<u64> {
+    let model = DecoderLm::new(DecoderConfig::tiny(), &mut GaussianSampler::new(17));
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let kv = KvServeConfig {
+        block_tokens: 4,
+        pool_blocks: DecoderConfig::tiny().max_seq.div_ceil(4) + 2,
+        prefix_sharing: false,
+        preempt: PreemptPolicy::SwapOut,
+    };
+    let session = SessionConfig {
+        seed,
+        kv_bits: 8,
+        ..SessionConfig::default()
+    };
+    let mut sched = KvScheduler::new(&model, &sim, DptcBackend::paper(8, seed), session, kv, 16)
+        .with_prefill_chunk(4);
+    let mut rng = GaussianSampler::new(seed ^ 0x5EED);
+    for t in 0..requests as u64 {
+        let prompt_len = 8 + rng.below(9);
+        sched.submit(
+            t,
+            DecodeRequest {
+                prompt: (0..prompt_len).map(|_| rng.below(16)).collect(),
+                max_new_tokens: 8 + rng.below(5),
+            },
+        );
+    }
+    let mut replies = Vec::new();
+    while sched.has_work() {
+        sched.tick().expect("a starved pool still makes progress");
+        replies.extend(sched.drain_finished());
+        assert!(
+            sched.drain_failed().is_empty(),
+            "seed {seed}: a request failed"
+        );
+    }
+    assert_eq!(
+        replies.len(),
+        requests,
+        "seed {seed}: every request completes"
+    );
+    assert!(
+        sched.stats().preemptions > 0,
+        "seed {seed}: the pool never ran dry"
+    );
+    replies.sort_by_key(|&(t, _)| t);
+    replies
+        .into_iter()
+        .flat_map(|(_, r)| r.tokens)
+        .map(|t| t as u64)
+        .collect()
+}
+
+/// The noisy DPTC's outputs, pinned bit for bit. The digests were taken
+/// from the per-draw analytic loop (one `sample()` call per Gaussian, a
+/// table-driven DAC quantizer) before the loop moved to one bulk draw
+/// per tile and a table-free quantizer. Any change to the Gaussian
+/// stream, the number or order of draws, or the Eq. 9 arithmetic moves a
+/// digest.
+#[test]
+fn noisy_dptc_outputs_are_pinned_bit_for_bit() {
+    let want: [(&str, u64); 8] = [
+        ("paper(4) tiled", 0xdde4_f165_e085_59e3),
+        ("quantized(4) tiled", 0x1089_6baf_98ca_dc42),
+        ("paper(8) tiled", 0xaaec_5259_6f84_ca36),
+        ("quantized(8) tiled", 0xa421_d5d9_c8dc_39d2),
+        ("paper_noisy one-shot", 0xf96c_80ce_cbb7_aa7b),
+        ("scheduler seed 1", 0xe6e0_201c_b2d0_f429),
+        ("scheduler seed 7", 0x682f_2e96_f544_b3ca),
+        ("scheduler seed 606", 0xd3d0_408a_d474_30e2),
+    ];
+    let mut got = Vec::new();
+
+    // 20 rounds over the 11 shapes: 220 products per backend and bit-width.
+    for bits in [4, 8] {
+        for backend in [DptcBackend::paper(bits, 5), DptcBackend::quantized(bits)] {
+            let mut rng = GaussianSampler::new(u64::from(bits));
+            let mut ctx = RunCtx::new(u64::from(bits) + 100);
+            let mut outputs = Vec::new();
+            for _ in 0..20 {
+                for (i, &shape) in PRESSURE_SHAPES.iter().chain(&EDGE_SHAPES).enumerate() {
+                    let (a, b) = pinned_operands(&mut rng, shape, i >= PRESSURE_SHAPES.len());
+                    outputs.extend_from_slice(backend.gemm(a.view(), b.view(), &mut ctx).data());
+                }
+            }
+            got.push(digest(&outputs));
+        }
+    }
+
+    let core = Dptc::new(DptcConfig::lt_paper());
+    let mut rng = GaussianSampler::new(12);
+    let mut outputs = Vec::new();
+    for seed in 0..200 {
+        let (a, b) = pinned_operands(&mut rng, (12, 12, 12), seed % 4 == 0);
+        let out = core.matmul(a.view(), b.view(), &Fidelity::paper_noisy(seed));
+        outputs.extend_from_slice(out.data());
+    }
+    got.push(digest(&outputs));
+
+    for seed in [1, 7, 606] {
+        got.push(fnv1a(pressure_run_tokens(seed, 60)));
+    }
+
+    let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
+    assert_eq!(got, want, "noisy DPTC outputs moved");
 }
