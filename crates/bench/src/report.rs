@@ -68,8 +68,8 @@
 //! `models` replays every paper benchmark's analytical trace through the
 //! LT-B 4-bit model (the Table V / Fig. 13 methodology). `compute_path`
 //! wall-clocks the *real* record→replay pipeline: a tiny ViT forward
-//! pass on the photonic DPTC backend with a trace recorder attached,
-//! then the recorded trace costed by the simulator. `decode` replays the
+//! pass on the photonic DPTC backend in a recording context, then the
+//! recorded trace costed by the simulator. `decode` replays the
 //! autoregressive decode step (paper Section VI-B) at batch 1/4/16 —
 //! cycles and energy per token, replayed tokens/s, KV-cache footprint
 //! vs. context — and wall-clocks the executable KV-cached decode loop.
@@ -80,7 +80,7 @@
 
 use crate::timing::bench;
 use lt_arch::{ArchConfig, Simulator};
-use lt_core::{GaussianSampler, TraceRecorder};
+use lt_core::{GaussianSampler, Trace};
 use lt_dptc::DptcBackend;
 use lt_nn::decode::{DecodeSession, DecoderConfig, DecoderLm, SessionConfig};
 use lt_nn::layers::ForwardCtx;
@@ -132,16 +132,17 @@ pub fn bench_repro_json() -> String {
     let mut rng = GaussianSampler::new(7);
     let mut vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
     let patches = Tensor::randn(16, 16, 1.0, &mut rng);
-    let recorder = TraceRecorder::new();
+    let mut trace = Trace::new();
     let record = bench("forward_record", || {
         let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 42);
         let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng)
-            .with_recorder(recorder.clone());
-        let _ = recorder.take(); // keep only the latest pass
-        vit.forward(&patches, &mut ctx)
+        let mut ctx =
+            ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
+        let logits = vit.forward(&patches, &mut ctx);
+        trace = ctx.take_trace(); // keep only the latest pass
+        logits
     });
-    let trace = recorder.take().coalesce();
+    let trace = trace.coalesce();
     let replay = bench("trace_replay", || sim.run_trace(&trace));
 
     let (decode, decode_us) = decode_section();
@@ -320,20 +321,17 @@ fn kernel_section(forward_record_us: f64) -> String {
     let mut mrng = GaussianSampler::new(7);
     let vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut mrng);
     let patches = Tensor::randn(16, 16, 1.0, &mut mrng);
-    let forward = |quant: QuantConfig, recorder: Option<&TraceRecorder>| -> Tensor {
+    let forward = |quant: QuantConfig| -> (Tensor, Trace) {
         let mut model = vit.clone();
         let mut engine = lt_nn::ExactEngine;
         let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng);
-        if let Some(r) = recorder {
-            ctx = ctx.with_recorder(r.clone());
-        }
-        model.forward(&patches, &mut ctx)
+        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng).recording();
+        let logits = model.forward(&patches, &mut ctx);
+        (logits, ctx.take_trace())
     };
-    let recorder = TraceRecorder::new();
-    let int8_logits = forward(QuantConfig::int8(), Some(&recorder));
-    let int8_trace = recorder.take().coalesce();
-    let fp32_logits = forward(QuantConfig::fp32(), None);
+    let (int8_logits, int8_trace) = forward(QuantConfig::int8());
+    let int8_trace = int8_trace.coalesce();
+    let (fp32_logits, _) = forward(QuantConfig::fp32());
     let logit_err = int8_logits.max_abs_diff(&fp32_logits);
 
     format!(

@@ -12,7 +12,7 @@
 //! per-call noise streams.
 
 use crate::matrix::{Matrix64, MatrixView};
-use crate::trace::{Op, OpKind, TraceRecorder};
+use crate::trace::{Op, OpKind, Trace};
 use std::fmt;
 
 /// Derives the noise-stream seed of row block `index` of a backend call
@@ -70,11 +70,12 @@ pub fn row_blocks(m: usize, granularity: usize) -> Vec<(usize, usize)> {
 /// whole run is reproducible from one root seed while every call still
 /// sees a fresh noise realization.
 ///
-/// A context may optionally carry a [`TraceRecorder`]
-/// ([`RunCtx::with_recorder`]): callers that route products through
+/// A context may also record ([`RunCtx::recording`]): it then owns a
+/// [`Trace`], and callers that route products through
 /// [`ComputeBackend::gemm_traced`] (or call [`RunCtx::record`] directly)
-/// then leave an op-trace IR of the run as a side effect. Recording is
-/// pure observability — it never changes seeds, results, or equality.
+/// leave an op-trace IR of the run in it, drained by
+/// [`RunCtx::take_trace`]. Recording is pure observability — it never
+/// changes seeds, results, or equality.
 ///
 /// ```
 /// use lt_core::RunCtx;
@@ -87,11 +88,11 @@ pub fn row_blocks(m: usize, granularity: usize) -> Vec<(usize, usize)> {
 pub struct RunCtx {
     seed: u64,
     calls: u64,
-    recorder: Option<TraceRecorder>,
+    trace: Option<Trace>,
 }
 
-// Equality is the execution state (seed stream position) only; an
-// attached recorder observes a run without being part of it.
+// Equality is the execution state (seed stream position) only; a
+// recorded trace observes a run without being part of it.
 impl PartialEq for RunCtx {
     fn eq(&self, other: &Self) -> bool {
         self.seed == other.seed && self.calls == other.calls
@@ -106,26 +107,27 @@ impl RunCtx {
         RunCtx {
             seed,
             calls: 0,
-            recorder: None,
+            trace: None,
         }
     }
 
-    /// Attaches an op-trace recorder (keep a clone to drain it later).
-    pub fn with_recorder(mut self, recorder: TraceRecorder) -> Self {
-        self.recorder = Some(recorder);
+    /// Turns recording on: from now on the context owns an op trace.
+    pub fn recording(mut self) -> Self {
+        self.trace = Some(Trace::new());
         self
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&TraceRecorder> {
-        self.recorder.as_ref()
+    /// Appends one op to the trace when recording; a no-op otherwise.
+    pub fn record(&mut self, op: Op) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(op);
+        }
     }
 
-    /// Records one op if a recorder is attached; a no-op otherwise.
-    pub fn record(&self, op: Op) {
-        if let Some(rec) = &self.recorder {
-            rec.record(op);
-        }
+    /// Drains and returns everything recorded so far (empty when not
+    /// recording). Recording stays on.
+    pub fn take_trace(&mut self) -> Trace {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The root seed.
@@ -218,8 +220,8 @@ pub trait ComputeBackend: fmt::Debug {
     }
 
     /// As [`ComputeBackend::gemm`], but first records the product (with
-    /// its workload role) into the context's attached
-    /// [`TraceRecorder`], if any. This is the raw-`lt-core` entry point
+    /// its workload role) into the context's trace when it is
+    /// recording ([`RunCtx::recording`]). This is the raw-`lt-core` entry point
     /// of the op-trace IR: route products through it and the run leaves
     /// a replayable [`crate::trace::Trace`] behind. Plain `gemm` never
     /// records, so layered callers that do their own (role-aware)
@@ -524,20 +526,22 @@ mod tests {
 
     #[test]
     fn gemm_traced_records_without_changing_results_or_seeds() {
-        use crate::trace::{Op, OpKind, TraceRecorder};
+        use crate::trace::{Op, OpKind};
         let a = Matrix64::from_fn(3, 4, |i, j| (i + j) as f64);
         let b = Matrix64::from_fn(4, 2, |i, j| (i as f64) - (j as f64));
-        let rec = TraceRecorder::new();
-        let mut traced = RunCtx::new(9).with_recorder(rec.clone());
+        let mut traced = RunCtx::new(9).recording();
         let mut plain = RunCtx::new(9);
         let got = NativeBackend.gemm_traced(OpKind::Ffn1, a.view(), b.view(), &mut traced);
         let want = NativeBackend.gemm(a.view(), b.view(), &mut plain);
         assert_eq!(got, want, "recording never perturbs the result");
         assert_eq!(traced, plain, "recording never perturbs the seed stream");
-        assert_eq!(rec.take().ops(), &[Op::gemm(OpKind::Ffn1, 3, 4, 2)]);
-        // Without a recorder, gemm_traced degrades to plain gemm.
+        assert_eq!(
+            traced.take_trace().ops(),
+            &[Op::gemm(OpKind::Ffn1, 3, 4, 2)]
+        );
+        // Without recording, gemm_traced degrades to plain gemm.
         let _ = NativeBackend.gemm_traced(OpKind::Ffn1, a.view(), b.view(), &mut plain);
-        assert!(plain.recorder().is_none());
+        assert!(plain.take_trace().is_empty());
     }
 
     #[test]

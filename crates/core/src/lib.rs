@@ -14,9 +14,9 @@
 //!   different method: `gemm(a, b, ctx)` is the whole contract, with
 //!   batched ([`ComputeBackend::gemm_batch`]) and accumulating
 //!   ([`ComputeBackend::gemm_accumulate`]) entry points layered on top.
-//! * [`trace`] — the op-trace IR ([`Op`], [`Trace`], [`TraceRecorder`]):
-//!   a hardware-agnostic record of what a workload executed, emitted as
-//!   a side effect of real execution (via [`RunCtx::with_recorder`] and
+//! * [`trace`] — the op-trace IR ([`Op`], [`Trace`]): a
+//!   hardware-agnostic record of what a workload executed, emitted as
+//!   a side effect of real execution (via [`RunCtx::recording`] and
 //!   [`ComputeBackend::gemm_traced`]) or derived analytically, and
 //!   replayed by `lt-arch`'s simulator to cost the run.
 //!
@@ -58,4 +58,4 @@ pub use backend::{
 pub use matrix::{reference_gemm, Matrix, Matrix32, Matrix64, MatrixView, Scalar};
 pub use noise::GaussianSampler;
 pub use quant::{quantized_gemm, GroupAxis, QuantizedMatrix, Quantizer};
-pub use trace::{Module, NonGemmKind, Op, OpKind, OperandDynamics, Trace, TraceRecorder};
+pub use trace::{Module, NonGemmKind, Op, OpKind, OperandDynamics, Trace};

@@ -291,15 +291,24 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if `bias.cols() != self.cols()` or `bias.rows() != 1`.
     pub fn add_row_broadcast(&self, bias: &Matrix<T>) -> Matrix<T> {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(bias);
+        out
+    }
+
+    /// As [`Matrix::add_row_broadcast`], in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.cols() != self.cols()` or `bias.rows() != 1`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix<T>) {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(bias.cols(), self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for i in 0..out.rows {
-            for (v, &b) in out.row_mut(i).iter_mut().zip(&bias.data) {
+        for i in 0..self.rows {
+            for (v, &b) in self.row_mut(i).iter_mut().zip(&bias.data) {
                 *v += b;
             }
         }
-        out
     }
 
     /// Scales every element.
@@ -312,6 +321,13 @@ impl<T: Scalar> Matrix<T> {
     pub fn map(&self, mut f: impl FnMut(T) -> T) -> Matrix<T> {
         let data = self.data.iter().map(|&v| f(v)).collect();
         Matrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// As [`Matrix::map`], in place.
+    pub fn map_in_place(&mut self, mut f: impl FnMut(T) -> T) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
     }
 
     /// Element-wise product.
@@ -423,10 +439,7 @@ impl Matrix<f32> {
     /// of an f32 frontend driving the f64 backends without a fresh
     /// buffer per call.
     pub fn to_f64_into(&self, out: &mut Matrix64) {
-        out.rows = self.rows;
-        out.cols = self.cols;
-        out.data.clear();
-        out.data.extend(self.data.iter().map(|&v| v as f64));
+        self.view().to_f64_into(out);
     }
 }
 
@@ -592,6 +605,33 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     }
 }
 
+impl MatrixView<'_, f32> {
+    /// Widens the viewed block into a caller-provided matrix (reshaped
+    /// in place, allocation reused) — the staging step of an f32
+    /// frontend handing a sub-block of a wider tensor to the f64
+    /// backends without copying it out first.
+    pub fn to_f64_into(&self, out: &mut Matrix64) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        for i in 0..self.rows {
+            out.data.extend(self.row(i).iter().map(|&v| v as f64));
+        }
+    }
+
+    /// As [`MatrixView::to_f64_into`], transposed: `out` becomes the
+    /// `cols x rows` transpose of the viewed block.
+    pub fn to_f64_transposed_into(&self, out: &mut Matrix64) {
+        out.rows = self.cols;
+        out.cols = self.rows;
+        out.data.clear();
+        for j in 0..self.cols {
+            out.data
+                .extend((0..self.rows).map(|i| self.data[i * self.stride + j] as f64));
+        }
+    }
+}
+
 /// Naive triple-loop reference GEMM, kept deliberately simple for
 /// property tests to compare optimized kernels and backends against.
 ///
@@ -749,6 +789,25 @@ mod tests {
         let x = Matrix32::from_vec(1, 4, vec![-3.0, 1.0, 2.0, -0.5]);
         assert_eq!(x.max_abs(), 3.0);
         assert!((x.mean() + 0.125).abs() < 1e-7);
+    }
+
+    #[test]
+    fn blocks_widen_in_place_plain_and_transposed() {
+        let m = Matrix32::from_fn(5, 12, |i, j| (i * 12 + j) as f32 * 0.5 - 7.0);
+        let mut out = Matrix64::zeros(9, 9);
+        for (c0, width) in [(0, 12), (4, 4), (11, 1)] {
+            let block = m.view().block(0, c0, 5, width);
+            block.to_f64_into(&mut out);
+            assert_eq!(out, m.col_slice(c0, width).to_f64());
+            block.to_f64_transposed_into(&mut out);
+            assert_eq!(out, m.col_slice(c0, width).transpose().to_f64());
+        }
+        let mut x = m.clone();
+        x.map_in_place(|v| v * 3.0);
+        assert_eq!(x, m.map(|v| v * 3.0));
+        let bias = Matrix32::from_fn(1, 12, |_, j| j as f32);
+        x.add_row_broadcast_assign(&bias);
+        assert_eq!(x, m.map(|v| v * 3.0).add_row_broadcast(&bias));
     }
 
     #[test]

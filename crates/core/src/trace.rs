@@ -5,16 +5,18 @@
 //! traces through its architectural model (Table V, Figs. 11-13). In
 //! this workspace the trace is a first-class value: an [`Op`] is one
 //! operation (a GEMM with its dimensions and instance count, or a
-//! non-GEMM digital op with its element count), a [`Trace`] is a
-//! sequence of them, and a [`TraceRecorder`] is a shared sink that
-//! execution layers append to *while actually computing*.
+//! non-GEMM digital op with its element count), and a [`Trace`] is a
+//! sequence of them. A recording execution context owns the trace of
+//! its pass and appends to it *while actually computing*.
 //!
 //! Two producers speak this IR:
 //!
 //! * **recorded traces** — `lt-nn` forward passes append every routed
 //!   matmul (with its [`OpKind`] role) and every softmax / LayerNorm /
-//!   GELU / residual to the recorder attached to their forward context,
-//!   so the trace is a faithful side effect of real execution;
+//!   GELU / residual to the trace their forward context owns while
+//!   recording, so the trace is a faithful side effect of real
+//!   execution (raw `lt-core` callers get the same from a recording
+//!   [`crate::RunCtx`] and [`crate::ComputeBackend::gemm_traced`]);
 //! * **analytical traces** — `lt_workloads::TransformerConfig` derives
 //!   the same IR from model hyper-parameters alone.
 //!
@@ -22,10 +24,6 @@
 //! arbitrary `Trace` in cycles, itemized energy, latency, and EDP. The
 //! recorded-vs-analytical agreement is pinned by
 //! `tests/trace_crossval.rs`.
-
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
 
 /// What role a GEMM plays inside the Transformer.
 ///
@@ -481,147 +479,6 @@ impl Trace {
     }
 }
 
-/// One thread's private append buffer inside a [`TraceRecorder`]. The
-/// mutex exists only for the merge in `snapshot`/`take`; the recording
-/// thread is its sole other user, so `record` never blocks on another
-/// recorder's traffic.
-#[derive(Debug, Default)]
-struct TraceShard {
-    ops: Mutex<Vec<(u64, Op)>>,
-}
-
-#[derive(Debug)]
-struct RecorderInner {
-    /// Identity of this recorder in each thread's shard registry.
-    id: u64,
-    /// Every shard ever handed to a recording thread. Only pushed under
-    /// this mutex; `record` never touches it after its thread's first
-    /// op.
-    shards: Mutex<Vec<Arc<TraceShard>>>,
-    /// Global arrival order: each recorded op takes a ticket so the
-    /// merged trace is the true interleaving, not a per-shard
-    /// concatenation.
-    seq: AtomicU64,
-}
-
-impl Default for RecorderInner {
-    fn default() -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        RecorderInner {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            shards: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
-        }
-    }
-}
-
-thread_local! {
-    /// This thread's shard per live recorder, keyed by recorder id.
-    /// Weak so dropping the last recorder clone frees its shards; dead
-    /// entries are pruned whenever a lookup walks past them.
-    static SHARD_REGISTRY: RefCell<Vec<(u64, Weak<TraceShard>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A cloneable, thread-safe sink that execution layers record [`Op`]s
-/// into. Clones share one buffer, so a recorder can be attached to a
-/// context, kept by the caller, and drained after the forward pass:
-///
-/// ```
-/// use lt_core::trace::{Op, OpKind, TraceRecorder};
-/// let rec = TraceRecorder::new();
-/// let handle = rec.clone(); // shares the same buffer
-/// handle.record(Op::gemm(OpKind::Ffn1, 4, 8, 16));
-/// let trace = rec.take();
-/// assert_eq!(trace.len(), 1);
-/// assert!(rec.take().is_empty(), "take drains the shared buffer");
-/// ```
-///
-/// Recording is contention-free across threads: each recording thread
-/// appends to its own private shard (one uncontended mutex per op plus
-/// one atomic sequence ticket), instead of all threads serializing on a
-/// single shared `Mutex<Trace>`. `snapshot`/`take` merge the shards in
-/// global ticket order, so the returned trace is the deterministic
-/// arrival-order interleaving — on a single thread, exactly the
-/// recorded order, unchanged from the unsharded recorder.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
-    inner: Arc<RecorderInner>,
-}
-
-impl TraceRecorder {
-    /// A fresh, empty recorder.
-    pub fn new() -> Self {
-        TraceRecorder::default()
-    }
-
-    /// The calling thread's shard of this recorder, created and
-    /// registered (both thread-locally and in the recorder's merge
-    /// list) on first use.
-    fn shard(&self) -> Arc<TraceShard> {
-        SHARD_REGISTRY.with(|registry| {
-            let mut registry = registry.borrow_mut();
-            // Prune shards whose recorders are gone, find ours.
-            let mut found = None;
-            registry.retain(|(id, weak)| match weak.upgrade() {
-                Some(shard) => {
-                    if *id == self.inner.id {
-                        found = Some(shard);
-                    }
-                    true
-                }
-                None => false,
-            });
-            found.unwrap_or_else(|| {
-                let shard = Arc::new(TraceShard::default());
-                self.inner
-                    .shards
-                    .lock()
-                    .expect("trace recorder poisoned")
-                    .push(Arc::clone(&shard));
-                registry.push((self.inner.id, Arc::downgrade(&shard)));
-                shard
-            })
-        })
-    }
-
-    /// Appends one op.
-    pub fn record(&self, op: Op) {
-        let shard = self.shard();
-        let ticket = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        shard
-            .ops
-            .lock()
-            .expect("trace recorder poisoned")
-            .push((ticket, op));
-    }
-
-    /// Merges every shard in ticket order, draining them when `drain`.
-    fn merge(&self, drain: bool) -> Trace {
-        let shards = self.inner.shards.lock().expect("trace recorder poisoned");
-        let mut stamped: Vec<(u64, Op)> = Vec::new();
-        for shard in shards.iter() {
-            let mut ops = shard.ops.lock().expect("trace recorder poisoned");
-            if drain {
-                stamped.append(&mut ops);
-            } else {
-                stamped.extend_from_slice(&ops);
-            }
-        }
-        stamped.sort_unstable_by_key(|&(ticket, _)| ticket);
-        Trace::from_ops(stamped.into_iter().map(|(_, op)| op).collect())
-    }
-
-    /// Copies the current contents without draining.
-    pub fn snapshot(&self) -> Trace {
-        self.merge(false)
-    }
-
-    /// Drains and returns everything recorded so far.
-    pub fn take(&self) -> Trace {
-        self.merge(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,49 +633,29 @@ mod tests {
     }
 
     #[test]
-    fn recorder_preserves_single_thread_order_across_clones() {
-        // Clones get distinct per-thread shards only on distinct
-        // threads; on one thread the ticket order IS the record order,
-        // so the merged trace must read back exactly as recorded.
-        let rec = TraceRecorder::new();
-        let handle = rec.clone();
+    fn a_recording_context_owns_its_trace_in_program_order() {
+        use crate::{ComputeBackend, Matrix64, NativeBackend, RunCtx};
+        // `record` and `gemm_traced` interleave into one trace, read
+        // back exactly in the order the ops were issued.
+        let a = Matrix64::from_fn(1, 8, |_, j| j as f64);
+        let w = Matrix64::from_fn(8, 24, |i, j| (i + j) as f64);
+        let mut ctx = RunCtx::new(3).recording();
         let ops = [
             Op::gemm(OpKind::QkvProj, 1, 8, 24),
             Op::non_gemm(NonGemmKind::Softmax, 64),
             Op::gemm(OpKind::AttnAv, 1, 9, 8),
         ];
-        rec.record(ops[0]);
-        handle.record(ops[1]);
-        rec.record(ops[2]);
-        assert_eq!(rec.snapshot().ops(), &ops);
-        assert_eq!(handle.take().ops(), &ops);
-        assert!(rec.snapshot().is_empty());
-        // Two live recorders on one thread keep separate shards.
-        let other = TraceRecorder::new();
+        let _ = NativeBackend.gemm_traced(OpKind::QkvProj, a.view(), w.view(), &mut ctx);
+        ctx.record(ops[1]);
+        ctx.record(ops[2]);
+        assert_eq!(ctx.take_trace().ops(), &ops);
+        // Draining empties the trace and leaves the context recording.
+        assert!(ctx.take_trace().is_empty());
+        // Two recording contexts keep separate traces.
+        let mut other = RunCtx::new(3).recording();
         other.record(ops[0]);
-        rec.record(ops[1]);
-        assert_eq!(other.take().ops(), &ops[..1]);
-        assert_eq!(rec.take().ops(), &ops[1..2]);
-    }
-
-    #[test]
-    fn recorder_is_shared_across_clones_and_threads() {
-        let rec = TraceRecorder::new();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = rec.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        rec.record(Op::gemm(OpKind::Other, 1, 1, 1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.snapshot().len(), 40);
-        assert_eq!(rec.take().len(), 40);
-        assert!(rec.snapshot().is_empty());
+        ctx.record(ops[1]);
+        assert_eq!(other.take_trace().ops(), &ops[..1]);
+        assert_eq!(ctx.take_trace().ops(), &ops[1..2]);
     }
 }

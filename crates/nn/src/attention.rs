@@ -7,9 +7,12 @@
 //! weight-static photonic accelerators cannot serve.
 
 use crate::kv::{kv_write_traffic, KvLayer};
-use crate::layers::{softmax_rows, softmax_rows_backward, ForwardCtx, Linear, Param};
+use crate::layers::{
+    softmax_rows, softmax_rows_backward, softmax_rows_in_place, ForwardCtx, Linear, Param,
+};
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, OpKind};
+use lt_core::MatrixView;
 use lt_photonics::noise::GaussianSampler;
 
 /// Multi-head self-attention over a `[tokens, dim]` sequence.
@@ -165,38 +168,8 @@ impl MultiHeadAttention {
     /// Panics if `cache` is non-empty (prefill starts a sequence).
     pub fn prefill(&self, x: &Tensor, cache: &mut dyn KvLayer, ctx: &mut ForwardCtx<'_>) -> Tensor {
         assert_eq!(cache.context_len(), 0, "prefill expects an empty KV cache");
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.infer(x, ctx);
-        let k = self.wk.infer(x, ctx);
-        let v = self.wv.infer(x, ctx);
-        // Record what the cache actually wrote: a shared prefix skips
-        // its rows' writes, a copy-on-write pays for the block copy.
-        let write = cache.append(&k, &v);
-        for (kind, elems) in kv_write_traffic(write, self.dim) {
-            ctx.record_non_gemm(kind, elems);
-        }
-
-        let tokens = x.rows();
-        let mut concat = Tensor::zeros(tokens, self.dim);
-        for h in 0..self.heads {
-            let qh = q.col_slice(h * dh, dh);
-            let kh = k.col_slice(h * dh, dh);
-            let vh = v.col_slice(h * dh, dh);
-            let mut scores = ctx
-                .matmul_as(OpKind::AttnQk, &qh, &kh.transpose())
-                .scale(scale);
-            // Causal mask: token i may not attend to tokens j > i.
-            for i in 0..tokens {
-                for j in (i + 1)..tokens {
-                    scores.set(i, j, f32::NEG_INFINITY);
-                }
-            }
-            ctx.record_non_gemm(NonGemmKind::Softmax, (tokens * tokens) as u64);
-            let a = softmax_rows(&scores);
-            let oh = ctx.matmul_as(OpKind::AttnAv, &a, &vh);
-            concat.set_col_slice(h * dh, &oh);
-        }
+        let (q, k, v) = self.project_and_append(x, cache, ctx);
+        let concat = self.attend(&q, &k, &v, 0, ctx);
         self.wo.infer(&concat, ctx)
     }
 
@@ -222,45 +195,15 @@ impl MultiHeadAttention {
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         let prior = cache.context_len();
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.infer(x, ctx);
-        let k = self.wk.infer(x, ctx);
-        let v = self.wv.infer(x, ctx);
-        let write = cache.append(&k, &v);
-        for (kind, elems) in kv_write_traffic(write, self.dim) {
-            ctx.record_non_gemm(kind, elems);
-        }
+        let (q, _, _) = self.project_and_append(x, cache, ctx);
         // Only the *prior* context streams back from HBM; the chunk's
         // own K/V rows were just produced on-chip.
         if prior > 0 {
             ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (prior * self.dim) as u64);
         }
-
-        let tokens = x.rows();
-        let context = cache.context_len();
-        debug_assert_eq!(context, prior + tokens);
-        let (keys, values) = cache.context();
-        let mut concat = Tensor::zeros(tokens, self.dim);
-        for h in 0..self.heads {
-            let qh = q.col_slice(h * dh, dh);
-            let kh = keys.col_slice(h * dh, dh);
-            let vh = values.col_slice(h * dh, dh);
-            let mut scores = ctx
-                .matmul_as(OpKind::AttnQk, &qh, &kh.transpose())
-                .scale(scale);
-            // Causal mask in global positions: chunk row i sits at
-            // position prior + i and may not attend past itself.
-            for i in 0..tokens {
-                for j in (prior + i + 1)..context {
-                    scores.set(i, j, f32::NEG_INFINITY);
-                }
-            }
-            ctx.record_non_gemm(NonGemmKind::Softmax, (tokens * context) as u64);
-            let a = softmax_rows(&scores);
-            let oh = ctx.matmul_as(OpKind::AttnAv, &a, &vh);
-            concat.set_col_slice(h * dh, &oh);
-        }
+        debug_assert_eq!(cache.context_len(), prior + x.rows());
+        let (keys, values) = cache.lend_context();
+        let concat = self.attend(&q, &keys, &values, prior, ctx);
         self.wo.infer(&concat, ctx)
     }
 
@@ -281,8 +224,25 @@ impl MultiHeadAttention {
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         assert_eq!(x.shape(), (1, self.dim), "decode step takes one token");
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
+        let (q, _, _) = self.project_and_append(x, cache, ctx);
+        let context = cache.context_len();
+        // Decode attends over the whole cached context: every cached
+        // K and V row streams back through HBM each step.
+        ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (context * self.dim) as u64);
+        let (keys, values) = cache.lend_context();
+        let concat = self.attend(&q, &keys, &values, context - 1, ctx);
+        self.wo.infer(&concat, ctx)
+    }
+
+    /// The Q/K/V projections of `x`, with K and V appended to `cache`
+    /// and the cache's actual write traffic recorded: a shared prefix
+    /// skips its rows' writes, a copy-on-write pays for the block copy.
+    fn project_and_append(
+        &self,
+        x: &Tensor,
+        cache: &mut dyn KvLayer,
+        ctx: &mut ForwardCtx<'_>,
+    ) -> (Tensor, Tensor, Tensor) {
         let q = self.wq.infer(x, ctx);
         let k = self.wk.infer(x, ctx);
         let v = self.wv.infer(x, ctx);
@@ -290,26 +250,46 @@ impl MultiHeadAttention {
         for (kind, elems) in kv_write_traffic(write, self.dim) {
             ctx.record_non_gemm(kind, elems);
         }
+        (q, k, v)
+    }
 
-        let context = cache.context_len();
-        // Decode attends over the whole cached context: every cached
-        // K and V row streams back through HBM each step.
-        ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (context * self.dim) as u64);
-        let (keys, values) = cache.context();
-        let mut concat = Tensor::zeros(1, self.dim);
+    /// Causal attention of the `[t, dim]` queries `q` over `[context,
+    /// dim]` keys and values, head by head: query row `i` sits at
+    /// position `prior + i` and may not attend past itself. Each head's
+    /// `Q K^T` and `A V` run on its column range of Q, K and V in place
+    /// ([`ForwardCtx::matmul_blocks_as`]); returns the concatenated head
+    /// outputs, `[t, dim]`.
+    fn attend(
+        &self,
+        q: &Tensor,
+        keys: &Tensor,
+        values: &Tensor,
+        prior: usize,
+        ctx: &mut ForwardCtx<'_>,
+    ) -> Tensor {
+        let dh = self.head_dim();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (tokens, context) = (q.rows(), keys.rows());
+        fn head(t: &Tensor, h: usize, dh: usize) -> MatrixView<'_, f32> {
+            t.view().block(0, h * dh, t.rows(), dh)
+        }
+        let mut concat = Tensor::zeros(tokens, self.dim);
         for h in 0..self.heads {
-            let qh = q.col_slice(h * dh, dh);
-            let kh = keys.col_slice(h * dh, dh);
-            let vh = values.col_slice(h * dh, dh);
-            let scores = ctx
-                .matmul_as(OpKind::AttnQk, &qh, &kh.transpose())
-                .scale(scale);
-            ctx.record_non_gemm(NonGemmKind::Softmax, context as u64);
-            let a = softmax_rows(&scores);
-            let oh = ctx.matmul_as(OpKind::AttnAv, &a, &vh);
+            // Q K^T — a dynamic-dynamic product (through the engine).
+            let mut scores =
+                ctx.matmul_blocks_as(OpKind::AttnQk, head(q, h, dh), head(keys, h, dh), true);
+            scores.map_in_place(|v| v * scale);
+            for i in 0..tokens {
+                scores.row_mut(i)[prior + i + 1..].fill(f32::NEG_INFINITY);
+            }
+            ctx.record_non_gemm(NonGemmKind::Softmax, (tokens * context) as u64);
+            softmax_rows_in_place(&mut scores);
+            // A V — the second dynamic product.
+            let oh =
+                ctx.matmul_blocks_as(OpKind::AttnAv, scores.view(), head(values, h, dh), false);
             concat.set_col_slice(h * dh, &oh);
         }
-        self.wo.infer(&concat, ctx)
+        concat
     }
 
     /// Backward pass; returns `dx`.
@@ -453,6 +433,85 @@ mod tests {
             (got - num).abs() < 0.05 * num.abs().max(1.0),
             "dWq = {got} vs numeric {num}"
         );
+    }
+
+    /// Runs every head's `Q K^T` and `A V` of `[rows, heads * dh]`
+    /// queries over `[context, heads * dh]` keys and values twice, on two
+    /// engines from `make`: once copy-free through
+    /// [`ForwardCtx::matmul_blocks_as`], once through `matmul_as` on
+    /// `col_slice`/`transpose` copies. Asserts equal outputs bit for
+    /// bit, equal recorded traces, and returns both engines.
+    fn assert_head_products_match<E: crate::engine::MatmulEngine>(
+        mut make: impl FnMut() -> E,
+        quant: QuantConfig,
+    ) -> (E, E) {
+        use lt_core::Trace;
+        let dh = 8;
+        let (mut blocks, mut copies) = (make(), make());
+        for rows in [1, 5] {
+            for context in [1, 17] {
+                for heads in [1, 4] {
+                    let mut rng = GaussianSampler::new((rows * 100 + context * 10 + heads) as u64);
+                    let q = Tensor::randn(rows, heads * dh, 1.0, &mut rng);
+                    let k = Tensor::randn(context, heads * dh, 1.0, &mut rng);
+                    let v = Tensor::randn(context, heads * dh, 1.0, &mut rng);
+                    let probs = Tensor::randn(rows, context, 1.0, &mut rng);
+                    let mut traces: Vec<(Vec<Tensor>, Trace)> = Vec::new();
+                    for copy_free in [true, false] {
+                        let engine = if copy_free { &mut blocks } else { &mut copies };
+                        let mut nrng = GaussianSampler::new(0);
+                        let mut ctx = ForwardCtx::inference(engine, quant, &mut nrng).recording();
+                        let mut outs = Vec::new();
+                        for h in 0..heads {
+                            let head = |t: &Tensor| t.col_slice(h * dh, dh);
+                            if copy_free {
+                                let qh = q.view().block(0, h * dh, rows, dh);
+                                let kh = k.view().block(0, h * dh, context, dh);
+                                let vh = v.view().block(0, h * dh, context, dh);
+                                outs.push(ctx.matmul_blocks_as(OpKind::AttnQk, qh, kh, true));
+                                outs.push(ctx.matmul_blocks_as(
+                                    OpKind::AttnAv,
+                                    probs.view(),
+                                    vh,
+                                    false,
+                                ));
+                            } else {
+                                outs.push(ctx.matmul_as(
+                                    OpKind::AttnQk,
+                                    &head(&q),
+                                    &head(&k).transpose(),
+                                ));
+                                outs.push(ctx.matmul_as(OpKind::AttnAv, &probs, &head(&v)));
+                            }
+                        }
+                        traces.push((outs, ctx.take_trace()));
+                    }
+                    assert_eq!(
+                        traces[0], traces[1],
+                        "rows {rows} context {context} heads {heads}"
+                    );
+                }
+            }
+        }
+        (blocks, copies)
+    }
+
+    #[test]
+    fn copy_free_head_products_match_the_copying_products_bit_for_bit() {
+        use crate::engine::{BackendEngine, ExactEngine};
+        use lt_core::NativeBackend;
+        use lt_dptc::DptcBackend;
+        let fp32 = QuantConfig::fp32();
+        let (a, b) = assert_head_products_match(|| BackendEngine::new(NativeBackend, 1), fp32);
+        assert_eq!(a.calls(), b.calls());
+        for quant in [fp32, QuantConfig::low_bit(8)] {
+            let (a, b) = assert_head_products_match(
+                || BackendEngine::new(DptcBackend::paper(8, 3), 2),
+                quant,
+            );
+            assert_eq!(a.calls(), b.calls(), "{quant:?}");
+        }
+        assert_head_products_match(|| ExactEngine, fp32);
     }
 
     #[test]

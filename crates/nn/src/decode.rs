@@ -30,7 +30,7 @@ use crate::tensor::Tensor;
 use lt_arch::{RunReport, Simulator, StallBreakdown};
 use lt_core::backend::split_seed;
 use lt_core::trace::{NonGemmKind, OpKind};
-use lt_core::{ComputeBackend, GaussianSampler, Op, Trace, TraceRecorder};
+use lt_core::{ComputeBackend, GaussianSampler, Op, Trace};
 
 /// Geometry of a decoder-only language model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -918,15 +918,13 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             SessionKv::Contiguous(_) => panic!("recompute on a contiguous session"),
         };
         assert!(cache.is_empty(), "recompute expects a dropped cache");
-        let recorder = TraceRecorder::new();
-        let mut ctx =
-            ForwardCtx::inference(&mut engine, quant, &mut rng).with_recorder(recorder.clone());
+        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng).recording();
         if done {
             model.prefill(&fed, cache, &mut ctx);
         } else {
             model.prefill_chunk(&fed, cache, &mut ctx);
         }
-        recorder.take().coalesce()
+        ctx.take_trace().coalesce()
     }
 
     /// Whether all `max_new_tokens` have been generated.
@@ -1126,11 +1124,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         // the end of every spec step, so the chunk is usually empty.
         let synced = self.prompt.len() + self.tokens.len() - 1;
         let last = *self.tokens.last().expect("prefill sampled a token");
-        let draft_recorder = TraceRecorder::new();
-        let drafts = {
+        let (drafts, draft_trace) = {
             let spec = self.spec.as_mut().expect("just initialized");
-            let mut ctx = ForwardCtx::inference(&mut spec.engine, self.quant, &mut spec.rng)
-                .with_recorder(draft_recorder.clone());
+            let mut ctx =
+                ForwardCtx::inference(&mut spec.engine, self.quant, &mut spec.rng).recording();
             if spec.cache.len() < synced {
                 let seq: Vec<usize> = self
                     .prompt
@@ -1150,30 +1147,27 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
                 cur = greedy(&logits);
                 drafts.push(cur);
             }
-            drafts
+            (drafts, ctx.take_trace().coalesce())
         };
-        let draft_trace = draft_recorder.take().coalesce();
 
         // --- Verify: one batched pass on a clone of the session's
         // engine, so the session's own noise stream is untouched.
         let mut verify_tokens = Vec::with_capacity(k_eff + 1);
         verify_tokens.push(last);
         verify_tokens.extend_from_slice(&drafts);
-        let verify_recorder = TraceRecorder::new();
         let base = self.cache.as_model().len();
-        {
+        let verify_trace = {
             let mut engine = self.engine.clone();
             let mut rng = GaussianSampler::new(split_seed(self.ticket, !0));
-            let mut ctx = ForwardCtx::inference(&mut engine, self.quant, &mut rng)
-                .with_recorder(verify_recorder.clone());
+            let mut ctx = ForwardCtx::inference(&mut engine, self.quant, &mut rng).recording();
             model.verify_step(&verify_tokens, self.cache.as_model(), &mut ctx);
-        }
+            ctx.take_trace().coalesce()
+        };
         // Roll back ALL verify rows (this is the per-step rollback that
         // frees paged tail blocks); the authoritative replay below
         // re-appends the accepted ones on the session's own noise
         // stream, keeping the cache bit-identical to plain decoding.
         self.cache.truncate(base);
-        let verify_trace = verify_recorder.take().coalesce();
 
         // --- Commit: per-position target steps on the session's own
         // engine, stopping at the first token that disagrees with the
@@ -1241,11 +1235,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         model: &DecoderLm,
         pass: impl FnOnce(&DecoderLm, &mut ForwardCtx<'_>, &mut dyn ModelKv) -> Tensor,
     ) -> (Tensor, Trace) {
-        let recorder = TraceRecorder::new();
-        let mut ctx = ForwardCtx::inference(&mut self.engine, self.quant, &mut self.rng)
-            .with_recorder(recorder.clone());
+        let mut ctx =
+            ForwardCtx::inference(&mut self.engine, self.quant, &mut self.rng).recording();
         let logits = pass(model, &mut ctx, self.cache.as_model());
-        (logits, recorder.take().coalesce())
+        (logits, ctx.take_trace().coalesce())
     }
 
     /// Consumes the session into its reply.
@@ -1466,6 +1459,34 @@ mod tests {
             "incremental vs from-scratch logits diverged: {}",
             l1.max_abs_diff(&l1_scratch)
         );
+    }
+
+    #[test]
+    fn recording_changes_no_logit_and_no_noise_draw() {
+        // Recording is pure observability: the same passes with and
+        // without a trace return equal logits and leave the engines at
+        // the same point of their noise streams.
+        let m = model();
+        let quant = QuantConfig::fp32();
+        let mut runs = Vec::new();
+        for record in [true, false] {
+            let mut engine = BackendEngine::new(DptcBackend::paper(8, 3), 4);
+            let mut rng = GaussianSampler::new(0);
+            let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+            if record {
+                ctx = ctx.recording();
+            }
+            let mut cache = m.empty_cache();
+            let mut logits = vec![m.prefill(&[3, 1, 4, 1, 5], &mut cache, &mut ctx)];
+            for _ in 0..2 {
+                let next = greedy(logits.last().expect("prefill logits"));
+                logits.push(m.decode_step(next, &mut cache, &mut ctx));
+            }
+            let trace = ctx.take_trace();
+            assert_eq!(trace.is_empty(), !record, "record {record}");
+            runs.push((logits, engine.calls()));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! backends.
 
 use crate::tensor::Tensor;
-use lt_core::{ComputeBackend, Matrix64, RunCtx};
+use lt_core::{ComputeBackend, Matrix64, MatrixView, RunCtx};
 use lt_dptc::{DptcBackend, NoiseModel};
 use std::fmt;
 use std::sync::OnceLock;
@@ -37,8 +37,40 @@ pub trait MatmulEngine: fmt::Debug {
         self.matmul(a, w)
     }
 
+    /// Computes `a x b`, or `a x bᵀ` when `transpose_b`, for operands
+    /// that may be blocks of wider tensors — an attention head's column
+    /// range of Q, K and V. The result, and the engine's state after the
+    /// call, are bit-identical to [`MatmulEngine::matmul`] on owned
+    /// copies of `a` and of `b` (or its transpose). The default makes
+    /// those copies; an engine that stages its operands anyway reads the
+    /// blocks in place.
+    fn matmul_blocks(
+        &mut self,
+        a: MatrixView<'_, f32>,
+        b: MatrixView<'_, f32>,
+        transpose_b: bool,
+    ) -> Tensor {
+        let (a, b) = block_copies(a, b, transpose_b);
+        self.matmul(&a, &b)
+    }
+
     /// A short human-readable backend name.
     fn name(&self) -> &str;
+}
+
+/// Owned copies of the operands of [`MatmulEngine::matmul_blocks`]: `a`,
+/// and `b` or its transpose.
+pub(crate) fn block_copies(
+    a: MatrixView<'_, f32>,
+    b: MatrixView<'_, f32>,
+    transpose_b: bool,
+) -> (Tensor, Tensor) {
+    let b = if transpose_b {
+        b.to_matrix().transpose()
+    } else {
+        b.to_matrix()
+    };
+    (a.to_matrix(), b)
 }
 
 /// Widens, delegates to a [`ComputeBackend`], and narrows back.
@@ -102,12 +134,28 @@ impl<B: ComputeBackend> BackendEngine<B> {
 
 impl<B: ComputeBackend> MatmulEngine for BackendEngine<B> {
     fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        // Stage through the engine-owned scratch: widen in place, run
-        // the backend's `gemm_into`, narrow into the returned tensor.
-        // Bit-identical to `run_backend` (gemm_into's contract); the
-        // only allocation left in steady state is the f32 result.
+        self.matmul_blocks(a.view(), b.view(), false)
+    }
+
+    fn matmul_blocks(
+        &mut self,
+        a: MatrixView<'_, f32>,
+        b: MatrixView<'_, f32>,
+        transpose_b: bool,
+    ) -> Tensor {
+        // Stage through the engine-owned scratch: widen in place (a
+        // block straight out of its wider tensor, transposing `b` on the
+        // way when asked), run the backend's `gemm_into`, narrow into
+        // the returned tensor. The staged operands are exactly the
+        // widened block copies, so the result is bit-identical to
+        // `run_backend` on them (gemm_into's contract); the only
+        // allocation left in steady state is the f32 result.
         a.to_f64_into(&mut self.a64);
-        b.to_f64_into(&mut self.b64);
+        if transpose_b {
+            b.to_f64_transposed_into(&mut self.b64);
+        } else {
+            b.to_f64_into(&mut self.b64);
+        }
         self.backend.gemm_into(
             self.a64.view(),
             self.b64.view(),

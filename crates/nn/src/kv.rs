@@ -13,7 +13,7 @@
 //! * [`KvLayer`] — one layer's cache as attention sees it: append K/V
 //!   rows (returning [`KvWrite`] stats so the caller can record the
 //!   *actual* traffic, including copy-on-write and skipped shared
-//!   rows), and gather the cached context back.
+//!   rows), and lend (or gather) the cached context back.
 //! * [`ModelKv`] — the whole model's cache as the decoder sees it: one
 //!   [`KvLayer`] per block of the stack.
 //!
@@ -35,7 +35,8 @@
 use crate::attention::AttnKvCache;
 use crate::tensor::Tensor;
 use lt_core::trace::NonGemmKind;
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What one [`KvLayer::append`] actually did, in traffic terms: the
 /// caller records `2 * rows_written * dim` elements of
@@ -58,8 +59,15 @@ pub trait KvLayer {
     /// Appends the K/V rows of newly seen tokens and reports the
     /// resulting memory traffic (see [`KvWrite`]).
     fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite;
+    /// The cached K and V rows, each `[context, dim]`: borrowed when the
+    /// cache stores them contiguously, gathered into fresh tensors when
+    /// it does not.
+    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>);
     /// The cached K and V rows, each materialized `[context, dim]`.
-    fn context(&self) -> (Tensor, Tensor);
+    fn context(&self) -> (Tensor, Tensor) {
+        let (k, v) = self.lend_context();
+        (k.into_owned(), v.into_owned())
+    }
 }
 
 impl KvLayer for AttnKvCache {
@@ -76,8 +84,8 @@ impl KvLayer for AttnKvCache {
         }
     }
 
-    fn context(&self) -> (Tensor, Tensor) {
-        (self.keys().clone(), self.values().clone())
+    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>) {
+        (Cow::Borrowed(self.keys()), Cow::Borrowed(self.values()))
     }
 }
 
@@ -466,10 +474,13 @@ impl KvLayer for PagedKvLayer {
         write
     }
 
-    fn context(&self) -> (Tensor, Tensor) {
+    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>) {
         let t = self.table.lock().expect("table poisoned");
-        self.pool
-            .gather(&t.blocks, self.layer, t.layer_fill[self.layer])
+        assert!(t.swapped.is_none(), "context of a swapped-out KV cache");
+        let (k, v) = self
+            .pool
+            .gather(&t.blocks, self.layer, t.layer_fill[self.layer]);
+        (Cow::Owned(k), Cow::Owned(v))
     }
 }
 
@@ -714,7 +725,10 @@ impl PagedKvCache {
 
 impl Drop for PagedKvCache {
     fn drop(&mut self) {
-        let mut t = self.table.lock().expect("table poisoned");
+        // A panic while the table was locked (a documented assertion,
+        // say) poisons it; the block list is still consistent, and
+        // panicking again here while unwinding would abort the process.
+        let mut t = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         for id in t.blocks.drain(..) {
             self.pool.release(id);
         }
@@ -1057,6 +1071,32 @@ mod tests {
             ),
             vec![(NonGemmKind::KvRead, 64), (NonGemmKind::KvAppend, 64)]
         );
+    }
+
+    /// A paged cache of two tokens, swapped out. Reading or appending
+    /// to it fails an assertion with the table locked, so the cache then
+    /// drops, while unwinding, with its table poisoned: that must unwind
+    /// cleanly (a second panic there would abort the test process).
+    fn swapped_out_cache() -> PagedKvCache {
+        let pool = BlockPool::new(4, 1, 2, 2);
+        let mut cache = PagedKvCache::new(&pool, 1, 2);
+        write_tokens(&mut cache, 0, 2, 0.0);
+        cache.swap_out();
+        cache
+    }
+
+    #[test]
+    #[should_panic(expected = "context of a swapped-out KV cache")]
+    fn context_of_a_swapped_out_cache_is_rejected() {
+        let mut cache = swapped_out_cache();
+        let _ = cache.layer_mut(0).context();
+    }
+
+    #[test]
+    #[should_panic(expected = "append to a swapped-out KV cache")]
+    fn append_to_a_swapped_out_cache_is_rejected() {
+        let mut cache = swapped_out_cache();
+        write_tokens(&mut cache, 0, 1, 1.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Trainable layers with hand-written backward passes.
 
-use crate::engine::MatmulEngine;
+use crate::engine::{block_copies, MatmulEngine};
 use crate::quant::{IntegerQuant, QuantConfig};
 use crate::tensor::Tensor;
-use lt_core::trace::{NonGemmKind, Op, OpKind, TraceRecorder};
-use lt_core::{quantized_gemm, Matrix64, QuantizedMatrix};
+use lt_core::trace::{NonGemmKind, Op, OpKind, Trace};
+use lt_core::{quantized_gemm, Matrix64, MatrixView, QuantizedMatrix};
 use lt_photonics::noise::GaussianSampler;
 use std::sync::OnceLock;
 
@@ -65,15 +65,16 @@ impl Param {
 
 /// Per-forward execution context: which backend multiplies matrices, how
 /// operands are quantized, whether training-time noise is injected, and
-/// — optionally — where the executed ops are recorded.
+/// — optionally — the trace of the executed ops.
 ///
-/// When a [`TraceRecorder`] is attached ([`ForwardCtx::with_recorder`]),
+/// A recording context ([`ForwardCtx::recording`]) owns a [`Trace`]:
 /// every routed matmul is appended with its workload role and the
 /// layers report their non-GEMM element counts, so a forward pass
-/// leaves behind an `lt_core::Trace` of what it actually executed — the
-/// input to `lt_arch::Simulator::run_trace`. Recording is pure
-/// observability: it changes no numerics and costs two integer pushes
-/// per op when enabled, nothing when not.
+/// leaves behind a trace of what it actually executed
+/// ([`ForwardCtx::take_trace`]) — the input to
+/// `lt_arch::Simulator::run_trace`. Recording is pure observability: it
+/// changes no numerics and costs one `Vec::push` per op when enabled,
+/// one branch when not.
 #[derive(Debug)]
 pub struct ForwardCtx<'a> {
     /// Matmul backend (exact for training, photonic for noisy inference).
@@ -87,8 +88,8 @@ pub struct ForwardCtx<'a> {
     pub train_noise_std: f32,
     /// Noise source for training-time injection.
     pub rng: &'a mut GaussianSampler,
-    /// Optional op-trace sink (keep a clone to drain after the pass).
-    pub recorder: Option<TraceRecorder>,
+    /// The pass's op trace; `Some` while recording.
+    pub trace: Option<Trace>,
 }
 
 impl<'a> ForwardCtx<'a> {
@@ -104,26 +105,32 @@ impl<'a> ForwardCtx<'a> {
             training: false,
             train_noise_std: 0.0,
             rng,
-            recorder: None,
+            trace: None,
         }
     }
 
-    /// Attaches an op-trace recorder.
-    pub fn with_recorder(mut self, recorder: TraceRecorder) -> Self {
-        self.recorder = Some(recorder);
+    /// Turns recording on: the context owns an empty trace.
+    pub fn recording(mut self) -> Self {
+        self.trace = Some(Trace::new());
         self
     }
 
-    /// Records one op if a recorder is attached; a no-op otherwise.
-    pub fn record(&self, op: Op) {
-        if let Some(rec) = &self.recorder {
-            rec.record(op);
+    /// Drains and returns everything recorded so far (empty when not
+    /// recording). Recording stays on.
+    pub fn take_trace(&mut self) -> Trace {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Appends one op to the trace when recording; a no-op otherwise.
+    pub fn record(&mut self, op: Op) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(op);
         }
     }
 
     /// Reports a non-GEMM digital op (softmax / LayerNorm / GELU /
     /// residual) over `elems` elements.
-    pub fn record_non_gemm(&self, kind: NonGemmKind, elems: u64) {
+    pub fn record_non_gemm(&mut self, kind: NonGemmKind, elems: u64) {
         self.record(Op::non_gemm(kind, elems));
     }
 
@@ -140,6 +147,30 @@ impl<'a> ForwardCtx<'a> {
         let aq = self.quant.apply(a);
         let bq = self.quant.apply(b);
         self.matmul_prequantized_as(kind, &aq, &bq)
+    }
+
+    /// As [`ForwardCtx::matmul_as`] for `a x b`, or `a x bᵀ` when
+    /// `transpose_b`, on operands that may be blocks of wider tensors (an
+    /// attention head's column range of Q, K and V; see
+    /// [`MatmulEngine::matmul_blocks`]). Records the product's effective
+    /// `[m, k] x [k, n]` shape and returns exactly what `matmul_as` on
+    /// copies of the blocks would. Fake quantization scales per tensor,
+    /// over the block, so a quantizing context makes those copies.
+    pub fn matmul_blocks_as(
+        &mut self,
+        kind: OpKind,
+        a: MatrixView<'_, f32>,
+        b: MatrixView<'_, f32>,
+        transpose_b: bool,
+    ) -> Tensor {
+        if self.quant.bits.is_some() {
+            let (a, b) = block_copies(a, b, transpose_b);
+            return self.matmul_as(kind, &a, &b);
+        }
+        let n = if transpose_b { b.rows() } else { b.cols() };
+        self.record(Op::gemm(kind, a.rows(), a.cols(), n));
+        let y = self.engine.matmul_blocks(a, b, transpose_b);
+        self.apply_train_noise(y)
     }
 
     /// As [`ForwardCtx::matmul`] but for operands the caller has already
@@ -307,14 +338,14 @@ impl Linear {
     /// it takes `&self` — the entry point the autoregressive decode path
     /// uses to let many concurrent sessions share one set of weights.
     pub fn infer(&self, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        if let Some(iq) = ctx.quant.integer {
+        let mut y = if let Some(iq) = ctx.quant.integer {
             let (xq, wq) = encode_integer_operands(x, &self.w.value, iq);
-            return ctx
-                .matmul_integer_as(self.role, &xq, &wq)
-                .add_row_broadcast(&self.b.value);
-        }
-        ctx.matmul_weight_as(self.role, x, &self.w.value, &self.w64)
-            .add_row_broadcast(&self.b.value)
+            ctx.matmul_integer_as(self.role, &xq, &wq)
+        } else {
+            ctx.matmul_weight_as(self.role, x, &self.w.value, &self.w64)
+        };
+        y.add_row_broadcast_assign(&self.b.value);
+        y
     }
 
     /// Backward pass: accumulates `dW`, `db`, returns `dx`.
@@ -362,48 +393,57 @@ impl LayerNorm {
         }
     }
 
-    /// The shared normalization: row-wise `xhat = (x - mean) / std` and
-    /// the per-row `1/std`, used by both the training and the decode
-    /// path so their numerics can never drift apart.
-    fn normalize(&self, x: &Tensor) -> (Tensor, Vec<f32>) {
-        let (rows, cols) = x.shape();
-        let mut xhat = Tensor::zeros(rows, cols);
-        let mut inv_stds = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let row = x.row(i);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            inv_stds.push(inv_std);
-            for j in 0..cols {
-                xhat.set(i, j, (row[j] - mean) * inv_std);
-            }
+    /// The shared normalization core of the training and the decode
+    /// path, so their numerics can never drift apart: normalizes one row,
+    /// `xhat = (x - mean) / std`, writing `emit(j, xhat)` into `out[j]`,
+    /// and returns the row's `1/std`.
+    fn normalize_row(
+        &self,
+        row: &[f32],
+        out: &mut [f32],
+        mut emit: impl FnMut(usize, f32) -> f32,
+    ) -> f32 {
+        let cols = row.len();
+        let mean = row.iter().sum::<f32>() / cols as f32;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+        let inv_std = 1.0 / (var + self.eps).sqrt();
+        for (j, (o, &v)) in out.iter_mut().zip(row).enumerate() {
+            *o = emit(j, (v - mean) * inv_std);
         }
-        (xhat, inv_stds)
+        inv_std
     }
 
-    /// Applies the learned scale and shift to normalized rows.
-    fn scale_shift(&self, xhat: &Tensor) -> Tensor {
-        Tensor::from_fn(xhat.rows(), xhat.cols(), |i, j| {
-            xhat.get(i, j) * self.gamma.value.get(0, j) + self.beta.value.get(0, j)
-        })
+    /// The learned scale and shift of normalized element `xhat` in
+    /// column `j`.
+    fn scale_shift(&self, j: usize, xhat: f32) -> f32 {
+        xhat * self.gamma.value.data()[j] + self.beta.value.data()[j]
     }
 
     /// Forward pass.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (xhat, inv_stds) = self.normalize(x);
-        let y = self.scale_shift(&xhat);
+        let (rows, cols) = x.shape();
+        let mut xhat = Tensor::zeros(rows, cols);
+        let inv_stds = (0..rows)
+            .map(|i| self.normalize_row(x.row(i), xhat.row_mut(i), |_, v| v))
+            .collect();
+        let y = Tensor::from_fn(rows, cols, |i, j| self.scale_shift(j, xhat.get(i, j)));
         self.cache_xhat = Some(xhat);
         self.cache_inv_std = Some(inv_stds);
         y
     }
 
     /// Inference-only forward pass: identical numerics to
-    /// [`LayerNorm::forward`] (same normalization core) but caches
+    /// [`LayerNorm::forward`] (same normalization core), normalizing,
+    /// scaling and shifting each row in one pass into one output. Caches
     /// nothing, so it takes `&self` (shared weights across concurrent
     /// decode sessions).
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.scale_shift(&self.normalize(x).0)
+        let (rows, cols) = x.shape();
+        let mut y = Tensor::zeros(rows, cols);
+        for i in 0..rows {
+            self.normalize_row(x.row(i), y.row_mut(i), |j, v| self.scale_shift(j, v));
+        }
+        y
     }
 
     /// Backward pass.
@@ -477,9 +517,11 @@ impl Gelu {
         x.map(gelu_scalar)
     }
 
-    /// Inference-only forward pass (no backward cache, `&self`).
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        x.map(gelu_scalar)
+    /// Inference-only forward pass (no backward cache, `&self`), in
+    /// place.
+    pub fn infer(&self, mut x: Tensor) -> Tensor {
+        x.map_in_place(gelu_scalar);
+        x
     }
 
     /// Backward pass.
@@ -495,25 +537,26 @@ impl Gelu {
 
 /// Row-wise softmax (used for attention probabilities).
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (rows, cols) = x.shape();
-    let mut out = Tensor::zeros(rows, cols);
-    for i in 0..rows {
-        let row = x.row(i);
+    let mut out = x.clone();
+    softmax_rows_in_place(&mut out);
+    out
+}
+
+/// As [`softmax_rows`], in place: each row's exponentials go straight
+/// into the row, then divide by their sum.
+pub fn softmax_rows_in_place(x: &mut Tensor) {
+    for i in 0..x.rows() {
+        let row = x.row_mut(i);
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
         let mut denom = 0.0;
-        let exps: Vec<f32> = row
-            .iter()
-            .map(|&v| {
-                let e = (v - max).exp();
-                denom += e;
-                e
-            })
-            .collect();
-        for j in 0..cols {
-            out.set(i, j, exps[j] / denom);
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            denom += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= denom;
         }
     }
-    out
 }
 
 /// Backward of row-wise softmax: given `s = softmax(x)` and `ds`, returns
@@ -768,11 +811,9 @@ mod tests {
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
         let layer = Linear::new(8, 4, &mut rng).with_role(OpKind::Ffn1);
         let (mut eng, mut nrng) = ctx_parts();
-        let rec = TraceRecorder::new();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng)
-            .with_recorder(rec.clone());
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng).recording();
         let _ = layer.infer(&x, &mut ctx);
-        let trace = rec.take();
+        let trace = ctx.take_trace();
         assert_eq!(trace.ops(), &[Op::gemm(OpKind::Ffn1, 2, 8, 4)]);
     }
 
@@ -860,7 +901,7 @@ mod tests {
             training: true,
             train_noise_std: 0.05,
             rng: &mut nrng,
-            recorder: None,
+            trace: None,
         };
         let y1 = layer.forward(&x, &mut ctx);
         let y2 = layer.forward(&x, &mut ctx);

@@ -28,10 +28,10 @@
 //!   parallelism); every [`serve::Reply`] carries the request's recorded
 //!   op trace and its hardware cost ([`lt_arch::RunReport`])
 //!
-//! Forward passes speak the op-trace IR: attach an
-//! [`lt_core::TraceRecorder`] to a [`layers::ForwardCtx`]
-//! and the pass records every GEMM (with its workload role) and every
-//! non-GEMM element count while computing — the record half of the
+//! Forward passes speak the op-trace IR: a recording
+//! [`layers::ForwardCtx`] owns an [`lt_core::Trace`], and the pass
+//! records every GEMM (with its workload role) and every non-GEMM
+//! element count into it while computing — the record half of the
 //! record→replay pipeline that `lt_arch::Simulator::run_trace` completes.
 //!
 //! # Example

@@ -53,7 +53,7 @@ impl EncoderBlock {
 
     /// Forward pass over `[tokens, dim]`. Non-GEMM work (the two
     /// LayerNorms, the GELU, and both residual additions) reports its
-    /// element counts to the context's trace recorder, if any.
+    /// element counts to the context's trace, if it records.
     pub fn forward(&mut self, x: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
         let elems = (x.rows() * x.cols()) as u64;
         let attn_out = {
@@ -113,8 +113,10 @@ impl EncoderBlock {
         })
     }
 
-    /// The shared pre-LN block body of the two cache-driven passes; only
-    /// the attention inner call differs.
+    /// The shared pre-LN block body of the cache-driven passes; only
+    /// the attention inner call differs. Both residuals add into the
+    /// branch output in place (`a + b == b + a` exactly in IEEE
+    /// arithmetic, so this is `forward`'s `x + delta`).
     fn decode_pass(
         &self,
         x: &Tensor,
@@ -123,15 +125,16 @@ impl EncoderBlock {
     ) -> Tensor {
         let elems = (x.rows() * x.cols()) as u64;
         ctx.record_non_gemm(NonGemmKind::LayerNorm, elems);
-        let attn_out = attend(&self.attn, &self.ln1.infer(x), ctx);
+        let mut x1 = attend(&self.attn, &self.ln1.infer(x), ctx);
         ctx.record_non_gemm(NonGemmKind::Residual, elems);
-        let x1 = x.add(&attn_out);
+        x1.add_assign(x);
         ctx.record_non_gemm(NonGemmKind::LayerNorm, elems);
         let h = self.ffn1.infer(&self.ln2.infer(&x1), ctx);
         ctx.record_non_gemm(NonGemmKind::Gelu, (h.rows() * h.cols()) as u64);
-        let ffn_out = self.ffn2.infer(&self.gelu.infer(&h), ctx);
+        let mut y = self.ffn2.infer(&self.gelu.infer(h), ctx);
         ctx.record_non_gemm(NonGemmKind::Residual, elems);
-        x1.add(&ffn_out)
+        y.add_assign(&x1);
+        y
     }
 
     /// Backward pass; returns `dx`.

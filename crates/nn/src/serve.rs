@@ -23,7 +23,7 @@
 //!
 //! # Per-request hardware cost
 //!
-//! Every forward pass records its op trace ([`lt_core::TraceRecorder`])
+//! Every forward pass records its op trace ([`lt_core::Trace`])
 //! while executing, and the worker replays the coalesced trace through
 //! an [`lt_arch::Simulator`] built from [`ServeConfig::arch`]. The
 //! [`Reply`] therefore carries, next to the logits, a [`RunReport`]
@@ -57,7 +57,7 @@ use crate::quant::QuantConfig;
 use crate::tensor::Tensor;
 use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::backend::split_seed;
-use lt_core::{ComputeBackend, GaussianSampler, Trace, TraceRecorder};
+use lt_core::{ComputeBackend, GaussianSampler, Trace};
 use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool, ThreadsConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -343,16 +343,14 @@ fn serve_one<B: ComputeBackend + Clone>(
     // The training-noise RNG is unused at inference but part of the ctx;
     // seed it off the same stream for full reproducibility.
     let mut rng = GaussianSampler::new(split_seed(!config.seed, ticket));
-    let recorder = TraceRecorder::new();
-    let mut ctx =
-        ForwardCtx::inference(&mut engine, config.quant, &mut rng).with_recorder(recorder.clone());
+    let mut ctx = ForwardCtx::inference(&mut engine, config.quant, &mut rng).recording();
     let logits = match request {
         Request::Vision(patches) => vision.forward(patches, &mut ctx),
         Request::Text(tokens) => text.forward(&tokens[..], &mut ctx),
     };
     // Coalesce before costing: merged instances fill hardware tiles the
     // way the paper's batched mapping assumes (per-head products etc.).
-    let trace = recorder.take().coalesce();
+    let trace = ctx.take_trace().coalesce();
     let cost = sim.run_trace(&trace);
     Reply {
         logits,

@@ -92,7 +92,7 @@ where
                 training: true,
                 train_noise_std: cfg.train_noise_std,
                 rng: &mut rng,
-                recorder: None,
+                trace: None,
             };
             let logits = model.forward(input.borrow(), &mut ctx);
             if argmax(&logits) == *label {

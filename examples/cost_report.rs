@@ -3,7 +3,7 @@
 //! accelerator.
 //!
 //! One forward pass of a (tiny) Vision Transformer runs on the noisy
-//! photonic DPTC backend with a trace recorder attached; the recorded
+//! photonic DPTC backend in a recording context; the recorded
 //! op trace — every GEMM with its workload role, every softmax /
 //! LayerNorm / GELU / residual element — then replays through the LT-B
 //! accelerator model (the paper's Table V methodology), producing
@@ -15,7 +15,7 @@
 //! ```
 
 use lightening_transformer::arch::{ArchConfig, Simulator};
-use lightening_transformer::core::{GaussianSampler, Op, TraceRecorder};
+use lightening_transformer::core::{GaussianSampler, Op};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::layers::ForwardCtx;
 use lightening_transformer::nn::model::{Classifier, ModelConfig, VisionTransformer};
@@ -29,13 +29,11 @@ fn main() {
     let patches = Tensor::randn(16, 16, 1.0, &mut rng);
 
     // Execute on the photonic backend while recording the op trace.
-    let recorder = TraceRecorder::new();
     let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 1);
     let mut nrng = GaussianSampler::new(0);
-    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng)
-        .with_recorder(recorder.clone());
+    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
     let logits = vit.forward(&patches, &mut ctx);
-    let trace = recorder.take().coalesce();
+    let trace = ctx.take_trace().coalesce();
 
     println!("logits: {:?}", logits.data());
     println!(

@@ -12,18 +12,25 @@
 //!
 //! It also pins the noisy DPTC's outputs bit for bit (digests of the
 //! tiled GEMM, the one-shot MM and a starved-pool scheduler run), so a
-//! speed change to the Eq. 9 loop cannot move a single noise draw.
+//! speed change to the Eq. 9 loop cannot move a single noise draw, and
+//! the decode path's outputs, costs and recorded traces on three
+//! backends, so a host-speed change above the backends cannot either.
 
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend, SvdBackend};
 use lightening_transformer::core::{
-    reference_gemm, ComputeBackend, GaussianSampler, Matrix64, NativeBackend, RunCtx,
+    reference_gemm, ComputeBackend, GaussianSampler, Matrix64, NativeBackend, Op, RunCtx, Trace,
 };
 use lightening_transformer::dptc::{Dptc, DptcBackend, DptcConfig, Fidelity};
-use lightening_transformer::nn::decode::{DecoderConfig, DecoderLm, SessionConfig};
-use lightening_transformer::nn::kv::PreemptPolicy;
+use lightening_transformer::nn::decode::{
+    greedy, DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
+};
+use lightening_transformer::nn::kv::{BlockPool, PagedKvCache, PreemptPolicy};
+use lightening_transformer::nn::layers::ForwardCtx;
+use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::serve::decode::DecodeRequest;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
+use lightening_transformer::nn::{BackendEngine, Tensor};
 
 fn rand_pair(rng: &mut GaussianSampler, m: usize, k: usize, n: usize) -> (Matrix64, Matrix64) {
     (
@@ -314,4 +321,170 @@ fn noisy_dptc_outputs_are_pinned_bit_for_bit() {
 
     let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
     assert_eq!(got, want, "noisy DPTC outputs moved");
+}
+
+/// The bits of an f32 tensor, one word per element.
+fn tensor_words(t: &Tensor) -> impl Iterator<Item = u64> + '_ {
+    t.data().iter().map(|v| u64::from(v.to_bits()))
+}
+
+/// A recorded trace as words: every op's kind, shape and count, in order.
+fn trace_words(trace: &Trace) -> Vec<u64> {
+    let mut words = vec![trace.len() as u64];
+    for op in trace.ops() {
+        match *op {
+            Op::Gemm {
+                kind,
+                m,
+                k,
+                n,
+                instances,
+            } => words.extend([
+                0,
+                kind as u64,
+                m as u64,
+                k as u64,
+                n as u64,
+                instances as u64,
+            ]),
+            Op::NonGemm { kind, elems } => words.extend([1, kind as u64, elems]),
+        }
+    }
+    words
+}
+
+/// A finished session's tokens, per-pass cycles and KV footprint.
+fn reply_words(reply: &DecodeReply) -> Vec<u64> {
+    let mut words: Vec<u64> = reply.tokens.iter().map(|&t| t as u64).collect();
+    words.push(reply.prefill.cycles);
+    words.extend(reply.steps.iter().map(|r| r.cycles));
+    words.push(reply.kv_cache_bytes);
+    words
+}
+
+/// Digest of everything the decode path produces on one backend and
+/// quantization mode: the logits of `DecoderLm`'s four passes driven
+/// directly through a `ForwardCtx` (and the engine's call count after
+/// them), then the tokens, per-pass cycles and coalesced traces of
+/// `DecodeSession` runs: whole and chunked prefill, speculative steps
+/// on a tapered decoder, and recompute-on-resume of a paged cache
+/// dropped after its prefill and again mid-prefill.
+fn decode_path_digest<B: ComputeBackend + Clone>(backend: B, quant: QuantConfig) -> u64 {
+    let model = DecoderLm::new(DecoderConfig::tiny(), &mut GaussianSampler::new(23));
+    let cfg = model.config();
+    let mut words = Vec::new();
+
+    let mut engine = BackendEngine::new(backend.clone(), 5);
+    let mut rng = GaussianSampler::new(6);
+    {
+        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+        let prompt = [3, 1, 4, 1, 5, 9, 2];
+        let mut cache = model.empty_cache();
+        let mut logits = model.prefill(&prompt, &mut cache, &mut ctx);
+        words.extend(tensor_words(&logits));
+        for _ in 0..3 {
+            logits = model.decode_step(greedy(&logits), &mut cache, &mut ctx);
+            words.extend(tensor_words(&logits));
+        }
+        let verify = model.verify_step(&[greedy(&logits), 2, 7, 1, 8], &mut cache, &mut ctx);
+        words.extend(tensor_words(&verify));
+        let mut chunked = model.empty_cache();
+        for chunk in [&prompt[..3], &prompt[3..]] {
+            let h = model.prefill_chunk(chunk, &mut chunked, &mut ctx);
+            words.extend(tensor_words(&h));
+            words.extend(tensor_words(&model.logits_at_last(&h, &mut ctx)));
+        }
+    }
+    words.push(engine.calls());
+
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let config = SessionConfig {
+        seed: 31,
+        quant,
+        ..SessionConfig::default()
+    };
+    let prompt: Vec<usize> = (0..9).map(|i| (i * 5 + 2) % 16).collect();
+    for chunk in [None, Some(2), Some(4)] {
+        let mut s = DecodeSession::new(&model, 4, prompt.clone(), 9, backend.clone(), config);
+        match chunk {
+            None => words.extend(trace_words(&s.prefill(&model, &sim))),
+            Some(c) => {
+                while !s.prefill_done() {
+                    words.extend(trace_words(&s.prefill_partial(&model, &sim, c)));
+                }
+            }
+        }
+        while !s.is_done() {
+            words.extend(trace_words(&s.step(&model, &sim)));
+        }
+        words.extend(reply_words(&s.into_reply()));
+    }
+
+    let mut tapered = model.clone();
+    tapered.taper_deep_blocks(0.25);
+    let draft = DraftLm::from_target(&tapered);
+    let mut s = DecodeSession::new(&tapered, 5, prompt.clone(), 12, backend.clone(), config);
+    words.extend(trace_words(&s.prefill(&tapered, &sim)));
+    while !s.is_done() {
+        let report = s.spec_step(&tapered, &draft, &sim, 4);
+        let o = report.outcome;
+        words.extend([o.accepted as u64, o.bonus_token as u64, o.rollback as u64]);
+        words.extend(trace_words(&report.draft_trace));
+        words.extend(trace_words(&report.verify_trace));
+        words.extend([report.draft_cost.cycles, report.verify_cost.cycles]);
+    }
+    words.extend(reply_words(&s.into_reply()));
+
+    let pool = BlockPool::new(32, cfg.layers, cfg.dim, 4);
+    for mid_prefill in [false, true] {
+        let cache = PagedKvCache::new(&pool, cfg.layers, cfg.dim);
+        let mut s =
+            DecodeSession::new_paged(&model, 6, prompt.clone(), 8, backend.clone(), config, cache);
+        if mid_prefill {
+            s.prefill_partial(&model, &sim, 4);
+        } else {
+            s.prefill(&model, &sim);
+            for _ in 0..3 {
+                s.step(&model, &sim);
+            }
+        }
+        s.paged_kv_mut().expect("paged").drop_resident();
+        words.extend(trace_words(&s.resume_by_recompute(&model)));
+        while !s.prefill_done() {
+            s.prefill_partial(&model, &sim, 4);
+        }
+        while !s.is_done() {
+            words.extend(trace_words(&s.step(&model, &sim)));
+        }
+        words.extend(reply_words(&s.into_reply()));
+    }
+    fnv1a(words)
+}
+
+/// The decode path's outputs, pinned bit for bit on the exact, the
+/// noisy and the quantized DPTC backend, plus a fake-quantized and an
+/// integer context on the exact one (see [`decode_path_digest`]). The
+/// digests were taken with per-thread sharded trace recorders, per-head
+/// `col_slice`/`transpose` copies in attention and copying row ops,
+/// before each pass got its own trace and attention its copy-free head
+/// products. Any change to a logit, a sampled token, a cost, a recorded
+/// op or the number of noise draws moves a digest.
+#[test]
+fn decode_path_outputs_are_pinned_bit_for_bit() {
+    let want: [(&str, u64); 5] = [
+        ("native fp32", 0x5db2_e8e5_7b64_6c73),
+        ("dptc paper(8, 13) fp32", 0x083c_3202_5289_de3f),
+        ("dptc quantized(8) fp32", 0x6b77_94ad_f645_3202),
+        ("native low_bit(8)", 0x922d_f35e_0a81_bfcd),
+        ("native int8", 0x90cc_835f_0898_5992),
+    ];
+    let got = [
+        decode_path_digest(NativeBackend, QuantConfig::fp32()),
+        decode_path_digest(DptcBackend::paper(8, 13), QuantConfig::fp32()),
+        decode_path_digest(DptcBackend::quantized(8), QuantConfig::fp32()),
+        decode_path_digest(NativeBackend, QuantConfig::low_bit(8)),
+        decode_path_digest(NativeBackend, QuantConfig::int8()),
+    ];
+    let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
+    assert_eq!(got, want, "decode path outputs moved");
 }

@@ -13,7 +13,7 @@
 
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::core::trace::OpKind;
-use lightening_transformer::core::{GaussianSampler, NativeBackend, Op, Trace, TraceRecorder};
+use lightening_transformer::core::{GaussianSampler, NativeBackend, Op, Trace};
 use lightening_transformer::nn::decode::{DecodeSession, DecoderConfig, DecoderLm, SessionConfig};
 use lightening_transformer::nn::layers::ForwardCtx;
 use lightening_transformer::nn::model::{Classifier, ModelConfig};
@@ -23,7 +23,7 @@ use lightening_transformer::workloads::model::InputKind;
 use lightening_transformer::workloads::{DecodeTrace, TransformerConfig};
 
 /// Builds the `lt-nn` model matching `spec`'s geometry, runs one real
-/// forward pass with a recorder attached under the given quantization
+/// forward pass with a recording context under the given quantization
 /// mode, and returns the recorded trace.
 fn record_forward_quant(spec: &TransformerConfig, quant: QuantConfig) -> Trace {
     let cfg = ModelConfig {
@@ -34,11 +34,9 @@ fn record_forward_quant(spec: &TransformerConfig, quant: QuantConfig) -> Trace {
         classes: spec.num_classes,
     };
     let mut rng = GaussianSampler::new(42);
-    let recorder = TraceRecorder::new();
     let mut engine = ExactEngine;
     let mut nrng = GaussianSampler::new(0);
-    let mut ctx =
-        ForwardCtx::inference(&mut engine, quant, &mut nrng).with_recorder(recorder.clone());
+    let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng).recording();
     match spec.input {
         InputKind::VisionPatches { patch_size, .. } => {
             let patch_dim = 3 * patch_size * patch_size;
@@ -55,7 +53,7 @@ fn record_forward_quant(spec: &TransformerConfig, quant: QuantConfig) -> Trace {
             assert_eq!(logits.shape(), (1, spec.num_classes));
         }
     }
-    recorder.take()
+    ctx.take_trace()
 }
 
 /// `record_forward_quant` at the default fp32 mode.
