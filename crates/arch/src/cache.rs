@@ -43,7 +43,7 @@ pub(crate) enum CachedOpSchedule {
     /// advances the compute frontier by `active_ps`.
     Pure {
         report: RunReport,
-        hbm_bytes: f64,
+        hbm_traffic: f64,
         active_ps: f64,
     },
     /// Staged schedule: the segment plan and energy are memoized, the
@@ -51,7 +51,7 @@ pub(crate) enum CachedOpSchedule {
     Staged {
         map: GemmMap,
         segments: Arc<[Segment]>,
-        hbm_bytes: f64,
+        hbm_traffic: f64,
         energy: EnergyBreakdown,
     },
 }

@@ -16,7 +16,6 @@
 
 use crate::config::ArchConfig;
 use lt_core::Trace;
-use lt_workloads::{GemmOp, OperandDynamics};
 
 /// Which resource limits a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,35 +48,13 @@ impl RooflinePoint {
     }
 }
 
-/// Bytes a trace must pull from HBM: weights, once per op execution.
-/// Dynamic operands are assumed on-chip, matching the simulator's model;
-/// note that a batched [`lt_workloads::DecodeTrace`] represents the batch
-/// as extra GEMM rows sharing one KV operand, so for per-sequence KV
-/// traffic use [`lt_workloads::DecodeTrace::arithmetic_intensity`]
-/// instead.
-pub fn hbm_bytes(trace: &[GemmOp], bits: u32) -> f64 {
-    trace
-        .iter()
-        .filter(|op| op.dynamics() == OperandDynamics::WeightStatic)
-        .map(|op| (op.k * op.n * op.count) as f64 * bits as f64 / 8.0)
-        .sum()
-}
-
-/// Places a trace on the configuration's roofline.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn analyze(config: &ArchConfig, trace: &[GemmOp]) -> RooflinePoint {
-    assert!(!trace.is_empty(), "cannot analyze an empty trace");
-    let macs: f64 = trace.iter().map(|op| op.total_macs() as f64).sum();
-    let bytes = hbm_bytes(trace, config.precision_bits).max(1.0);
-    place(config, macs, bytes)
-}
-
-/// Places an IR trace on the configuration's roofline (the
-/// [`analyze`] twin for recorded [`lt_core::Trace`]s, using the IR's
-/// own weight-traffic accounting).
+/// Places a trace on the configuration's roofline. Its HBM bytes are
+/// its weights, once per op instance ([`Trace::weight_elems`]);
+/// dynamic operands are assumed on-chip, matching the simulator's
+/// model, and non-GEMM ops add neither MACs nor bytes. Note that a
+/// batched [`lt_workloads::DecodeTrace`] represents the batch as extra
+/// GEMM rows sharing one KV operand, so for per-sequence KV traffic use
+/// [`lt_workloads::DecodeTrace::arithmetic_intensity`] instead.
 ///
 /// # Panics
 ///
@@ -113,12 +90,15 @@ mod tests {
     use super::*;
     use lt_workloads::{DecodeTrace, TransformerConfig};
 
+    fn decode_step(batch: usize) -> Trace {
+        DecodeTrace::new(TransformerConfig::gpt2_small(1), 512, batch).op_trace()
+    }
+
     #[test]
     fn ridge_point_is_about_69_macs_per_byte() {
         // LT-B: 13824 MACs/cycle * 5 GHz = 69.1 TMAC/s over 1 TB/s.
         let cfg = ArchConfig::lt_base(4);
-        let trace = TransformerConfig::deit_tiny().gemm_trace();
-        let p = analyze(&cfg, &trace);
+        let p = analyze_trace(&cfg, &TransformerConfig::deit_tiny().trace());
         assert!((p.ridge - 69.12).abs() < 0.1, "ridge {}", p.ridge);
     }
 
@@ -127,8 +107,7 @@ mod tests {
         // Activations are reused across all 197 tokens: intensity is high
         // enough that the photonic cores are the bottleneck.
         let cfg = ArchConfig::lt_base(4);
-        let trace = TransformerConfig::deit_tiny().gemm_trace();
-        let p = analyze(&cfg, &trace);
+        let p = analyze_trace(&cfg, &TransformerConfig::deit_tiny().trace());
         assert_eq!(p.bound, Bound::Compute, "intensity {}", p.intensity);
         assert!(p.compute_utilization() > 0.99);
     }
@@ -136,9 +115,7 @@ mod tests {
     #[test]
     fn batch_1_decode_is_memory_bound() {
         // The paper's Section VI-B claim, now as a roofline fact.
-        let cfg = ArchConfig::lt_base(8);
-        let trace = DecodeTrace::new(TransformerConfig::gpt2_small(1), 512, 1).gemm_trace();
-        let p = analyze(&cfg, &trace);
+        let p = analyze_trace(&ArchConfig::lt_base(8), &decode_step(1));
         assert_eq!(p.bound, Bound::Memory, "intensity {}", p.intensity);
         assert!(
             p.compute_utilization() < 0.05,
@@ -150,34 +127,26 @@ mod tests {
     #[test]
     fn batching_crosses_the_ridge() {
         let cfg = ArchConfig::lt_base(8);
-        let model = TransformerConfig::gpt2_small(1);
-        let b1 = analyze(&cfg, &DecodeTrace::new(model.clone(), 512, 1).gemm_trace());
-        let b256 = analyze(&cfg, &DecodeTrace::new(model, 512, 256).gemm_trace());
+        let b1 = analyze_trace(&cfg, &decode_step(1));
+        let b256 = analyze_trace(&cfg, &decode_step(256));
         assert!(b256.intensity > 50.0 * b1.intensity);
         assert!(b256.compute_utilization() > b1.compute_utilization());
     }
 
     #[test]
-    #[should_panic(expected = "empty trace")]
-    fn empty_trace_rejected() {
-        analyze(&ArchConfig::lt_base(4), &[]);
-    }
-
-    #[test]
-    fn ir_trace_analysis_agrees_with_the_gemm_op_route() {
+    fn digital_ops_move_no_roofline_point() {
         let cfg = ArchConfig::lt_base(4);
-        let model = TransformerConfig::deit_tiny();
-        let from_ops = analyze(&cfg, &model.gemm_trace());
-        let from_ir = analyze_trace(&cfg, &model.trace().gemm_only());
-        assert_eq!(from_ops.bound, from_ir.bound);
-        assert!((from_ops.intensity - from_ir.intensity).abs() < 1e-9 * from_ops.intensity);
+        let trace = TransformerConfig::deit_tiny().trace();
+        assert_eq!(
+            analyze_trace(&cfg, &trace),
+            analyze_trace(&cfg, &trace.gemm_only())
+        );
     }
 
     #[test]
     fn infinite_bandwidth_makes_everything_compute_bound() {
         let cfg = ArchConfig::lt_base(8).unconstrained_memory();
-        let trace = DecodeTrace::new(TransformerConfig::gpt2_small(1), 512, 1).gemm_trace();
-        let p = analyze(&cfg, &trace);
+        let p = analyze_trace(&cfg, &decode_step(1));
         assert_eq!(p.bound, Bound::Compute);
         assert_eq!(p.ridge, 0.0, "ridge collapses with no memory wall");
     }

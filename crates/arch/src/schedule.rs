@@ -245,7 +245,7 @@ struct Plan {
     segments: Vec<Segment>,
     /// Total HBM traffic: base weight bytes times the policy's refetch
     /// factor, plus any partial-sum spill.
-    hbm_bytes: f64,
+    hbm_traffic: f64,
 }
 
 /// Capacity check helper: a zero-byte global SRAM (the bare single-core
@@ -265,13 +265,13 @@ fn plan(policy: DataflowPolicy, map: &GemmMap, config: &ArchConfig) -> Plan {
                 bytes: 0.0,
                 waves: map.waves,
             }],
-            hbm_bytes: 0.0,
+            hbm_traffic: 0.0,
         };
     }
     let cap = config.global_sram_bytes;
     let (mb, db, nb) = (map.mb_steps, map.db_steps, map.tiles_n);
     let mut segments = Vec::new();
-    let mut hbm_bytes;
+    let mut hbm_traffic;
     match policy {
         DataflowPolicy::WeightStationary => {
             // (mb, db) outer, nb inner: each weight super-tile loads
@@ -288,7 +288,7 @@ fn plan(policy: DataflowPolicy, map: &GemmMap, config: &ArchConfig) -> Plan {
             } else {
                 0.0
             };
-            hbm_bytes = w + spill * (db - 1) as f64 * mb as f64;
+            hbm_traffic = w + spill * (db - 1) as f64 * mb as f64;
             segments.reserve((mb * db) as usize);
             for _ in 0..mb {
                 for d in 0..db {
@@ -304,7 +304,7 @@ fn plan(policy: DataflowPolicy, map: &GemmMap, config: &ArchConfig) -> Plan {
             // step if it does not.
             let panel = w / mb as f64;
             let refetch = !fits(panel, cap);
-            hbm_bytes = if refetch { w * nb as f64 } else { w };
+            hbm_traffic = if refetch { w * nb as f64 } else { w };
             segments.reserve(if refetch {
                 (mb * nb) as usize
             } else {
@@ -335,7 +335,7 @@ fn plan(policy: DataflowPolicy, map: &GemmMap, config: &ArchConfig) -> Plan {
             // full stream once per column block.
             let panel = w / db as f64;
             let refetch = !fits(w, cap);
-            hbm_bytes = if refetch { w * nb as f64 } else { w };
+            hbm_traffic = if refetch { w * nb as f64 } else { w };
             if refetch {
                 segments.reserve((nb * db) as usize);
                 for _ in 0..nb {
@@ -366,12 +366,12 @@ fn plan(policy: DataflowPolicy, map: &GemmMap, config: &ArchConfig) -> Plan {
         }
     }
     // Degenerate guard: keep totals finite even for pathological maps.
-    if !hbm_bytes.is_finite() {
-        hbm_bytes = w;
+    if !hbm_traffic.is_finite() {
+        hbm_traffic = w;
     }
     Plan {
         segments,
-        hbm_bytes,
+        hbm_traffic,
     }
 }
 
@@ -430,24 +430,24 @@ pub(crate) fn build_op_schedule(
     let period = config.clock.period().value();
     let plan = plan(policy, &map, config);
     let active_ps = map.waves as f64 * period + map.fill_ps;
-    let energy = sim.gemm_energy(op, plan.hbm_bytes, active_ps);
+    let energy = sim.gemm_energy(op, plan.hbm_traffic, active_ps);
 
     let bw_per_ps = config.hbm_bytes_per_s / 1e12;
-    if plan.hbm_bytes <= 0.0 || !bw_per_ps.is_finite() {
+    if plan.hbm_traffic <= 0.0 || !bw_per_ps.is_finite() {
         // Nothing to load (or loads are instantaneous): the schedule is
         // pure compute — the window IS the active time, which equals
         // the closed-form expression bit for bit, and the whole report
         // is a replayable constant.
         return CachedOpSchedule::Pure {
             report: sim.finish_gemm_report(energy, map.waves, map.macs, active_ps, map.fill_ps),
-            hbm_bytes: plan.hbm_bytes,
+            hbm_traffic: plan.hbm_traffic,
             active_ps,
         };
     }
     CachedOpSchedule::Staged {
         map,
         segments: plan.segments.into(),
-        hbm_bytes: plan.hbm_bytes,
+        hbm_traffic: plan.hbm_traffic,
         energy,
     }
 }
@@ -485,23 +485,23 @@ pub(crate) fn schedule_op(
         CachedOpSchedule::Free => return RunReport::default(),
         CachedOpSchedule::Pure {
             report,
-            hbm_bytes,
+            hbm_traffic,
             active_ps,
         } => {
             // Nothing to load (or loads are instantaneous): the
             // schedule is pure compute — the window IS the active time,
             // which equals the closed-form expression bit for bit.
-            *hbm_bytes_acc += hbm_bytes;
+            *hbm_bytes_acc += hbm_traffic;
             state.now += active_ps;
             return report;
         }
         CachedOpSchedule::Staged {
             map,
             segments,
-            hbm_bytes,
+            hbm_traffic,
             energy,
         } => {
-            *hbm_bytes_acc += hbm_bytes;
+            *hbm_bytes_acc += hbm_traffic;
             (map, segments, energy)
         }
     };
@@ -552,7 +552,7 @@ pub struct TraceSchedule {
     pub total: RunReport,
     /// Total HBM traffic in bytes, including dataflow-induced refetch
     /// and partial-sum spill.
-    pub hbm_bytes: f64,
+    pub hbm_traffic: f64,
 }
 
 impl TraceSchedule {
@@ -577,9 +577,9 @@ pub(crate) fn schedule_trace(
     let mut state = SchedState::new();
     let mut per_op = Vec::with_capacity(trace.len());
     let mut total = RunReport::default();
-    let mut hbm_bytes = 0.0;
+    let mut hbm_traffic = 0.0;
     for op in trace.ops() {
-        let r = schedule_op(sim, &mut state, policy, op, &mut hbm_bytes);
+        let r = schedule_op(sim, &mut state, policy, op, &mut hbm_traffic);
         total.merge(&r);
         per_op.push(r);
     }
@@ -587,7 +587,7 @@ pub(crate) fn schedule_trace(
         policy,
         per_op,
         total,
-        hbm_bytes,
+        hbm_traffic,
     }
 }
 
@@ -641,14 +641,14 @@ mod tests {
             assert_eq!(waves, map.waves, "{policy}");
             let loaded: f64 = p.segments.iter().map(|s| s.bytes).sum();
             assert!(
-                (loaded - p.hbm_bytes).abs() < 1e-6 * p.hbm_bytes.max(1.0),
+                (loaded - p.hbm_traffic).abs() < 1e-6 * p.hbm_traffic.max(1.0),
                 "{policy}: segment bytes {loaded} vs plan {}",
-                p.hbm_bytes
+                p.hbm_traffic
             );
             // DeiT-T FFN1 at 4 bits fits every reuse window of LT-B:
             // no policy refetches.
             assert!(
-                (p.hbm_bytes - map.weight_bytes).abs() < 1e-6,
+                (p.hbm_traffic - map.weight_bytes).abs() < 1e-6,
                 "{policy} refetched"
             );
         }
@@ -662,16 +662,16 @@ mod tests {
         let is = plan(DataflowPolicy::InputStationary, &map, &cfg);
         let ws = plan(DataflowPolicy::WeightStationary, &map, &cfg);
         assert!(
-            (ws.hbm_bytes - map.weight_bytes).abs() < 1e-6,
+            (ws.hbm_traffic - map.weight_bytes).abs() < 1e-6,
             "weight-stationary never refetches weights"
         );
         assert!(
-            is.hbm_bytes > 10.0 * ws.hbm_bytes,
+            is.hbm_traffic > 10.0 * ws.hbm_traffic,
             "input-stationary must pay ~tiles_n x refetch: {} vs {}",
-            is.hbm_bytes,
-            ws.hbm_bytes
+            is.hbm_traffic,
+            ws.hbm_traffic
         );
-        assert!((is.hbm_bytes / map.weight_bytes - map.tiles_n as f64).abs() < 1e-6);
+        assert!((is.hbm_traffic / map.weight_bytes - map.tiles_n as f64).abs() < 1e-6);
     }
 
     #[test]
@@ -682,9 +682,9 @@ mod tests {
         let map = map_of(&cfg, OpKind::Ffn1, 100_000, 64, 64, 1);
         let ws = plan(DataflowPolicy::WeightStationary, &map, &cfg);
         assert!(
-            ws.hbm_bytes > map.weight_bytes,
+            ws.hbm_traffic > map.weight_bytes,
             "partial-sum panel must spill: {} vs {}",
-            ws.hbm_bytes,
+            ws.hbm_traffic,
             map.weight_bytes
         );
     }
@@ -697,7 +697,7 @@ mod tests {
         for policy in DataflowPolicy::ALL {
             let p = plan(policy, &map, &cfg);
             assert!(
-                (p.hbm_bytes - map.weight_bytes).abs() < 1e-3,
+                (p.hbm_traffic - map.weight_bytes).abs() < 1e-3,
                 "{policy}: bare configs model no SRAM pressure"
             );
         }
@@ -709,7 +709,7 @@ mod tests {
         let map = map_of(&cfg, OpKind::AttnQk, 197, 64, 197, 36);
         for policy in DataflowPolicy::ALL {
             let p = plan(policy, &map, &cfg);
-            assert_eq!(p.hbm_bytes, 0.0, "{policy}");
+            assert_eq!(p.hbm_traffic, 0.0, "{policy}");
             assert_eq!(p.segments.len(), 1);
             assert_eq!(p.segments[0].waves, map.waves);
         }

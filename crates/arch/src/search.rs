@@ -14,7 +14,6 @@ use crate::config::ArchConfig;
 use crate::sim::Simulator;
 use lt_core::Trace;
 use lt_dptc::DptcConfig;
-use lt_workloads::GemmOp;
 
 /// One evaluated candidate geometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,18 +32,20 @@ pub struct CoreCandidate {
     /// fraction of peak, stalls included).
     pub utilization: f64,
     /// Total scheduled HBM traffic, bytes (refetch included).
-    pub hbm_bytes: f64,
+    pub hbm_traffic: f64,
 }
 
 /// Enumerates `(Nh, Nv)` geometries (at fixed `N_lambda`) that fit within
 /// `area_budget_mm2`, evaluates each on `trace`, and returns candidates
-/// sorted by ascending EDP.
+/// sorted by ascending EDP. Non-GEMM ops in `trace` are costed too
+/// (digital energy, KV traffic); pass [`Trace::gemm_only`] to rank on
+/// the photonic work alone.
 ///
 /// # Panics
 ///
 /// Panics if `trace` is empty or no candidate fits the budget.
 pub fn search_core_geometry(
-    trace: &[GemmOp],
+    trace: &Trace,
     area_budget_mm2: f64,
     nlambda: usize,
     bits: u32,
@@ -64,7 +65,6 @@ pub fn search_core_geometry(
         (8, 8),
         (24, 24),
     ];
-    let ir_trace = Trace::from_ops(trace.iter().map(GemmOp::op).collect());
     let mut candidates = Vec::new();
     for &(nh, nv) in shapes {
         let mut config = ArchConfig::lt_base(bits);
@@ -77,7 +77,7 @@ pub fn search_core_geometry(
         let sim = Simulator::new(config.clone());
         // Rank with the tile scheduler: a geometry that looks good on
         // paper but stalls on operand staging loses here.
-        let sched = sim.schedule_trace(&ir_trace, config.dataflow);
+        let sched = sim.schedule_trace(trace, config.dataflow);
         let report = sched.total;
         candidates.push(CoreCandidate {
             area_mm2: area,
@@ -85,7 +85,7 @@ pub fn search_core_geometry(
             latency_ms: report.latency.value(),
             edp: report.edp(),
             utilization: report.utilization,
-            hbm_bytes: sched.hbm_bytes,
+            hbm_traffic: sched.hbm_traffic,
             config,
         });
     }
@@ -100,11 +100,12 @@ pub fn search_core_geometry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_workloads::{OpKind, TransformerConfig};
+    use lt_core::{Op, OpKind};
+    use lt_workloads::TransformerConfig;
 
     #[test]
     fn dense_deit_prefers_square_cores() {
-        let trace = TransformerConfig::deit_tiny().gemm_trace();
+        let trace = TransformerConfig::deit_tiny().trace().gemm_only();
         let ranked = search_core_geometry(&trace, 120.0, 12, 4);
         let best = &ranked[0].config.core;
         // Dense Transformer GEMMs want a big square-ish core.
@@ -117,10 +118,10 @@ mod tests {
     #[test]
     fn vector_matrix_trace_prefers_narrow_nh() {
         // A decode-style trace: every GEMM has m = 1 (vector-matrix).
-        let trace = vec![
-            GemmOp::new(OpKind::AttnQk, 1, 64, 512, 12 * 12),
-            GemmOp::new(OpKind::AttnAv, 1, 512, 64, 12 * 12),
-        ];
+        let trace = Trace::from_ops(vec![
+            Op::gemm_n(OpKind::AttnQk, 1, 64, 512, 12 * 12),
+            Op::gemm_n(OpKind::AttnAv, 1, 512, 64, 12 * 12),
+        ]);
         let ranked = search_core_geometry(&trace, 120.0, 12, 4);
         let best = &ranked[0].config.core;
         // The paper's Nh = 1 (or small) vector-matrix engine should win.
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn ranking_is_sorted_and_within_budget() {
-        let trace = TransformerConfig::deit_tiny().gemm_trace();
+        let trace = TransformerConfig::deit_tiny().trace().gemm_only();
         let budget = 80.0;
         let ranked = search_core_geometry(&trace, budget, 12, 4);
         assert!(ranked.windows(2).all(|w| w[0].edp <= w[1].edp));
@@ -148,6 +149,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_rejected() {
-        search_core_geometry(&[], 100.0, 12, 4);
+        search_core_geometry(&Trace::new(), 100.0, 12, 4);
     }
 }

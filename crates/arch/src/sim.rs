@@ -26,9 +26,9 @@ use crate::devices::DeviceRack;
 use crate::energy::EnergyBreakdown;
 use crate::memory::{MemoryHierarchy, HBM_PJ_PER_BYTE};
 use crate::schedule::{self, DataflowPolicy, GemmMap, StallBreakdown, TraceSchedule};
-use lt_core::{NonGemmKind, Op, OpKind, Trace};
+use lt_core::{Module, NonGemmKind, Op, OpKind, OperandDynamics, Trace};
 use lt_photonics::units::{GigaHertz, MilliJoules, Milliseconds, PicoJoules};
-use lt_workloads::{GemmOp, Module, OperandDynamics, TransformerConfig};
+use lt_workloads::TransformerConfig;
 use std::sync::Arc;
 
 /// Digital non-GEMM energies, pJ per element (efficient hardware units,
@@ -216,12 +216,6 @@ impl Simulator {
         schedule::schedule_op(self, &mut state, self.config.dataflow, op, &mut bytes)
     }
 
-    /// Simulates one analytical GEMM op (including its repetition count)
-    /// on a fresh schedule timeline.
-    pub fn run_op(&self, op: &GemmOp) -> RunReport {
-        self.simulate_op(&op.op())
-    }
-
     /// The off-chip bytes a non-GEMM op moves over the HBM link: KV
     /// cache writes ([`NonGemmKind::KvAppend`]) and reads
     /// ([`NonGemmKind::KvRead`]) at the operand precision; zero for the
@@ -283,7 +277,7 @@ impl Simulator {
     }
 
     /// The per-device GEMM energy model shared by the closed-form and
-    /// scheduled paths. `hbm_bytes` is the *actual* off-chip traffic
+    /// scheduled paths. `hbm_traffic` is the *actual* off-chip traffic
     /// (base weight bytes, plus any dataflow-induced refetch or
     /// partial-sum spill); `active_ps` is the time the optics are
     /// firing (compute + fill — the laser gates off during stalls).
@@ -291,7 +285,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `op` is not a GEMM.
-    pub(crate) fn gemm_energy(&self, op: &Op, hbm_bytes: f64, active_ps: f64) -> EnergyBreakdown {
+    pub(crate) fn gemm_energy(&self, op: &Op, hbm_traffic: f64, active_ps: f64) -> EnergyBreakdown {
         let Op::Gemm {
             kind,
             m: op_m,
@@ -376,7 +370,7 @@ impl Simulator {
             + op_bytes(op2_elems) * operand_pj
             + accum_bytes * self.mem.tile_act.write_energy_per_byte().value()
             + out_bytes * output_pj
-            + hbm_bytes * HBM_PJ_PER_BYTE;
+            + hbm_traffic * HBM_PJ_PER_BYTE;
 
         let to_mj = |pj: f64| MilliJoules(pj * 1e-9);
         EnergyBreakdown {
@@ -513,12 +507,6 @@ impl Simulator {
             report.merge(&r);
         }
         report
-    }
-
-    /// Simulates a sequence of analytical GEMM ops on one shared
-    /// schedule timeline (adjacent ops overlap prefetch with compute).
-    pub fn run_gemm_ops(&self, ops: &[GemmOp]) -> RunReport {
-        self.run_trace(&Trace::from_ops(ops.iter().map(GemmOp::op).collect()))
     }
 
     /// Simulates a whole Transformer inference from its analytical IR
@@ -717,11 +705,11 @@ mod tests {
         // emits, so both cost identically.
         let sim = Simulator::new(ArchConfig::lt_base(4));
         let per_head = Trace::from_ops(vec![Op::gemm(lt_core::OpKind::AttnQk, 197, 64, 197); 36]);
-        let analytical = GemmOp::new(lt_workloads::OpKind::AttnQk, 197, 64, 197, 36);
-        assert_eq!(sim.run_trace(&per_head.coalesce()), sim.run_op(&analytical));
+        let analytical = sim.simulate_op(&Op::gemm_n(lt_core::OpKind::AttnQk, 197, 64, 197, 36));
+        assert_eq!(sim.run_trace(&per_head.coalesce()), analytical);
         // Uncoalesced, the 36 lone products cannot fill idle tiles, so
         // they cost at least as many cycles.
-        assert!(sim.run_trace(&per_head).cycles >= sim.run_op(&analytical).cycles);
+        assert!(sim.run_trace(&per_head).cycles >= analytical.cycles);
     }
 
     #[test]
@@ -743,8 +731,7 @@ mod tests {
     fn dynamic_ops_have_no_hbm_traffic() {
         // An attention op's latency must be pure compute (no HBM gating).
         let sim = Simulator::new(ArchConfig::lt_base(4));
-        let qk = GemmOp::new(lt_workloads::OpKind::AttnQk, 197, 64, 197, 1);
-        let r = sim.run_op(&qk);
+        let r = sim.simulate_op(&Op::gemm(lt_core::OpKind::AttnQk, 197, 64, 197));
         let compute_ms = r.cycles as f64 * 200e-12 * 1e3;
         assert!((r.latency.value() - compute_ms).abs() / compute_ms < 0.05);
         assert_eq!(r.stalls.bandwidth.value(), 0.0, "no bandwidth stalls");
@@ -809,10 +796,10 @@ mod tests {
         // DeiT-B's 14 MB FFN weight panels overflow LT-B's 2 MB SRAM
         // under input-stationary reuse: refetch traffic must show up.
         assert!(
-            is.hbm_bytes > 1.5 * ws.hbm_bytes,
+            is.hbm_traffic > 1.5 * ws.hbm_traffic,
             "IS {} vs WS {}",
-            is.hbm_bytes,
-            ws.hbm_bytes
+            is.hbm_traffic,
+            ws.hbm_traffic
         );
         assert!(is.total.energy.total().value() > ws.total.energy.total().value());
     }

@@ -35,7 +35,9 @@ pub use mzi::MziAccelerator;
 pub use pcm::PcmAccelerator;
 pub use svd::jacobi_svd;
 
+use lt_core::{Module, Op, OpKind};
 use lt_photonics::units::{MilliJoules, Milliseconds};
+use lt_workloads::TransformerConfig;
 
 /// A baseline's per-workload result in the paper's Table V quantities.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -80,5 +82,63 @@ impl BaselineReport {
         self.laser += other.laser;
         self.data_movement += other.data_movement;
         self.reconfig_latency += other.reconfig_latency;
+    }
+}
+
+/// A baseline's per-model result, split by module as in Table V
+/// (mirroring `lt_arch::ModelReport`).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BaselineModelReport {
+    /// The dynamic attention products (`Q K^T`, `A V`) only.
+    pub mha: BaselineReport,
+    /// The FFN linears only.
+    pub ffn: BaselineReport,
+    /// Projections, embeddings and the classifier.
+    pub other: BaselineReport,
+    /// Total.
+    pub all: BaselineReport,
+}
+
+impl BaselineModelReport {
+    /// Costs every GEMM of `model`'s analytical trace with `cost_op`, in
+    /// trace order, and sums the costs per module. The baselines model
+    /// the photonic datapath only, so the trace's digital ops are left
+    /// out.
+    pub(crate) fn of(
+        model: &TransformerConfig,
+        mut cost_op: impl FnMut(&Op) -> BaselineReport,
+    ) -> Self {
+        let mut r = BaselineModelReport::default();
+        for op in model.trace().gemm_only().ops() {
+            let cost = cost_op(op);
+            match op.module() {
+                Module::Mha => r.mha.merge(&cost),
+                Module::Ffn => r.ffn.merge(&cost),
+                Module::Other => r.other.merge(&cost),
+            }
+        }
+        for part in [r.mha, r.ffn, r.other] {
+            r.all.merge(&part);
+        }
+        r
+    }
+}
+
+/// The role and `(m, k, n, instances)` of a GEMM op, widened to `u64`.
+///
+/// # Panics
+///
+/// Panics if `op` is not a GEMM: the baselines model the photonic
+/// datapath only.
+pub(crate) fn gemm_dims(op: &Op) -> (OpKind, u64, u64, u64, u64) {
+    match *op {
+        Op::Gemm {
+            kind,
+            m,
+            k,
+            n,
+            instances,
+        } => (kind, m as u64, k as u64, n as u64, instances as u64),
+        Op::NonGemm { .. } => panic!("the photonic baselines cost GEMMs only, not {op:?}"),
     }
 }

@@ -14,13 +14,14 @@
 //!    `(X+ - X-)(Y+ - Y-)` and execute as **4 passes** with extra
 //!    accumulation (the paper's ">2-4x hardware cost").
 
-use crate::BaselineReport;
+use crate::{gemm_dims, BaselineModelReport, BaselineReport};
+use lt_core::Op;
 use lt_photonics::constants::PTC_CLOCK_GHZ;
 use lt_photonics::devices::{
     Adc, Dac, MachZehnderModulator, MicroringResonator, Photodetector, Tia,
 };
 use lt_photonics::units::{GigaHertz, MilliJoules, MilliWatts, Milliseconds};
-use lt_workloads::{GemmOp, Module, TransformerConfig};
+use lt_workloads::TransformerConfig;
 
 /// Full-range decomposition passes for signed x signed operands.
 pub const FULL_RANGE_PASSES: u64 = 4;
@@ -119,11 +120,14 @@ impl MrrAccelerator {
     }
 
     /// Simulates one GEMM (weights = the `k x n` right operand held in
-    /// rings; inputs streamed).
-    pub fn run_op(&self, op: &GemmOp) -> BaselineReport {
+    /// rings; inputs streamed), all of its instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not a GEMM.
+    pub fn simulate_op(&self, op: &Op) -> BaselineReport {
+        let (_, m, d, n, count) = gemm_dims(op);
         let k = self.k as u64;
-        let (m, d, n) = (op.m as u64, op.k as u64, op.n as u64);
-        let count = op.count as u64;
         let period = self.clock.period();
 
         let blocks = d.div_ceil(k) * n.div_ceil(k);
@@ -184,38 +188,9 @@ impl MrrAccelerator {
         }
     }
 
-    /// Simulates a trace.
-    pub fn run_trace(&self, ops: &[GemmOp]) -> BaselineReport {
-        let mut total = BaselineReport::default();
-        for op in ops {
-            total.merge(&self.run_op(op));
-        }
-        total
-    }
-
     /// Simulates a model, split by module as in Table V.
-    pub fn run_model(&self, model: &TransformerConfig) -> MrrModelReport {
-        let mut mha = BaselineReport::default();
-        let mut ffn = BaselineReport::default();
-        let mut other = BaselineReport::default();
-        for op in model.gemm_trace() {
-            let r = self.run_op(&op);
-            match op.module() {
-                Module::Mha => mha.merge(&r),
-                Module::Ffn => ffn.merge(&r),
-                Module::Other => other.merge(&r),
-            }
-        }
-        let mut all = BaselineReport::default();
-        all.merge(&mha);
-        all.merge(&ffn);
-        all.merge(&other);
-        MrrModelReport {
-            mha,
-            ffn,
-            other,
-            all,
-        }
+    pub fn run_model(&self, model: &TransformerConfig) -> BaselineModelReport {
+        BaselineModelReport::of(model, |op| self.simulate_op(op))
     }
 
     /// Electrical laser power (short incoherent link; sensitivity-limited).
@@ -227,19 +202,6 @@ impl MrrAccelerator {
             (self.banks * self.k) as f64 * sens_per_ch * 10f64.powf(loss_db / 10.0) * precision;
         MilliWatts(optical / 0.2)
     }
-}
-
-/// Per-module results, mirroring `lt_arch::ModelReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MrrModelReport {
-    /// Dynamic attention products only.
-    pub mha: BaselineReport,
-    /// FFN linears only.
-    pub ffn: BaselineReport,
-    /// Everything else.
-    pub other: BaselineReport,
-    /// Total.
-    pub all: BaselineReport,
 }
 
 #[cfg(test)]
@@ -279,8 +241,7 @@ mod tests {
     fn locking_dominates_attention_energy() {
         // Fig. 11: op1-mod (locking) > 40% of the MRR attention energy.
         let mrr = MrrAccelerator::paper_baseline(4);
-        let qk = GemmOp::new(lt_workloads::OpKind::AttnQk, 197, 64, 197, 36);
-        let r = mrr.run_op(&qk);
+        let r = mrr.simulate_op(&Op::gemm_n(lt_core::OpKind::AttnQk, 197, 64, 197, 36));
         let share = r.op1_mod.value() / r.energy.value();
         assert!(share > 0.30, "locking share {share}");
     }

@@ -16,11 +16,12 @@
 //! 4. **MVM only, single wavelength** — far fewer MACs per cycle per area.
 
 use crate::mrr::MrrAccelerator;
-use crate::BaselineReport;
+use crate::{gemm_dims, BaselineModelReport, BaselineReport};
+use lt_core::{Module, Op, OperandDynamics};
 use lt_photonics::constants::PTC_CLOCK_GHZ;
 use lt_photonics::devices::{Adc, Dac, Laser, MemsPhaseShifter, Photodetector, Tia};
 use lt_photonics::units::{Decibels, GigaHertz, MilliJoules, MilliWatts, Milliseconds};
-use lt_workloads::{GemmOp, Module, OperandDynamics, TransformerConfig};
+use lt_workloads::TransformerConfig;
 
 /// Insertion loss of one MZI stage (two couplers + two phase shifters).
 pub const MZI_STAGE_LOSS_DB: f64 = 1.32;
@@ -139,16 +140,16 @@ impl MziAccelerator {
     /// # Panics
     ///
     /// Panics if called with a dynamic (attention) op — those must go to
-    /// [`MziAccelerator::run_model`], which delegates them to the MRR bank.
-    pub fn run_static_op(&self, op: &GemmOp) -> BaselineReport {
+    /// [`MziAccelerator::run_model`], which delegates them to the MRR bank
+    /// — or with a non-GEMM op.
+    pub fn run_static_op(&self, op: &Op) -> BaselineReport {
+        let (kind, m, d, n, count) = gemm_dims(op);
         assert_eq!(
-            op.dynamics(),
+            kind.dynamics(),
             OperandDynamics::WeightStatic,
             "MZI meshes cannot execute dynamic MMs (paper Challenge 1)"
         );
         let nn = self.n as u64;
-        let (m, d, n) = (op.m as u64, op.k as u64, op.n as u64);
-        let count = op.count as u64;
         let period = self.clock.period();
 
         // Weight blocks to program; each serves all m input rows (MVM).
@@ -207,46 +208,18 @@ impl MziAccelerator {
 
     /// Simulates a model: weight-static GEMMs on the meshes, dynamic
     /// attention products on the embedded MRR bank (as the paper assumes).
-    pub fn run_model(&self, model: &TransformerConfig) -> MziModelReport {
-        let mut mha = BaselineReport::default();
-        let mut ffn = BaselineReport::default();
-        let mut other = BaselineReport::default();
-        for op in model.gemm_trace() {
-            match op.module() {
-                Module::Mha => mha.merge(&self.mha_fallback.run_op(&op)),
-                Module::Ffn => ffn.merge(&self.run_static_op(&op)),
-                Module::Other => other.merge(&self.run_static_op(&op)),
-            }
-        }
-        let mut all = BaselineReport::default();
-        all.merge(&mha);
-        all.merge(&ffn);
-        all.merge(&other);
-        MziModelReport {
-            mha,
-            ffn,
-            other,
-            all,
-        }
+    pub fn run_model(&self, model: &TransformerConfig) -> BaselineModelReport {
+        BaselineModelReport::of(model, |op| match op.module() {
+            Module::Mha => self.mha_fallback.simulate_op(op),
+            Module::Ffn | Module::Other => self.run_static_op(op),
+        })
     }
-}
-
-/// Per-module results for the MZI baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MziModelReport {
-    /// Attention products (executed on the MRR fallback).
-    pub mha: BaselineReport,
-    /// FFN linears (on the meshes).
-    pub ffn: BaselineReport,
-    /// Other linears (on the meshes).
-    pub other: BaselineReport,
-    /// Total.
-    pub all: BaselineReport,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lt_core::OpKind;
 
     #[test]
     fn deit_t_4bit_matches_table_v_bands() {
@@ -268,7 +241,7 @@ mod tests {
     fn reconfiguration_dominates_latency() {
         // 2 us MEMS programming x thousands of blocks >> compute time.
         let mzi = MziAccelerator::paper_baseline(4);
-        let op = GemmOp::new(lt_workloads::OpKind::Ffn1, 197, 192, 768, 12);
+        let op = Op::gemm_n(OpKind::Ffn1, 197, 192, 768, 12);
         let r = mzi.run_static_op(&op);
         assert!(
             r.reconfig_latency.value() / r.latency.value() > 0.9,
@@ -281,7 +254,7 @@ mod tests {
     fn laser_dominates_energy() {
         // Fig. 11 right: laser > 75% of the MZI linear-layer energy.
         let mzi = MziAccelerator::paper_baseline(4);
-        let op = GemmOp::new(lt_workloads::OpKind::Ffn1, 197, 192, 768, 1);
+        let op = Op::gemm(OpKind::Ffn1, 197, 192, 768);
         let r = mzi.run_static_op(&op);
         let share = r.laser.value() / r.energy.value();
         assert!(share > 0.6, "laser share {share}");
@@ -318,6 +291,6 @@ mod tests {
     #[should_panic(expected = "cannot execute dynamic")]
     fn dynamic_ops_rejected_on_meshes() {
         let mzi = MziAccelerator::paper_baseline(4);
-        mzi.run_static_op(&GemmOp::new(lt_workloads::OpKind::AttnQk, 8, 8, 8, 1));
+        mzi.run_static_op(&Op::gemm(OpKind::AttnQk, 8, 8, 8));
     }
 }

@@ -14,11 +14,12 @@
 //!    energy, so *dynamic* operands (attention) stall the machine the same
 //!    way the MZI mesh does.
 
-use crate::BaselineReport;
+use crate::{gemm_dims, BaselineModelReport, BaselineReport};
+use lt_core::{Op, OperandDynamics};
 use lt_photonics::constants::PTC_CLOCK_GHZ;
 use lt_photonics::devices::{Adc, Dac, MachZehnderModulator, Photodetector, Tia};
 use lt_photonics::units::{GigaHertz, MilliJoules, Milliseconds};
-use lt_workloads::{GemmOp, Module, OperandDynamics, TransformerConfig};
+use lt_workloads::TransformerConfig;
 
 /// Full-range decomposition passes (both operands positive-only).
 pub const FULL_RANGE_PASSES: u64 = 4;
@@ -115,10 +116,13 @@ impl PcmAccelerator {
     /// Simulates one GEMM. Static weights amortize their (slow, costly)
     /// programming across the whole inference; dynamic operands must be
     /// reprogrammed at runtime and stall the machine.
-    pub fn run_op(&self, op: &GemmOp) -> BaselineReport {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not a GEMM.
+    pub fn simulate_op(&self, op: &Op) -> BaselineReport {
+        let (kind, m, d, n, count) = gemm_dims(op);
         let k = self.k as u64;
-        let (m, d, n) = (op.m as u64, op.k as u64, op.n as u64);
-        let count = op.count as u64;
         let period = self.clock.period();
 
         // One-shot MM: a crossbar multiplies a [k, k] block by a [k, k]
@@ -132,7 +136,7 @@ impl PcmAccelerator {
         // once per inference pass over the blocks; dynamic operands
         // reprogram for every fresh operand value (every execution).
         let writes = blocks * 2 * count;
-        let write_stall_ms = match op.dynamics() {
+        let write_stall_ms = match kind.dynamics() {
             // Writes round-robin across crossbars; each stalls its own
             // array only, but attention cannot hide them behind compute
             // because the operand is needed immediately.
@@ -193,47 +197,15 @@ impl PcmAccelerator {
     }
 
     /// Simulates a model, split by module.
-    pub fn run_model(&self, model: &TransformerConfig) -> PcmModelReport {
-        let mut mha = BaselineReport::default();
-        let mut ffn = BaselineReport::default();
-        let mut other = BaselineReport::default();
-        for op in model.gemm_trace() {
-            let r = self.run_op(&op);
-            match op.module() {
-                Module::Mha => mha.merge(&r),
-                Module::Ffn => ffn.merge(&r),
-                Module::Other => other.merge(&r),
-            }
-        }
-        let mut all = BaselineReport::default();
-        all.merge(&mha);
-        all.merge(&ffn);
-        all.merge(&other);
-        PcmModelReport {
-            mha,
-            ffn,
-            other,
-            all,
-        }
+    pub fn run_model(&self, model: &TransformerConfig) -> BaselineModelReport {
+        BaselineModelReport::of(model, |op| self.simulate_op(op))
     }
-}
-
-/// Per-module results for the PCM baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PcmModelReport {
-    /// Attention products (runtime-reprogrammed — the pain point).
-    pub mha: BaselineReport,
-    /// FFN linears.
-    pub ffn: BaselineReport,
-    /// Other linears.
-    pub other: BaselineReport,
-    /// Total.
-    pub all: BaselineReport,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lt_core::OpKind;
 
     #[test]
     fn attention_is_stall_dominated() {
@@ -251,14 +223,8 @@ mod tests {
         // with compute (latency = max), the dynamic op serializes them
         // (latency = sum), so static must be strictly faster.
         let pcm = PcmAccelerator::paper_matched(4);
-        let stat = pcm.run_op(&GemmOp::new(lt_workloads::OpKind::Ffn1, 197, 192, 768, 12));
-        let dynamic = pcm.run_op(&GemmOp::new(
-            lt_workloads::OpKind::AttnAv,
-            197,
-            192,
-            768,
-            12,
-        ));
+        let stat = pcm.simulate_op(&Op::gemm_n(OpKind::Ffn1, 197, 192, 768, 12));
+        let dynamic = pcm.simulate_op(&Op::gemm_n(OpKind::AttnAv, 197, 192, 768, 12));
         assert!(
             stat.latency.value() < dynamic.latency.value(),
             "static {} ms vs dynamic {} ms",
@@ -274,8 +240,8 @@ mod tests {
         // latency. (CNN kernels with huge reuse would amortize this; the
         // Transformer shapes don't - another reason PCM fits CNNs better.)
         let pcm = PcmAccelerator::paper_matched(4);
-        let op = GemmOp::new(lt_workloads::OpKind::Ffn1, 197, 192, 768, 12);
-        let r = pcm.run_op(&op);
+        let op = Op::gemm_n(OpKind::Ffn1, 197, 192, 768, 12);
+        let r = pcm.simulate_op(&op);
         let share = r.reconfig_latency.value() / r.latency.value();
         assert!(share > 0.5, "FFN write-stall share {share}");
     }
@@ -285,8 +251,8 @@ mod tests {
         // PCM pays per write, not per cycle: op1_mod must scale with the
         // weight volume, not with runtime.
         let pcm = PcmAccelerator::paper_matched(4);
-        let small = pcm.run_op(&GemmOp::new(lt_workloads::OpKind::Ffn1, 10, 48, 48, 1));
-        let big = pcm.run_op(&GemmOp::new(lt_workloads::OpKind::Ffn1, 100_000, 48, 48, 1));
+        let small = pcm.simulate_op(&Op::gemm(OpKind::Ffn1, 10, 48, 48));
+        let big = pcm.simulate_op(&Op::gemm(OpKind::Ffn1, 100_000, 48, 48));
         assert!(
             (small.op1_mod.value() - big.op1_mod.value()).abs() < 1e-12,
             "write energy is independent of the streamed rows"
@@ -300,8 +266,8 @@ mod tests {
         // visible, then check the 4-pass invocation math.
         let pcm = PcmAccelerator::paper_matched(4);
         let m = 48_000u64;
-        let op = GemmOp::new(lt_workloads::OpKind::Ffn1, m as usize, 48, 48, 1);
-        let r = pcm.run_op(&op);
+        let op = Op::gemm(OpKind::Ffn1, m as usize, 48, 48);
+        let r = pcm.simulate_op(&op);
         let invocations = 4u64 * 4 * m.div_ceil(12) * 4; // blocks * m-chunks * passes
         let cycles = invocations.div_ceil(40);
         let expect_ms = cycles as f64 * 200e-12 * 1e3;

@@ -3,8 +3,9 @@
 
 use lt_bench::timing::bench;
 use lt_core::GaussianSampler;
+use lt_dptc::DptcBackend;
 use lt_nn::data;
-use lt_nn::engine::{ExactEngine, PhotonicEngine};
+use lt_nn::engine::{BackendEngine, ExactEngine};
 use lt_nn::layers::ForwardCtx;
 use lt_nn::model::{Classifier, ModelConfig, VisionTransformer};
 use lt_nn::quant::QuantConfig;
@@ -33,7 +34,7 @@ fn main() {
     println!("{}", r.row());
 
     let mut vit = make_vit();
-    let mut eng = PhotonicEngine::paper(4, 12, 9);
+    let mut eng = BackendEngine::new(DptcBackend::paper(4, 9), 9);
     let r = bench("vit_forward/photonic_4bit_12lambda", || {
         let mut rng = GaussianSampler::new(0);
         let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::low_bit(4), &mut rng);

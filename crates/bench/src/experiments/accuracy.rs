@@ -6,16 +6,27 @@
 //! the wavelength count (Fig. 14) and the encoding noise intensity
 //! (Fig. 15). See DESIGN.md, Substitution 2.
 
-use lt_dptc::NoiseModel;
+use lt_core::GaussianSampler;
+use lt_dptc::{DptcBackend, DptcConfig, Fidelity, NoiseModel};
 use lt_nn::data;
-use lt_nn::engine::{ExactEngine, PhotonicEngine};
+use lt_nn::engine::{BackendEngine, ExactEngine};
 use lt_nn::model::{ModelConfig, TextClassifier, VisionTransformer};
 use lt_nn::quant::QuantConfig;
 use lt_nn::train::{evaluate, train, TrainConfig};
-use lt_photonics::noise::GaussianSampler;
 use std::fmt::Write;
 
 const EVAL_SAMPLES: usize = 200;
+
+/// The photonic engine of one wavelength sweep point: a 12x12 DPTC with
+/// `n_lambda` wavelengths, the paper's noise seeded with `seed`, and
+/// `bits`-bit DACs.
+fn photonic(bits: u32, n_lambda: usize, seed: u64) -> BackendEngine<DptcBackend> {
+    let config = DptcConfig::new(12, 12, n_lambda);
+    BackendEngine::new(
+        DptcBackend::new(config, Fidelity::paper_noisy(seed), bits),
+        seed,
+    )
+}
 
 fn trained_vision(bits: u32) -> VisionTransformer {
     let mut rng = GaussianSampler::new(100);
@@ -81,7 +92,7 @@ pub fn fig14() -> String {
     writeln!(out, "{:>12} {:>12}", "#wavelengths", "accuracy (%)").unwrap();
     let mut worst_drop: f64 = 0.0;
     for n_lambda in [6usize, 10, 14, 18, 22, 26] {
-        let mut engine = PhotonicEngine::paper(4, n_lambda, 42);
+        let mut engine = photonic(4, n_lambda, 42);
         let acc = evaluate(&mut vit, &vision_test, &mut engine, quant);
         worst_drop = worst_drop.max(digital - acc);
         writeln!(out, "{n_lambda:>12} {:>12.1}", acc * 100.0).unwrap();
@@ -107,7 +118,7 @@ pub fn fig14() -> String {
     writeln!(out, "{:>12} {:>12}", "#wavelengths", "accuracy (%)").unwrap();
     let mut worst_drop: f64 = 0.0;
     for n_lambda in [6usize, 10, 14, 18, 22, 26] {
-        let mut engine = PhotonicEngine::paper(8, n_lambda, 43);
+        let mut engine = photonic(8, n_lambda, 43);
         let acc = evaluate(&mut text, &text_test, &mut engine, quant);
         worst_drop = worst_drop.max(digital - acc);
         writeln!(out, "{n_lambda:>12} {:>12.1}", acc * 100.0).unwrap();
@@ -140,7 +151,7 @@ pub fn fig15() -> String {
     writeln!(out, "{:>12} {:>12}", "sigma_mag", "accuracy (%)").unwrap();
     for sigma in [0.02, 0.04, 0.06, 0.08] {
         let noise = NoiseModel::paper_default().with_magnitude(sigma);
-        let mut engine = PhotonicEngine::paper(4, 12, 44).with_noise(noise);
+        let mut engine = BackendEngine::new(DptcBackend::paper(4, 44).with_noise(noise), 44);
         let acc = evaluate(&mut vit, &test, &mut engine, quant);
         writeln!(out, "{sigma:>12.2} {:>12.1}", acc * 100.0).unwrap();
     }
@@ -149,7 +160,7 @@ pub fn fig15() -> String {
     writeln!(out, "{:>12} {:>12}", "sigma_phase", "accuracy (%)").unwrap();
     for deg in [1.0, 3.0, 5.0, 7.0] {
         let noise = NoiseModel::paper_default().with_phase_degrees(deg);
-        let mut engine = PhotonicEngine::paper(4, 12, 45).with_noise(noise);
+        let mut engine = BackendEngine::new(DptcBackend::paper(4, 45).with_noise(noise), 45);
         let acc = evaluate(&mut vit, &test, &mut engine, quant);
         writeln!(out, "{deg:>11.0}d {:>12.1}", acc * 100.0).unwrap();
     }
@@ -180,7 +191,7 @@ mod tests {
         let test = data::vision_dataset(96, 3);
         let quant = QuantConfig::low_bit(4);
         let digital = evaluate(&mut vit, &test, &mut ExactEngine, quant);
-        let mut engine = PhotonicEngine::paper(4, 12, 7);
+        let mut engine = photonic(4, 12, 7);
         let optical = evaluate(&mut vit, &test, &mut engine, quant);
         assert!(
             optical >= digital - 0.12,

@@ -2,18 +2,19 @@
 
 use lt_arch::{ArchConfig, Simulator};
 use lt_baselines::{ElectronicPlatform, MrrAccelerator, MziAccelerator};
-use lt_workloads::{GemmOp, OpKind, TransformerConfig};
+use lt_core::{Op, OpKind};
+use lt_workloads::TransformerConfig;
 use std::fmt::Write;
 
 /// DeiT-T's attention score product (one layer, all heads) — the paper's
 /// Fig. 11/12 attention workload.
-fn deit_t_qk() -> GemmOp {
-    GemmOp::new(OpKind::AttnQk, 197, 64, 197, 3)
+fn deit_t_qk() -> Op {
+    Op::gemm_n(OpKind::AttnQk, 197, 64, 197, 3)
 }
 
 /// DeiT-T's first FFN linear (one layer) — the Fig. 11/12 linear workload.
-fn deit_t_ffn1() -> GemmOp {
-    GemmOp::new(OpKind::Ffn1, 197, 192, 768, 1)
+fn deit_t_ffn1() -> Op {
+    Op::gemm(OpKind::Ffn1, 197, 192, 768)
 }
 
 /// Fig. 11: energy comparison and breakdown vs MRR (attention) and
@@ -25,8 +26,8 @@ pub fn fig11() -> String {
     let mzi = MziAccelerator::paper_baseline(4);
 
     writeln!(out, "Fig. 11 (left): attention Q K^T of DeiT-T (4-bit)").unwrap();
-    let lt_qk = lt.run_op(&deit_t_qk());
-    let mrr_qk = mrr.run_op(&deit_t_qk());
+    let lt_qk = lt.simulate_op(&deit_t_qk());
+    let mrr_qk = mrr.simulate_op(&deit_t_qk());
     let base = lt_qk.energy.total().value();
     writeln!(out, "  LT-crossbar-B : 1.00 (= {base:.4} mJ)").unwrap();
     writeln!(
@@ -40,8 +41,8 @@ pub fn fig11() -> String {
 
     writeln!(out).unwrap();
     writeln!(out, "Fig. 11 (right): first FFN linear of DeiT-T (4-bit)").unwrap();
-    let lt_ffn = lt.run_op(&deit_t_ffn1());
-    let mrr_ffn = mrr.run_op(&deit_t_ffn1());
+    let lt_ffn = lt.simulate_op(&deit_t_ffn1());
+    let mrr_ffn = mrr.simulate_op(&deit_t_ffn1());
     let mzi_ffn = mzi.run_static_op(&deit_t_ffn1());
     let base = lt_ffn.energy.total().value();
     writeln!(out, "  LT-crossbar-B : 1.00 (= {base:.4} mJ)").unwrap();
@@ -86,19 +87,19 @@ pub fn fig12() -> String {
         )
         .unwrap();
         let base = Simulator::new(ArchConfig::lt_base(4))
-            .run_op(&op)
+            .simulate_op(&op)
             .energy
             .total()
             .value();
         for (name, cfg) in variants.iter() {
             let e = Simulator::new(cfg.clone())
-                .run_op(&op)
+                .simulate_op(&op)
                 .energy
                 .total()
                 .value();
             writeln!(out, "  {name:<15}: {:.2}x", e / base).unwrap();
         }
-        let e = mrr.run_op(&op).energy.value();
+        let e = mrr.simulate_op(&op).energy.value();
         writeln!(out, "  {:<15}: {:.2}x", "MRR bank", e / base).unwrap();
         writeln!(out).unwrap();
     }

@@ -14,7 +14,7 @@ fn row(name: &str, sched: &TraceSchedule) -> String {
          compute {:>5.1}%  bw-stall {:>5.1}%  fill {:>5.2}%  {:>10.3} us",
         t.cycles,
         t.utilization * 100.0,
-        sched.hbm_bytes / 1e6,
+        sched.hbm_traffic / 1e6,
         t.stalls.compute.value() / t.latency.value().max(1e-30) * 100.0,
         t.stalls.bandwidth.value() / t.latency.value().max(1e-30) * 100.0,
         t.stalls.fill.value() / t.latency.value().max(1e-30) * 100.0,

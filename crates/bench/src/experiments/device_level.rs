@@ -3,8 +3,8 @@
 
 use lt_baselines::comparison::{ptc_design_table, MappingCost, OperationType};
 use lt_baselines::svd::{jacobi_svd, measure_mapping_seconds, reconstruct};
-use lt_dptc::{DdotCircuit, Dptc, DptcConfig, NoiseModel, Quantizer};
-use lt_photonics::noise::GaussianSampler;
+use lt_core::{GaussianSampler, Quantizer};
+use lt_dptc::{DdotCircuit, Dptc, DptcConfig, NoiseModel};
 use lt_photonics::units::{Nanometers, TeraHertz};
 use lt_photonics::wdm::{max_channels_in_fsr, DispersionModel, WavelengthGrid};
 use std::fmt::Write;

@@ -7,6 +7,7 @@
 use lt_arch::search::search_core_geometry;
 use lt_arch::{ArchConfig, PowerBreakdown, Simulator};
 use lt_baselines::PcmAccelerator;
+use lt_core::{OperandDynamics, Trace};
 use lt_dptc::DptcConfig;
 use lt_workloads::{DecodeTrace, TransformerConfig};
 use std::fmt::Write;
@@ -109,7 +110,7 @@ pub fn ext_search() -> String {
     )
     .unwrap();
     writeln!(out, "\ndense DeiT-T trace:").unwrap();
-    let dense = TransformerConfig::deit_tiny().gemm_trace();
+    let dense = TransformerConfig::deit_tiny().trace().gemm_only();
     writeln!(
         out,
         "{:<16} {:>10} {:>12} {:>12} {:>8}",
@@ -134,11 +135,14 @@ pub fn ext_search() -> String {
         "\ndecode attention trace (GPT-like q.K^T / a.V against a 512-token KV, m = 1):"
     )
     .unwrap();
-    let decode: Vec<_> = DecodeTrace::new(TransformerConfig::gpt2_small(1), 512, 1)
-        .gemm_trace()
-        .into_iter()
-        .filter(|op| op.dynamics() == lt_workloads::OperandDynamics::BothDynamic)
-        .collect();
+    let step = DecodeTrace::new(TransformerConfig::gpt2_small(1), 512, 1).op_trace();
+    let decode = Trace::from_ops(
+        step.ops()
+            .iter()
+            .filter(|op| op.dynamics() == Some(OperandDynamics::BothDynamic))
+            .copied()
+            .collect(),
+    );
     writeln!(
         out,
         "{:<16} {:>10} {:>12} {:>12} {:>8}",

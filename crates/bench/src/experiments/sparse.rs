@@ -1,7 +1,8 @@
 //! Sparse attention support (Fig. 16, paper Section VI-A).
 
 use lt_arch::{ArchConfig, Simulator};
-use lt_workloads::{GemmOp, OpKind, WindowAttention};
+use lt_core::{Op, OpKind};
+use lt_workloads::WindowAttention;
 use std::fmt::Write;
 
 /// Fig. 16: blockified window attention mapped onto DPTC, with density
@@ -32,13 +33,11 @@ pub fn fig16() -> String {
     for (tokens, window, block, aligned) in configs {
         let w = WindowAttention::new(tokens, window, block, head_dim);
         // Dense reference: full QK^T + AV for one head.
-        let dense_qk = GemmOp::new(OpKind::AttnQk, tokens, head_dim, tokens, 1);
-        let dense_av = GemmOp::new(OpKind::AttnAv, tokens, tokens, head_dim, 1);
-        let mut dense = sim.run_op(&dense_qk);
-        dense.merge(&sim.run_op(&dense_av));
+        let mut dense = sim.simulate_op(&Op::gemm(OpKind::AttnQk, tokens, head_dim, tokens));
+        dense.merge(&sim.simulate_op(&Op::gemm(OpKind::AttnAv, tokens, tokens, head_dim)));
         // Sparse: the blockified dense chunks.
-        let mut sparse = sim.run_op(&w.blockified_qk());
-        sparse.merge(&sim.run_op(&w.blockified_av()));
+        let mut sparse = sim.simulate_op(&w.blockified_qk());
+        sparse.merge(&sim.simulate_op(&w.blockified_av()));
         writeln!(
             out,
             "{:>7} {:>7} {:>6} {:>8.1}% {:>9.2}x {:>11.2}x {:>11.2}x{}",

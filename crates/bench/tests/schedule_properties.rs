@@ -191,7 +191,7 @@ fn scheduled_multi_op_traces_never_lose_to_the_closed_form() {
                 ws.total.latency.value()
             );
             assert!(
-                s.hbm_bytes >= ws.hbm_bytes * (1.0 - 1e-9),
+                s.hbm_traffic >= ws.hbm_traffic * (1.0 - 1e-9),
                 "{} {policy}",
                 cfg.name
             );

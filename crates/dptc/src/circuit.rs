@@ -9,10 +9,10 @@
 
 use crate::ddot::perturb_magnitude;
 use crate::noise_model::NoiseModel;
+use lt_core::GaussianSampler;
 use lt_photonics::devices::{
     BalancedPhotodetector, DirectionalCoupler, MachZehnderModulator, PhaseShifter,
 };
-use lt_photonics::noise::GaussianSampler;
 use lt_photonics::wdm::WavelengthGrid;
 use lt_photonics::Complex;
 
@@ -254,7 +254,7 @@ mod tests {
     fn fig6_error_band_4bit_and_8bit() {
         // Reproduce the Fig. 6 experiment shape: random length-12 dot
         // products with the paper's noise at 4-bit/8-bit quantization.
-        use crate::quant::Quantizer;
+        use lt_core::Quantizer;
         let c = DdotCircuit::paper(12);
         let nm = NoiseModel::paper_default();
         let mut rng = GaussianSampler::new(4);

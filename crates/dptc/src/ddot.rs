@@ -2,7 +2,7 @@
 //! (paper Section III-A).
 
 use crate::noise_model::NoiseModel;
-use lt_photonics::noise::GaussianSampler;
+use lt_core::GaussianSampler;
 use lt_photonics::wdm::{DispersionModel, WavelengthGrid};
 
 use std::f64::consts::FRAC_PI_2;

@@ -21,8 +21,7 @@ use crate::ddot::{
     WavelengthCoefficients,
 };
 use crate::noise_model::NoiseModel;
-use crate::quant::Quantizer;
-use lt_core::{GaussianSampler, Matrix64, MatrixView};
+use lt_core::{GaussianSampler, Matrix64, MatrixView, Quantizer};
 
 /// Geometry of a DPTC crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

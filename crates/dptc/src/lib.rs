@@ -47,7 +47,6 @@ pub mod ddot;
 pub mod dptc;
 pub mod faults;
 pub mod noise_model;
-pub mod quant;
 
 pub use backend::{DptcBackend, Fidelity};
 pub use circuit::DdotCircuit;
@@ -55,4 +54,3 @@ pub use ddot::DDot;
 pub use dptc::{Dptc, DptcConfig, EncodingCost};
 pub use faults::{ChannelFault, FaultSet};
 pub use noise_model::NoiseModel;
-pub use quant::Quantizer;

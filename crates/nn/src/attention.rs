@@ -12,8 +12,8 @@ use crate::layers::{
 };
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, OpKind};
+use lt_core::GaussianSampler;
 use lt_core::MatrixView;
-use lt_photonics::noise::GaussianSampler;
 
 /// Multi-head self-attention over a `[tokens, dim]` sequence.
 #[derive(Debug, Clone)]

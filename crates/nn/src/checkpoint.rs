@@ -163,7 +163,7 @@ mod tests {
     use crate::layers::ForwardCtx;
     use crate::model::{ModelConfig, TextClassifier, VisionTransformer};
     use crate::quant::QuantConfig;
-    use lt_photonics::noise::GaussianSampler;
+    use lt_core::GaussianSampler;
 
     fn logits_of(vit: &mut VisionTransformer, sample: &Tensor) -> Tensor {
         let mut eng = ExactEngine;

@@ -6,7 +6,7 @@
 //! token-to-token matching across positions.
 
 use crate::tensor::Tensor;
-use lt_photonics::noise::GaussianSampler;
+use lt_core::GaussianSampler;
 
 /// Image side length of the synthetic vision task.
 pub const IMAGE_SIZE: usize = 16;

@@ -12,7 +12,7 @@
 //! shapes, the `[1, d] x [d, d]` projections, the KV-append traffic) so
 //! [`lt_arch::Simulator::run_trace`] can cost each generated token.
 //! `tests/trace_crossval.rs` pins the recorded decode-step trace against
-//! the analytical `DecodeTrace::gemm_trace()` dims and MACs.
+//! the analytical `DecodeTrace::op_trace()` dims and MACs.
 //!
 //! [`DecodeSession`] wraps one request's full lifecycle (prefill, then
 //! token-by-token steps with greedy sampling) with the same per-ticket

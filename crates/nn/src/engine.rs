@@ -2,17 +2,16 @@
 //! pluggable [`ComputeBackend`]s.
 //!
 //! Inference can execute every matrix product on any backend: the exact
-//! shared kernel ([`ExactEngine`]), the noisy photonic DPTC
-//! ([`PhotonicEngine`]), or *any* other [`ComputeBackend`] — including
-//! the quantized-but-noiseless digital reference of Fig. 14
-//! (`DptcBackend::quantized`) and the MZI/MRR/PCM baselines — via the
-//! generic [`BackendEngine`]. The engines only widen `f32 -> f64`,
-//! delegate, and narrow back; all compute semantics live in the
+//! shared kernel at fp32 ([`ExactEngine`]), or *any* [`ComputeBackend`]
+//! via the generic [`BackendEngine`] — the noisy photonic DPTC of
+//! Figs. 14-15 (`lt_dptc::DptcBackend`), the quantized-but-noiseless
+//! digital reference (`DptcBackend::quantized`) and the MZI/MRR/PCM
+//! baselines alike. [`BackendEngine`] only widens `f32 -> f64`,
+//! delegates, and narrows back; all compute semantics live in the
 //! backends.
 
 use crate::tensor::Tensor;
 use lt_core::{ComputeBackend, Matrix64, MatrixView, RunCtx};
-use lt_dptc::{DptcBackend, NoiseModel};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -73,15 +72,10 @@ pub(crate) fn block_copies(
     (a.to_matrix(), b)
 }
 
-/// Widens, delegates to a [`ComputeBackend`], and narrows back.
-fn run_backend(backend: &dyn ComputeBackend, ctx: &mut RunCtx, a: &Tensor, b: &Tensor) -> Tensor {
-    let a64 = a.to_f64();
-    let b64 = b.to_f64();
-    backend.gemm(a64.view(), b64.view(), ctx).to_f32()
-}
-
 /// Adapts any [`ComputeBackend`] into a [`MatmulEngine`], carrying the
-/// [`RunCtx`] that keeps stochastic backends reproducible per-run.
+/// [`RunCtx`] that keeps stochastic backends reproducible per-run: every
+/// call advances its seed stream, so noise realizations are fresh but
+/// the whole run replays bit for bit.
 ///
 /// ```
 /// use lt_core::NativeBackend;
@@ -147,9 +141,9 @@ impl<B: ComputeBackend> MatmulEngine for BackendEngine<B> {
         // block straight out of its wider tensor, transposing `b` on the
         // way when asked), run the backend's `gemm_into`, narrow into
         // the returned tensor. The staged operands are exactly the
-        // widened block copies, so the result is bit-identical to
-        // `run_backend` on them (gemm_into's contract); the only
-        // allocation left in steady state is the f32 result.
+        // widened block copies, so the result is bit-identical to `gemm`
+        // on them (gemm_into's contract); the only allocation left in
+        // steady state is the f32 result.
         a.to_f64_into(&mut self.a64);
         if transpose_b {
             b.to_f64_transposed_into(&mut self.b64);
@@ -199,67 +193,19 @@ impl MatmulEngine for ExactEngine {
     }
 }
 
-/// Photonic execution: tiled through a DPTC core with the paper's noise
-/// model, via [`DptcBackend`]. Every call advances the seed stream so
-/// noise realizations are fresh but the whole run stays reproducible.
-#[derive(Debug, Clone)]
-pub struct PhotonicEngine {
-    backend: DptcBackend,
-    ctx: RunCtx,
-}
-
-impl PhotonicEngine {
-    /// A paper-default engine: `n_lambda`-wavelength core, paper noise.
-    pub fn paper(bits: u32, n_lambda: usize, seed: u64) -> Self {
-        let config = lt_dptc::DptcConfig::new(12, 12, n_lambda.max(1));
-        let backend = DptcBackend::new(config, lt_dptc::Fidelity::paper_noisy(seed), bits);
-        PhotonicEngine {
-            backend,
-            ctx: RunCtx::new(seed),
-        }
-    }
-
-    /// Overrides the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.backend = self.backend.with_noise(noise);
-        self
-    }
-
-    /// The wrapped photonic backend.
-    pub fn backend(&self) -> &DptcBackend {
-        &self.backend
-    }
-
-    /// The number of WDM channels in use.
-    pub fn wavelengths(&self) -> usize {
-        self.backend.core().config().nlambda
-    }
-
-    /// The DAC bit-width driven onto the modulators.
-    pub fn bits(&self) -> u32 {
-        self.backend.bits()
-    }
-
-    /// Number of matmuls executed so far.
-    pub fn calls(&self) -> u64 {
-        self.ctx.calls()
-    }
-}
-
-impl MatmulEngine for PhotonicEngine {
-    fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        run_backend(&self.backend, &mut self.ctx, a, b)
-    }
-
-    fn name(&self) -> &str {
-        "photonic"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lt_core::{GaussianSampler, NativeBackend};
+    use lt_dptc::{DptcBackend, DptcConfig, Fidelity};
+
+    /// The photonic accuracy engine of Figs. 14-15: a 12x12 DPTC with
+    /// `n_lambda` wavelengths, the paper's noise and `bits`-bit DACs.
+    fn photonic(bits: u32, n_lambda: usize, seed: u64) -> BackendEngine<DptcBackend> {
+        let config = DptcConfig::new(12, 12, n_lambda);
+        let backend = DptcBackend::new(config, Fidelity::paper_noisy(seed), bits);
+        BackendEngine::new(backend, seed)
+    }
 
     fn rand_pair(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
         let mut rng = GaussianSampler::new(seed);
@@ -288,7 +234,7 @@ mod tests {
     fn photonic_engine_tracks_exact_with_bounded_error() {
         let (a, b) = rand_pair(12, 24, 12, 3);
         let exact = a.matmul(&b);
-        let got = PhotonicEngine::paper(8, 12, 11).matmul(&a, &b);
+        let got = photonic(8, 12, 11).matmul(&a, &b);
         // Relative to the output scale, analog error is a few percent.
         let rel = got.max_abs_diff(&exact) / exact.max_abs().max(1e-3);
         assert!(rel < 0.35, "relative photonic error {rel}");
@@ -297,7 +243,7 @@ mod tests {
     #[test]
     fn photonic_noise_advances_between_calls() {
         let (a, b) = rand_pair(4, 12, 4, 4);
-        let mut eng = PhotonicEngine::paper(8, 12, 5);
+        let mut eng = photonic(8, 12, 5);
         let first = eng.matmul(&a, &b);
         let second = eng.matmul(&a, &b);
         assert!(first.max_abs_diff(&second) > 0.0, "fresh noise per call");
@@ -307,8 +253,8 @@ mod tests {
     #[test]
     fn photonic_runs_are_reproducible() {
         let (a, b) = rand_pair(4, 12, 4, 6);
-        let r1 = PhotonicEngine::paper(8, 12, 7).matmul(&a, &b);
-        let r2 = PhotonicEngine::paper(8, 12, 7).matmul(&a, &b);
+        let r1 = photonic(8, 12, 7).matmul(&a, &b);
+        let r2 = photonic(8, 12, 7).matmul(&a, &b);
         assert_eq!(r1, r2);
     }
 
@@ -316,7 +262,7 @@ mod tests {
     fn fewer_wavelengths_still_work() {
         let (a, b) = rand_pair(6, 20, 6, 8);
         let exact = a.matmul(&b);
-        let got = PhotonicEngine::paper(8, 6, 9).matmul(&a, &b);
+        let got = photonic(8, 6, 9).matmul(&a, &b);
         let rel = got.max_abs_diff(&exact) / exact.max_abs().max(1e-3);
         assert!(rel < 0.4, "6-wavelength relative error {rel}");
     }

@@ -4,8 +4,8 @@ use crate::engine::{block_copies, MatmulEngine};
 use crate::quant::{IntegerQuant, QuantConfig};
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, Op, OpKind, Trace};
+use lt_core::GaussianSampler;
 use lt_core::{quantized_gemm, Matrix64, MatrixView, QuantizedMatrix};
-use lt_photonics::noise::GaussianSampler;
 use std::sync::OnceLock;
 
 /// A trainable parameter with its gradient and Adam state.

@@ -17,9 +17,10 @@
 //!   estimators (QAT)
 //! * [`train`] — Adam, seeded mini-batch training, noise-aware training
 //! * [`engine`] — thin `f32` adapters over the workspace's pluggable
-//!   [`lt_core::ComputeBackend`]s: exact, quantized-exact, photonic
-//!   (tiled through [`lt_dptc::DptcBackend`] with Eq. 9 noise), and the
-//!   generic [`engine::BackendEngine`] for any other backend
+//!   [`lt_core::ComputeBackend`]s: the exact fp32 [`engine::ExactEngine`]
+//!   and the generic [`engine::BackendEngine`], which runs any backend —
+//!   photonic (tiled through [`lt_dptc::DptcBackend`] with Eq. 9 noise),
+//!   quantized-exact, or a baseline
 //! * [`data`] — deterministic synthetic vision / text datasets
 //! * [`serve`] — a batching, multi-threaded inference server: mixed
 //!   DeiT/BERT-style requests coalesced through
@@ -37,13 +38,17 @@
 //! # Example
 //!
 //! ```
+//! use lt_dptc::{DptcBackend, DptcConfig, Fidelity};
+//! use lt_nn::engine::{BackendEngine, ExactEngine, MatmulEngine};
 //! use lt_nn::tensor::Tensor;
-//! use lt_nn::engine::{ExactEngine, MatmulEngine, PhotonicEngine};
 //!
 //! let a = Tensor::from_fn(4, 8, |i, j| ((i + j) as f32 * 0.1).sin());
 //! let b = Tensor::from_fn(8, 3, |i, j| ((i * j) as f32 * 0.1).cos());
 //! let exact = ExactEngine.matmul(&a, &b);
-//! let mut photonic = PhotonicEngine::paper(4, 12, 7);
+//! // A 12x12 core on 12 wavelengths, paper noise, 4-bit DACs.
+//! let core = DptcConfig::new(12, 12, 12);
+//! let backend = DptcBackend::new(core, Fidelity::paper_noisy(7), 4);
+//! let mut photonic = BackendEngine::new(backend, 7);
 //! let noisy = photonic.matmul(&a, &b);
 //! // The photonic result tracks the exact one to within analog error.
 //! let err = exact.max_abs_diff(&noisy);
@@ -72,7 +77,7 @@ pub use decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, KvCache, SessionConfig,
     SpecOutcome, SpecSessionStats, SpecStepReport,
 };
-pub use engine::{BackendEngine, ExactEngine, MatmulEngine, PhotonicEngine};
+pub use engine::{BackendEngine, ExactEngine, MatmulEngine};
 pub use kv::{BlockPool, KvLayer, ModelKv, PagedKvCache, PreemptPolicy, PrefixIndex};
 pub use model::{TextClassifier, VisionTransformer};
 pub use quant::{IntegerQuant, QuantConfig};

@@ -9,7 +9,7 @@ use crate::layers::ForwardCtx;
 use crate::model::Classifier;
 use crate::quant::QuantConfig;
 use crate::train::argmax;
-use lt_photonics::noise::GaussianSampler;
+use lt_core::GaussianSampler;
 use std::fmt;
 
 /// A confusion matrix over `n` classes (`rows = true`, `cols = predicted`).

@@ -6,7 +6,7 @@ use crate::kv::KvLayer;
 use crate::layers::{ForwardCtx, Gelu, LayerNorm, Linear, Param};
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, OpKind};
-use lt_photonics::noise::GaussianSampler;
+use lt_core::GaussianSampler;
 
 /// A pre-LN Transformer encoder block (paper Eq. 1):
 /// `x' = x + MHA(LN(x)); y = x' + FFN(LN(x'))`.

@@ -14,7 +14,7 @@
 //! modes rather than a float emulation of them.
 
 use crate::tensor::Tensor;
-use lt_dptc::Quantizer;
+use lt_core::Quantizer;
 use std::borrow::Cow;
 
 /// True integer execution settings for weight-bearing layers.

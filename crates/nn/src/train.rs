@@ -10,7 +10,7 @@ use crate::layers::{cross_entropy, ForwardCtx};
 use crate::model::Classifier;
 use crate::quant::QuantConfig;
 use crate::tensor::Tensor;
-use lt_photonics::noise::GaussianSampler;
+use lt_core::GaussianSampler;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,8 +169,9 @@ pub fn argmax(logits: &Tensor) -> usize {
 mod tests {
     use super::*;
     use crate::data;
-    use crate::engine::PhotonicEngine;
+    use crate::engine::BackendEngine;
     use crate::model::{ModelConfig, TextClassifier, VisionTransformer};
+    use lt_dptc::{DptcBackend, DptcConfig, Fidelity};
 
     #[test]
     fn vit_learns_the_vision_task() {
@@ -243,7 +244,8 @@ mod tests {
         let _ = train(&mut vit, &train_set, &cfg);
         let quant = QuantConfig::low_bit(8);
         let digital = evaluate(&mut vit, &test_set, &mut ExactEngine, quant);
-        let mut photonic = PhotonicEngine::paper(8, 12, 99);
+        let backend = DptcBackend::new(DptcConfig::new(12, 12, 12), Fidelity::paper_noisy(99), 8);
+        let mut photonic = BackendEngine::new(backend, 99);
         let optical = evaluate(&mut vit, &test_set, &mut photonic, quant);
         assert!(digital > 0.6, "digital accuracy {digital}");
         assert!(

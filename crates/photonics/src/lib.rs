@@ -14,8 +14,9 @@
 //!    the paper, consumed by the architecture models in `lt-arch`.
 //!
 //! The crate also provides the WDM machinery (DWDM grid, coupling-length
-//! dispersion, FSR-limited channel counts — Eq. 10 of the paper), a
-//! deterministic Gaussian noise source, and optical link-budget accounting.
+//! dispersion, FSR-limited channel counts — Eq. 10 of the paper) and
+//! optical link-budget accounting. The deterministic Gaussian noise
+//! source lives in `lt-core` (`lt_core::GaussianSampler`).
 //!
 //! # Example
 //!
@@ -38,12 +39,10 @@ pub mod complex;
 pub mod constants;
 pub mod devices;
 pub mod link_budget;
-pub mod noise;
 pub mod units;
 pub mod wdm;
 
 pub use complex::Complex;
 pub use link_budget::LinkBudget;
-pub use noise::GaussianSampler;
 pub use units::{Decibels, MilliWatts, Nanometers, SquareMicrometers};
 pub use wdm::WavelengthGrid;

@@ -7,8 +7,8 @@
 //! per-token decode traces and quantifies intensity, KV-cache footprint,
 //! and the batching remedy.
 
-use crate::gemm::{GemmOp, OpKind};
 use crate::model::TransformerConfig;
+use lt_core::{Op, OpKind, Trace};
 
 /// A single-token decode step against a KV cache of `context_len` tokens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,50 +44,30 @@ impl DecodeTrace {
         self.context_len
     }
 
-    /// GEMM trace of generating one token for the whole batch.
-    pub fn gemm_trace(&self) -> Vec<GemmOp> {
-        let d = self.model.dim;
-        let h = self.model.heads;
-        let dh = self.model.head_dim();
-        let f = self.model.ffn_dim;
-        let layers = self.model.layers;
-        let ctx = self.context_len;
-        let b = self.batch;
-        vec![
-            // Q/K/V projections for the single new token (batched rows).
-            GemmOp::new(OpKind::QkvProj, b, d, d, 3 * layers),
-            // q . K^T against the cache, per head: [b, dh] x [dh, ctx].
-            GemmOp::new(OpKind::AttnQk, b, dh, ctx, h * layers),
-            // a . V: [b, ctx] x [ctx, dh].
-            GemmOp::new(OpKind::AttnAv, b, ctx, dh, h * layers),
-            GemmOp::new(OpKind::OutProj, b, d, d, layers),
-            GemmOp::new(OpKind::Ffn1, b, d, f, layers),
-            GemmOp::new(OpKind::Ffn2, b, f, d, layers),
-        ]
+    /// The GEMMs of generating one token for the whole batch, in the
+    /// shared trace IR, so the same `lt_arch::Simulator::run_trace`
+    /// entry point that replays recorded execution can replay the
+    /// analytical decode step. The executable decode path
+    /// (`lt_nn::decode`) records exactly these shapes at batch 1 —
+    /// pinned by `tests/trace_crossval.rs`. It is
+    /// [`DecodeTrace::spec_trace`] with no draft tokens.
+    pub fn op_trace(&self) -> Trace {
+        self.spec_trace(0)
     }
 
-    /// The decode-step GEMMs in the shared trace IR, so the same
-    /// `lt_arch::Simulator::run_trace` entry point that replays recorded
-    /// execution can replay the analytical decode step. The executable
-    /// decode path (`lt_nn::decode`) records exactly these shapes at
-    /// batch 1 — pinned by `tests/trace_crossval.rs`.
-    pub fn op_trace(&self) -> lt_core::Trace {
-        lt_core::Trace::from_ops(self.gemm_trace().iter().map(GemmOp::op).collect())
-    }
-
-    /// GEMM trace of one batched speculative *verify* pass: the last
+    /// The GEMMs of one batched speculative *verify* pass: the last
     /// committed token plus `k` draft proposals run through the target
     /// in a single chunked pass, every GEMM row-stacked `k + 1` high
     /// and the attention context grown by the `k` extra speculated
     /// positions. With `context_len` counting the attended tokens at
-    /// the first verified position (as in [`DecodeTrace::gemm_trace`]),
-    /// `spec_gemm_trace(0)` *is* the plain decode step.
+    /// the first verified position (as in [`DecodeTrace::op_trace`]),
+    /// `spec_trace(0)` *is* the plain decode step.
     ///
     /// This is the analytic twin of `lt_nn::DecoderLm::verify_step`
     /// (pinned by `tests/trace_crossval.rs`) and the whole bandwidth
     /// argument for speculation: the weights stream over HBM once per
     /// `k + 1` candidate positions instead of once per token.
-    pub fn spec_gemm_trace(&self, k: usize) -> Vec<GemmOp> {
+    pub fn spec_trace(&self, k: usize) -> Trace {
         let d = self.model.dim;
         let h = self.model.heads;
         let dh = self.model.head_dim();
@@ -95,25 +75,22 @@ impl DecodeTrace {
         let layers = self.model.layers;
         let rows = self.batch * (k + 1);
         let ctx = self.context_len + k;
-        vec![
-            GemmOp::new(OpKind::QkvProj, rows, d, d, 3 * layers),
-            GemmOp::new(OpKind::AttnQk, rows, dh, ctx, h * layers),
-            GemmOp::new(OpKind::AttnAv, rows, ctx, dh, h * layers),
-            GemmOp::new(OpKind::OutProj, rows, d, d, layers),
-            GemmOp::new(OpKind::Ffn1, rows, d, f, layers),
-            GemmOp::new(OpKind::Ffn2, rows, f, d, layers),
-        ]
-    }
-
-    /// [`DecodeTrace::spec_gemm_trace`] in the shared trace IR, for
-    /// `lt_arch::Simulator::run_trace` replay.
-    pub fn spec_trace(&self, k: usize) -> lt_core::Trace {
-        lt_core::Trace::from_ops(self.spec_gemm_trace(k).iter().map(GemmOp::op).collect())
+        Trace::from_ops(vec![
+            // Q/K/V projections for the new tokens (batched rows).
+            Op::gemm_n(OpKind::QkvProj, rows, d, d, 3 * layers),
+            // q . K^T against the cache, per head: [rows, dh] x [dh, ctx].
+            Op::gemm_n(OpKind::AttnQk, rows, dh, ctx, h * layers),
+            // a . V: [rows, ctx] x [ctx, dh].
+            Op::gemm_n(OpKind::AttnAv, rows, ctx, dh, h * layers),
+            Op::gemm_n(OpKind::OutProj, rows, d, d, layers),
+            Op::gemm_n(OpKind::Ffn1, rows, d, f, layers),
+            Op::gemm_n(OpKind::Ffn2, rows, f, d, layers),
+        ])
     }
 
     /// MACs for one generated token.
     pub fn macs_per_token(&self) -> u64 {
-        self.gemm_trace().iter().map(|op| op.total_macs()).sum()
+        self.op_trace().total_macs()
     }
 
     /// KV-cache footprint in bytes at `bits` precision (keys + values, all
@@ -144,12 +121,13 @@ mod tests {
 
     #[test]
     fn decode_trace_shapes() {
-        let t = DecodeTrace::new(gpt_like(), 512, 1);
-        let ops = t.gemm_trace();
-        let qk = ops.iter().find(|o| o.kind == OpKind::AttnQk).unwrap();
-        assert_eq!((qk.m, qk.k, qk.n), (1, 64, 512));
-        let av = ops.iter().find(|o| o.kind == OpKind::AttnAv).unwrap();
-        assert_eq!((av.m, av.k, av.n), (1, 512, 64));
+        let ops = DecodeTrace::new(gpt_like(), 512, 1).op_trace();
+        assert!(ops
+            .ops()
+            .contains(&Op::gemm_n(OpKind::AttnQk, 1, 64, 512, 144)));
+        assert!(ops
+            .ops()
+            .contains(&Op::gemm_n(OpKind::AttnAv, 1, 512, 64, 144)));
     }
 
     #[test]
@@ -172,10 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn op_trace_mirrors_the_gemm_trace() {
-        let t = DecodeTrace::new(gpt_like(), 512, 4);
-        let ir = t.op_trace();
-        assert_eq!(ir.len(), t.gemm_trace().len());
+    fn batched_steps_stack_rows() {
+        let ir = DecodeTrace::new(gpt_like(), 512, 4).op_trace();
+        assert_eq!(ir.len(), 6);
         assert_eq!(
             ir.total_macs(),
             4 * DecodeTrace::new(gpt_like(), 512, 1).macs_per_token()
@@ -183,28 +160,21 @@ mod tests {
     }
 
     #[test]
-    fn spec_trace_at_k0_is_the_plain_decode_step() {
-        let t = DecodeTrace::new(gpt_like(), 512, 1);
-        assert_eq!(t.spec_gemm_trace(0), t.gemm_trace());
-        assert_eq!(t.spec_trace(0), t.op_trace());
-    }
-
-    #[test]
     fn spec_trace_stacks_rows_and_grows_the_context() {
         let t = DecodeTrace::new(gpt_like(), 512, 1);
-        let ops = t.spec_gemm_trace(4);
-        let qk = ops.iter().find(|o| o.kind == OpKind::AttnQk).unwrap();
-        assert_eq!((qk.m, qk.k, qk.n), (5, 64, 516));
-        let av = ops.iter().find(|o| o.kind == OpKind::AttnAv).unwrap();
-        assert_eq!((av.m, av.k, av.n), (5, 516, 64));
-        let proj = ops.iter().find(|o| o.kind == OpKind::QkvProj).unwrap();
-        assert_eq!(proj.m, 5, "projections row-stack all k+1 positions");
+        let ops = t.spec_trace(4);
+        assert!(ops
+            .ops()
+            .contains(&Op::gemm_n(OpKind::AttnQk, 5, 64, 516, 144)));
+        assert!(ops
+            .ops()
+            .contains(&Op::gemm_n(OpKind::AttnAv, 5, 516, 64, 144)));
         // The speculation economics: 5 positions of projection/FFN MACs
         // against ONE weight stream (same k x n operands as a step).
-        let step = DecodeTrace::new(gpt_like(), 512, 1).gemm_trace();
-        let step_proj = step.iter().find(|o| o.kind == OpKind::QkvProj).unwrap();
+        let (proj, step_proj) = (ops.ops()[0], t.op_trace().ops()[0]);
+        assert_eq!(proj, Op::gemm_n(OpKind::QkvProj, 5, 768, 768, 36));
         assert_eq!(proj.total_macs(), 5 * step_proj.total_macs());
-        assert_eq!((proj.k, proj.n), (step_proj.k, step_proj.n));
+        assert_eq!(proj.weight_elems(), step_proj.weight_elems());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Transformer model configurations (the paper's benchmarks, Section V-A).
 
-use crate::gemm::GemmOp;
 use crate::nonlinear::NonGemmProfile;
+use lt_core::{Op, OpKind, Trace};
 
 /// Whether the model embeds image patches (DeiT) or tokens (BERT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,19 +166,41 @@ impl TransformerConfig {
         self.dim / self.heads
     }
 
-    /// The GEMM trace of one single-batch inference (see [`GemmOp`]).
-    pub fn gemm_trace(&self) -> Vec<GemmOp> {
-        crate::gemm::trace(self)
-    }
-
-    /// The full analytical op trace of one inference in the shared IR:
-    /// every GEMM (via [`GemmOp::op`]) followed by the non-GEMM digital
-    /// profile. This is the *analytical* producer of the IR; `lt-nn`
-    /// forward passes produce the *recorded* counterpart, and
-    /// `tests/trace_crossval.rs` pins their agreement on GEMMs.
-    pub fn trace(&self) -> lt_core::Trace {
-        let mut t = lt_core::Trace::new();
-        t.extend(self.gemm_trace().iter().map(GemmOp::op));
+    /// The analytical op trace of one single-batch inference (as in the
+    /// paper's simulator): every GEMM in execution order, each repeated
+    /// across heads and layers as its instance count, followed by the
+    /// non-GEMM digital profile. This is the *analytical* producer of
+    /// the IR; `lt-nn` forward passes produce the *recorded*
+    /// counterpart, and `tests/trace_crossval.rs` pins their agreement
+    /// on GEMMs. Consumers that cost GEMMs only take
+    /// [`Trace::gemm_only`].
+    pub fn trace(&self) -> Trace {
+        let (l, d, f, layers) = (self.seq_len, self.dim, self.ffn_dim, self.layers);
+        let (h, dh) = (self.heads, self.head_dim());
+        let mut t = Trace::new();
+        // Input embedding.
+        if let InputKind::VisionPatches { patch_size, .. } = self.input {
+            t.push(Op::gemm(
+                OpKind::PatchEmbed,
+                l - 1,
+                3 * patch_size * patch_size,
+                d,
+            ));
+        }
+        // Encoder blocks.
+        t.extend([
+            // Q, K, V projections: three [L, D] x [D, D] GEMMs.
+            Op::gemm_n(OpKind::QkvProj, l, d, d, 3 * layers),
+            // Q K^T per head: [L, dh] x [dh, L].
+            Op::gemm_n(OpKind::AttnQk, l, dh, l, h * layers),
+            // A V per head: [L, L] x [L, dh].
+            Op::gemm_n(OpKind::AttnAv, l, l, dh, h * layers),
+            Op::gemm_n(OpKind::OutProj, l, d, d, layers),
+            Op::gemm_n(OpKind::Ffn1, l, d, f, layers),
+            Op::gemm_n(OpKind::Ffn2, l, f, d, layers),
+        ]);
+        // Task head on the CLS token.
+        t.push(Op::gemm(OpKind::Classifier, 1, d, self.num_classes));
         t.extend(self.non_gemm_profile().ops());
         t
     }
@@ -221,16 +243,12 @@ impl TransformerConfig {
 
     /// Total multiply-accumulate count of one inference.
     pub fn total_macs(&self) -> u64 {
-        self.gemm_trace().iter().map(|op| op.total_macs()).sum()
+        self.trace().total_macs()
     }
 
     /// Parameter count of the GEMM weights (attention + FFN + heads).
     pub fn param_count(&self) -> u64 {
-        self.gemm_trace()
-            .iter()
-            .filter(|op| op.dynamics() == crate::gemm::OperandDynamics::WeightStatic)
-            .map(|op| op.weight_params())
-            .sum()
+        self.trace().weight_elems()
     }
 
     /// The non-GEMM (digital) operation profile of one inference.
@@ -314,16 +332,47 @@ mod tests {
         let m = TransformerConfig::deit_tiny();
         let t = m.trace();
         assert_eq!(t.total_macs(), m.total_macs());
-        assert_eq!(t.len(), m.gemm_trace().len() + 4);
+        assert_eq!(t.len(), t.gemm_only().len() + 4);
         let digital: u64 = t
             .ops()
             .iter()
             .filter_map(|op| match *op {
-                lt_core::Op::NonGemm { elems, .. } => Some(elems),
+                Op::NonGemm { elems, .. } => Some(elems),
                 _ => None,
             })
             .sum();
         assert_eq!(digital, m.non_gemm_profile().total_elems());
+    }
+
+    #[test]
+    fn trace_shapes_follow_the_geometry() {
+        let t = TransformerConfig::deit_tiny().trace();
+        for op in [
+            Op::gemm(OpKind::PatchEmbed, 196, 768, 192),
+            // Attention products are per head, per layer.
+            Op::gemm_n(OpKind::AttnQk, 197, 64, 197, 3 * 12),
+            Op::gemm_n(OpKind::AttnAv, 197, 197, 64, 3 * 12),
+        ] {
+            assert!(t.ops().contains(&op), "missing {op:?}");
+        }
+        // The FFN is DeiT's largest MAC consumer (Table V's FFN energy
+        // sits well above MHA's).
+        let macs = |module| -> u64 {
+            t.ops()
+                .iter()
+                .filter(|op| op.module() == module)
+                .map(Op::total_macs)
+                .sum()
+        };
+        assert!(macs(lt_core::Module::Ffn) > macs(lt_core::Module::Mha));
+        let bert = TransformerConfig::bert_base(128).trace();
+        assert!(!bert.ops().iter().any(|op| matches!(
+            op,
+            Op::Gemm {
+                kind: OpKind::PatchEmbed,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -336,8 +385,15 @@ mod tests {
             assert!(t.seq_len <= 17, "{}", m.name);
             assert!(t.total_macs() < 100_000_000, "{} stays test-sized", m.name);
             // Same op-kind multiset as the full model.
-            let kinds = |c: &TransformerConfig| -> Vec<crate::gemm::OpKind> {
-                c.gemm_trace().iter().map(|o| o.kind).collect()
+            let kinds = |c: &TransformerConfig| -> Vec<OpKind> {
+                c.trace()
+                    .ops()
+                    .iter()
+                    .filter_map(|op| match *op {
+                        Op::Gemm { kind, .. } => Some(kind),
+                        Op::NonGemm { .. } => None,
+                    })
+                    .collect()
             };
             assert_eq!(kinds(&t), kinds(&m), "{}", m.name);
         }

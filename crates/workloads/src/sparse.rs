@@ -6,16 +6,16 @@
 //! DPTC accelerates natively; this module performs that reformulation and
 //! reports the resulting dense GEMM trace and compute savings.
 
-use crate::gemm::{GemmOp, OpKind};
+use lt_core::{Op, OpKind};
 
 /// A block-wise window local-attention pattern.
 ///
 /// ```
+/// use lt_core::{Op, OpKind};
 /// use lt_workloads::WindowAttention;
 /// let w = WindowAttention::new(192, 3, 16, 64);
-/// let ops = w.blockified_qk();
 /// // Each of ceil(192/16) = 12 Q blocks multiplies w = 3 K blocks.
-/// assert_eq!(ops.count, 36);
+/// assert_eq!(w.blockified_qk(), Op::gemm_n(OpKind::AttnQk, 16, 64, 16, 36));
 /// assert!(w.density() < 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +63,8 @@ impl WindowAttention {
     /// The blockified `Q K^T`: each chunked Q (shape `[b, dh]`) multiplies
     /// its `w` neighbouring chunked K matrices — dense `[b, dh] x [dh, b]`
     /// products.
-    pub fn blockified_qk(&self) -> GemmOp {
-        GemmOp::new(
+    pub fn blockified_qk(&self) -> Op {
+        Op::gemm_n(
             OpKind::AttnQk,
             self.block_size,
             self.head_dim,
@@ -76,8 +76,8 @@ impl WindowAttention {
     /// The blockified `A V`: after row-wise compression of the sparse
     /// attention map, each Q block's scores (shape `[b, w*b]`) multiply the
     /// corresponding rows of V (`[w*b, dh]`).
-    pub fn blockified_av(&self) -> GemmOp {
-        GemmOp::new(
+    pub fn blockified_av(&self) -> Op {
+        Op::gemm_n(
             OpKind::AttnAv,
             self.block_size,
             self.window_blocks * self.block_size,
@@ -110,12 +110,11 @@ mod tests {
     #[test]
     fn blockification_preserves_shapes() {
         let w = WindowAttention::new(256, 3, 32, 64);
-        let qk = w.blockified_qk();
-        assert_eq!((qk.m, qk.k, qk.n), (32, 64, 32));
-        assert_eq!(qk.count, 8 * 3);
-        let av = w.blockified_av();
-        assert_eq!((av.m, av.k, av.n), (32, 96, 64));
-        assert_eq!(av.count, 8);
+        assert_eq!(
+            w.blockified_qk(),
+            Op::gemm_n(OpKind::AttnQk, 32, 64, 32, 8 * 3)
+        );
+        assert_eq!(w.blockified_av(), Op::gemm_n(OpKind::AttnAv, 32, 96, 64, 8));
     }
 
     #[test]
@@ -139,9 +138,10 @@ mod tests {
         // Setting block size 1 yields per-token vector-matrix products,
         // matching the paper's heterogeneous-core (Nh = 1) discussion.
         let w = WindowAttention::new(64, 5, 1, 32);
-        let qk = w.blockified_qk();
-        assert_eq!(qk.m, 1);
-        assert_eq!(qk.count, 64 * 5);
+        assert_eq!(
+            w.blockified_qk(),
+            Op::gemm_n(OpKind::AttnQk, 1, 32, 1, 64 * 5)
+        );
     }
 
     #[test]

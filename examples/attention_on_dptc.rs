@@ -9,9 +9,9 @@
 //! cargo run --release --example attention_on_dptc
 //! ```
 
+use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::core::Matrix64;
 use lightening_transformer::dptc::{Dptc, DptcConfig, Fidelity};
-use lightening_transformer::photonics::noise::GaussianSampler;
 
 const TOKENS: usize = 32;
 const HEAD_DIM: usize = 64;

@@ -7,11 +7,11 @@
 
 use lightening_transformer::arch::scaling::evaluate_core;
 use lightening_transformer::arch::search::search_core_geometry;
+use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::core::Matrix64;
 use lightening_transformer::dptc::{
     ChannelFault, Dptc, DptcConfig, FaultSet, Fidelity, NoiseModel,
 };
-use lightening_transformer::photonics::noise::GaussianSampler;
 use lightening_transformer::workloads::TransformerConfig;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
 
     // 2. Which geometry fits DeiT-T best under a 100 mm^2 budget?
     println!("\nbest core geometries for DeiT-T under 100 mm^2:");
-    let trace = TransformerConfig::deit_tiny().gemm_trace();
+    let trace = TransformerConfig::deit_tiny().trace().gemm_only();
     for c in search_core_geometry(&trace, 100.0, 12, 4).iter().take(3) {
         println!(
             "  {:<14} area {:>5.1} mm^2  latency {:.4} ms  EDP {:.5}  util {:.0}%",

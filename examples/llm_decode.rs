@@ -6,7 +6,7 @@
 //! cargo run --release --example llm_decode
 //! ```
 
-use lightening_transformer::arch::roofline::{analyze, Bound};
+use lightening_transformer::arch::roofline::{analyze_trace, Bound};
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::workloads::{DecodeTrace, TransformerConfig};
 
@@ -22,7 +22,7 @@ fn main() {
         "{:>6} {:>14} {:>10} {:>13} {:>13} {:>8} {:>6}",
         "batch", "MACs/token", "MAC/byte", "compute(us)", "HBM(us)", "bound", "util"
     );
-    let ridge = analyze(&cfg, &DecodeTrace::new(model.clone(), 512, 1).gemm_trace()).ridge;
+    let ridge = analyze_trace(&cfg, &DecodeTrace::new(model.clone(), 512, 1).op_trace()).ridge;
     for batch in [1usize, 4, 16, 64, 256] {
         let trace = DecodeTrace::new(model.clone(), 512, batch);
         // The analytical decode step replays through the same trace-IR

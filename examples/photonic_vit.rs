@@ -6,13 +6,14 @@
 //! cargo run --release --example photonic_vit
 //! ```
 
+use lightening_transformer::core::GaussianSampler;
+use lightening_transformer::dptc::{DptcBackend, DptcConfig, Fidelity};
 use lightening_transformer::nn::data;
-use lightening_transformer::nn::engine::{ExactEngine, PhotonicEngine};
+use lightening_transformer::nn::engine::{BackendEngine, ExactEngine};
 use lightening_transformer::nn::metrics::confusion_matrix;
 use lightening_transformer::nn::model::{ModelConfig, VisionTransformer};
 use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::train::{evaluate, train, TrainConfig};
-use lightening_transformer::photonics::noise::GaussianSampler;
 
 fn main() {
     let mut rng = GaussianSampler::new(100);
@@ -45,7 +46,9 @@ fn main() {
     println!("\ndigital 4-bit accuracy : {:.1}%", digital * 100.0);
 
     for n_lambda in [6usize, 12, 24] {
-        let mut engine = PhotonicEngine::paper(4, n_lambda, 42);
+        let core = DptcConfig::new(12, 12, n_lambda);
+        let backend = DptcBackend::new(core, Fidelity::paper_noisy(42), 4);
+        let mut engine = BackendEngine::new(backend, 42);
         let acc = evaluate(&mut vit, &test_set, &mut engine, quant);
         println!(
             "photonic accuracy      : {:.1}%  ({n_lambda} wavelengths, paper noise)",
@@ -54,7 +57,7 @@ fn main() {
     }
 
     // Per-class view of the photonic run (which quadrants get confused?).
-    let mut engine = PhotonicEngine::paper(4, 12, 42);
+    let mut engine = BackendEngine::new(DptcBackend::paper(4, 42), 42);
     let cm = confusion_matrix(&mut vit, &test_set, 4, &mut engine, quant);
     println!("\nphotonic confusion matrix (12 wavelengths):\n{cm}");
 

@@ -1,42 +1,13 @@
 //! Structured sparse attention on DPTC (paper Section VI-A, Fig. 16):
-//! blockify a window local-attention pattern into dense chunked MMs and
+//! blockify window local-attention patterns into dense chunked MMs and
 //! measure the energy/latency payoff on LT-B.
+//!
+//! Prints the `repro fig16` experiment.
 //!
 //! ```sh
 //! cargo run --release --example sparse_attention
 //! ```
 
-use lightening_transformer::arch::{ArchConfig, Simulator};
-use lightening_transformer::workloads::{GemmOp, OpKind, WindowAttention};
-
 fn main() {
-    let sim = Simulator::new(ArchConfig::lt_base(4));
-    let (tokens, head_dim) = (384usize, 64usize);
-
-    println!("window local attention over {tokens} tokens (one head, d_k = {head_dim}):\n");
-    println!(
-        "{:>8} {:>7} {:>9} {:>11} {:>13} {:>13}",
-        "window", "block", "density", "MAC saving", "energy gain", "latency gain"
-    );
-    let dense_qk = GemmOp::new(OpKind::AttnQk, tokens, head_dim, tokens, 1);
-    let dense_av = GemmOp::new(OpKind::AttnAv, tokens, tokens, head_dim, 1);
-    let mut dense = sim.run_op(&dense_qk);
-    dense.merge(&sim.run_op(&dense_av));
-
-    for (window, block) in [(3usize, 24usize), (3, 36), (5, 24), (7, 12)] {
-        let w = WindowAttention::new(tokens, window, block, head_dim);
-        let mut sparse = sim.run_op(&w.blockified_qk());
-        sparse.merge(&sim.run_op(&w.blockified_av()));
-        println!(
-            "{window:>8} {block:>7} {:>8.1}% {:>10.2}x {:>12.2}x {:>12.2}x",
-            w.density() * 100.0,
-            w.mac_saving(),
-            dense.energy.total().value() / sparse.energy.total().value(),
-            dense.latency.value() / sparse.latency.value(),
-        );
-    }
-
-    println!();
-    println!("after blockification every chunk is a dense MM that DPTC executes");
-    println!("natively; the sparse pattern costs nothing beyond its residual density.");
+    print!("{}", lt_bench::experiments::sparse::fig16());
 }

@@ -3,14 +3,15 @@
 //! photonic backend — the full Fig. 14/15 workflow including the
 //! artifact-style checkpoint round trip.
 
+use lightening_transformer::core::GaussianSampler;
+use lightening_transformer::dptc::{DptcBackend, NoiseModel};
 use lightening_transformer::nn::checkpoint;
 use lightening_transformer::nn::data;
-use lightening_transformer::nn::engine::{ExactEngine, PhotonicEngine};
+use lightening_transformer::nn::engine::{BackendEngine, ExactEngine};
 use lightening_transformer::nn::metrics::confusion_matrix;
 use lightening_transformer::nn::model::{ModelConfig, VisionTransformer};
 use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::train::{evaluate, train, TrainConfig};
-use lightening_transformer::photonics::noise::GaussianSampler;
 
 fn fresh_vit(seed: u64) -> VisionTransformer {
     let mut rng = GaussianSampler::new(seed);
@@ -56,7 +57,7 @@ fn train_checkpoint_restore_photonic_eval() {
     assert!(acc_orig > 0.6, "digital accuracy {acc_orig}");
 
     // 4. Photonic evaluation stays within a few points of digital.
-    let mut photonic = PhotonicEngine::paper(4, 12, 42);
+    let mut photonic = BackendEngine::new(DptcBackend::paper(4, 42), 42);
     let acc_photo = evaluate(&mut restored, &test_set, &mut photonic, quant);
     assert!(
         acc_photo >= acc_orig - 0.10,
@@ -64,7 +65,7 @@ fn train_checkpoint_restore_photonic_eval() {
     );
 
     // 5. The confusion matrix bookkeeping is consistent with accuracy.
-    let mut photonic2 = PhotonicEngine::paper(4, 12, 42);
+    let mut photonic2 = BackendEngine::new(DptcBackend::paper(4, 42), 42);
     let cm = confusion_matrix(&mut restored, &test_set, 4, &mut photonic2, quant);
     assert_eq!(cm.total(), test_set.len() as u64);
     assert!((cm.accuracy() - acc_photo).abs() < 1e-12);
@@ -79,7 +80,7 @@ fn photonic_noise_hurts_untrained_robustness_more() {
     let train_set = data::vision_dataset(384, 3);
     let test_set = data::vision_dataset(128, 4);
     let quant = QuantConfig::low_bit(4);
-    let heavy = lightening_transformer::dptc::NoiseModel::paper_default()
+    let heavy = NoiseModel::paper_default()
         .with_magnitude(0.08)
         .with_phase_degrees(7.0);
 
@@ -105,7 +106,7 @@ fn photonic_noise_hurts_untrained_robustness_more() {
 
     let drop = |model: &mut VisionTransformer, seed: u64| {
         let digital = evaluate(model, &test_set, &mut ExactEngine, quant);
-        let mut eng = PhotonicEngine::paper(4, 12, seed).with_noise(heavy);
+        let mut eng = BackendEngine::new(DptcBackend::paper(4, seed).with_noise(heavy), seed);
         let noisy = evaluate(model, &test_set, &mut eng, quant);
         digital - noisy
     };

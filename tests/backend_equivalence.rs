@@ -14,19 +14,28 @@
 //! tiled GEMM, the one-shot MM and a starved-pool scheduler run), so a
 //! speed change to the Eq. 9 loop cannot move a single noise draw, and
 //! the decode path's outputs, costs and recorded traces on three
-//! backends, so a host-speed change above the backends cannot either.
+//! backends, so a host-speed change above the backends cannot either,
+//! and the logits of every photonic engine the accuracy experiments
+//! evaluate on.
 
+mod common;
+
+use common::{fnv1a, trace_words};
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend, SvdBackend};
 use lightening_transformer::core::{
-    reference_gemm, ComputeBackend, GaussianSampler, Matrix64, NativeBackend, Op, RunCtx, Trace,
+    reference_gemm, ComputeBackend, GaussianSampler, Matrix64, NativeBackend, RunCtx,
 };
-use lightening_transformer::dptc::{Dptc, DptcBackend, DptcConfig, Fidelity};
+use lightening_transformer::dptc::{Dptc, DptcBackend, DptcConfig, Fidelity, NoiseModel};
+use lightening_transformer::nn::data;
 use lightening_transformer::nn::decode::{
     greedy, DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
 };
 use lightening_transformer::nn::kv::{BlockPool, PagedKvCache, PreemptPolicy};
 use lightening_transformer::nn::layers::ForwardCtx;
+use lightening_transformer::nn::model::{
+    Classifier, ModelConfig, TextClassifier, VisionTransformer,
+};
 use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::serve::decode::DecodeRequest;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
@@ -148,17 +157,6 @@ fn batched_gemm_matches_sequential_for_deterministic_backends() {
     assert_eq!(outs.len(), 2);
     assert_eq!(outs[0], a.matmul(&b));
     assert_eq!(outs[1], c.matmul(&d));
-}
-
-/// FNV-1a over 64-bit words.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-    h
 }
 
 fn digest(values: &[f64]) -> u64 {
@@ -328,31 +326,6 @@ fn tensor_words(t: &Tensor) -> impl Iterator<Item = u64> + '_ {
     t.data().iter().map(|v| u64::from(v.to_bits()))
 }
 
-/// A recorded trace as words: every op's kind, shape and count, in order.
-fn trace_words(trace: &Trace) -> Vec<u64> {
-    let mut words = vec![trace.len() as u64];
-    for op in trace.ops() {
-        match *op {
-            Op::Gemm {
-                kind,
-                m,
-                k,
-                n,
-                instances,
-            } => words.extend([
-                0,
-                kind as u64,
-                m as u64,
-                k as u64,
-                n as u64,
-                instances as u64,
-            ]),
-            Op::NonGemm { kind, elems } => words.extend([1, kind as u64, elems]),
-        }
-    }
-    words
-}
-
 /// A finished session's tokens, per-pass cycles and KV footprint.
 fn reply_words(reply: &DecodeReply) -> Vec<u64> {
     let mut words: Vec<u64> = reply.tokens.iter().map(|&t| t as u64).collect();
@@ -487,4 +460,82 @@ fn decode_path_outputs_are_pinned_bit_for_bit() {
     ];
     let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
     assert_eq!(got, want, "decode path outputs moved");
+}
+
+/// The logits `evaluate` scores, pinned bit for bit on every photonic
+/// engine the accuracy experiments build (figs. 14-15 and
+/// `tests/accuracy_pipeline.rs`): a 12x12 DPTC with `n_lambda`
+/// wavelengths, the paper's noisy fidelity seeded with `seed`, `bits`-bit
+/// DACs and, at the noise sweeps' extremes, a swapped noise model. Each
+/// runs seeded tiny vision and text models under 4-bit, 8-bit and fp32
+/// quantization. The digests were taken on a dedicated photonic engine
+/// that ran every product through `gemm` on fresh operand copies, before
+/// those runs moved onto `BackendEngine` with its staged weights and
+/// copy-free heads. `repro fig14` and `repro fig15` print 100.0 % on
+/// every row, so their text cannot show a moved bit.
+#[test]
+fn photonic_accuracy_engines_are_pinned_bit_for_bit() {
+    let magnitude = NoiseModel::paper_default().with_magnitude(0.08);
+    let phase = NoiseModel::paper_default().with_phase_degrees(7.0);
+    let both = magnitude.with_phase_degrees(7.0);
+    // ((bits, n_lambda, seed, noise), digest)
+    let want = [
+        ((4, 6, 42, None), 0x3c03_0a0a_79a2_1df9),
+        ((4, 12, 42, None), 0xfcfe_6fd6_7bea_a431),
+        ((4, 26, 42, None), 0x4a10_b106_a089_a9da),
+        ((8, 6, 43, None), 0x46f9_330c_8212_9770),
+        ((8, 12, 43, None), 0x0f71_87e4_f5d6_4d65),
+        ((8, 26, 43, None), 0xc646_077f_956d_40fc),
+        ((4, 12, 44, Some(magnitude)), 0x126d_6f5c_25b8_9fcc),
+        ((4, 12, 45, Some(phase)), 0xa52a_63a3_1a5d_dad6),
+        ((4, 12, 5, Some(both)), 0x5864_f543_20d3_2007),
+    ];
+    let mut vision = VisionTransformer::new(
+        ModelConfig::tiny_vision(),
+        data::NUM_PATCHES,
+        data::PATCH_DIM,
+        &mut GaussianSampler::new(100),
+    );
+    let mut text = TextClassifier::new(
+        ModelConfig::tiny_text(),
+        data::VOCAB,
+        data::SEQ_LEN,
+        &mut GaussianSampler::new(200),
+    );
+    let images = data::vision_dataset(3, 3);
+    let sentences = data::text_dataset(3, 4);
+
+    let mut got = Vec::new();
+    for &((bits, n_lambda, seed, noise), _) in &want {
+        let new_engine = || {
+            let core = DptcConfig::new(12, 12, n_lambda);
+            let mut backend = DptcBackend::new(core, Fidelity::paper_noisy(seed), bits);
+            if let Some(noise) = noise {
+                backend = backend.with_noise(noise);
+            }
+            BackendEngine::new(backend, seed)
+        };
+        let mut words = Vec::new();
+        for quant in [
+            QuantConfig::low_bit(4),
+            QuantConfig::low_bit(8),
+            QuantConfig::fp32(),
+        ] {
+            // One engine and one sampler per sweep point, as `evaluate`.
+            let (mut engine, mut rng) = (new_engine(), GaussianSampler::new(0));
+            for (image, _) in &images {
+                let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+                words.extend(tensor_words(&vision.forward(image, &mut ctx)));
+            }
+            words.push(engine.calls());
+            let (mut engine, mut rng) = (new_engine(), GaussianSampler::new(0));
+            for (sentence, _) in &sentences {
+                let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+                words.extend(tensor_words(&text.forward(sentence, &mut ctx)));
+            }
+            words.push(engine.calls());
+        }
+        got.push(((bits, n_lambda, seed, noise), fnv1a(words)));
+    }
+    assert_eq!(got, want, "photonic accuracy engine outputs moved");
 }

@@ -6,11 +6,12 @@
 //! seed that produced it).
 
 use lightening_transformer::baselines::svd::{jacobi_svd, reconstruct};
-use lightening_transformer::core::{GaussianSampler, Matrix64};
-use lightening_transformer::dptc::{DDot, Dptc, DptcConfig, Fidelity, NoiseModel, Quantizer};
+use lightening_transformer::core::{
+    GaussianSampler, Matrix64, Module, Op, OpKind, OperandDynamics, Quantizer,
+};
+use lightening_transformer::dptc::{DDot, Dptc, DptcConfig, Fidelity, NoiseModel};
 use lightening_transformer::photonics::units::Decibels;
 use lightening_transformer::photonics::wdm::DispersionModel;
-use lightening_transformer::workloads::{GemmOp, OpKind};
 
 fn rand_vec(rng: &mut GaussianSampler, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.uniform_in(-1.0, 1.0)).collect()
@@ -146,13 +147,10 @@ fn gemm_op_accounting() {
         let k = 1 + rng.below(511);
         let n = 1 + rng.below(511);
         let c = 1 + rng.below(15);
-        let op = GemmOp::new(OpKind::AttnQk, m, k, n, c);
+        let op = Op::gemm_n(OpKind::AttnQk, m, k, n, c);
         assert_eq!(op.total_macs(), (m * k * n * c) as u64);
-        assert_eq!(op.module(), lightening_transformer::workloads::Module::Mha);
-        assert_eq!(
-            op.dynamics(),
-            lightening_transformer::workloads::OperandDynamics::BothDynamic
-        );
+        assert_eq!(op.module(), Module::Mha);
+        assert_eq!(op.dynamics(), Some(OperandDynamics::BothDynamic));
     }
 }
 

@@ -53,8 +53,8 @@ fn cached_schedules_equal_uncached_bit_for_bit() {
                     policy.name()
                 );
                 assert_eq!(
-                    fast.hbm_bytes.to_bits(),
-                    slow.hbm_bytes.to_bits(),
+                    fast.hbm_traffic.to_bits(),
+                    slow.hbm_traffic.to_bits(),
                     "{name} [{}]: cached HBM traffic drifted",
                     policy.name()
                 );

@@ -1,7 +1,7 @@
 //! Recorded-vs-analytical trace cross-validation.
 //!
 //! The simulator used to be fed only by the hand-maintained analytical
-//! trace (`TransformerConfig::gemm_trace`), which could silently diverge
+//! trace (`TransformerConfig::trace`), which could silently diverge
 //! from what the `lt-nn` models actually execute. These tests close the
 //! loop: for every paper benchmark, a *real* forward pass of the
 //! corresponding `lt-nn` model (at the benchmark's structurally
@@ -61,17 +61,12 @@ fn record_forward(spec: &TransformerConfig) -> Trace {
     record_forward_quant(spec, QuantConfig::fp32())
 }
 
-/// The analytical trace of `spec` in the shared IR, GEMMs only.
-fn analytical_gemms(spec: &TransformerConfig) -> Trace {
-    Trace::from_ops(spec.gemm_trace().iter().map(|op| op.op()).collect())
-}
-
 #[test]
 fn recorded_gemms_match_the_analytical_trace_for_every_paper_benchmark() {
     for model in TransformerConfig::paper_benchmarks() {
         let tiny = model.tiny_validation();
         let recorded = record_forward(&tiny).gemm_only().coalesce();
-        let analytical = analytical_gemms(&tiny).coalesce();
+        let analytical = tiny.trace().gemm_only().coalesce();
         assert_eq!(
             recorded, analytical,
             "{}: recorded execution and analytical generator disagree on \
@@ -102,7 +97,7 @@ fn quantized_recorded_gemms_match_the_analytical_work_mode_traces() {
         for model in TransformerConfig::paper_benchmarks() {
             let tiny = model.tiny_validation();
             let recorded = record_forward_quant(&tiny, quant).gemm_only().coalesce();
-            let analytical = analytical_gemms(&tiny).coalesce();
+            let analytical = tiny.trace().gemm_only().coalesce();
             assert_eq!(
                 recorded, analytical,
                 "{} [{bits}-bit]: integer execution changed the recorded \
@@ -132,7 +127,7 @@ fn recorded_and_analytical_traces_cost_identically_in_the_simulator() {
     for model in TransformerConfig::paper_benchmarks() {
         let tiny = model.tiny_validation();
         let recorded = record_forward(&tiny).gemm_only().coalesce();
-        let analytical = analytical_gemms(&tiny).coalesce();
+        let analytical = tiny.trace().gemm_only().coalesce();
         let r = sim.run_trace(&recorded);
         let a = sim.run_trace(&analytical);
         assert_eq!(r, a, "{}: equal traces must cost identically", model.name);
@@ -189,7 +184,7 @@ fn body_gemms(trace: &Trace) -> Trace {
 fn recorded_decode_step_trace_matches_the_analytical_decode_trace() {
     // Real token-by-token decoding at the executable GPT2-small tiny
     // geometry: every decode step's recorded GEMMs must equal
-    // `DecodeTrace::gemm_trace()` at batch 1 — same dims, same instance
+    // `DecodeTrace::op_trace()` at batch 1 — same dims, same instance
     // counts, same MACs — for every context length the session visits.
     for spec in [
         TransformerConfig::gpt2_small(16).tiny_validation(),
