@@ -1,34 +1,39 @@
-//! Throughput of the shared GEMM micro-kernel and the true integer
-//! execution path.
+//! Throughput of the shared GEMM kernel and the true integer execution
+//! path.
 //!
 //! ```sh
 //! cargo bench -p lt-bench --bench kernel
 //! ```
 //!
-//! Four comparisons:
+//! Five comparisons:
 //!
-//! 1. **tiled vs naive** — the register-blocked, cache-tiled
-//!    `lt_core::kernel::tiled_gemm` against the textbook triple loop
-//!    (`reference_gemm`), for `f64` and `f32`. The two are bit-identical
-//!    (`tests/kernel_equivalence.rs`); this bench shows what the
-//!    identical answer costs. On a CPU with AVX2 the tiled rows run the
-//!    kernel's AVX2 build, which it picks at run time.
+//! 1. **tiled vs naive** — the cache-blocked `lt_core::kernel::tiled_gemm`
+//!    against the textbook triple loop (`reference_gemm`), for `f64` and
+//!    `f32`. The two are bit-identical (`tests/kernel_equivalence.rs`);
+//!    this bench shows what the identical answer costs. On a CPU with
+//!    AVX2 the tiled rows run the kernel's AVX2 build, which it picks at
+//!    run time.
 //! 2. **decode GEMV** — the same comparison for `m = 1` products at
-//!    decode-step weight shapes, which the kernel serves on its
-//!    skinny-row path (no packing, no padded rows).
-//! 3. **f64 vs i8** — the exact float kernel against `quantized_gemm`
+//!    decode-step weight shapes, which walk B once, unblocked.
+//! 3. **strip heights** — the kernel's GMAC/s at `m` ∈ {1, 2, 5, 8, 16,
+//!    32, 197} rows over the weight shapes the workspace runs (serve_open,
+//!    the tiny decoder and its attention heads, GPT2-small), `f32` and
+//!    `f64`. This table is the evidence for the kernel's one unpacked
+//!    loop and for its `RB`/`KC`/`NC` blocking.
+//! 4. **f64 vs i8** — the exact float kernel against `quantized_gemm`
 //!    on pre-encoded i8 operands (the paper's 8-bit work mode executed
 //!    on real integer codes, grouped per-channel scales).
-//! 4. **fp32 vs int8 forward** — a whole tiny-ViT forward pass with the
+//! 5. **fp32 vs int8 forward** — a whole tiny-ViT forward pass with the
 //!    weight-bearing layers on fp32 vs on the integer path.
 //!
 //! See the RECORDED RESULTS block at the bottom for the captured table
 //! from the reference build container.
 
 use lt_bench::timing::bench_for;
-use lt_core::kernel::tiled_gemm;
+use lt_core::kernel::{tiled_gemm, tiled_gemm_into};
 use lt_core::{
-    quantized_gemm, reference_gemm, GaussianSampler, Matrix32, Matrix64, QuantizedMatrix,
+    quantized_gemm, reference_gemm, GaussianSampler, Matrix, Matrix32, Matrix64, QuantizedMatrix,
+    Scalar,
 };
 use lt_nn::layers::ForwardCtx;
 use lt_nn::model::{Classifier, ModelConfig, VisionTransformer};
@@ -37,6 +42,33 @@ use lt_nn::{ExactEngine, Tensor};
 use std::time::Duration;
 
 const WINDOW: Duration = Duration::from_millis(300);
+
+/// Row counts `m` of the strip-height table: a decode GEMV, a short
+/// prefill chunk, a speculative verify pass (`k + 1 = 5`), one and two
+/// row blocks, a training batch and DeiT-T's 197 tokens.
+const STRIP_ROWS: [usize; 7] = [1, 2, 5, 8, 16, 32, 197];
+
+/// Weight shapes `(k, n)` of the strip-height table: servebench's
+/// `serve_open` decoder (dim 128, FFN 256, head 64), the tiny decoder
+/// (dim 32, FFN 64), its attention heads (head dim 8, 17 positions) and
+/// GPT2-small (dim 768, FFN 3072).
+const STRIP_SHAPES: [(usize, usize); 11] = [
+    (128, 128),
+    (128, 256),
+    (256, 128),
+    (128, 64),
+    (32, 32),
+    (32, 64),
+    (64, 32),
+    (8, 17),
+    (17, 8),
+    (768, 768),
+    (768, 3072),
+];
+
+/// Measurement window of one strip-height cell, short enough that the
+/// 154-cell table stays a few seconds.
+const STRIP_WINDOW: Duration = Duration::from_millis(25);
 
 fn tiled_vs_naive(m: usize, k: usize, n: usize) {
     let mut rng = GaussianSampler::new(1);
@@ -69,6 +101,27 @@ fn tiled_vs_naive(m: usize, k: usize, n: usize) {
         tiled32.row(),
         tiled32.speedup_vs(&naive32)
     );
+}
+
+/// One line per weight shape: the kernel's throughput in GMAC/s (from
+/// the median window) at each of [`STRIP_ROWS`], through
+/// `tiled_gemm_into` with a reused output, as the decode path calls it.
+fn strip_heights<T: Scalar>(label: &str) {
+    let mut rng = GaussianSampler::new(5);
+    for (k, n) in STRIP_SHAPES {
+        let b = Matrix::<T>::randn(k, n, T::ONE, &mut rng);
+        let mut line = format!("{label} {:>9}", format!("{k}x{n}"));
+        for m in STRIP_ROWS {
+            let a = Matrix::<T>::randn(m, k, T::ONE, &mut rng);
+            let mut out = Matrix::zeros(0, 0);
+            let report = bench_for(&format!("{label} {m}x{k}x{n}"), STRIP_WINDOW, || {
+                tiled_gemm_into(&a.view(), &b.view(), &mut out);
+                out.data()[0]
+            });
+            line += &format!(" {:>7.2}", (m * k * n) as f64 / report.median_ns);
+        }
+        println!("{line}");
+    }
 }
 
 fn float_vs_integer(m: usize, k: usize, n: usize) {
@@ -142,7 +195,7 @@ fn forward_modes() {
 }
 
 fn main() {
-    println!("== shared GEMM micro-kernel & integer path ==");
+    println!("== shared GEMM kernel & integer path ==");
     tiled_vs_naive(96, 256, 96);
     tiled_vs_naive(192, 192, 192);
     // Decode-step weight shapes: servebench's serve_open decoder (dim
@@ -157,55 +210,117 @@ fn main() {
     ] {
         tiled_vs_naive(1, k, n);
     }
+    println!("strip heights: tiled GMAC/s by rows m (median of 5 windows)");
+    println!(
+        "            k x n {}",
+        STRIP_ROWS
+            .map(|m| format!("{:>7}", format!("m={m}")))
+            .join(" ")
+    );
+    strip_heights::<f64>("f64");
+    strip_heights::<f32>("f32");
+    println!();
     float_vs_integer(96, 256, 96);
     forward_modes();
 }
 
 // RECORDED RESULTS — 2-core Intel Xeon VM (shared; AVX2 and AVX-512),
-// 2026-10-17, in a slow phase: the naive loops ran ~1.4x slower than on
-// 2026-10-16; single-threaded data path only. Best of two runs per
-// side, alternated. The `before` column is the parent build, where the
-// kernel ran only as compiled for baseline x86-64 (SSE2); the `tiled`
-// rows now run its AVX2 build, picked at run time on this CPU:
+// 2026-10-17. `before` is the parent build, whose kernel ran full
+// four-row strips through a packed 4x8x256 register tile; `after` is
+// this build's one unpacked loop. Both columns are per-row medians over
+// ten runs of each side's bench binary, alternated. The `tiled` rows
+// run the kernel's AVX2 build, picked at run time on this CPU.
 //
-//                                       us/iter  vs naive    before
-//   naive f64 96x256x96                    8025
-//   tiled f64 96x256x96                     398    20.18x    1107 us
-//   naive f32 96x256x96                    8134
-//   tiled f32 96x256x96                     313    26.01x     383 us
-//   naive f64 192x192x192                 25389
-//   tiled f64 192x192x192                  1313    19.34x    3907 us
-//   naive f32 192x192x192                 23778
-//   tiled f32 192x192x192                   828    28.71x    1639 us
-//   tiled f64 1x128x128                     3.4    16.36x     4.7 us
-//   tiled f32 1x128x128                     1.6    32.92x     3.0 us
-//   tiled f64 1x128x256                     6.1    16.43x    10.7 us
-//   tiled f32 1x128x256                     3.6    29.19x     5.6 us
-//   tiled f64 1x256x128                     6.3    18.38x    10.1 us
-//   tiled f32 1x256x128                     3.8    26.55x     5.7 us
-//   tiled f64 1x768x768                     213    10.80x     228 us
-//   tiled f32 1x768x768                      95    23.41x     120 us
-//   tiled f64 1x768x3072                    933    14.14x     942 us
-//   tiled f32 1x768x3072                    438    28.88x     476 us
-//   tiled f64 1x3072x768                    872    23.24x     924 us
-//   tiled f32 1x3072x768                    443    31.46x     550 us
-//   tiled f64 96x256x96                     327              1355 us
-//   i8 gemm 96x256x96 (group 32)           1247     0.26x vs f64
-//   i4 gemm 96x256x96 (group 32)           1438     0.23x vs f64
-//   i8 encode+gemm 96x256x96               1280     0.26x vs f64
-//   tiny-ViT forward fp32 (exact)           177               301 us
-//   tiny-ViT forward int8 (exact)           599     0.30x vs fp32
-//   tiny-ViT forward int4 (exact)           700     0.25x vs fp32
+//                                        before     after   us/iter
+//   naive f64 96x256x96                     8800      8560
+//   tiled f64 96x256x96                      506       426
+//   naive f32 96x256x96                     8726      8508
+//   tiled f32 96x256x96                      342       240
+//   naive f64 192x192x192                  25622     25166
+//   tiled f64 192x192x192                   1443      1182
+//   naive f32 192x192x192                  25749     24828
+//   tiled f32 192x192x192                    944       522
+//   tiled f64 1x128x128                      3.2       3.5
+//   tiled f32 1x128x128                      2.0       1.7
+//   tiled f64 1x128x256                      6.0       5.8
+//   tiled f32 1x128x256                      3.3       3.5
+//   tiled f64 1x256x128                      6.2       5.8
+//   tiled f32 1x256x128                      4.0       3.8
+//   tiled f64 1x768x768                      242       244
+//   tiled f32 1x768x768                      100      94.4
+//   tiled f64 1x768x3072                    1021      1000
+//   tiled f32 1x768x3072                     506       496
+//   tiled f64 1x3072x768                     997       996
+//   tiled f32 1x3072x768                     523       526
+//   tiled f64 96x256x96                      475       415
+//   i8 gemm 96x256x96 (group 32)            1026      1401
+//   i4 gemm 96x256x96 (group 32)            1324      1474
+//   i8 encode+gemm 96x256x96                1656      1828
+//   tiny-ViT forward fp32 (exact)            237       221
+//   tiny-ViT forward int8 (exact)            799       779
+//   tiny-ViT forward int4 (exact)            937       988
 //
-// (Numbers vary run to run on the shared container, by up to 2x between
-// runs of the same binary; regenerate with the command above.) The AVX2
-// build runs the packed register tile 2.8-4.1x faster in f64 and 1.2-2x in
-// f32. The small `1 x k x n` rows (serve_open's decode shapes) run the
-// skinny-row path 1.4-1.9x faster; at GPT2-small shapes, whose f64
-// weights (4.5-18 MiB) do not fit in cache, the GEMV is bound by memory
-// bandwidth and gains 1-26 %. The integer path is *slower* on the host
-// — a scalar i8 loop can't beat the autovectorized float micro-kernel,
-// and per-call encoding costs more than it saves — its win is on the
-// modeled accelerator (the 4-bit work mode's cycle count) and in memory
-// (i4 halves code bytes), both asserted deterministically in the test
-// suites.
+// Strip heights, GMAC/s (median window; medians over the same ten runs):
+//
+//                           m=1    m=2    m=5    m=8   m=16   m=32  m=197
+//   f64 128x128   before   4.96   6.53   3.61   4.49   5.42   5.83   6.58
+//                 after    4.49   5.87   6.33   5.92   6.13   5.87   5.87
+//   f64 128x256   before   7.46   6.85   3.04   3.75   4.06   6.50   5.51
+//                 after    5.74   6.27   6.51   6.37   5.88   5.75   6.13
+//   f64 256x128   before   6.17   5.61   3.05   3.92   4.34   4.30   5.38
+//                 after    5.36   5.90   5.81   5.48   5.81   5.83   5.71
+//   f64 128x64    before   4.78   4.81   3.17   3.77   4.30   4.51   4.64
+//                 after    4.12   4.67   5.10   5.29   5.11   5.21   5.29
+//   f64 32x32     before   2.84   3.21   2.17   2.72   3.24   3.50   3.72
+//                 after    2.65   3.32   3.90   4.00   3.85   3.91   3.96
+//   f64 32x64     before   3.75   4.42   2.42   2.86   3.67   3.63   4.33
+//                 after    3.73   4.17   4.37   4.83   4.79   4.72   4.64
+//   f64 64x32     before   2.84   3.52   2.44   3.50   4.28   3.96   4.42
+//                 after    2.85   3.36   3.89   4.45   4.25   4.23   4.35
+//   f64 8x17      before   0.90   1.36   0.80   1.06   1.35   1.53   1.78
+//                 after    0.94   1.40   2.16   2.50   2.43   2.47   2.57
+//   f64 17x8      before   0.67   1.08   0.97   1.58   2.42   2.83   3.24
+//                 after    0.80   1.21   1.84   2.21   1.81   1.96   2.13
+//   f64 768x768   before   2.49   3.71   1.88   2.43   2.92   3.25   3.94
+//                 after    2.46   3.58   5.60   5.74   5.95   5.76   5.42
+//   f64 768x3072  before   2.42   3.42   1.03   1.50   2.16   2.88   4.26
+//                 after    2.26   3.17   3.98   4.03   4.25   4.75   5.70
+//   f32 128x128   before   8.96   9.59   3.71   4.59   5.72   6.12   6.63
+//                 after    7.80   9.03  11.19  12.01  11.40  11.09  11.90
+//   f32 128x256   before  10.79  12.04   4.85   4.44   5.62   5.96   6.79
+//                 after   10.82  12.43  13.35  13.21  12.03  11.88  11.88
+//   f32 256x128   before   8.57  10.47   3.62   4.38   5.33   6.25   6.92
+//                 after    8.99  10.21  12.50  12.09  13.03  12.87  11.88
+//   f32 128x64    before   6.25   7.38   3.54   4.63   5.79   6.46   7.43
+//                 after    8.12  11.57   8.40   8.36   9.69   8.41   9.41
+//   f32 32x32     before   3.32   4.13   2.97   3.45   4.22   4.72   5.42
+//                 after    3.52   4.53   6.08   6.68   6.04   6.20   6.35
+//   f32 32x64     before   5.40   6.97   2.93   3.55   4.16   4.88   5.54
+//                 after    6.31   7.46   7.76   8.16   8.64   8.61   8.59
+//   f32 64x32     before   3.87   5.20   2.96   4.29   4.85   5.65   6.44
+//                 after    4.23   5.58   6.25   6.58   6.86   6.97   6.51
+//   f32 8x17      before   1.01   1.58   1.03   1.42   1.73   2.04   2.44
+//                 after    1.00   1.62   2.83   3.46   4.30   4.11   3.73
+//   f32 17x8      before   0.84   1.15   1.19   2.19   3.16   3.90   4.87
+//                 after    0.78   1.21   1.79   2.17   2.09   2.20   2.22
+//   f32 768x768   before   5.90   8.26   3.19   3.64   4.73   5.18   6.57
+//                 after    6.33   8.53  10.44  11.25  10.62  10.46  10.72
+//   f32 768x3072  before   4.88   6.88   1.88   2.60   3.90   5.24   5.90
+//                 after    4.77   6.72   9.29  10.26   8.11   8.87  10.39
+//
+// One run's cells swing by tens of percent, and the `m = 1` cells are
+// bimodal in both builds (e.g. f64 128x128 read 4.5-5 or 6.5-7.5 GMAC/s
+// from one process to the next), so medians of ten runs still move by
+// up to ~20 %: the i8/i4 rows, whose code this change does not touch,
+// moved by that much. An interleaved comparison that runs both kernels
+// on the same buffers, cell by cell (ARCHITECTURE.md §9), puts every
+// `m = 1` cell at 1.00-1.19x the parent, every `m = 5` cell at
+// 1.5-3.9x, and every taller cell at 1.00-2.4x, except n = 8 at
+// m >= 16 (0.41-0.97x), where the packed tile kept a 4x8 block in
+// registers. Regenerate with the command above.
+//
+// The integer path is *slower* on the host — a scalar i8 loop can't
+// beat the autovectorized float kernel, and per-call encoding costs
+// more than it saves — its win is on the modeled accelerator (the 4-bit
+// work mode's cycle count) and in memory (i4 halves code bytes), both
+// asserted deterministically in the test suites.

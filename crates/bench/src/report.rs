@@ -31,12 +31,13 @@
 //! KV-traffic share of decode bandwidth stalls. All of it deterministic
 //! and gated.
 //!
-//! Schema 5 added the `kernel` section for the register-blocked GEMM
-//! micro-kernel and the true integer execution path:
+//! Schema 5 added the `kernel` section for the shared GEMM kernel and
+//! the true integer execution path:
 //! `prev_forward_record_us` (the committed pre-rework baseline, kept as
 //! a `_us` field so it is exempt like all wall-clock) next to the fresh
 //! `forward_record_us`, tiled-vs-naive and f64-vs-i8 wall-clocks, and
-//! gated deterministic fields — the micro-tile geometry, the int8
+//! gated deterministic fields — the kernel's blocking (`micro_tile`,
+//! `RBxKCxNC`: row block, panel depth, panel width), the int8
 //! forward's recorded op/MAC counts (integer execution must be
 //! workload-transparent), i8/i4 code bytes for a reference weight
 //! (i4 really halves memory), and the int8 logit deviation on the
@@ -287,7 +288,7 @@ fn schedule_cache_section(decode_record_replay_us: f64) -> String {
     )
 }
 
-/// The `kernel` section (schema 5): the micro-kernel rework's
+/// The `kernel` section (schema 5): the kernel rework's
 /// before/after wall-clock and the integer path's deterministic
 /// footprint. `prev_forward_record_us` is the forward_record_us the
 /// PR-6 baseline committed (Box-Muller sampler, per-use re-encoding,
@@ -295,7 +296,7 @@ fn schedule_cache_section(decode_record_replay_us: f64) -> String {
 /// field out of the `repro check` gate, while the integer-path fields
 /// are modeled/deterministic and gated.
 fn kernel_section(forward_record_us: f64) -> String {
-    use lt_core::kernel::{KC, MR, NR};
+    use lt_core::kernel::{KC, NC, RB};
     use lt_core::{quantized_gemm, reference_gemm, Matrix32, Matrix64, QuantizedMatrix};
 
     // The committed pre-rework measurement (see ISSUE 7 acceptance).
@@ -335,7 +336,7 @@ fn kernel_section(forward_record_us: f64) -> String {
     let logit_err = int8_logits.max_abs_diff(&fp32_logits);
 
     format!(
-        "  \"kernel\": {{ \"micro_tile\": \"{MR}x{NR}x{KC}\", \
+        "  \"kernel\": {{ \"micro_tile\": \"{RB}x{KC}x{NC}\", \
          \"prev_forward_record_us\": {}, \"forward_record_us\": {}, \
          \"naive_f64_gemm_us\": {}, \"tiled_f64_gemm_us\": {}, \"i8_gemm_us\": {}, \
          \"int8_forward_ops\": {}, \"int8_forward_macs\": {}, \

@@ -1,49 +1,52 @@
-//! The shared register-blocked, cache-tiled GEMM micro-kernel.
+//! The shared GEMM kernel: one unpacked, cache-blocked loop.
 //!
 //! Every exact matrix product in the workspace — [`MatrixView::matmul`],
 //! and through it `NativeBackend`, the ideal DPTC fidelity, the photonic
 //! baselines, and the NN engines — lands in [`tiled_gemm`]. The kernel
-//! uses the classic three-level blocking scheme:
+//! is one loop: every output row folds B's rows, in place, into the
+//! zeroed output (`out[i, :] += a[i, l] * b[l, :]`), four reduction
+//! steps per load and store of an output element. The column loop runs
+//! over contiguous slices whatever the operands' strides, and the
+//! compiler vectorizes it for both `f32` and `f64`. The kernel performs
+//! **zero heap allocations** beyond the output buffer, and
+//! [`tiled_gemm_into`] removes even that one for callers that provide
+//! (and reuse) the output matrix, e.g. per-token decode loops issuing
+//! the same shapes every step.
 //!
-//! * **Register micro-tile** — an `MR x NR` accumulator block lives in
-//!   registers across the whole reduction; the innermost loop is a
-//!   rank-1 update over fixed-size slices, which the compiler
-//!   autovectorizes for both `f32` and `f64`.
-//! * **Cache chunks** — the reduction dimension is walked in [`KC`]-wide
-//!   chunks; each chunk of the `B` panel is packed once into a
-//!   fixed-size stack buffer and reused by every row strip, so the hot
-//!   loop streams contiguous memory regardless of the caller's stride.
-//! * **Packing buffers** — both operand panels are packed into
-//!   stack-allocated arrays (`[T; KC * NR]` / `[T; KC * MR]`), so the
-//!   kernel performs **zero heap allocations** beyond the output buffer
-//!   — and [`tiled_gemm_into`] removes even that one for callers that
-//!   provide (and reuse) the output matrix, e.g. per-token decode loops
-//!   issuing the same shapes every step.
+//! # Why unpacked
 //!
-//! # Skinny rows
+//! Decode is matrix-vector work: each product of a decode step is
+//! `[1, d] x [d, n]`, and prefill chunks and speculative verify passes
+//! add only a handful of rows. A packed register tile copies B into a
+//! panel buffer on every call and pays that copy back only across many
+//! rows; at decode heights it costs more than it saves, and it lost to
+//! this loop on most tall shapes as well (ARCHITECTURE.md §9 has the
+//! measured table). Folding B's rows in place reads every weight once
+//! per product and copies nothing.
 //!
-//! Packing pays off only when a packed B panel is reused by `MR` rows.
-//! A strip with fewer rows — every `m = 1` decode GEMV, and the
-//! `m % MR` tail of a prefill or verify pass — would pad the register
-//! tile with zero rows and re-pack all of B for one row of output. Such
-//! strips skip packing: they stream B's rows in place and fold each one
-//! into the output rows (`out[i, :] += a[i, l] * b[l, :]`), so a GEMV
-//! reads every weight once and does no padded arithmetic. The choice
-//! follows the strip height alone; `MR`, `NR` and `KC` are unchanged.
+//! # Blocking
+//!
+//! * A product of at most [`RB`] rows — every decode GEMV, prefill chunk
+//!   and verify pass — walks B once, unblocked.
+//! * A taller product walks B in `KC x NC` panels ([`KC`] reduction
+//!   steps by [`NC`] output columns, sized for L2) and folds each panel
+//!   into every block of `RB` output rows while the panel is still in
+//!   cache. Four panel rows and the block's output rows stay in L1
+//!   while the block's rows take them in turn.
 //!
 //! # Bit-identity contract
 //!
 //! The kernel is *bit-identical* to [`reference_gemm`]: every output
 //! element accumulates its `k` products in strictly increasing reduction
-//! order into a single accumulator. Chunking does not break this —
-//! between chunks the partial sum round-trips through the output buffer
-//! (an exact operation for IEEE floats) and accumulation resumes in the
-//! same order. Edge columns are zero-padded in the packing buffers, and
-//! padded lanes are simply never stored, so padding can never
-//! contaminate a valid output. Skinny rows accumulate straight into the
-//! zeroed output, one reduction step at a time in increasing `k`. This
-//! is what lets `tests/` property suites assert `tiled == naive` with
-//! `==` instead of a tolerance.
+//! order into a single accumulator that starts at zero. Four reduction
+//! steps share one load and store of the element but are still added
+//! one at a time, left to right. Between panels the partial sum
+//! round-trips through the output buffer (an exact operation for IEEE
+//! floats), and the next panel along the reduction resumes in the same
+//! order. Panels and row blocks choose only which elements are updated
+//! when; no element sees its products in another order. This is what
+//! lets `tests/` property suites assert `tiled == naive` with `==`
+//! instead of a tolerance.
 //!
 //! # Instruction set
 //!
@@ -62,36 +65,19 @@
 
 use crate::matrix::{Matrix, MatrixView, Scalar};
 
-/// Register micro-tile height: output rows held in registers at once.
-pub const MR: usize = 4;
-/// Register micro-tile width: output columns held in registers at once.
-pub const NR: usize = 8;
-/// Cache-chunk depth: reduction elements packed per panel refill.
+/// Row-block height. A product of at most `RB` rows walks B once,
+/// unblocked; a taller one folds each B panel into `RB` rows at a time.
+pub const RB: usize = 8;
+/// Panel depth: reduction steps (rows of B) per panel of a tall product.
 pub const KC: usize = 256;
+/// Panel width: output columns per panel of a tall product.
+pub const NC: usize = 256;
 
-/// The innermost register kernel: `kc` rank-1 updates of an `MR x NR`
-/// accumulator block. `ap` is packed `l`-major (`MR` operands per step),
-/// `bp` is packed `l`-major (`NR` operands per step).
-#[inline(always)]
-fn micro_kernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
-    for l in 0..kc {
-        let av: &[T; MR] = ap[l * MR..l * MR + MR].try_into().unwrap();
-        let bv: &[T; NR] = bp[l * NR..l * NR + NR].try_into().unwrap();
-        for r in 0..MR {
-            let a = av[r];
-            let row = &mut acc[r];
-            for c in 0..NR {
-                row[c] += a * bv[c];
-            }
-        }
-    }
-}
-
-/// Register-blocked, cache-tiled matrix product `a x b`.
+/// Cache-blocked matrix product `a x b`.
 ///
 /// Bit-identical to [`reference_gemm`](crate::matrix::reference_gemm)
 /// on every shape (see the module docs for why), including 0-sized,
-/// `1 x k`, `k x 1`, and non-multiple-of-tile dimensions, and accepts
+/// `1 x k`, `k x 1`, and non-multiple-of-block dimensions, and accepts
 /// strided views on either operand.
 ///
 /// # Panics
@@ -143,8 +129,8 @@ fn gemm_avx2<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut 
     gemm_body(a, b, out);
 }
 
-/// The kernel itself. Always inlined, like everything it calls, so each
-/// caller compiles its own copy for its own target features.
+/// The kernel itself. Always inlined, like [`fold`], so each caller
+/// compiles its own copy for its own target features.
 #[inline(always)]
 fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut Matrix<T>) {
     assert_eq!(
@@ -160,101 +146,43 @@ fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut 
         return;
     }
     let out = out.data_mut();
-    let full = m - m % MR;
-    if full > 0 {
-        packed_strips(a, b, full, out);
+    if m <= RB {
+        // One row block takes all of B as a single panel.
+        fold(a, b, out, n);
+        return;
     }
-    if full < m {
-        skinny_rows(a, b, full, out);
-    }
-}
-
-/// Rows `[0, full)` of the product (`full` a multiple of [`MR`]) through
-/// the packed register tile.
-#[inline(always)]
-fn packed_strips<T: Scalar>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    full: usize,
-    out: &mut [T],
-) {
-    let (k, n) = (a.cols(), b.cols());
-    // Fixed-size stack packing buffers, reused across all panels.
-    let mut bp = [T::ZERO; KC * NR];
-    let mut ap = [T::ZERO; KC * MR];
-
-    let mut jb = 0;
-    while jb < n {
-        let nr = NR.min(n - jb);
-        let mut l0 = 0;
-        while l0 < k {
-            let kc = KC.min(k - l0);
-            // Pack the B chunk `[l0, l0+kc) x [jb, jb+nr)`, l-major,
-            // zero-padding the column remainder once per chunk.
-            for l in 0..kc {
-                let src = &b.row(l0 + l)[jb..jb + nr];
-                let dst = &mut bp[l * NR..(l + 1) * NR];
-                dst[..nr].copy_from_slice(src);
-                for d in dst[nr..].iter_mut() {
-                    *d = T::ZERO;
-                }
+    for j in (0..n).step_by(NC) {
+        let cols = NC.min(n - j);
+        for l in (0..k).step_by(KC) {
+            let depth = KC.min(k - l);
+            let panel = b.block(l, j, depth, cols);
+            for i in (0..m).step_by(RB) {
+                let rows = RB.min(m - i);
+                let block = &mut out[i * n + j..(i + rows - 1) * n + j + cols];
+                fold(&a.block(i, l, rows, depth), &panel, block, n);
             }
-            let mut ib = 0;
-            while ib < full {
-                // Pack the A chunk `[ib, ib+MR) x [l0, l0+kc)`, l-major.
-                for (r, arow) in (ib..ib + MR).map(|i| a.row(i)).enumerate() {
-                    for (l, &v) in arow[l0..l0 + kc].iter().enumerate() {
-                        ap[l * MR + r] = v;
-                    }
-                }
-                // Resume accumulation from the previous chunk's partial
-                // sums: load, run the register kernel, store. The
-                // load/store round-trip is exact, so the overall
-                // reduction order per element is unchanged.
-                let mut acc = [[T::ZERO; NR]; MR];
-                if l0 > 0 {
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        let o = &out[(ib + r) * n + jb..(ib + r) * n + jb + nr];
-                        row[..nr].copy_from_slice(o);
-                    }
-                }
-                micro_kernel(kc, &ap[..kc * MR], &bp[..kc * NR], &mut acc);
-                for (r, row) in acc.iter().enumerate() {
-                    let o = &mut out[(ib + r) * n + jb..(ib + r) * n + jb + nr];
-                    o.copy_from_slice(&row[..nr]);
-                }
-                ib += MR;
-            }
-            l0 += KC;
         }
-        jb += NR;
     }
 }
 
-/// Rows `[first, m)` of the product — fewer than [`MR`] of them — with
-/// no packing: every row of B is read once, in place, and folded into
-/// each output row as `out[i, :] += a[i, l] * b[l, :]`.
+/// Folds every row of `b` into every output row:
+/// `out[r, :] += a[r, l] * b[l, :]` for `l = 0, 1, ..., a.cols() - 1`
+/// in order, reading `b` in place. `out` holds the `a.rows()` output
+/// rows, `stride` apart, each `b.cols()` wide; the last one ends the
+/// slice.
 ///
-/// The output buffer arrives zeroed and each element is its own single
-/// accumulator, updated for `l = 0, 1, ..., k-1` in order, so the result
-/// is the reference sum bit for bit. Four reduction steps share one
-/// load/store of the output element; they are still added one at a time
-/// (left to right), which keeps that order.
+/// Each output element is its own accumulator. Four reduction steps
+/// share one load/store of it; they are still added one at a time (left
+/// to right), which keeps the reference order.
 #[inline(always)]
-fn skinny_rows<T: Scalar>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    first: usize,
-    out: &mut [T],
-) {
+fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut [T], stride: usize) {
     const UNROLL: usize = 4;
-    let (k, n) = (a.cols(), b.cols());
-    let rows = &mut out[first * n..];
+    let k = a.cols();
     let mut l = 0;
     while l + UNROLL <= k {
         let (b0, b1, b2, b3) = (b.row(l), b.row(l + 1), b.row(l + 2), b.row(l + 3));
-        for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let av = &a.row(first + r)[l..l + UNROLL];
+        for (r, orow) in out.chunks_mut(stride).enumerate() {
+            let av = &a.row(r)[l..l + UNROLL];
             let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
             for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
                 *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
@@ -264,8 +192,8 @@ fn skinny_rows<T: Scalar>(
     }
     for l in l..k {
         let brow = b.row(l);
-        for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let av = a.row(first + r)[l];
+        for (r, orow) in out.chunks_mut(stride).enumerate() {
+            let av = a.row(r)[l];
             for (o, &x) in orow.iter_mut().zip(brow) {
                 *o += av * x;
             }
@@ -279,27 +207,54 @@ mod tests {
     use crate::matrix::{reference_gemm, Matrix32, Matrix64};
     use crate::noise::GaussianSampler;
 
-    /// Asserts that the dispatching entry point, the portable build and,
-    /// when this CPU has AVX2, the AVX2 build each equal the reference
-    /// product under `==`.
-    fn assert_every_build_exact<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) {
+    /// Row counts on both sides of every row-block boundary, up to 197
+    /// (DeiT-T's tokens: many blocks and a ragged last one).
+    const EDGE_M: [usize; 10] = [1, 2, 3, 4, 5, RB - 1, RB, RB + 1, 2 * RB + 3, 197];
+    /// Reduction lengths on both sides of the unroll and panel-depth
+    /// boundaries, and past two panels.
+    const EDGE_K: [usize; 8] = [1, 3, 4, 5, KC - 1, KC, KC + 1, 2 * KC + 3];
+    /// Output widths on both sides of the panel-width boundary, and a
+    /// few narrow ones.
+    const EDGE_N: [usize; 7] = [1, 7, 8, 17, NC - 1, NC, NC + 1];
+
+    /// Asserts that the portable build and, when this CPU has AVX2, the
+    /// AVX2 build each equal the reference product under `==`, writing
+    /// into `out`, which is filled with NaN before each.
+    fn assert_both_builds_exact<T: Scalar>(
+        a: &MatrixView<'_, T>,
+        b: &MatrixView<'_, T>,
+        out: &mut Matrix<T>,
+    ) {
         let want = reference_gemm(a, b);
         let label = format!("{:?} x {:?}", a.shape(), b.shape());
-        assert_eq!(tiled_gemm(a, b), want, "dispatched, {label}");
-        let mut out = Matrix::zeros(0, 0);
-        gemm_body(a, b, &mut out);
-        assert_eq!(out, want, "portable build, {label}");
+        let nan = T::from_f64(f64::NAN);
+        out.data_mut().fill(nan);
+        gemm_body(a, b, out);
+        assert_eq!(*out, want, "portable build, {label}");
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            out.data_mut().fill(nan);
             // SAFETY: the CPU supports AVX2 (checked just above).
-            unsafe { gemm_avx2(a, b, &mut out) };
-            assert_eq!(out, want, "AVX2 build, {label}");
+            unsafe { gemm_avx2(a, b, out) };
+            assert_eq!(*out, want, "AVX2 build, {label}");
         }
+    }
+
+    /// As [`assert_both_builds_exact`], and the dispatching entry point
+    /// into a fresh output as well.
+    fn assert_every_build_exact<T: Scalar>(
+        a: &MatrixView<'_, T>,
+        b: &MatrixView<'_, T>,
+        out: &mut Matrix<T>,
+    ) {
+        assert_eq!(tiled_gemm(a, b), reference_gemm(a, b), "dispatched");
+        assert_both_builds_exact(a, b, out);
     }
 
     #[test]
     fn every_build_matches_reference_across_edge_shapes() {
         let mut rng = GaussianSampler::new(7);
+        let (mut out64, mut out32) = (Matrix64::zeros(3, 3), Matrix32::zeros(3, 3));
         let shapes = [
             (0, 0, 0),
             (0, 3, 5),
@@ -307,30 +262,63 @@ mod tests {
             (3, 5, 0),
             (1, 1, 1),
             (1, 300, 1),
-            (MR, NR, KC),
-            (MR + 1, NR + 3, KC + 5),
+            (4, 8, 256),
+            (5, 11, 261),
             (17, 9, 33),
             (65, 300, 7),
         ];
         for &(m, k, n) in &shapes {
             let a = Matrix64::randn(m, k, 1.0, &mut rng);
             let b = Matrix64::randn(k, n, 1.0, &mut rng);
-            assert_every_build_exact(&a.view(), &b.view());
+            assert_every_build_exact(&a.view(), &b.view(), &mut out64);
             let a = Matrix32::randn(m, k, 1.0, &mut rng);
             let b = Matrix32::randn(k, n, 1.0, &mut rng);
-            assert_every_build_exact(&a.view(), &b.view());
+            assert_every_build_exact(&a.view(), &b.view(), &mut out32);
         }
+    }
+
+    /// Every `m x k x n` of [`EDGE_M`], [`EDGE_K`] and [`EDGE_N`], in
+    /// `f32` and `f64`, on views cut out of wider parents (row strides
+    /// `k + 3` and `n + 5` at the largest shape) and on contiguous
+    /// copies of them, through one output reused across every shape.
+    #[test]
+    fn both_builds_match_reference_at_every_block_boundary() {
+        fn check<T: Scalar>(rng: &mut GaussianSampler) {
+            let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[6]); // the largest
+            let a_parent = Matrix::<T>::randn(m_max + 1, k_max + 3, T::ONE, rng);
+            let b_parent = Matrix::<T>::randn(k_max + 2, n_max + 5, T::ONE, rng);
+            let mut out = Matrix::zeros(0, 0);
+            for m in EDGE_M {
+                for k in EDGE_K {
+                    for n in EDGE_N {
+                        let a = a_parent.view().block(1, 2, m, k);
+                        let b = b_parent.view().block(2, 3, k, n);
+                        assert_both_builds_exact(&a, &b, &mut out);
+                        let (a, b) = (a.to_matrix(), b.to_matrix());
+                        assert_both_builds_exact(&a.view(), &b.view(), &mut out);
+                    }
+                }
+            }
+        }
+        let mut rng = GaussianSampler::new(13);
+        check::<f64>(&mut rng);
+        check::<f32>(&mut rng);
     }
 
     #[test]
     fn every_build_supports_strided_operands() {
         let mut rng = GaussianSampler::new(11);
+        let (mut out64, mut out32) = (Matrix64::zeros(0, 0), Matrix32::zeros(0, 0));
         let m = Matrix64::randn(20, 20, 1.0, &mut rng);
-        assert_every_build_exact(&m.view().block(1, 2, 9, 13), &m.view().block(3, 1, 13, 11));
-        // A strided single row takes the skinny path.
-        assert_every_build_exact(&m.view().block(4, 3, 1, 13), &m.view().block(2, 0, 13, 17));
+        let (a, b) = (m.view().block(1, 2, 9, 13), m.view().block(3, 1, 13, 11));
+        assert_every_build_exact(&a, &b, &mut out64);
+        // A strided single row takes one unblocked pass over B.
+        let (a, b) = (m.view().block(4, 3, 1, 13), m.view().block(2, 0, 13, 17));
+        assert_every_build_exact(&a, &b, &mut out64);
         let m = Matrix32::randn(20, 20, 1.0, &mut rng);
-        assert_every_build_exact(&m.view().block(1, 2, 9, 13), &m.view().block(3, 1, 13, 11));
-        assert_every_build_exact(&m.view().block(4, 3, 1, 13), &m.view().block(2, 0, 13, 17));
+        let (a, b) = (m.view().block(1, 2, 9, 13), m.view().block(3, 1, 13, 11));
+        assert_every_build_exact(&a, &b, &mut out32);
+        let (a, b) = (m.view().block(4, 3, 1, 13), m.view().block(2, 0, 13, 17));
+        assert_every_build_exact(&a, &b, &mut out32);
     }
 }

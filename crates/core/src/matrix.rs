@@ -579,11 +579,11 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
 
     /// Matrix product through the shared kernel: `self x rhs`.
     ///
-    /// Delegates to the register-blocked, cache-tiled micro-kernel in
-    /// [`crate::kernel`], which is bit-identical to [`reference_gemm`]
-    /// on every shape. All backends that advertise exact arithmetic
-    /// route through this one kernel so "exact" is bit-for-bit
-    /// reproducible across the workspace.
+    /// Delegates to the one cache-blocked kernel in [`crate::kernel`],
+    /// which folds B's rows in place into the output and is
+    /// bit-identical to [`reference_gemm`] on every shape. All backends
+    /// that advertise exact arithmetic route through this one kernel so
+    /// "exact" is bit-for-bit reproducible across the workspace.
     ///
     /// # Panics
     ///

@@ -16,7 +16,7 @@
 //! the decode path's outputs, costs and recorded traces on three
 //! backends, so a host-speed change above the backends cannot either,
 //! and the logits of every photonic engine the accuracy experiments
-//! evaluate on.
+//! evaluate on, and the outcome of exact-engine training.
 
 mod common;
 
@@ -39,7 +39,9 @@ use lightening_transformer::nn::model::{
 use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::serve::decode::DecodeRequest;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
-use lightening_transformer::nn::{BackendEngine, Tensor};
+use lightening_transformer::nn::train::{evaluate, train, TrainConfig};
+use lightening_transformer::nn::{BackendEngine, ExactEngine, Tensor};
+use std::borrow::Borrow;
 
 fn rand_pair(rng: &mut GaussianSampler, m: usize, k: usize, n: usize) -> (Matrix64, Matrix64) {
     (
@@ -538,4 +540,88 @@ fn photonic_accuracy_engines_are_pinned_bit_for_bit() {
         got.push(((bits, n_lambda, seed, noise), fnv1a(words)));
     }
     assert_eq!(got, want, "photonic accuracy engine outputs moved");
+}
+
+/// Digest of one seeded `train` run on the exact engine: every
+/// parameter's bits afterwards, the per-epoch stats, then the logits
+/// `evaluate` scores on `test_set` (one inference context per sample
+/// over a sampler seeded 0, at the training quantization) and the
+/// accuracy it reports.
+fn trained_digest<I, M, S>(
+    model: &mut M,
+    train_set: &[(S, usize)],
+    test_set: &[(S, usize)],
+    cfg: &TrainConfig,
+) -> u64
+where
+    I: ?Sized,
+    M: Classifier<I>,
+    S: Borrow<I>,
+{
+    let stats = train(model, train_set, cfg);
+    let mut words = Vec::new();
+    model.visit_params(&mut |p| words.extend(tensor_words(&p.value)));
+    for s in &stats {
+        words.extend([u64::from(s.loss.to_bits()), s.accuracy.to_bits()]);
+    }
+    let (mut engine, mut rng) = (ExactEngine, GaussianSampler::new(0));
+    for (input, _) in test_set {
+        let mut ctx = ForwardCtx::inference(&mut engine, cfg.quant, &mut rng);
+        words.extend(tensor_words(&model.forward(input.borrow(), &mut ctx)));
+    }
+    words.push(evaluate(model, test_set, &mut ExactEngine, cfg.quant).to_bits());
+    fnv1a(words)
+}
+
+/// `ExactEngine` training, pinned bit for bit: a tiny ViT under the
+/// accuracy experiments' 4-bit noise-aware recipe and a tiny text model
+/// under the plain fp32 recipe, each trained for two short epochs (see
+/// [`trained_digest`]). Training issues the workspace's tall f32
+/// products (forward and backward at 12-17 tokens), which the
+/// accuracy tests check only against thresholds. The digests were
+/// taken when the exact kernel still ran full four-row strips through
+/// a packed `4 x 8` register tile.
+#[test]
+fn exact_training_is_pinned_bit_for_bit() {
+    let want: [(&str, u64); 2] = [
+        ("vision noise_aware(4)", 0x7ff2_02cb_06db_c383),
+        ("text fp32", 0x0b99_9cf8_1afe_c95f),
+    ];
+    let mut vision = VisionTransformer::new(
+        ModelConfig::tiny_vision(),
+        data::NUM_PATCHES,
+        data::PATCH_DIM,
+        &mut GaussianSampler::new(300),
+    );
+    let vision_cfg = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::noise_aware(4)
+    };
+    let mut text = TextClassifier::new(
+        ModelConfig::tiny_text(),
+        data::VOCAB,
+        data::SEQ_LEN,
+        &mut GaussianSampler::new(400),
+    );
+    let text_cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 8,
+        ..TrainConfig::quick()
+    };
+    let got = [
+        trained_digest(
+            &mut vision,
+            &data::vision_dataset(48, 11),
+            &data::vision_dataset(16, 12),
+            &vision_cfg,
+        ),
+        trained_digest(
+            &mut text,
+            &data::text_dataset(48, 13),
+            &data::text_dataset(16, 14),
+            &text_cfg,
+        ),
+    ];
+    let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
+    assert_eq!(got, want, "exact training outputs moved");
 }

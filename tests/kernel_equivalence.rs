@@ -1,14 +1,15 @@
 //! The shared GEMM micro-kernel's equivalence contract.
 //!
-//! PR 7 reworked every exact matrix product onto the register-blocked,
-//! cache-tiled `lt_core::kernel::tiled_gemm` and added the true integer
-//! execution path (`lt_core::quantized_gemm`). These properties pin
-//! what "rework" is allowed to mean:
+//! Every exact matrix product runs on the one cache-blocked kernel,
+//! `lt_core::kernel::tiled_gemm`, and the true integer execution path
+//! is `lt_core::quantized_gemm`. These properties pin what a rework of
+//! either is allowed to mean:
 //!
 //! 1. **Tiled == naive, bit for bit.** Over seeded random sweeps and
-//!    the edge shapes that straddle every tile boundary (`MR`, `NR`,
-//!    `KC`), the tiled kernel returns *exactly* (`==`) what the
-//!    textbook triple loop returns — for `f64` and `f32`, and for
+//!    the edge shapes that straddle every block boundary (`RB`, `KC`,
+//!    `NC`, and the shapes that straddled the retired `4 x 8 x 256`
+//!    register tile), the tiled kernel returns *exactly* (`==`) what
+//!    the textbook triple loop returns — for `f64` and `f32`, and for
 //!    strided sub-views.
 //! 2. **Every backend rides the same kernel.** The exact backends
 //!    (`NativeBackend`, ideal DPTC) are bit-identical to the naive
@@ -19,14 +20,14 @@
 //!    i8/i4 integer GEMM's deviation from the exact `f64` product is
 //!    bounded element-wise by the half-step triangle bound assembled
 //!    from the operands' grouped scales.
-//! 4. **Skinny rows are exact too.** Strips of fewer than `MR` rows
-//!    (every decode GEMV, and the tail of a taller product) skip the
-//!    packed tile. They are pinned at decode-step weight shapes, for a
-//!    strided single-row view, and through an output buffer reused
-//!    across shapes.
+//! 4. **Decode products are exact too.** Products of at most one row
+//!    block (every decode GEMV, prefill chunk and verify pass) walk B
+//!    once, unblocked. They are pinned at decode-step weight shapes,
+//!    for a strided single-row view, and through an output buffer
+//!    reused across shapes.
 
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend};
-use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, KC, MR, NR};
+use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, KC, NC, RB};
 use lightening_transformer::core::{
     blocked_gemm, quantized_gemm, reference_gemm, ComputeBackend, GaussianSampler, Matrix32,
     Matrix64, NativeBackend, QuantizedMatrix, RunCtx,
@@ -36,18 +37,25 @@ use lightening_transformer::runtime::ParallelBackend;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Shapes that land exactly on, just under, and just over every tile
-/// boundary of the micro-kernel, plus degenerate and vector shapes.
+/// `(m, k, n)` shapes that land exactly on, just under, and just over
+/// every block boundary of the kernel, plus degenerate and vector
+/// shapes. The literal shapes straddled the boundaries of the retired
+/// `4 x 8` register tile and its 256-deep chunks.
 fn edge_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
-        (1, KC + 3, 1),       // row vector x column vector, straddling KC
-        (MR, NR, 3),          // exactly one register tile
-        (MR - 1, NR - 1, 2),  // strictly inside one tile
-        (MR + 1, NR + 1, KC), // one row/col of remainder lanes, full chunk
-        (3 * MR, 2 * NR, KC - 1),
-        (2 * MR + 3, 3 * NR + 5, KC + 7), // remainders on every axis
-        (17, 29, 2 * KC + 1),             // multiple KC chunks with a tail
+        (1, 259, 1), // row vector x column vector
+        (4, 8, 3),
+        (3, 7, 2),
+        (5, 9, 256),
+        (12, 16, 255),
+        (11, 29, 263),
+        (17, 29, 513),
+        (RB, KC, NC),                 // exactly one row block and one panel
+        (RB - 1, KC - 1, NC - 1),     // strictly inside one
+        (RB + 1, KC + 1, NC + 1),     // one row, step and column past it
+        (2 * RB + 3, 2 * KC + 3, 17), // ragged blocks along the reduction
+        (197, 5, NC + 1),             // many row blocks, ragged panel width
     ]
 }
 
@@ -65,7 +73,7 @@ fn tiled_f64_is_bit_identical_to_naive_on_edge_shapes_and_random_sweeps() {
     }
     for case in 0..60 {
         let m = 1 + rng.below(50);
-        let k = 1 + rng.below(2 * KC);
+        let k = 1 + rng.below(512);
         let n = 1 + rng.below(50);
         let a = Matrix64::randn(m, k, 1.0, &mut rng);
         let b = Matrix64::randn(k, n, 1.0, &mut rng);
@@ -95,8 +103,8 @@ fn tiled_f32_is_bit_identical_to_naive() {
 
 #[test]
 fn tiled_handles_strided_views_bit_identically() {
-    // Sub-views keep the parent's row stride, so the kernel's packing
-    // loops must respect strides rather than assume contiguity.
+    // Sub-views keep the parent's row stride, so the kernel's loops
+    // must respect strides rather than assume contiguity.
     let mut rng = GaussianSampler::new(107);
     let parent = Matrix64::randn(64, 64, 1.0, &mut rng);
     for &(r0, c0, m, k, n) in &[(0usize, 0usize, 5usize, 9usize, 7usize), (3, 2, 31, 40, 13)] {
@@ -110,9 +118,9 @@ fn tiled_handles_strided_views_bit_identically() {
     }
 }
 
-/// Row counts that exercise the skinny-row path alone (`m < MR`) and as
-/// the tail after full packed strips (`MR + 1`, `2 * MR + 3`).
-const SKINNY_ROWS: [usize; 5] = [1, 2, 3, MR + 1, 2 * MR + 3];
+/// Row counts of decode-step products: a GEMV, short prefill chunks, a
+/// `k + 1 = 5`-row verify pass, and 11 rows, past one row block.
+const SKINNY_ROWS: [usize; 5] = [1, 2, 3, 5, 11];
 
 /// Decode-step weight shapes `(k, n)`: servebench's serve_open decoder
 /// (dim 128, FFN 256) and GPT2-small (dim 768, FFN 3072).
@@ -173,14 +181,16 @@ fn a_reused_output_buffer_is_fully_overwritten_across_shapes() {
     let mut rng = GaussianSampler::new(149);
     let mut out = Matrix64::from_fn(12, 40, |_, _| f64::NAN);
     for &(m, k, n) in &[
-        (2 * MR + 3, 33, 37),
+        (11, 33, 37),
         (1, 33, 37),
         (3, 300, 9),
         (1, 5, 40),
-        (MR + 1, KC + 1, 17),
+        (5, 257, 17),
         (2, 1, 1),
         (12, 12, 40),
         (1, 128, 256),
+        (2 * RB + 3, KC + 1, NC + 1),
+        (RB, 7, 3),
     ] {
         let a = Matrix64::randn(m, k, 1.0, &mut rng);
         let b = Matrix64::randn(k, n, 1.0, &mut rng);
@@ -196,7 +206,7 @@ fn exact_backends_are_bit_identical_to_the_naive_reference() {
     // approximately.
     let mut rng = GaussianSampler::new(109);
     let ideal = DptcBackend::ideal(DptcConfig::lt_paper());
-    for &(m, k, n) in &[(1, 1, 1), (MR + 1, NR + 3, 5), (33, 41, 29)] {
+    for &(m, k, n) in &[(1, 1, 1), (5, 11, 5), (33, 41, 29)] {
         let a = Matrix64::randn(m, k, 1.0, &mut rng);
         let b = Matrix64::randn(k, n, 1.0, &mut rng);
         let want = reference_gemm(&a.view(), &b.view());

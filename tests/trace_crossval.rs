@@ -228,7 +228,7 @@ fn recorded_decode_step_trace_matches_the_analytical_decode_trace() {
 fn a_recorded_decode_step_at_full_gpt2_small_width_matches_the_analytical_decode_trace() {
     // The tiny geometry above pins instance counts per layer; this pins
     // the dims and MACs at the real width (dim 768, 12 heads, FFN 3072),
-    // where every body GEMM is a `[1, d] x [d, n]` skinny-row product.
+    // where every body GEMM is a `[1, d] x [d, n]` matrix-vector product.
     // Two layers keep the executed weights small.
     let spec = TransformerConfig {
         layers: 2,
