@@ -19,7 +19,7 @@
 //!    32, 197} rows over the weight shapes the workspace runs (serve_open,
 //!    the tiny decoder and its attention heads, GPT2-small), `f32` and
 //!    `f64`. This table is the evidence for the kernel's one unpacked
-//!    loop and for its `RB`/`KC`/`NC` blocking.
+//!    loop and its `RB`-row blocks.
 //! 4. **f64 vs i8** — the exact float kernel against `quantized_gemm`
 //!    on pre-encoded i8 operands (the paper's 8-bit work mode executed
 //!    on real integer codes, grouped per-channel scales).
@@ -45,7 +45,8 @@ const WINDOW: Duration = Duration::from_millis(300);
 
 /// Row counts `m` of the strip-height table: a decode GEMV, a short
 /// prefill chunk, a speculative verify pass (`k + 1 = 5`), one and two
-/// row blocks, a training batch and DeiT-T's 197 tokens.
+/// row blocks, and taller products no workload issues yet (32 rows, and
+/// the 197 tokens of a DeiT-T forward).
 const STRIP_ROWS: [usize; 7] = [1, 2, 5, 8, 16, 32, 197];
 
 /// Weight shapes `(k, n)` of the strip-height table: servebench's
@@ -227,97 +228,97 @@ fn main() {
 // RECORDED RESULTS — 2-core Intel Xeon VM (shared; AVX2 and AVX-512),
 // 2026-10-17. `before` is the parent build, whose kernel ran full
 // four-row strips through a packed 4x8x256 register tile; `after` is
-// this build's one unpacked loop. Both columns are per-row medians over
-// ten runs of each side's bench binary, alternated. The `tiled` rows
+// this build's one unpacked loop. Both sides ran this bench source,
+// alternated, ten runs each; every entry is the median over those runs
+// of the row's median window (strip cells: GMAC/s). The `tiled` rows
 // run the kernel's AVX2 build, picked at run time on this CPU.
 //
 //                                        before     after   us/iter
-//   naive f64 96x256x96                     8800      8560
-//   tiled f64 96x256x96                      506       426
-//   naive f32 96x256x96                     8726      8508
-//   tiled f32 96x256x96                      342       240
-//   naive f64 192x192x192                  25622     25166
-//   tiled f64 192x192x192                   1443      1182
-//   naive f32 192x192x192                  25749     24828
-//   tiled f32 192x192x192                    944       522
-//   tiled f64 1x128x128                      3.2       3.5
-//   tiled f32 1x128x128                      2.0       1.7
-//   tiled f64 1x128x256                      6.0       5.8
-//   tiled f32 1x128x256                      3.3       3.5
-//   tiled f64 1x256x128                      6.2       5.8
-//   tiled f32 1x256x128                      4.0       3.8
-//   tiled f64 1x768x768                      242       244
-//   tiled f32 1x768x768                      100      94.4
-//   tiled f64 1x768x3072                    1021      1000
-//   tiled f32 1x768x3072                     506       496
-//   tiled f64 1x3072x768                     997       996
-//   tiled f32 1x3072x768                     523       526
-//   tiled f64 96x256x96                      475       415
-//   i8 gemm 96x256x96 (group 32)            1026      1401
-//   i4 gemm 96x256x96 (group 32)            1324      1474
-//   i8 encode+gemm 96x256x96                1656      1828
-//   tiny-ViT forward fp32 (exact)            237       221
-//   tiny-ViT forward int8 (exact)            799       779
-//   tiny-ViT forward int4 (exact)            937       988
-//
-// Strip heights, GMAC/s (median window; medians over the same ten runs):
+//   naive f64 96x256x96                      6901      6642
+//   tiled f64 96x256x96                       327       280
+//   naive f32 96x256x96                      6671      6972
+//   tiled f32 96x256x96                       215       158
+//   naive f64 192x192x192                   18384     21501
+//   tiled f64 192x192x192                     896       960
+//   naive f32 192x192x192                   20236     22254
+//   tiled f32 192x192x192                     782       452
+//   tiled f64 1x128x128                      2.89      2.66
+//   tiled f32 1x128x128                      1.36      1.86
+//   tiled f64 1x128x256                      3.96      5.10
+//   tiled f32 1x128x256                      2.57      2.85
+//   tiled f64 1x256x128                      4.25      4.35
+//   tiled f32 1x256x128                      2.55      2.64
+//   tiled f64 1x768x768                       211       217
+//   tiled f32 1x768x768                      79.5      81.1
+//   tiled f64 1x768x3072                      892       915
+//   tiled f32 1x768x3072                      462       467
+//   tiled f64 1x3072x768                      870       852
+//   tiled f32 1x3072x768                      449       443
+//   tiled f64 96x256x96                       278       276
+//   i8 gemm 96x256x96 (group 32)              832       952
+//   i4 gemm 96x256x96 (group 32)              976       999
+//   i8 encode+gemm 96x256x96                 1390      1141
+//   tiny-ViT forward fp32 (exact)             188       131
+//   tiny-ViT forward int8 (exact)             648       509
+//   tiny-ViT forward int4 (exact)             699       582
 //
 //                           m=1    m=2    m=5    m=8   m=16   m=32  m=197
-//   f64 128x128   before   4.96   6.53   3.61   4.49   5.42   5.83   6.58
-//                 after    4.49   5.87   6.33   5.92   6.13   5.87   5.87
-//   f64 128x256   before   7.46   6.85   3.04   3.75   4.06   6.50   5.51
-//                 after    5.74   6.27   6.51   6.37   5.88   5.75   6.13
-//   f64 256x128   before   6.17   5.61   3.05   3.92   4.34   4.30   5.38
-//                 after    5.36   5.90   5.81   5.48   5.81   5.83   5.71
-//   f64 128x64    before   4.78   4.81   3.17   3.77   4.30   4.51   4.64
-//                 after    4.12   4.67   5.10   5.29   5.11   5.21   5.29
-//   f64 32x32     before   2.84   3.21   2.17   2.72   3.24   3.50   3.72
-//                 after    2.65   3.32   3.90   4.00   3.85   3.91   3.96
-//   f64 32x64     before   3.75   4.42   2.42   2.86   3.67   3.63   4.33
-//                 after    3.73   4.17   4.37   4.83   4.79   4.72   4.64
-//   f64 64x32     before   2.84   3.52   2.44   3.50   4.28   3.96   4.42
-//                 after    2.85   3.36   3.89   4.45   4.25   4.23   4.35
-//   f64 8x17      before   0.90   1.36   0.80   1.06   1.35   1.53   1.78
-//                 after    0.94   1.40   2.16   2.50   2.43   2.47   2.57
-//   f64 17x8      before   0.67   1.08   0.97   1.58   2.42   2.83   3.24
-//                 after    0.80   1.21   1.84   2.21   1.81   1.96   2.13
-//   f64 768x768   before   2.49   3.71   1.88   2.43   2.92   3.25   3.94
-//                 after    2.46   3.58   5.60   5.74   5.95   5.76   5.42
-//   f64 768x3072  before   2.42   3.42   1.03   1.50   2.16   2.88   4.26
-//                 after    2.26   3.17   3.98   4.03   4.25   4.75   5.70
-//   f32 128x128   before   8.96   9.59   3.71   4.59   5.72   6.12   6.63
-//                 after    7.80   9.03  11.19  12.01  11.40  11.09  11.90
-//   f32 128x256   before  10.79  12.04   4.85   4.44   5.62   5.96   6.79
-//                 after   10.82  12.43  13.35  13.21  12.03  11.88  11.88
-//   f32 256x128   before   8.57  10.47   3.62   4.38   5.33   6.25   6.92
-//                 after    8.99  10.21  12.50  12.09  13.03  12.87  11.88
-//   f32 128x64    before   6.25   7.38   3.54   4.63   5.79   6.46   7.43
-//                 after    8.12  11.57   8.40   8.36   9.69   8.41   9.41
-//   f32 32x32     before   3.32   4.13   2.97   3.45   4.22   4.72   5.42
-//                 after    3.52   4.53   6.08   6.68   6.04   6.20   6.35
-//   f32 32x64     before   5.40   6.97   2.93   3.55   4.16   4.88   5.54
-//                 after    6.31   7.46   7.76   8.16   8.64   8.61   8.59
-//   f32 64x32     before   3.87   5.20   2.96   4.29   4.85   5.65   6.44
-//                 after    4.23   5.58   6.25   6.58   6.86   6.97   6.51
-//   f32 8x17      before   1.01   1.58   1.03   1.42   1.73   2.04   2.44
-//                 after    1.00   1.62   2.83   3.46   4.30   4.11   3.73
-//   f32 17x8      before   0.84   1.15   1.19   2.19   3.16   3.90   4.87
-//                 after    0.78   1.21   1.79   2.17   2.09   2.20   2.22
-//   f32 768x768   before   5.90   8.26   3.19   3.64   4.73   5.18   6.57
-//                 after    6.33   8.53  10.44  11.25  10.62  10.46  10.72
-//   f32 768x3072  before   4.88   6.88   1.88   2.60   3.90   5.24   5.90
-//                 after    4.77   6.72   9.29  10.26   8.11   8.87  10.39
+//   f64 128x128   before   7.04   9.09   4.06   5.06   5.71   6.31   7.25
+//                 after    7.59   9.62  10.41   9.63  10.09  10.48   9.41
+//   f64 128x256   before   8.02   9.07   4.67   4.93   5.86   6.36   6.66
+//                 after    8.10   9.02   9.88  10.18  10.85  10.61  11.12
+//   f64 256x128   before   6.86   8.14   3.88   4.79   6.13   6.34   7.59
+//                 after    8.10   8.66  10.01  10.27  11.16   9.96  10.23
+//   f64 128x64    before   6.18   7.78   4.39   3.98   4.93   4.87   5.61
+//                 after    6.81   8.28   9.53   8.82   9.25   8.98   9.27
+//   f64 32x32     before   3.77   5.46   3.24   3.28   4.83   6.09   6.37
+//                 after    4.54   5.69   6.89   7.55   7.61   7.71   7.32
+//   f64 32x64     before   6.33   7.10   4.15   5.08   5.83   6.12   6.44
+//                 after    6.57   7.58   7.96   8.38   8.61   8.59   8.57
+//   f64 64x32     before   5.00   6.30   4.43   5.71   6.29   6.95   7.03
+//                 after    5.30   6.50   7.58   7.79   7.58   7.61   7.78
+//   f64 8x17      before   1.25   2.08   1.30   1.64   2.15   2.58   2.84
+//                 after    1.47   2.31   3.49   3.29   3.67   3.71   4.54
+//   f64 17x8      before   1.02   1.87   1.65   2.51   3.63   4.04   5.02
+//                 after    0.98   1.37   2.65   2.83   2.61   2.78   3.71
+//   f64 768x768   before   2.75   4.31   2.37   3.23   4.19   3.64   5.52
+//                 after    2.90   4.11   6.29   6.73   6.00   6.75   7.08
+//   f64 768x3072  before   2.71   3.95   1.29   1.81   2.77   4.01   5.43
+//                 after    2.65   3.83   5.25   4.97   4.89   5.19   5.55
+//   f32 128x128   before  12.07  14.36   5.50   6.72   8.54   9.72  10.04
+//                 after   11.79  13.77  16.09  17.54  19.16  19.80  18.98
+//   f32 128x256   before  13.91  14.52   5.19   6.26   8.34   8.37   9.04
+//                 after   16.20  16.04  19.92  18.06  18.07  21.77  18.79
+//   f32 256x128   before  10.79  12.62   4.18   4.93   7.49   8.61  11.57
+//                 after   14.36  15.09  12.60  18.60  18.20  17.71  16.81
+//   f32 128x64    before  10.18  12.87   5.62   7.04   7.60   7.26   7.85
+//                 after    7.30   9.22   9.34  10.04  11.75  13.85  12.05
+//   f32 32x32     before   4.01   5.65   3.30   4.08   4.75   5.48   6.17
+//                 after    3.84   5.57   7.38   9.55   9.97  10.05  11.64
+//   f32 32x64     before   6.00   7.46   3.25   4.04   6.04   5.65   6.06
+//                 after    9.04  11.07  14.19  13.38  13.74  13.40  15.04
+//   f32 64x32     before   4.33   5.66   3.22   4.38   5.39   5.99   6.97
+//                 after    6.46   8.84   9.52   9.67   8.91   9.76   9.51
+//   f32 8x17      before   1.09   1.77   1.08   1.50   1.73   2.11   2.50
+//                 after    1.18   2.13   4.18   5.05   5.76   4.36   6.01
+//   f32 17x8      before   0.83   1.35   1.50   2.55   3.61   4.60   5.50
+//                 after    0.89   1.96   3.36   3.12   3.89   4.30   4.66
+//   f32 768x768   before   6.70   9.21   3.44   4.20   5.29   5.84   6.91
+//                 after    8.61  12.27  17.19  19.04  17.71  16.48  17.27
+//   f32 768x3072  before   5.34   7.59   2.38   2.56   4.34   6.44   8.73
+//                 after    5.43   8.14  11.66  13.14  12.09  11.31  13.42
 //
-// One run's cells swing by tens of percent, and the `m = 1` cells are
-// bimodal in both builds (e.g. f64 128x128 read 4.5-5 or 6.5-7.5 GMAC/s
-// from one process to the next), so medians of ten runs still move by
-// up to ~20 %: the i8/i4 rows, whose code this change does not touch,
-// moved by that much. An interleaved comparison that runs both kernels
-// on the same buffers, cell by cell (ARCHITECTURE.md §9), puts every
-// `m = 1` cell at 1.00-1.19x the parent, every `m = 5` cell at
-// 1.5-3.9x, and every taller cell at 1.00-2.4x, except n = 8 at
-// m >= 16 (0.41-0.97x), where the packed tile kept a 4x8 block in
-// registers. Regenerate with the command above.
+// One run's cells swing by tens of percent: rows whose code this change
+// does not touch (`naive`, i8/i4) moved by up to 18 % between the two
+// columns. The `m = 1` and `m = 2` cells and the 300 ms GEMV rows run
+// the same loop in both builds, and they are bimodal per process in
+// both (e.g. f32 128x64 at m = 1 read 5.3-7.5 or 10.1-11.2 GMAC/s), so
+// their medians count fast runs: the best run of each side puts every
+// m = 1 cell at 0.91-1.11x the parent, 1.00-1.03x at serve_open's f64
+// shapes. Whether those GEMVs are as fast as at the parent is
+// unresolved here (ARCHITECTURE.md §9). Narrow outputs (n = 8) at
+// m >= 16 are slower than on the packed tile. Regenerate with the
+// command above.
 //
 // The integer path is *slower* on the host — a scalar i8 loop can't
 // beat the autovectorized float kernel, and per-call encoding costs

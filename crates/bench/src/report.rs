@@ -37,7 +37,7 @@
 //! a `_us` field so it is exempt like all wall-clock) next to the fresh
 //! `forward_record_us`, tiled-vs-naive and f64-vs-i8 wall-clocks, and
 //! gated deterministic fields — the kernel's blocking (`micro_tile`,
-//! `RBxKCxNC`: row block, panel depth, panel width), the int8
+//! `RBxKxN`: rows per block, each block over all of B), the int8
 //! forward's recorded op/MAC counts (integer execution must be
 //! workload-transparent), i8/i4 code bytes for a reference weight
 //! (i4 really halves memory), and the int8 logit deviation on the
@@ -296,7 +296,7 @@ fn schedule_cache_section(decode_record_replay_us: f64) -> String {
 /// field out of the `repro check` gate, while the integer-path fields
 /// are modeled/deterministic and gated.
 fn kernel_section(forward_record_us: f64) -> String {
-    use lt_core::kernel::{KC, NC, RB};
+    use lt_core::kernel::RB;
     use lt_core::{quantized_gemm, reference_gemm, Matrix32, Matrix64, QuantizedMatrix};
 
     // The committed pre-rework measurement (see ISSUE 7 acceptance).
@@ -336,7 +336,7 @@ fn kernel_section(forward_record_us: f64) -> String {
     let logit_err = int8_logits.max_abs_diff(&fp32_logits);
 
     format!(
-        "  \"kernel\": {{ \"micro_tile\": \"{RB}x{KC}x{NC}\", \
+        "  \"kernel\": {{ \"micro_tile\": \"{RB}xKxN\", \
          \"prev_forward_record_us\": {}, \"forward_record_us\": {}, \
          \"naive_f64_gemm_us\": {}, \"tiled_f64_gemm_us\": {}, \"i8_gemm_us\": {}, \
          \"int8_forward_ops\": {}, \"int8_forward_macs\": {}, \

@@ -1,4 +1,4 @@
-//! The shared GEMM kernel: one unpacked, cache-blocked loop.
+//! The shared GEMM kernel: one unpacked loop.
 //!
 //! Every exact matrix product in the workspace — [`MatrixView::matmul`],
 //! and through it `NativeBackend`, the ideal DPTC fidelity, the photonic
@@ -19,20 +19,21 @@
 //! `[1, d] x [d, n]`, and prefill chunks and speculative verify passes
 //! add only a handful of rows. A packed register tile copies B into a
 //! panel buffer on every call and pays that copy back only across many
-//! rows; at decode heights it costs more than it saves, and it lost to
-//! this loop on most tall shapes as well (ARCHITECTURE.md §9 has the
-//! measured table). Folding B's rows in place reads every weight once
-//! per product and copies nothing.
+//! rows; at decode heights it costs more than it saves (ARCHITECTURE.md
+//! §9 has the measured table). Folding B's rows in place reads every
+//! weight once per row block and copies nothing.
 //!
 //! # Blocking
 //!
-//! * A product of at most [`RB`] rows — every decode GEMV, prefill chunk
-//!   and verify pass — walks B once, unblocked.
-//! * A taller product walks B in `KC x NC` panels ([`KC`] reduction
-//!   steps by [`NC`] output columns, sized for L2) and folds each panel
-//!   into every block of `RB` output rows while the panel is still in
-//!   cache. Four panel rows and the block's output rows stay in L1
-//!   while the block's rows take them in turn.
+//! The output is cut into blocks of [`RB`] full-width rows, and each
+//! block walks all of B once. A product of at most `RB` rows — every
+//! decode GEMV, prefill chunk and verify pass — is one block, so it
+//! reads B once. B is not cut into panels: the tall products the
+//! workspace's models issue (training, and the executable validation
+//! models) have weights of at most 192 rows and 64 columns, which stay
+//! in cache from one row block to the next, so a panel walk would run
+//! once on each of them. At GPT2-small widths a tall product streams B
+//! from outer cache once per row block.
 //!
 //! # Bit-identity contract
 //!
@@ -40,13 +41,10 @@
 //! element accumulates its `k` products in strictly increasing reduction
 //! order into a single accumulator that starts at zero. Four reduction
 //! steps share one load and store of the element but are still added
-//! one at a time, left to right. Between panels the partial sum
-//! round-trips through the output buffer (an exact operation for IEEE
-//! floats), and the next panel along the reduction resumes in the same
-//! order. Panels and row blocks choose only which elements are updated
-//! when; no element sees its products in another order. This is what
-//! lets `tests/` property suites assert `tiled == naive` with `==`
-//! instead of a tolerance.
+//! one at a time, left to right. Row blocks choose only which elements
+//! are updated when; no element sees its products in another order.
+//! This is what lets `tests/` property suites assert `tiled == naive`
+//! with `==` instead of a tolerance.
 //!
 //! # Instruction set
 //!
@@ -65,15 +63,10 @@
 
 use crate::matrix::{Matrix, MatrixView, Scalar};
 
-/// Row-block height. A product of at most `RB` rows walks B once,
-/// unblocked; a taller one folds each B panel into `RB` rows at a time.
+/// Row-block height: the output rows that walk B together.
 pub const RB: usize = 8;
-/// Panel depth: reduction steps (rows of B) per panel of a tall product.
-pub const KC: usize = 256;
-/// Panel width: output columns per panel of a tall product.
-pub const NC: usize = 256;
 
-/// Cache-blocked matrix product `a x b`.
+/// Row-blocked matrix product `a x b`.
 ///
 /// Bit-identical to [`reference_gemm`](crate::matrix::reference_gemm)
 /// on every shape (see the module docs for why), including 0-sized,
@@ -145,44 +138,28 @@ fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut 
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let out = out.data_mut();
-    if m <= RB {
-        // One row block takes all of B as a single panel.
-        fold(a, b, out, n);
-        return;
-    }
-    for j in (0..n).step_by(NC) {
-        let cols = NC.min(n - j);
-        for l in (0..k).step_by(KC) {
-            let depth = KC.min(k - l);
-            let panel = b.block(l, j, depth, cols);
-            for i in (0..m).step_by(RB) {
-                let rows = RB.min(m - i);
-                let block = &mut out[i * n + j..(i + rows - 1) * n + j + cols];
-                fold(&a.block(i, l, rows, depth), &panel, block, n);
-            }
-        }
+    for (i, rows) in out.data_mut().chunks_mut(RB * n).enumerate() {
+        fold(a, b, i * RB, rows);
     }
 }
 
-/// Folds every row of `b` into every output row:
-/// `out[r, :] += a[r, l] * b[l, :]` for `l = 0, 1, ..., a.cols() - 1`
-/// in order, reading `b` in place. `out` holds the `a.rows()` output
-/// rows, `stride` apart, each `b.cols()` wide; the last one ends the
-/// slice.
+/// Folds every row of `b` into the output rows `first..` that `out`
+/// holds, each `b.cols()` wide, back to back:
+/// `out[r, :] += a[first + r, l] * b[l, :]` for
+/// `l = 0, 1, ..., a.cols() - 1` in order, reading `b` in place.
 ///
 /// Each output element is its own accumulator. Four reduction steps
 /// share one load/store of it; they are still added one at a time (left
 /// to right), which keeps the reference order.
 #[inline(always)]
-fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut [T], stride: usize) {
+fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, first: usize, out: &mut [T]) {
     const UNROLL: usize = 4;
-    let k = a.cols();
+    let (k, n) = (a.cols(), b.cols());
     let mut l = 0;
     while l + UNROLL <= k {
         let (b0, b1, b2, b3) = (b.row(l), b.row(l + 1), b.row(l + 2), b.row(l + 3));
-        for (r, orow) in out.chunks_mut(stride).enumerate() {
-            let av = &a.row(r)[l..l + UNROLL];
+        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
+            let av = &a.row(first + r)[l..l + UNROLL];
             let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
             for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
                 *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
@@ -192,8 +169,8 @@ fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut [T], 
     }
     for l in l..k {
         let brow = b.row(l);
-        for (r, orow) in out.chunks_mut(stride).enumerate() {
-            let av = a.row(r)[l];
+        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
+            let av = a.row(first + r)[l];
             for (o, &x) in orow.iter_mut().zip(brow) {
                 *o += av * x;
             }
@@ -210,12 +187,13 @@ mod tests {
     /// Row counts on both sides of every row-block boundary, up to 197
     /// (DeiT-T's tokens: many blocks and a ragged last one).
     const EDGE_M: [usize; 10] = [1, 2, 3, 4, 5, RB - 1, RB, RB + 1, 2 * RB + 3, 197];
-    /// Reduction lengths on both sides of the unroll and panel-depth
-    /// boundaries, and past two panels.
-    const EDGE_K: [usize; 8] = [1, 3, 4, 5, KC - 1, KC, KC + 1, 2 * KC + 3];
-    /// Output widths on both sides of the panel-width boundary, and a
-    /// few narrow ones.
-    const EDGE_N: [usize; 7] = [1, 7, 8, 17, NC - 1, NC, NC + 1];
+    /// Reduction lengths on both sides of the four-step unroll, short
+    /// and long (around 256, the depth at which a packed or panelled
+    /// kernel splits the reduction, and past twice that).
+    const EDGE_K: [usize; 8] = [1, 3, 4, 5, 255, 256, 257, 515];
+    /// Output widths with every vector-tail length of both builds:
+    /// narrow ones, and wide ones around 256.
+    const EDGE_N: [usize; 7] = [1, 7, 8, 17, 255, 256, 257];
 
     /// Asserts that the portable build and, when this CPU has AVX2, the
     /// AVX2 build each equal the reference product under `==`, writing

@@ -579,7 +579,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
 
     /// Matrix product through the shared kernel: `self x rhs`.
     ///
-    /// Delegates to the one cache-blocked kernel in [`crate::kernel`],
+    /// Delegates to the one row-blocked kernel in [`crate::kernel`],
     /// which folds B's rows in place into the output and is
     /// bit-identical to [`reference_gemm`] on every shape. All backends
     /// that advertise exact arithmetic route through this one kernel so

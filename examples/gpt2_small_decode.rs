@@ -7,9 +7,10 @@
 //! milliseconds per decoded token, the process's peak resident memory,
 //! and the modeled LT-B cost of the same tokens. Every GEMM of a decode
 //! step is a `[1, d] x [d, n]` matrix-vector product, so the host rate
-//! here is the exact kernel's single unblocked pass over each weight
-//! plus the per-op costs around it. Peak memory includes the `f64` copy of every weight that
-//! the engine stages on first use (8 bytes per weight parameter).
+//! here is the exact kernel's single pass over each weight plus the
+//! per-op costs around it. Peak memory includes the `f64` copy of every
+//! weight that the engine stages on first use (8 bytes per weight
+//! parameter).
 //!
 //! ```sh
 //! cargo run --release --example gpt2_small_decode

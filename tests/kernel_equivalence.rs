@@ -1,14 +1,14 @@
-//! The shared GEMM micro-kernel's equivalence contract.
+//! The shared GEMM kernel's equivalence contract.
 //!
-//! Every exact matrix product runs on the one cache-blocked kernel,
+//! Every exact matrix product runs on the one row-blocked kernel,
 //! `lt_core::kernel::tiled_gemm`, and the true integer execution path
 //! is `lt_core::quantized_gemm`. These properties pin what a rework of
 //! either is allowed to mean:
 //!
 //! 1. **Tiled == naive, bit for bit.** Over seeded random sweeps and
-//!    the edge shapes that straddle every block boundary (`RB`, `KC`,
-//!    `NC`, and the shapes that straddled the retired `4 x 8 x 256`
-//!    register tile), the tiled kernel returns *exactly* (`==`) what
+//!    the edge shapes that straddle the row-block boundary (`RB`), the
+//!    four-step unroll and the 256-deep, 256-wide blocks of a packed or
+//!    panelled kernel, the tiled kernel returns *exactly* (`==`) what
 //!    the textbook triple loop returns — for `f64` and `f32`, and for
 //!    strided sub-views.
 //! 2. **Every backend rides the same kernel.** The exact backends
@@ -27,7 +27,7 @@
 //!    reused across shapes.
 
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend};
-use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, KC, NC, RB};
+use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, RB};
 use lightening_transformer::core::{
     blocked_gemm, quantized_gemm, reference_gemm, ComputeBackend, GaussianSampler, Matrix32,
     Matrix64, NativeBackend, QuantizedMatrix, RunCtx,
@@ -38,9 +38,9 @@ use lightening_transformer::runtime::ParallelBackend;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// `(m, k, n)` shapes that land exactly on, just under, and just over
-/// every block boundary of the kernel, plus degenerate and vector
-/// shapes. The literal shapes straddled the boundaries of the retired
-/// `4 x 8` register tile and its 256-deep chunks.
+/// the kernel's row-block boundary and 256-deep, 256-wide blocks, plus
+/// degenerate and vector shapes and the `4 x 8` register-tile
+/// boundaries of a packed kernel.
 fn edge_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -51,11 +51,11 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
         (12, 16, 255),
         (11, 29, 263),
         (17, 29, 513),
-        (RB, KC, NC),                 // exactly one row block and one panel
-        (RB - 1, KC - 1, NC - 1),     // strictly inside one
-        (RB + 1, KC + 1, NC + 1),     // one row, step and column past it
-        (2 * RB + 3, 2 * KC + 3, 17), // ragged blocks along the reduction
-        (197, 5, NC + 1),             // many row blocks, ragged panel width
+        (RB, 256, 256),        // exactly one row block and one 256 x 256 block
+        (RB - 1, 255, 255),    // strictly inside one
+        (RB + 1, 257, 257),    // one row, step and column past it
+        (2 * RB + 3, 515, 17), // ragged blocks along the reduction
+        (197, 5, 257),         // many row blocks, ragged width
     ]
 }
 
@@ -189,7 +189,7 @@ fn a_reused_output_buffer_is_fully_overwritten_across_shapes() {
         (2, 1, 1),
         (12, 12, 40),
         (1, 128, 256),
-        (2 * RB + 3, KC + 1, NC + 1),
+        (2 * RB + 3, 257, 257),
         (RB, 7, 3),
     ] {
         let a = Matrix64::randn(m, k, 1.0, &mut rng);
