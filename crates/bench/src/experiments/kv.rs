@@ -97,9 +97,9 @@ pub fn measure() -> KvPressureReport {
     let mut served = 0;
     let (mut kv_bytes, mut kv_stall, mut bw_stall) = (0.0f64, 0.0f64, 0.0f64);
     while sched.has_work() {
-        let Some(outcome) = sched.tick() else {
-            continue;
-        };
+        let outcome = sched
+            .tick()
+            .expect("repro kv: the starved-pool scheduler has work but cannot make progress");
         for trace in &outcome.step_traces {
             let s = sim.schedule_trace(trace, sim.config().dataflow);
             for (op, r) in trace.ops().iter().zip(&s.per_op) {
@@ -117,6 +117,7 @@ pub fn measure() -> KvPressureReport {
         assert!(sched.drain_failed().is_empty(), "no request may fail");
     }
 
+    assert_eq!(served, sessions, "repro kv: every session must complete");
     KvPressureReport {
         pool_blocks: kv.pool_blocks,
         block_tokens: kv.block_tokens,

@@ -174,9 +174,9 @@ fn measure_cell(batch: usize, k: usize) -> SpecRow {
     let (mut target_cycles, mut draft_cycles) = (0u64, 0u64);
     let (mut bw_stall, mut latency) = (0.0f64, 0.0f64);
     while sched.has_work() {
-        let Some(outcome) = sched.tick() else {
-            continue;
-        };
+        let outcome = sched
+            .tick()
+            .expect("repro spec: the speculative scheduler has work but cannot make progress");
         if !outcome.step_traces.is_empty() {
             // The same tick-merge the serving frontend costs: exact
             // row-stacking for plain steps, ragged (padding charged)

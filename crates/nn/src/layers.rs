@@ -2,6 +2,7 @@
 
 use crate::engine::{block_copies, MatmulEngine};
 use crate::quant::{IntegerQuant, QuantConfig};
+use crate::tanh::tanhf;
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, Op, OpKind, Trace};
 use lt_core::GaussianSampler;
@@ -486,7 +487,17 @@ impl LayerNorm {
     }
 }
 
-/// GELU activation (tanh approximation, as used by Transformers).
+/// GELU activation (tanh approximation, as used by Transformers):
+/// `0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))`.
+///
+/// Its `tanh` is this crate's transcription of fdlibm's `tanhf`, the
+/// routine glibc's libm ships: for every input it returns the bits
+/// `f32::tanh` returns with that libm, whatever libm the host has (see
+/// the `tanh` module). Every pass
+/// runs one elementwise loop, which vectorizes; on an x86-64 CPU with
+/// AVX2 it runs as compiled for AVX2 (checked at run time), elsewhere as
+/// compiled for the build's baseline target. Both builds perform the
+/// same IEEE operations per element, so they produce the same bits.
 #[derive(Debug, Clone, Default)]
 pub struct Gelu {
     cache_x: Option<Tensor>,
@@ -494,15 +505,57 @@ pub struct Gelu {
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
+#[inline(always)]
 fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanhf(GELU_C * (x + 0.044715 * x * x * x)))
 }
 
+#[inline(always)]
 fn gelu_grad_scalar(x: f32) -> f32 {
     let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = tanhf(u);
     let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// GELU's elementwise loop, in place: `v[i] = gelu(v[i])`, or, given
+/// `dy`, the backward pass `v[i] = gelu'(v[i]) * dy[i]`, `v` holding the
+/// forward input.
+fn gelu_map(v: &mut [f32], dy: Option<&[f32]>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gelu_map_avx2` needs nothing but a CPU that executes
+        // AVX2 instructions, which the feature check above established.
+        unsafe { gelu_map_avx2(v, dy) };
+        return;
+    }
+    gelu_map_body(v, dy);
+}
+
+/// [`gelu_map_body`] compiled with AVX2 enabled (and FMA not), so the
+/// compiler may widen its loops to 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gelu_map_avx2(v: &mut [f32], dy: Option<&[f32]>) {
+    gelu_map_body(v, dy);
+}
+
+/// The loop itself. Always inlined, like the scalar functions it calls,
+/// so each caller compiles its own copy for its own target features.
+#[inline(always)]
+fn gelu_map_body(v: &mut [f32], dy: Option<&[f32]>) {
+    match dy {
+        None => {
+            for x in v {
+                *x = gelu_scalar(*x);
+            }
+        }
+        Some(dy) => {
+            for (x, &d) in v.iter_mut().zip(dy) {
+                *x = gelu_grad_scalar(*x) * d;
+            }
+        }
+    }
 }
 
 impl Gelu {
@@ -514,13 +567,13 @@ impl Gelu {
     /// Forward pass.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cache_x = Some(x.clone());
-        x.map(gelu_scalar)
+        self.infer(x.clone())
     }
 
     /// Inference-only forward pass (no backward cache, `&self`), in
     /// place.
     pub fn infer(&self, mut x: Tensor) -> Tensor {
-        x.map_in_place(gelu_scalar);
+        gelu_map(x.data_mut(), None);
         x
     }
 
@@ -528,10 +581,14 @@ impl Gelu {
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
+    /// Panics if called before `forward`, or if `dy`'s shape is not the
+    /// forward input's.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self.cache_x.as_ref().expect("Gelu::forward not called");
-        x.map(gelu_grad_scalar).hadamard(dy)
+        assert_eq!(x.shape(), dy.shape(), "Gelu::backward shape mismatch");
+        let mut dx = x.clone();
+        gelu_map(dx.data_mut(), Some(dy.data()));
+        dx
     }
 }
 
@@ -714,6 +771,121 @@ mod tests {
             let got = gelu_grad_scalar(x0);
             let num = numerical_grad(&mut |v| gelu_scalar(v), x0);
             assert!((got - num).abs() < 1e-3, "x={x0}: {got} vs {num}");
+        }
+    }
+
+    /// FNV-1a over the bits of `values`, every NaN mapped to one pattern.
+    fn fnv1a(values: &[f32]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for v in values {
+            let bits = if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() };
+            for byte in bits.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// GELU's pinned inputs: a strided sweep of about 1 M bit patterns,
+    /// which reaches every exponent of both signs, then every branch
+    /// threshold of `tanhf` on `|x|` and of `expm1f` on `2|x|` (halved),
+    /// each with its neighbours one ulp away, in both signs, and the
+    /// special values.
+    fn gelu_pin_inputs() -> Vec<f32> {
+        let mut bits: Vec<u32> = (0..=u32::MAX).step_by(4099).collect();
+        let half = 1 << 23;
+        for t in [
+            0x7f80_0000,
+            0x41b0_0000,
+            0x3f80_0000,
+            0x2400_0000,
+            0x3eb1_7218 - half,
+            0x3f85_1592 - half,
+            0x3300_0000 - half,
+        ] {
+            for b in [t - 1, t, t + 1] {
+                bits.extend([b, b | 0x8000_0000]);
+            }
+        }
+        bits.extend([0, 0x8000_0000, 0xff80_0000, 0x7fc0_0000]);
+        bits.extend([f32::MAX.to_bits(), f32::MIN.to_bits(), 1, 0x8000_0001]);
+        bits.into_iter().map(f32::from_bits).collect()
+    }
+
+    /// The upstream gradients the pin's backward passes take.
+    fn gelu_pin_dy(len: usize) -> Vec<f32> {
+        (0..len).map(|i| 1.0 + (i % 4) as f32 * 0.5).collect()
+    }
+
+    /// Row widths the pin lays its inputs out in: every vector tail of
+    /// both builds, and the FFN widths the models run.
+    const GELU_PIN_WIDTHS: [usize; 7] = [1, 7, 8, 9, 64, 256, 3072];
+
+    /// GELU's outputs and input gradients over `xs`, laid out in rows of
+    /// `width`, through the layer's own passes.
+    fn gelu_through_layer(xs: &[f32], dy: &[f32], width: usize) -> (Vec<f32>, Vec<f32>) {
+        let (mut y, mut dx) = (Vec::new(), Vec::new());
+        for (x, dy) in xs.chunks(width).zip(dy.chunks(width)) {
+            let x = Tensor::from_vec(1, x.len(), x.to_vec());
+            let mut gelu = Gelu::new();
+            let inferred = gelu.infer(x.clone());
+            let forward = gelu.forward(&x);
+            assert_eq!(fnv1a(inferred.data()), fnv1a(forward.data()));
+            y.extend_from_slice(inferred.data());
+            let dy = Tensor::from_vec(1, dy.len(), dy.to_vec());
+            dx.extend_from_slice(gelu.backward(&dy).data());
+        }
+        (y, dx)
+    }
+
+    /// One build of GELU's elementwise loop: the portable or the AVX2 copy.
+    type GeluLoop = fn(&mut [f32], Option<&[f32]>);
+
+    /// As [`gelu_through_layer`], through one build of the elementwise
+    /// loop.
+    fn gelu_through_build(
+        xs: &[f32],
+        dy: &[f32],
+        width: usize,
+        body: GeluLoop,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut y = xs.to_vec();
+        y.chunks_mut(width).for_each(|y| body(y, None));
+        let mut dx = xs.to_vec();
+        for (dx, dy) in dx.chunks_mut(width).zip(dy.chunks(width)) {
+            body(dx, Some(dy));
+        }
+        (y, dx)
+    }
+
+    #[test]
+    fn gelu_bits_are_pinned() {
+        // Digests taken with the host libm's `tanhf` (glibc 2.36) before
+        // GELU's tanh moved in-repo, in debug and in release builds.
+        const TANH: u64 = 0xdd74_dfee_1957_6fdd;
+        const GELU: u64 = 0x67ad_a15f_83f8_92c9;
+        const GELU_GRAD: u64 = 0xbc80_3422_91c4_f651;
+        let xs = gelu_pin_inputs();
+        let tanh: Vec<f32> = xs.iter().map(|&x| tanhf(x)).collect();
+        assert_eq!(fnv1a(&tanh), TANH, "tanh moved");
+        let dy = gelu_pin_dy(xs.len());
+        for width in GELU_PIN_WIDTHS {
+            let (y, dx) = gelu_through_layer(&xs, &dy, width);
+            assert_eq!(fnv1a(&y), GELU, "Gelu::infer, rows of {width}");
+            assert_eq!(fnv1a(&dx), GELU_GRAD, "Gelu::backward, rows of {width}");
+        }
+        let check_build = |build: &str, body: GeluLoop| {
+            for width in GELU_PIN_WIDTHS {
+                let (y, dx) = gelu_through_build(&xs, &dy, width, body);
+                assert_eq!(fnv1a(&y), GELU, "{build} build, rows of {width}");
+                assert_eq!(fnv1a(&dx), GELU_GRAD, "{build} backward, rows of {width}");
+            }
+        };
+        check_build("portable", gelu_map_body);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2 (checked just above).
+            check_build("AVX2", |v, dy| unsafe { gelu_map_avx2(v, dy) });
         }
     }
 

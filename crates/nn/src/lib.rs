@@ -70,6 +70,7 @@ pub mod metrics;
 pub mod model;
 pub mod quant;
 pub mod serve;
+mod tanh;
 pub mod tensor;
 pub mod train;
 
