@@ -207,6 +207,14 @@ impl ScheduleCacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Adds another cache's counts to these (separate caches: their
+    /// entries add too).
+    pub fn merge(&mut self, other: &ScheduleCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.entries += other.entries;
+    }
 }
 
 impl fmt::Display for ScheduleCacheStats {

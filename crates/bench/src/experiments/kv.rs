@@ -123,7 +123,7 @@ pub fn measure() -> KvPressureReport {
         block_tokens: kv.block_tokens,
         sessions,
         served,
-        stats: sched.stats().clone(),
+        stats: *sched.stats(),
         kv_hbm_bytes: kv_bytes,
         kv_bandwidth_stall_ms: kv_stall,
         bandwidth_stall_ms: bw_stall,

@@ -932,11 +932,6 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         self.tokens.len() >= self.max_new_tokens
     }
 
-    /// The replayed cost of the most recent decode step, if any ran.
-    pub fn last_step_cost(&self) -> Option<&RunReport> {
-        self.step_costs.last()
-    }
-
     /// Runs the causal prompt pass: fills the KV cache, samples the
     /// first token, and costs the recorded trace on `sim`. Returns the
     /// coalesced prefill trace (for schedulers that aggregate tick

@@ -82,7 +82,7 @@ pub use engine::{BackendEngine, ExactEngine, MatmulEngine};
 pub use kv::{BlockPool, KvLayer, ModelKv, PagedKvCache, PreemptPolicy, PrefixIndex};
 pub use model::{TextClassifier, VisionTransformer};
 pub use quant::{IntegerQuant, QuantConfig};
-pub use serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, SpecConfig};
+pub use serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, ServingStats, SpecConfig};
 pub use serve::lifecycle::{RequestLifecycle, RequestOutcome, ServingReport, SloFrontend};
 pub use serve::sched::{KvScheduler, KvServeConfig};
 pub use serve::{Reply, Request, ServeConfig, Server};

@@ -5,10 +5,11 @@
 //!
 //! The wall clock of a host running the simulator is noise; the
 //! latency that the paper's accelerator model predicts is signal. So
-//! the frontend drives one [`KvScheduler`] tick at a time, merges each
-//! tick's recorded traces ([`Trace::batch_rows`]) exactly like the
-//! threaded [`crate::serve::decode::DecodeServer`] does, replays the
-//! merged trace, and advances a [`CycleClock`] by the replayed latency.
+//! the frontend drives one [`KvScheduler`] tick at a time, costs each
+//! tick with [`TickOutcome::cost`](crate::serve::sched::TickOutcome::cost)
+//! — the same batched merge and replay the threaded
+//! [`crate::serve::decode::DecodeServer`] charges — and advances a
+//! [`CycleClock`] by the replayed latency.
 //! Every timestamp below — TTFT, inter-token gaps, completion — is an
 //! integer count of simulated **picoseconds** (the clock's native
 //! resolution; a tiny model's whole run can fit inside one
@@ -20,8 +21,8 @@
 //!
 //! # Admission
 //!
-//! Arrivals enter a class-ordered [`BatchQueue`] via
-//! [`BatchQueue::submit_with_class`], so an
+//! Arrivals wait in one FIFO per [`SloClass`], and free scheduler slots
+//! are filled from the highest class first, so an
 //! [`SloClass::Interactive`] request overtakes waiting
 //! [`SloClass::Batch`] work while FIFO order is kept within a class. A
 //! request whose TTFT deadline is shorter than its prompt's *analytic
@@ -43,10 +44,10 @@ use crate::decode::{DecoderConfig, DecoderLm, SessionConfig};
 use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use crate::serve::sched::KvScheduler;
 use lt_arch::{CycleClock, Simulator};
-use lt_core::{ComputeBackend, Trace};
+use lt_core::ComputeBackend;
 use lt_runtime::loadgen::{GenRequest, LatencyStats};
-use lt_runtime::{BatchQueue, SloClass};
-use std::collections::{BTreeMap, HashMap};
+use lt_runtime::SloClass;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Picoseconds per microsecond (the loadgen/lifecycle unit boundary).
 const PS_PER_US: u64 = 1_000_000;
@@ -223,6 +224,9 @@ pub struct SloFrontend<'m, B: ComputeBackend + Clone> {
     model_config: DecoderConfig,
     clock: CycleClock,
     records: BTreeMap<usize, RequestLifecycle>,
+    /// Arrived, not yet admitted requests: one FIFO per class, indexed
+    /// by [`SloClass::rank`].
+    waiting: [VecDeque<(usize, DecodeRequest)>; 3],
     ticket_of: HashMap<u64, usize>,
     last_token_ps: HashMap<u64, u64>,
     next_ticket: u64,
@@ -272,6 +276,7 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
             model_config: model.config(),
             clock: CycleClock::new(),
             records: BTreeMap::new(),
+            waiting: Default::default(),
             ticket_of: HashMap::new(),
             last_token_ps: HashMap::new(),
             next_ticket: 0,
@@ -317,30 +322,25 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
     pub fn run_open(mut self, requests: &[GenRequest]) -> (Vec<RequestLifecycle>, ServingReport) {
         let mut order: Vec<&GenRequest> = requests.iter().collect();
         order.sort_by_key(|r| (r.arrival_us, r.id));
-        let queue: BatchQueue<usize> = BatchQueue::new(self.sched_capacity());
-        let by_id: HashMap<usize, &GenRequest> = requests.iter().map(|r| (r.id, r)).collect();
         let mut next_arrival = 0usize;
-        let mut queued = 0usize;
         loop {
             while next_arrival < order.len()
                 && order[next_arrival].arrival_us * PS_PER_US <= self.clock.now_ps()
             {
                 let request = order[next_arrival];
                 next_arrival += 1;
-                self.arrive(request, &queue, &mut queued);
+                self.arrive(request, request.arrival_us * PS_PER_US);
             }
-            self.admit_from(&queue, &by_id, &mut queued);
+            self.admit_waiting();
             if !self.advance_one_tick() {
                 if next_arrival < order.len() {
                     // Idle: jump straight to the next arrival.
                     self.clock.advance_to_us(order[next_arrival].arrival_us);
                     continue;
                 }
-                if queued == 0 && !self.sched.has_work() {
-                    break;
-                }
-                // No progress possible (a stuck backlog can only mean a
-                // scheduler invariant broke): stop rather than spin.
+                // Drained, or no progress possible (a stuck backlog can
+                // only mean a scheduler invariant broke): stop rather
+                // than spin.
                 break;
             }
             self.settle();
@@ -360,30 +360,23 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
         let concurrency = concurrency.max(1);
         let mut order: Vec<&GenRequest> = requests.iter().collect();
         order.sort_by_key(|r| r.id);
-        let queue: BatchQueue<usize> = BatchQueue::new(self.sched_capacity());
-        let by_id: HashMap<usize, &GenRequest> = requests.iter().map(|r| (r.id, r)).collect();
         let mut next = 0usize;
-        let mut queued = 0usize;
         let mut in_flight = 0usize;
         loop {
             while next < order.len() && in_flight < concurrency {
                 let request = order[next];
                 next += 1;
-                let before = queued;
-                self.arrive_at_now(request, &queue, &mut queued);
-                if queued > before {
+                if self.arrive(request, self.clock.now_ps()) {
                     in_flight += 1;
                 }
             }
-            self.admit_from(&queue, &by_id, &mut queued);
+            self.admit_waiting();
             if !self.advance_one_tick() {
-                if queued == 0 && !self.sched.has_work() && next >= order.len() {
-                    break;
-                }
-                if queued == 0 && !self.sched.has_work() {
+                let idle = self.waiting.iter().all(VecDeque::is_empty) && !self.sched.has_work();
+                if idle && next < order.len() {
                     continue; // release the next user(s)
                 }
-                break; // stuck backlog: stop rather than spin
+                break; // drained, or a stuck backlog: stop rather than spin
             }
             let done = self.settle();
             in_flight = in_flight.saturating_sub(done);
@@ -391,62 +384,35 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
         self.finish()
     }
 
-    /// Queue capacity hint for the admission [`BatchQueue`].
-    fn sched_capacity(&self) -> usize {
-        self.sched.free_slots().max(1)
-    }
-
-    /// Registers an arrival stamped at its own trace timestamp.
-    fn arrive(&mut self, request: &GenRequest, queue: &BatchQueue<usize>, queued: &mut usize) {
+    /// Registers an arrival stamped `arrival_ps` and queues it in its
+    /// class; returns whether it was queued (not rejected).
+    fn arrive(&mut self, request: &GenRequest, arrival_ps: u64) -> bool {
         let mut record = RequestLifecycle::new(request);
-        if self.deadline_impossible(request) {
+        record.arrival_ps = arrival_ps;
+        let queued = !self.deadline_impossible(request);
+        if queued {
+            self.waiting[request.class.rank() as usize].push_back((
+                request.id,
+                DecodeRequest {
+                    prompt: request.prompt.clone(),
+                    max_new_tokens: request.max_new_tokens,
+                },
+            ));
+        } else {
             record.outcome = RequestOutcome::Rejected;
-            self.records.insert(request.id, record);
-            return;
         }
         self.records.insert(request.id, record);
-        queue.submit_with_class(request.id, request.class);
-        *queued += 1;
+        queued
     }
 
-    /// Registers an arrival stamped *now* (closed loop).
-    fn arrive_at_now(
-        &mut self,
-        request: &GenRequest,
-        queue: &BatchQueue<usize>,
-        queued: &mut usize,
-    ) {
-        let mut record = RequestLifecycle::new(request);
-        record.arrival_ps = self.clock.now_ps();
-        if self.deadline_impossible(request) {
-            record.outcome = RequestOutcome::Rejected;
-            self.records.insert(request.id, record);
-            return;
-        }
-        self.records.insert(request.id, record);
-        queue.submit_with_class(request.id, request.class);
-        *queued += 1;
-    }
-
-    /// Moves queued requests into the scheduler, class-priority first,
+    /// Moves waiting requests into the scheduler, highest class first,
     /// up to the scheduler's free in-flight slots.
-    fn admit_from(
-        &mut self,
-        queue: &BatchQueue<usize>,
-        by_id: &HashMap<usize, &GenRequest>,
-        queued: &mut usize,
-    ) {
-        let slots = self.sched.free_slots();
-        if slots == 0 || *queued == 0 {
-            return;
-        }
-        let Some(batch) = queue.try_take(slots) else {
-            return;
-        };
+    fn admit_waiting(&mut self) {
         let now = self.clock.now_ps();
-        for (_, id) in batch {
-            *queued -= 1;
-            let request = by_id[&id];
+        for _ in 0..self.sched.free_slots() {
+            let Some((id, request)) = self.waiting.iter_mut().find_map(VecDeque::pop_front) else {
+                return;
+            };
             // Fresh monotonic scheduler tickets in admission order keep
             // the scheduler's ticket-ordering invariants intact even
             // though classes reorder the queue.
@@ -454,39 +420,19 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
             self.next_ticket += 1;
             self.ticket_of.insert(ticket, id);
             self.records.get_mut(&id).expect("arrived").admitted_ps = Some(now);
-            self.sched.submit(
-                ticket,
-                DecodeRequest {
-                    prompt: request.prompt.clone(),
-                    max_new_tokens: request.max_new_tokens,
-                },
-            );
+            self.sched.submit(ticket, request);
         }
     }
 
-    /// One scheduler tick: advances the clock by the merged tick
-    /// trace's replayed latency and stamps first-token / inter-token
-    /// boundaries. Returns whether the scheduler did anything.
+    /// One scheduler tick: advances the clock by the tick's replayed
+    /// latency (`TickOutcome::cost`) and stamps first-token /
+    /// inter-token boundaries. Returns whether the scheduler did
+    /// anything.
     fn advance_one_tick(&mut self) -> bool {
         let Some(outcome) = self.sched.tick() else {
             return false;
         };
-        if !outcome.prefill_traces.is_empty() || !outcome.step_traces.is_empty() {
-            let traces = outcome
-                .prefill_traces
-                .iter()
-                .chain(outcome.step_traces.iter());
-            // Speculative ticks verify sessions at *different* contexts
-            // and depths, so their attention rows only stack under the
-            // ragged merge; the draft traces ride along as the costed
-            // (and itemized) overhead. The plain path keeps the exact
-            // merge so committed baselines are untouched.
-            let merged = if self.sched.speculation_k() > 0 {
-                Trace::batch_rows_ragged(traces.chain(outcome.draft_traces.iter())).coalesce()
-            } else {
-                Trace::batch_rows(traces).coalesce()
-            };
-            let cost = self.sim.run_trace(&merged);
+        if let Some(cost) = outcome.cost(self.sim) {
             self.clock.advance(&cost);
         }
         let now = self.clock.now_ps();
@@ -541,7 +487,7 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
     /// Final sweep and aggregation.
     fn finish(mut self) -> (Vec<RequestLifecycle>, ServingReport) {
         self.settle();
-        let stats = self.sched.stats().clone();
+        let stats = *self.sched.stats();
         let records: Vec<RequestLifecycle> = self.records.into_values().collect();
         let mut report = ServingReport {
             requests: records.len(),
@@ -685,23 +631,41 @@ mod tests {
     }
 
     #[test]
-    fn interactive_arrivals_overtake_waiting_batch_work() {
+    fn admission_is_class_rank_then_arrival_order() {
+        // One slot admits one request at a time, so admission order is
+        // queue order: interactive, standard, batch, FIFO within a
+        // class — and a late interactive arrival overtakes the batch
+        // work still waiting when it arrives.
+        use SloClass::{Batch, Interactive, Standard};
         let m = model();
         let mut cfg = config();
-        cfg.max_active = 1; // serialize admissions so queue order is visible
+        cfg.max_active = 1;
         let sim = Simulator::new(cfg.arch.clone());
-        let requests = vec![
-            request(0, 0, SloClass::Batch, None),
-            request(1, 0, SloClass::Batch, None),
-            request(2, 0, SloClass::Interactive, None),
+        let classes = [
+            Batch,
+            Standard,
+            Interactive,
+            Interactive,
+            Batch,
+            Standard,
+            Batch,
+            Batch,
         ];
+        let mut requests: Vec<GenRequest> = (0..classes.len())
+            .map(|id| request(id, 0, classes[id], None))
+            .chain([request(8, 1, Interactive, None)])
+            .map(|r| GenRequest {
+                max_new_tokens: 40, // ~1 us each: the late arrival finds a queue
+                ..r
+            })
+            .collect();
         let (records, report) = SloFrontend::new(&m, &sim, NativeBackend, &cfg).run_open(&requests);
-        assert_eq!(report.completed, 3);
-        let admitted = |id: usize| records[id].admitted_ps.expect("all complete");
-        assert!(
-            admitted(2) <= admitted(0) && admitted(0) <= admitted(1),
-            "interactive jumps both batch requests; batch stays FIFO"
-        );
+        assert_eq!(report.completed, 9);
+        requests.sort_by_key(|r| records[r.id].admitted_ps);
+        let order: Vec<usize> = requests.iter().map(|r| r.id).collect();
+        // Request 8 arrives while 3 runs and is admitted right after it.
+        assert!(records[3].admitted_ps < Some(records[8].arrival_ps));
+        assert_eq!(order, [2, 3, 8, 1, 5, 0, 4, 6, 7]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! runs four phases:
 //!
 //! 1. **Resume** — paused (preempted) sessions come back first, in
-//!    ticket order, as soon as the pool can hold their blocks again.
+//!    ticket order, as soon as the pool can hold their blocks again; a
+//!    recompute resume's re-prefill is charged as this tick's prefill.
 //! 2. **Admit** — backlog requests enter strictly FIFO while the pool
 //!    has room for their prompt (`ceil(prompt/block_tokens) + 1`
 //!    blocks); prefix sharing, when enabled, lets a newcomer borrow the
@@ -32,7 +33,7 @@ use crate::decode::{
 };
 use crate::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 use crate::serve::decode::DecodeRequest;
-use lt_arch::{ArchConfig, Simulator};
+use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::{ComputeBackend, Trace};
 use std::collections::VecDeque;
 
@@ -120,8 +121,10 @@ pub struct PreemptionEvent {
     pub resident: Vec<u64>,
 }
 
-/// Cumulative [`KvScheduler`] counters.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Cumulative [`KvScheduler`] counters: plain `Copy` numbers, so a
+/// snapshot is a copy and snapshots of several schedulers
+/// [merge](KvSchedStats::merge).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KvSchedStats {
     /// Ticks that stepped at least one session.
     pub ticks: u64,
@@ -151,28 +154,44 @@ pub struct KvSchedStats {
     /// acceptance accounting for the serving report (all zeros unless
     /// [`KvScheduler::with_speculation`] is on).
     pub spec: SpecSessionStats,
-    /// Every preemption, in order.
-    pub preemption_events: Vec<PreemptionEvent>,
 }
 
-/// What one [`KvScheduler::tick`] did: the per-session step traces (for
-/// batched tick costing), the prefill work the tick carried (admission
-/// prefills and chunked-prefill pieces), the same steps' one-at-a-time
-/// cycles, and which tickets crossed a lifecycle boundary — everything
-/// a serving frontend needs to stamp per-request TTFT and inter-token
-/// latency on a simulated clock.
+impl KvSchedStats {
+    /// Adds another scheduler's counters to these; the residency
+    /// high-water mark is the larger of the two (one pool's peak, not
+    /// a sum over pools).
+    pub fn merge(&mut self, other: &KvSchedStats) {
+        self.ticks += other.ticks;
+        self.decoded_tokens += other.decoded_tokens;
+        self.admitted += other.admitted;
+        self.preemptions += other.preemptions;
+        self.resumes += other.resumes;
+        self.swapped_out_elems += other.swapped_out_elems;
+        self.swapped_in_elems += other.swapped_in_elems;
+        self.recompute_tokens += other.recompute_tokens;
+        self.prefix_hits += other.prefix_hits;
+        self.prefix_shared_blocks += other.prefix_shared_blocks;
+        self.prefix_shared_tokens += other.prefix_shared_tokens;
+        self.peak_resident_sessions = self
+            .peak_resident_sessions
+            .max(other.peak_resident_sessions);
+        self.spec.merge(&other.spec);
+    }
+}
+
+/// What one [`KvScheduler::tick`] did: the traces it executed (for
+/// [`TickOutcome::cost`]) and which tickets crossed a lifecycle
+/// boundary — everything a serving frontend needs to stamp per-request
+/// TTFT and inter-token latency on a simulated clock.
 #[derive(Debug)]
 pub struct TickOutcome {
     /// One recorded decode-step trace per stepped session, ticket order
     /// (aligned with [`TickOutcome::stepped`]).
     pub step_traces: Vec<Trace>,
-    /// Prefill traces this tick executed: whole-prompt admission
-    /// prefills, then chunk pieces of still-prefilling sessions, in
-    /// execution order.
+    /// Prefill work this tick executed, in execution order: the
+    /// recompute passes of resumed sessions, whole-prompt admission
+    /// prefills, then chunk pieces of still-prefilling sessions.
     pub prefill_traces: Vec<Trace>,
-    /// Sum of the steps' individually replayed cycles (the batch-1
-    /// comparison basis).
-    pub sequential_cycles: u64,
     /// Tickets admitted this tick (session created, prefill started).
     pub admitted: Vec<u64>,
     /// Tickets whose *first token* was sampled this tick (prefill
@@ -187,10 +206,36 @@ pub struct TickOutcome {
     pub emitted: Vec<usize>,
     /// Draft-model traces of this tick's speculative steps, aligned
     /// with [`TickOutcome::stepped`] (empty unless speculation is on;
-    /// a `k_eff = 0` fallback step contributes an empty trace). This
-    /// is the speculation overhead a frontend costs *separately* from
-    /// the target's verify work.
+    /// a `k_eff = 0` fallback step contributes an empty trace).
     pub draft_traces: Vec<Trace>,
+    /// Whether the tick came from a speculative scheduler, whose
+    /// sessions verify at different contexts and depths.
+    ragged: bool,
+}
+
+impl TickOutcome {
+    /// The tick's modeled cost: its prefill and step traces merged
+    /// into one batched trace and replayed on `sim` — the batching
+    /// remedy of the paper's Section VI-B. Each session's `[1, k] x
+    /// [k, n]` products stack into `[rows, k] x [k, n]` GEMMs
+    /// ([`Trace::batch_rows`]), so weights load once per batched op
+    /// instead of once per session and the stacked rows fill tile rows
+    /// a lone token would leave idle. A speculative tick stacks its
+    /// verify rows with [`Trace::batch_rows_ragged`] (shorter contexts
+    /// causally padded and charged) and its draft traces ride along as
+    /// distinct ops. `None` when the tick executed nothing.
+    pub fn cost(&self, sim: &Simulator) -> Option<RunReport> {
+        if self.prefill_traces.is_empty() && self.step_traces.is_empty() {
+            return None;
+        }
+        let traces = self.prefill_traces.iter().chain(&self.step_traces);
+        let merged = if self.ragged {
+            Trace::batch_rows_ragged(traces.chain(&self.draft_traces))
+        } else {
+            Trace::batch_rows(traces)
+        };
+        Some(sim.run_trace(&merged.coalesce()))
+    }
 }
 
 struct Entry<B: ComputeBackend + Clone> {
@@ -227,6 +272,7 @@ pub struct KvScheduler<'m, B: ComputeBackend + Clone> {
     finished: Vec<(u64, DecodeReply)>,
     failed: Vec<u64>,
     stats: KvSchedStats,
+    preemption_events: Vec<PreemptionEvent>,
 }
 
 impl<B: ComputeBackend + Clone> std::fmt::Debug for KvScheduler<'_, B> {
@@ -271,6 +317,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             finished: Vec::new(),
             failed: Vec::new(),
             stats: KvSchedStats::default(),
+            preemption_events: Vec::new(),
         }
     }
 
@@ -320,11 +367,6 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         self
     }
 
-    /// The configured speculation depth (`0` = speculation off).
-    pub fn speculation_k(&self) -> usize {
-        self.spec.as_ref().map_or(0, |(k, _)| *k)
-    }
-
     /// The scheduler's block pool.
     pub fn pool(&self) -> &BlockPool {
         &self.pool
@@ -333,6 +375,11 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// Cumulative counters.
     pub fn stats(&self) -> &KvSchedStats {
         &self.stats
+    }
+
+    /// Every preemption so far, in order.
+    pub fn preemption_events(&self) -> &[PreemptionEvent] {
+        &self.preemption_events
     }
 
     /// Queues a request (admission happens inside [`KvScheduler::tick`],
@@ -370,8 +417,8 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// one chunk, running sessions by one decode step — and retire the
     /// finished. Returns `None` if nothing was admitted or resident.
     pub fn tick(&mut self) -> Option<TickOutcome> {
-        self.resume_paused();
-        let (admitted, mut prefill_traces, mut first_tokens) = self.admit();
+        let mut prefill_traces = self.resume_paused();
+        let (admitted, mut first_tokens) = self.admit(&mut prefill_traces);
         if self.active.is_empty() && admitted.is_empty() {
             return None;
         }
@@ -383,7 +430,6 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         let mut stepped = Vec::with_capacity(self.active.len());
         let mut emitted = Vec::with_capacity(self.active.len());
         let mut draft_traces = Vec::new();
-        let mut sequential_cycles = 0;
         let spec = self.spec.as_ref();
         for entry in self.active.iter_mut() {
             let ticket = entry.session.ticket();
@@ -400,13 +446,11 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 }
             } else if let Some((k, draft)) = spec {
                 // Speculative step: the verify trace is the target's
-                // executed work this tick; the draft trace is costed
-                // separately (it is overhead, never folded into the
-                // target's cycles). The reserve phase above already
+                // executed work this tick; the draft trace is its
+                // itemized overhead. The reserve phase above already
                 // booked the verify pass's k_eff + 1 transient rows.
                 let report = entry.session.spec_step(self.model, draft, self.sim, *k);
                 self.stats.spec.merge(&report.stats_delta());
-                sequential_cycles += report.verify_cost.cycles + report.draft_cost.cycles;
                 step_traces.push(report.verify_trace);
                 draft_traces.push(report.draft_trace);
                 stepped.push(ticket);
@@ -415,9 +459,6 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 step_traces.push(entry.session.step(self.model, self.sim));
                 stepped.push(ticket);
                 emitted.push(1);
-                if let Some(cost) = entry.session.last_step_cost() {
-                    sequential_cycles += cost.cycles;
-                }
             }
         }
         self.stats.decoded_tokens += emitted.iter().sum::<usize>() as u64;
@@ -438,12 +479,12 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         Some(TickOutcome {
             step_traces,
             prefill_traces,
-            sequential_cycles,
             admitted,
             first_tokens,
             stepped,
             emitted,
             draft_traces,
+            ragged: self.spec.is_some(),
         })
     }
 
@@ -492,7 +533,11 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         }
     }
 
-    fn resume_paused(&mut self) {
+    /// Brings paused sessions back in ticket order while the pool can
+    /// hold them; returns the recompute passes that rebuilt their
+    /// caches (prefill work of this tick).
+    fn resume_paused(&mut self) -> Vec<Trace> {
+        let mut recomputed = Vec::new();
         self.paused.sort_by_key(|e| e.session.ticket());
         while let Some(front) = self.paused.first() {
             if self.resume_need(front) > self.pool.free_blocks() {
@@ -511,7 +556,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 PreemptPolicy::Recompute => {
                     let fed = self.fed_tokens(&entry);
                     if fed > 0 {
-                        entry.session.resume_by_recompute(self.model);
+                        recomputed.push(entry.session.resume_by_recompute(self.model));
                     }
                     self.stats.recompute_tokens += fed as u64;
                 }
@@ -520,11 +565,15 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             self.active.push(entry);
             self.active.sort_by_key(|e| e.session.ticket());
         }
+        recomputed
     }
 
-    fn admit(&mut self) -> (Vec<u64>, Vec<Trace>, Vec<u64>) {
+    /// Admits backlog requests in FIFO order while the pool has room,
+    /// appending unchunked admission prefills to `prefill_traces`;
+    /// returns the admitted tickets and those whose first token was
+    /// sampled.
+    fn admit(&mut self, prefill_traces: &mut Vec<Trace>) -> (Vec<u64>, Vec<u64>) {
         let mut admitted = Vec::new();
-        let mut prefill_traces = Vec::new();
         let mut first_tokens = Vec::new();
         while self.active.len() + self.paused.len() < self.max_active {
             let Some((_, request)) = self.backlog.front() else {
@@ -564,7 +613,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 Err(()) => self.failed.push(ticket),
             }
         }
-        (admitted, prefill_traces, first_tokens)
+        (admitted, first_tokens)
     }
 
     /// Builds one session and — in unchunked mode — runs its whole
@@ -686,7 +735,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 }
             }
             self.stats.preemptions += 1;
-            self.stats.preemption_events.push(PreemptionEvent {
+            self.preemption_events.push(PreemptionEvent {
                 victim: entry.session.ticket(),
                 resident,
             });
@@ -787,7 +836,7 @@ mod tests {
         assert_eq!(stats.preemptions, stats.resumes, "everyone came back");
         assert!(stats.swapped_out_elems > 0);
         assert_eq!(stats.swapped_out_elems, stats.swapped_in_elems);
-        for ev in &stats.preemption_events {
+        for ev in sched.preemption_events() {
             assert_eq!(
                 Some(ev.victim),
                 ev.resident.iter().copied().max(),
@@ -824,7 +873,7 @@ mod tests {
             );
         }
         let replies = run_to_completion(&mut sched);
-        (replies, sched.stats().clone())
+        (replies, *sched.stats())
     }
 
     #[test]
@@ -991,7 +1040,6 @@ mod tests {
             max_active,
         )
         .with_speculation(k);
-        assert_eq!(sched.speculation_k(), k);
         for (t, (prompt, max_new)) in requests.iter().enumerate() {
             sched.submit(
                 t as u64,
@@ -1003,7 +1051,7 @@ mod tests {
         }
         let replies = run_to_completion(&mut sched);
         assert_eq!(sched.pool().used_blocks(), 0, "all blocks returned");
-        (replies, sched.stats().clone())
+        (replies, *sched.stats())
     }
 
     #[test]
@@ -1110,6 +1158,44 @@ mod tests {
         assert_eq!(
             sched.stats().decoded_tokens,
             out.emitted.iter().sum::<usize>() as u64
+        );
+    }
+
+    #[test]
+    fn batched_ticks_cost_fewer_cycles_than_one_at_a_time() {
+        // The Section VI-B claim in the replayed-cycle metric: sixteen
+        // equal-geometry requests ticked as one continuous batch cost
+        // well under the same requests' own prefill and steps replayed
+        // one at a time.
+        let m = model();
+        let sim = Simulator::new(ArchConfig::lt_base(8));
+        let kv = KvServeConfig {
+            block_tokens: 4,
+            pool_blocks: 64,
+            ..KvServeConfig::default()
+        };
+        let mut sched = KvScheduler::new(&m, &sim, NativeBackend, SessionConfig::default(), kv, 16);
+        for t in 0..16 {
+            sched.submit(
+                t,
+                DecodeRequest {
+                    prompt: vec![1, 2, 3, 4],
+                    max_new_tokens: 4,
+                },
+            );
+        }
+        let mut batched = 0;
+        while let Some(tick) = sched.tick() {
+            batched += tick.cost(&sim).expect("every tick runs work").cycles;
+        }
+        let single: u64 = sched
+            .drain_finished()
+            .iter()
+            .map(|(_, reply)| reply.total().cycles)
+            .sum();
+        assert!(
+            single as f64 / batched as f64 > 2.0,
+            "tile filling should be worth well over 2x: {single}/{batched}"
         );
     }
 

@@ -1,63 +1,16 @@
-//! [`BatchQueue`]: SLO-class-aware coalescing of concurrent requests
-//! into batches.
+//! [`BatchQueue`]: FIFO coalescing of concurrent requests into
+//! batches.
 //!
 //! The accelerator amortizes per-layer weight loading (and DAC setup)
 //! across a batch of inputs; the serving runtime mirrors that by letting
 //! concurrent submitters enqueue requests that a consumer drains as
 //! batches of bounded size. Every submission gets a monotonically
-//! increasing *ticket*; requests are handed out in `(class rank,
-//! ticket)` order — strictly FIFO within an SLO class, interactive
-//! classes before batch classes across them — so admission order is a
-//! pure function of what was submitted, never of which consumer thread
-//! drained it. [`BatchQueue::submit`] uses [`SloClass::Standard`] for
-//! every request, which degenerates to the exact global FIFO the queue
-//! always had.
+//! increasing *ticket*, and requests are handed out in ticket order, so
+//! admission order is a pure function of what was submitted, never of
+//! which consumer thread drained it.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// The service-level class of a request: its admission priority when
-/// the serving layer cannot start everything at once.
-///
-/// Classes order admission *between* requests of different classes;
-/// within one class admission is strictly ticket order (submission
-/// order), so the drain order of any submitted multiset is
-/// deterministic — the tie-break [`BatchQueue::try_take`] documents and
-/// `tests` below enforce. A class says nothing about *deadlines*; the
-/// serving frontend layers deadline checks on top (see
-/// `lt_nn::serve::lifecycle`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SloClass {
-    /// Latency-sensitive traffic: admitted before everything else.
-    Interactive,
-    /// The default class — plain FIFO among themselves, after any
-    /// waiting interactive requests.
-    #[default]
-    Standard,
-    /// Throughput traffic with no latency expectation: admitted only
-    /// when nothing of a higher class waits.
-    Batch,
-}
-
-impl SloClass {
-    /// The admission rank (lower admits first).
-    pub fn rank(self) -> u8 {
-        match self {
-            SloClass::Interactive => 0,
-            SloClass::Standard => 1,
-            SloClass::Batch => 2,
-        }
-    }
-
-    /// Short display name (`interactive` / `standard` / `batch`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SloClass::Interactive => "interactive",
-            SloClass::Standard => "standard",
-            SloClass::Batch => "batch",
-        }
-    }
-}
 
 /// A blocking multi-producer batch queue.
 ///
@@ -84,10 +37,7 @@ pub struct BatchQueue<T> {
 
 #[derive(Debug)]
 struct Inner<T> {
-    /// Waiting requests kept sorted by `(class rank, ticket)`. Tickets
-    /// are globally monotonic, so within one rank the order is exactly
-    /// submission order.
-    queue: VecDeque<(u8, u64, T)>,
+    queue: VecDeque<(u64, T)>,
     next_ticket: u64,
     closed: bool,
 }
@@ -111,63 +61,22 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Maximum requests per batch.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Enqueues a request at [`SloClass::Standard`] and returns its
-    /// ticket. Tickets are assigned in submission order starting from
-    /// zero; among requests of the same class they define the order in
-    /// which requests are handed out, so a queue fed only through
-    /// `submit` is a plain global FIFO.
+    /// Enqueues a request and returns its ticket. Tickets are assigned
+    /// in submission order starting from zero and define the order in
+    /// which requests are handed out.
     ///
     /// # Panics
     ///
     /// Panics if the queue is closed.
     pub fn submit(&self, item: T) -> u64 {
-        self.submit_with_class(item, SloClass::Standard)
-    }
-
-    /// Enqueues a request under an explicit SLO class and returns its
-    /// ticket. The request is handed out after every waiting request of
-    /// a strictly higher class (lower [`SloClass::rank`]) and after
-    /// earlier-ticketed requests of its own class, regardless of which
-    /// consumer drains the queue or how many threads submit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is closed.
-    pub fn submit_with_class(&self, item: T, class: SloClass) -> u64 {
-        let rank = class.rank();
         let mut inner = self.inner.lock().expect("queue poisoned");
         assert!(!inner.closed, "submit on a closed BatchQueue");
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
-        // Insert before the first waiting entry of a strictly greater
-        // rank. The new ticket is larger than every ticket already
-        // queued, so scanning from the back and stopping at the first
-        // entry with `rank <= new rank` preserves the (rank, ticket)
-        // sort without comparing tickets.
-        let at = inner
-            .queue
-            .iter()
-            .rposition(|&(r, _, _)| r <= rank)
-            .map_or(0, |i| i + 1);
-        inner.queue.insert(at, (rank, ticket, item));
+        inner.queue.push_back((ticket, item));
         drop(inner);
         self.ready.notify_one();
         ticket
-    }
-
-    /// Requests currently waiting.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").queue.len()
-    }
-
-    /// Whether no requests are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Closes the queue: pending requests still drain, new submissions
@@ -177,27 +86,16 @@ impl<T> BatchQueue<T> {
         self.ready.notify_all();
     }
 
-    /// Whether [`BatchQueue::close`] has been called. A non-blocking
-    /// consumer polling [`BatchQueue::try_next_batch`] terminates on
-    /// `is_closed() && try_next_batch().is_none()`; blocking consumers
-    /// should just use [`BatchQueue::next_batch`], whose `None` already
-    /// means closed-and-drained.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
-
     /// Blocks until at least one request is waiting (or the queue is
-    /// closed and drained), then removes and returns up to
-    /// [`BatchQueue::max_batch`] requests in `(class rank, ticket)`
-    /// order — ticket order within a class, higher classes first (see
-    /// [`BatchQueue::try_take`] for the tie-break contract). Returns
-    /// `None` only after [`BatchQueue::close`] with nothing left.
+    /// closed and drained), then removes and returns up to `max_batch`
+    /// requests in ticket order. Returns `None` only after
+    /// [`BatchQueue::close`] with nothing left.
     pub fn next_batch(&self) -> Option<Vec<(u64, T)>> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
             if !inner.queue.is_empty() {
                 let take = self.max_batch.min(inner.queue.len());
-                return Some(inner.queue.drain(..take).map(|(_, t, x)| (t, x)).collect());
+                return Some(inner.queue.drain(..take).collect());
             }
             if inner.closed {
                 return None;
@@ -206,43 +104,19 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// As [`BatchQueue::next_batch`] but never blocks: returns `None`
-    /// when nothing is waiting *right now* (which does not imply the
-    /// queue is closed — check [`BatchQueue::is_closed`] to terminate a
-    /// polling loop).
-    pub fn try_next_batch(&self) -> Option<Vec<(u64, T)>> {
-        self.try_take(self.max_batch)
-    }
-
     /// Non-blocking bounded drain: removes and returns up to `limit`
-    /// requests (ignoring [`BatchQueue::max_batch`]), or `None` if
+    /// requests in ticket order (ignoring `max_batch`), or `None` if
     /// nothing is waiting. This is the admission primitive of a
     /// *continuous-batching* consumer, which tops up however many
     /// execution slots it has free between steps of already-running
     /// work, rather than draining fixed-size batches.
-    ///
-    /// # Admission order (the tie-break contract)
-    ///
-    /// Requests come out sorted by `(class rank, ticket)`:
-    ///
-    /// 1. every waiting [`SloClass::Interactive`] request before every
-    ///    [`SloClass::Standard`] one, which precede every
-    ///    [`SloClass::Batch`] one;
-    /// 2. **within one class, strictly ascending ticket order** — i.e.
-    ///    submission order.
-    ///
-    /// Because tickets are assigned under the queue lock, the drain
-    /// order of any set of waiting requests is a pure function of what
-    /// was submitted — never of which consumer thread drained it or of
-    /// `LT_THREADS`. Priority admission is therefore deterministic:
-    /// replaying the same submissions yields the same admission order.
     pub fn try_take(&self, limit: usize) -> Option<Vec<(u64, T)>> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.queue.is_empty() || limit == 0 {
             return None;
         }
         let take = limit.min(inner.queue.len());
-        Some(inner.queue.drain(..take).map(|(_, t, x)| (t, x)).collect())
+        Some(inner.queue.drain(..take).collect())
     }
 }
 
@@ -323,92 +197,6 @@ mod tests {
         assert_eq!(q.try_take(3).unwrap(), vec![(0, 0), (1, 1), (2, 2)]);
         assert_eq!(q.try_take(10).unwrap(), vec![(3, 3), (4, 4)]);
         assert!(q.try_take(1).is_none(), "drained");
-    }
-
-    #[test]
-    fn try_next_batch_never_blocks_and_close_is_observable() {
-        let q: BatchQueue<u8> = BatchQueue::new(2);
-        assert!(q.try_next_batch().is_none());
-        assert!(!q.is_closed(), "open queue: None just means empty");
-        q.submit(1);
-        assert_eq!(q.try_next_batch().unwrap(), vec![(0, 1)]);
-        assert!(q.is_empty());
-        q.close();
-        assert!(q.is_closed() && q.try_next_batch().is_none());
-    }
-
-    #[test]
-    fn classes_admit_by_rank_then_ticket() {
-        let q = BatchQueue::new(8);
-        let t_batch = q.submit_with_class("batch-0", SloClass::Batch);
-        let t_std = q.submit_with_class("std-1", SloClass::Standard);
-        let t_int0 = q.submit_with_class("int-2", SloClass::Interactive);
-        let t_int1 = q.submit_with_class("int-3", SloClass::Interactive);
-        assert_eq!((t_batch, t_std, t_int0, t_int1), (0, 1, 2, 3));
-        assert_eq!(
-            q.try_take(10).unwrap(),
-            vec![(2, "int-2"), (3, "int-3"), (1, "std-1"), (0, "batch-0")],
-            "interactive before standard before batch; ticket order within class"
-        );
-    }
-
-    #[test]
-    fn tie_break_within_class_is_ticket_order() {
-        // The try_take contract: same-class requests never reorder, no
-        // matter how drains are sliced. Interleave submissions of two
-        // classes and drain one request at a time.
-        let q = BatchQueue::new(1);
-        for i in 0..6u64 {
-            let class = if i % 2 == 0 {
-                SloClass::Batch
-            } else {
-                SloClass::Interactive
-            };
-            q.submit_with_class((class, i), class);
-        }
-        let mut order = Vec::new();
-        while let Some(mut one) = q.try_take(1) {
-            order.push(one.remove(0));
-        }
-        assert_eq!(
-            order,
-            vec![
-                (1, (SloClass::Interactive, 1)),
-                (3, (SloClass::Interactive, 3)),
-                (5, (SloClass::Interactive, 5)),
-                (0, (SloClass::Batch, 0)),
-                (2, (SloClass::Batch, 2)),
-                (4, (SloClass::Batch, 4)),
-            ],
-            "strictly ascending tickets within each class"
-        );
-    }
-
-    #[test]
-    fn late_interactive_overtakes_waiting_batch_work() {
-        let q = BatchQueue::new(4);
-        q.submit_with_class('a', SloClass::Batch);
-        q.submit_with_class('b', SloClass::Batch);
-        assert_eq!(q.try_take(1).unwrap(), vec![(0, 'a')], "nothing better yet");
-        q.submit_with_class('c', SloClass::Interactive);
-        assert_eq!(
-            q.next_batch().unwrap(),
-            vec![(2, 'c'), (1, 'b')],
-            "the late interactive request preempts the queued batch one"
-        );
-    }
-
-    #[test]
-    fn plain_submit_stays_global_fifo() {
-        let q = BatchQueue::new(8);
-        for i in 0..5u8 {
-            q.submit(i);
-        }
-        let drained = q.try_take(8).unwrap();
-        assert_eq!(
-            drained,
-            (0..5).map(|i| (i as u64, i as u8)).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //!   [`lt_core::backend::row_blocks`] work items, dispatched across the
 //!   pool. It is itself a `ComputeBackend`, so it drops into
 //!   `lt_nn::BackendEngine` (or anywhere else) unchanged.
-//! * [`BatchQueue`] — an SLO-class-aware request-coalescing queue:
-//!   concurrent inference submissions drain in `(class rank, ticket)`
-//!   order as batches — FIFO within a class — mirroring how the
-//!   accelerator amortizes per-layer weight loading across a batch of
-//!   requests.
+//! * [`BatchQueue`] — a FIFO request-coalescing queue: concurrent
+//!   inference submissions drain in ticket order as batches, mirroring
+//!   how the accelerator amortizes per-layer weight loading across a
+//!   batch of requests.
 //! * [`loadgen`] — a seeded open/closed-loop load generator (Poisson
-//!   and Markov-modulated bursty arrivals, mixed length and SLO-class
-//!   distributions) plus latency percentile helpers, for exercising the
-//!   serving stack deterministically.
+//!   and Markov-modulated bursty arrivals, mixed length and
+//!   [`SloClass`] distributions) plus latency percentile helpers, for
+//!   exercising the serving stack deterministically.
 //!
 //! # Determinism under parallelism
 //!
@@ -55,8 +54,8 @@ pub mod parallel;
 pub mod pool;
 pub mod threads;
 
-pub use batch::{BatchQueue, SloClass};
-pub use loadgen::{ArrivalModel, GenRequest, LengthMix, LoadgenConfig, SloMix};
+pub use batch::BatchQueue;
+pub use loadgen::{ArrivalModel, GenRequest, LengthMix, LoadgenConfig, SloClass, SloMix};
 pub use parallel::{ParallelBackend, MIN_PARALLEL_MACS};
 pub use pool::ThreadPool;
 pub use threads::ThreadsConfig;

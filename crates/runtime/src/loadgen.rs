@@ -34,7 +34,45 @@
 //! assert!(a.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us));
 //! ```
 
-use crate::batch::SloClass;
+/// The service-level class of a request: its admission priority when
+/// the serving layer cannot start everything at once.
+///
+/// Classes order admission *between* requests of different classes;
+/// within one class admission is arrival order. A class says nothing
+/// about *deadlines*; the serving frontend layers deadline checks on
+/// top (see `lt_nn::serve::lifecycle`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SloClass {
+    /// Latency-sensitive traffic: admitted before everything else.
+    Interactive,
+    /// The default class — plain FIFO among themselves, after any
+    /// waiting interactive requests.
+    #[default]
+    Standard,
+    /// Throughput traffic with no latency expectation: admitted only
+    /// when nothing of a higher class waits.
+    Batch,
+}
+
+impl SloClass {
+    /// The admission rank (lower admits first).
+    pub fn rank(self) -> u8 {
+        match self {
+            SloClass::Interactive => 0,
+            SloClass::Standard => 1,
+            SloClass::Batch => 2,
+        }
+    }
+
+    /// Short display name (`interactive` / `standard` / `batch`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SloClass::Interactive => "interactive",
+            SloClass::Standard => "standard",
+            SloClass::Batch => "batch",
+        }
+    }
+}
 
 /// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al.,
 /// "Fast splittable pseudorandom number generators"). One instance per

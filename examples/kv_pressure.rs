@@ -19,7 +19,7 @@ use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm};
 use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer};
-use lightening_transformer::nn::serve::sched::KvServeConfig;
+use lightening_transformer::nn::serve::sched::{KvSchedStats, KvServeConfig};
 
 /// Concurrent sessions; override with `LT_KV_SESSIONS` (CI smoke runs 8).
 fn total_sessions() -> usize {
@@ -41,7 +41,7 @@ fn make_request(i: usize) -> DecodeRequest {
     }
 }
 
-fn serve(label: &str, kv: KvServeConfig, total: usize) -> (Vec<DecodeReply>, u64, u64, u64) {
+fn serve(label: &str, kv: KvServeConfig, total: usize) -> (Vec<DecodeReply>, KvSchedStats) {
     let mut rng = GaussianSampler::new(42);
     let model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     let server = DecodeServer::new(
@@ -57,22 +57,17 @@ fn serve(label: &str, kv: KvServeConfig, total: usize) -> (Vec<DecodeReply>, u64
     );
     let pending: Vec<_> = (0..total).map(|i| server.submit(make_request(i))).collect();
     let replies: Vec<DecodeReply> = pending.into_iter().map(|p| p.wait()).collect();
+    let stats = server.stats().sched;
     println!(
         "{label}: {} blocks x {} tokens -> peak {} resident, {} preemptions, {} resumes",
         kv.pool_blocks,
         kv.block_tokens,
-        server.peak_resident_sessions(),
-        server.preemptions(),
-        server.resumes(),
-    );
-    let out = (
-        replies,
-        server.preemptions(),
-        server.resumes(),
-        server.peak_resident_sessions(),
+        stats.peak_resident_sessions,
+        stats.preemptions,
+        stats.resumes,
     );
     server.shutdown();
-    out
+    (replies, stats)
 }
 
 fn main() {
@@ -88,18 +83,30 @@ fn main() {
         pool_blocks: min_blocks * total,
         ..KvServeConfig::default()
     };
-    let (base, roomy_preempt, _, _) = serve("  roomy pool", roomy, total);
-    assert_eq!(roomy_preempt, 0, "the roomy pool must never evict");
+    let (base, roomy_stats) = serve("  roomy pool", roomy, total);
+    assert_eq!(
+        roomy_stats.preemptions, 0,
+        "the roomy pool must never evict"
+    );
 
     let tight = KvServeConfig {
         block_tokens,
         pool_blocks: min_blocks,
         ..KvServeConfig::default()
     };
-    let (pressured, preemptions, resumes, peak) = serve("  tight pool", tight, total);
-    assert!(preemptions > 0, "the tight pool must evict under load");
-    assert_eq!(preemptions, resumes, "every eviction must be resumed");
-    assert!(peak >= 2, "pressure must still batch sessions");
+    let (pressured, stats) = serve("  tight pool", tight, total);
+    assert!(
+        stats.preemptions > 0,
+        "the tight pool must evict under load"
+    );
+    assert_eq!(
+        stats.preemptions, stats.resumes,
+        "every eviction must be resumed"
+    );
+    assert!(
+        stats.peak_resident_sessions >= 2,
+        "pressure must still batch sessions"
+    );
 
     for (i, (a, b)) in base.iter().zip(&pressured).enumerate() {
         assert_eq!(

@@ -7,10 +7,11 @@
 //! the LT-B model.
 //!
 //! The run prints the batching remedy in the replayed-cycle metric:
-//! each scheduler tick's per-session matrix-vector step traces are
-//! row-stacked into one batched trace ([`lt_core::Trace::batch_rows`]),
-//! and the merged cycles come out well below the one-request-at-a-time
-//! cost of the same tokens.
+//! each scheduler tick's per-session prefill and matrix-vector step
+//! traces are row-stacked into one batched trace
+//! ([`lt_nn::serve::sched::TickOutcome::cost`]), and the merged cycles
+//! come out well below the one-request-at-a-time cost of the same
+//! requests.
 //!
 //! ```sh
 //! cargo run --release --example llm_serving_decode
@@ -89,28 +90,28 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         tokens as f64 / elapsed.as_secs_f64()
     );
+    let stats = server.stats();
     println!(
         "continuous batching: {} decode ticks, realized batch width {:.2}",
-        server.ticks(),
-        server.decoded_tokens() as f64 / server.ticks().max(1) as f64
+        stats.sched.ticks,
+        stats.sched.decoded_tokens as f64 / stats.sched.ticks.max(1) as f64
     );
-    let (hits, misses) = server.schedule_cache_hits_misses();
     println!(
-        "schedule cache: {hits} hits / {misses} misses ({:.1}% hit rate) — \
+        "schedule cache: {} hits / {} misses ({:.1}% hit rate) — \
          per-token replay reuses memoized tile plans",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
+        stats.schedule_cache.hits,
+        stats.schedule_cache.misses,
+        100.0 * stats.schedule_cache.hit_rate()
     );
 
     // The Section VI-B claim, measured on this very stream: the merged
-    // per-tick traces replay to fewer photonic cycles than the same
-    // tokens served one request at a time.
-    let batched = server.batched_cycles();
-    let sequential = server.sequential_cycles();
-    let decoded = server.decoded_tokens();
-    let tokens_per_s = |cycles: u64| decoded as f64 * clock_ghz * 1e9 / cycles.max(1) as f64;
+    // per-tick prefill and step traces replay to fewer photonic cycles
+    // than the same requests served one at a time.
+    let (batched, sequential) = (stats.batched_cycles, stats.sequential_cycles);
+    let tokens_per_s = |cycles: u64| tokens as f64 * clock_ghz * 1e9 / cycles.max(1) as f64;
     println!(
-        "replayed decode cost (LT-B 8-bit): batched {batched} cycles vs {sequential} one-at-a-time \
-         ({:.2}x fewer)",
+        "replayed prefill + decode cost (LT-B 8-bit): batched {batched} cycles vs {sequential} \
+         one-at-a-time ({:.2}x fewer)",
         sequential as f64 / batched.max(1) as f64
     );
     println!(

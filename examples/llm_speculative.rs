@@ -18,7 +18,7 @@
 
 use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::dptc::DptcBackend;
-use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm};
+use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm, SpecSessionStats};
 use lightening_transformer::nn::serve::decode::{
     DecodeRequest, DecodeServeConfig, DecodeServer, SpecConfig,
 };
@@ -33,8 +33,8 @@ fn make_request(i: usize) -> DecodeRequest {
 }
 
 /// Serves the fixed mix once and returns the replies plus the server's
-/// speculation counters `(proposed, accepted, draft_cycles)`.
-fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, u64, u64, u64) {
+/// speculation counters.
+fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, SpecSessionStats) {
     let mut rng = GaussianSampler::new(42);
     let mut model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     // The synthetic stand-in for a trained LM's layer-wise refinement:
@@ -59,12 +59,7 @@ fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, u64, u64, u64) {
     );
     let pending: Vec<_> = (0..total).map(|i| server.submit(make_request(i))).collect();
     let replies: Vec<DecodeReply> = pending.into_iter().map(|p| p.wait()).collect();
-    let out = (
-        replies,
-        server.spec_proposed(),
-        server.spec_accepted(),
-        server.draft_cycles(),
-    );
+    let out = (replies, server.stats().sched.spec);
     server.shutdown();
     out
 }
@@ -75,9 +70,14 @@ fn main() {
     let total = 8;
 
     println!("== Speculative decoding (LT_SPEC_K={k}, noisy DPTC backend) ==\n");
-    let (base, p0, a0, d0) = serve(SpecConfig::default(), total);
-    assert_eq!((p0, a0, d0), (0, 0, 0), "plain serving must not speculate");
-    let (spec, proposed, accepted, draft_cycles) = serve(SpecConfig::with_k(k), total);
+    let (base, plain) = serve(SpecConfig::default(), total);
+    assert_eq!(
+        plain,
+        SpecSessionStats::default(),
+        "plain serving must not speculate"
+    );
+    let (spec, stats) = serve(SpecConfig::with_k(k), total);
+    let (proposed, accepted, draft_cycles) = (stats.proposed, stats.accepted, stats.draft_cycles);
 
     assert!(proposed > 0, "speculation must propose");
     assert!(accepted <= proposed);

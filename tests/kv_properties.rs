@@ -17,10 +17,12 @@
 //!    under recompute for a deterministic one;
 //! 5. paged decode is bit-identical to the contiguous cache for any
 //!    block size, whenever the pool is large enough to avoid preemption
-//!    (the acceptance cross-validation).
+//!    (the acceptance cross-validation);
+//! 6. every token written to a session's KV cache, recomputed ones
+//!    included, is charged to a tick's traces exactly once.
 
 use lightening_transformer::arch::{ArchConfig, Simulator};
-use lightening_transformer::core::ComputeBackend;
+use lightening_transformer::core::{ComputeBackend, NonGemmKind, Op};
 use lightening_transformer::core::{GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
@@ -198,9 +200,8 @@ fn exhaustion_always_evicts_the_highest_ticket_resident() {
             finished += sched.drain_finished().len();
         }
         assert_eq!(finished, n, "seed {seed}: every request must complete");
-        let stats = sched.stats();
-        saw_pressure |= stats.preemptions > 0;
-        for ev in &stats.preemption_events {
+        saw_pressure |= sched.stats().preemptions > 0;
+        for ev in sched.preemption_events() {
             assert_eq!(
                 Some(ev.victim),
                 ev.resident.iter().copied().max(),
@@ -331,6 +332,72 @@ fn paged_decode_is_bit_identical_to_contiguous_for_every_block_size() {
                 paged.into_reply(),
                 "block_tokens={block_tokens}: paged and contiguous diverged"
             );
+        }
+    }
+}
+
+/// Invariant 6: the `KvAppend` elements of every tick's prefill and step
+/// traces add up to two K/V rows per layer for every token a session
+/// feeds (`prompt + max_new - 1`) plus every token a recompute resume
+/// feeds again — on a starved pool, under both preemption policies,
+/// unchunked and chunked. Plain decoding with prefix sharing off: a
+/// borrowed prefix skips writes, and a verify pass appends rows it may
+/// roll back.
+#[test]
+fn every_kv_write_is_charged_to_exactly_one_tick() {
+    let m = model();
+    let cfg = m.config();
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let requests: Vec<DecodeRequest> = (0..7)
+        .map(|i| DecodeRequest {
+            prompt: (0..5).map(|t| (i * 3 + t) % 16).collect(),
+            max_new_tokens: 10,
+        })
+        .collect();
+    let fed: u64 = requests
+        .iter()
+        .map(|r| (r.prompt.len() + r.max_new_tokens - 1) as u64)
+        .sum();
+    for preempt in [PreemptPolicy::SwapOut, PreemptPolicy::Recompute] {
+        for chunk in [0, 3] {
+            let kv = KvServeConfig {
+                block_tokens: 2,
+                pool_blocks: 25,
+                preempt,
+                ..KvServeConfig::default()
+            };
+            let mut sched =
+                KvScheduler::new(&m, &sim, NativeBackend, SessionConfig::default(), kv, 16)
+                    .with_prefill_chunk(chunk);
+            for (t, r) in requests.iter().enumerate() {
+                sched.submit(t as u64, r.clone());
+            }
+            let mut appended = 0;
+            while sched.has_work() {
+                let tick = sched.tick().expect("a starved pool still makes progress");
+                for op in tick
+                    .prefill_traces
+                    .iter()
+                    .chain(&tick.step_traces)
+                    .flat_map(|t| t.ops())
+                {
+                    if let Op::NonGemm {
+                        kind: NonGemmKind::KvAppend,
+                        elems,
+                    } = *op
+                    {
+                        appended += elems;
+                    }
+                }
+                sched.drain_finished();
+            }
+            let stats = sched.stats();
+            assert!(
+                stats.preemptions > 0,
+                "{preempt:?} chunk {chunk}: no pressure"
+            );
+            let want = 2 * (cfg.dim * cfg.layers) as u64 * (fed + stats.recompute_tokens);
+            assert_eq!(appended, want, "{preempt:?} chunk {chunk}");
         }
     }
 }

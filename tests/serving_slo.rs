@@ -17,13 +17,23 @@
 //!   generate bit-identical token streams;
 //! * admission control is SLO-aware: impossible TTFT deadlines are
 //!   rejected at arrival, and interactive arrivals overtake queued
-//!   batch work.
+//!   batch work;
+//! * open-loop runs (unchunked, chunked and speculative, each on a
+//!   roomy and on a preempting pool) and a closed-loop run are pinned
+//!   bit for bit by digests of every lifecycle and report.
 
+#[allow(dead_code)] // this suite digests no traces
+mod common;
+
+use common::fnv1a;
 use lightening_transformer::arch::Simulator;
 use lightening_transformer::core::{GaussianSampler, NativeBackend};
 use lightening_transformer::nn::decode::{DecoderConfig, DecoderLm};
-use lightening_transformer::nn::serve::decode::DecodeServeConfig;
-use lightening_transformer::nn::serve::lifecycle::{RequestLifecycle, RequestOutcome, SloFrontend};
+use lightening_transformer::nn::kv::PreemptPolicy;
+use lightening_transformer::nn::serve::decode::{DecodeServeConfig, SpecConfig};
+use lightening_transformer::nn::serve::lifecycle::{
+    RequestLifecycle, RequestOutcome, ServingReport, SloFrontend,
+};
 use lightening_transformer::nn::serve::sched::KvServeConfig;
 use lightening_transformer::runtime::loadgen::{GenRequest, LoadgenConfig};
 use lightening_transformer::runtime::{ParallelBackend, SloClass};
@@ -229,4 +239,85 @@ fn admission_is_deadline_and_priority_aware() {
         admitted(3) <= admitted(1) && admitted(1) <= admitted(0),
         "interactive first, then standard, then batch"
     );
+}
+
+/// Ten requests of all three classes in two arrival waves (0 and 1 us);
+/// each wave's contexts outgrow a 25-block pool of 2 tokens.
+fn pin_workload() -> Vec<GenRequest> {
+    (0..10)
+        .map(|id| GenRequest {
+            id,
+            arrival_us: (id / 5) as u64,
+            prompt: (0..2 + id % 4).map(|t| (id * 5 + t * 3) % 16).collect(),
+            max_new_tokens: 10 + id % 5,
+            class: [SloClass::Batch, SloClass::Standard, SloClass::Interactive][id % 3],
+            ttft_deadline_us: (id % 3 == 2).then_some(1),
+        })
+        .collect()
+}
+
+fn run_digest(records: &[RequestLifecycle], report: &ServingReport) -> u64 {
+    fnv1a(format!("{records:?}{report:?}").bytes().map(u64::from))
+}
+
+/// Every lifecycle and the report of seven frontend runs, digested:
+/// the open loop unchunked, chunked and speculative, each on a roomy
+/// pool and on a starved swap-out pool that preempts, plus one closed
+/// loop. The digests were taken on the frontend that merged each tick's
+/// traces itself and queued arrivals in a class-ordered `BatchQueue`.
+/// The recompute policy is left out: its resumes are charged work.
+#[test]
+fn slo_frontend_runs_are_pinned_bit_for_bit() {
+    let want: [(&str, u64); 7] = [
+        ("open, chunk 0, roomy", 0x0913_a967_c379_2187),
+        ("open, chunk 0, starved", 0x88f2_63a1_e872_fbd7),
+        ("open, chunk 4, roomy", 0x461e_d9af_dfd0_a203),
+        ("open, chunk 4, starved", 0x1744_8070_a455_1077),
+        ("open, k = 4, roomy", 0xdd7a_adcc_6353_e503),
+        ("open, k = 4, starved", 0x748a_b319_cd6c_6d19),
+        ("closed x2, roomy", 0x6761_9148_fd3c_d722),
+    ];
+    let starved = |chunk| DecodeServeConfig {
+        max_active: 6,
+        kv: KvServeConfig {
+            block_tokens: 2,
+            pool_blocks: 25,
+            preempt: PreemptPolicy::SwapOut,
+            ..KvServeConfig::default()
+        },
+        prefill_chunk_tokens: chunk,
+        ..DecodeServeConfig::default()
+    };
+    let spec = |config: DecodeServeConfig| DecodeServeConfig {
+        spec: SpecConfig::with_k(4),
+        ..config
+    };
+    let open = [
+        config(0),
+        starved(0),
+        config(4),
+        starved(4),
+        spec(config(0)),
+        spec(starved(0)),
+    ];
+    let m = model();
+    let workload = pin_workload();
+    let sim = Simulator::new(config(0).arch);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+    let mut tokens = Vec::new();
+    for (&(label, _), cfg) in want.iter().zip(&open) {
+        let (records, report) = SloFrontend::new(&m, &sim, NativeBackend, cfg).run_open(&workload);
+        assert_eq!(report.completed, 10, "{label}");
+        assert_eq!(report.preemptions > 0, cfg.kv.pool_blocks == 25, "{label}");
+        tokens.push(records.iter().map(|r| r.tokens.clone()).collect::<Vec<_>>());
+        got.push((label, run_digest(&records, &report)));
+    }
+    assert!(
+        tokens.windows(2).all(|w| w[0] == w[1]),
+        "chunking, speculation or preemption changed a token"
+    );
+    let (records, report) =
+        SloFrontend::new(&m, &sim, NativeBackend, &config(0)).run_closed(&workload, 2);
+    got.push((want[6].0, run_digest(&records, &report)));
+    assert_eq!(got, want, "frontend lifecycles or reports moved");
 }
