@@ -197,9 +197,10 @@ fn serving_threads_sweep() {
 /// Speculative decoding on the HOST clock: the same 8-session decode
 /// mix served at every `spec_k`. The modeled win lives on the
 /// accelerator (`repro spec` shows replayed target cycles/token
-/// dropping ~3x at k=4, batch 1); on the host, every draft token and
-/// every rolled-back verify row is REAL GEMM work the CPU still
-/// executes, so wall clock is expected to get *worse* as k grows.
+/// dropping ~3x at k=4, batch 1); on the host, every draft token is
+/// REAL GEMM work on top of the per-position target steps that commit
+/// the tokens (the batched verify pass is costed from its shape, not
+/// run), so wall clock is expected to get *worse* as k grows.
 /// This sweep records that draft overhead honestly instead of letting
 /// the modeled numbers imply a host-side speedup that isn't there.
 fn spec_k_sweep() {
@@ -351,14 +352,16 @@ fn main() {
 //   10 000 record calls                     620 / 735 / 612     59 / 61 / 74
 //
 // The spec_k rows are the honest host-side cost of speculation: every
-// draft token, every verify row, and every rolled-back position is a
-// real CPU GEMM here, so host wall clock DEGRADES 2-2.5x as k grows
-// even while the modeled accelerator metric — replayed target cycles
-// per generated token, the thing `repro spec` gates — improves ~3.2x
-// at k=4, batch 1. The simulator charges the verify pass once at
-// batched-GEMM cost and the draft at draft-trace cost; the host
-// executes both serially at full precision, and that gap is the whole
-// point of measuring on the accelerator model rather than the host.
+// draft token is a real CPU GEMM on top of the per-position target
+// steps, so host wall clock DEGRADES as k grows even while the modeled
+// accelerator metric — replayed target cycles per generated token, the
+// thing `repro spec` gates — improves ~3.2x at k=4, batch 1. The
+// simulator charges the verify pass once at batched-GEMM cost and the
+// draft at draft-trace cost; the host runs the draft and then the
+// target one position at a time, and that gap is the whole point of
+// measuring on the accelerator model rather than the host. (The table
+// above predates costing the verify pass from its shape; until then
+// the host also executed that pass on a cloned engine.)
 //
 // On a host with more cores the same binary prints the scaling table;
 // the determinism suite guarantees the outputs are bit-identical either

@@ -22,7 +22,7 @@
 
 use crate::attention::AttnKvCache;
 use crate::engine::BackendEngine;
-use crate::kv::{KvLayer, ModelKv, PagedKvCache};
+use crate::kv::{kv_write_traffic, KvLayer, KvWrite, ModelKv, PagedKvCache};
 use crate::layers::{ForwardCtx, Linear, Param};
 use crate::model::EncoderBlock;
 use crate::quant::QuantConfig;
@@ -96,31 +96,75 @@ impl DecoderConfig {
             "prefill of {tokens} tokens outside 1..={}",
             self.max_seq
         );
-        let (t, dim, layers) = (tokens, self.dim, self.layers);
+        self.pass_trace(tokens, 0, 1, 0)
+    }
+
+    /// The op trace one [`DecoderLm::verify_step`] over `rows` positions
+    /// records against `prior` cached tokens, built from the geometry:
+    /// `[rows, d]` projections and LM head, `[rows, dh] x [dh, prior +
+    /// rows]` attention, the prior context read back, `rows` K/V rows
+    /// appended, and `cow_elems` of copy-on-write traffic (the block copy
+    /// the pass's first append pays on a shared tail block, as
+    /// [`crate::kv::kv_write_traffic`] records it; `0` on a contiguous or
+    /// unshared cache, see [`PagedKvCache::unshare_tail`]). This is the
+    /// trace [`DecodeSession::spec_step`] charges for its verify pass;
+    /// this module's tests pin it op for op against the recorded pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `prior` is zero or `prior + rows` exceeds
+    /// `max_seq`.
+    pub fn verify_trace(&self, rows: usize, prior: usize, cow_elems: u64) -> Trace {
+        assert!(
+            rows > 0 && prior > 0 && prior + rows <= self.max_seq,
+            "verify of {rows} rows after {prior} outside 1..={}",
+            self.max_seq
+        );
+        self.pass_trace(rows, prior, rows, cow_elems)
+    }
+
+    /// The coalesced trace of one causal pass over `rows` new positions
+    /// after `prior` cached ones, with the final LayerNorm and LM head
+    /// over `head_rows` of them.
+    fn pass_trace(&self, rows: usize, prior: usize, head_rows: usize, cow_elems: u64) -> Trace {
+        let (t, dim, layers) = (rows, self.dim, self.layers);
+        let context = prior + rows;
         let dh = dim / self.heads;
         let per_heads = self.heads * layers;
         let elems = (t * dim) as u64;
-        let mut trace = Trace::new();
-        for op in [
+        let mut trace = Trace::from_ops(vec![
             Op::gemm_n(OpKind::QkvProj, t, dim, dim, 3 * layers),
-            Op::gemm_n(OpKind::AttnQk, t, dh, t, per_heads),
-            Op::gemm_n(OpKind::AttnAv, t, t, dh, per_heads),
+            Op::gemm_n(OpKind::AttnQk, t, dh, context, per_heads),
+            Op::gemm_n(OpKind::AttnAv, t, context, dh, per_heads),
             Op::gemm_n(OpKind::OutProj, t, dim, dim, layers),
             Op::gemm_n(OpKind::Ffn1, t, dim, self.ffn_dim, layers),
             Op::gemm_n(OpKind::Ffn2, t, self.ffn_dim, dim, layers),
-            Op::gemm(OpKind::LmHead, 1, dim, self.vocab),
-            Op::non_gemm(NonGemmKind::Softmax, (t * t) as u64 * per_heads as u64),
-            Op::non_gemm(NonGemmKind::KvAppend, 2 * elems * layers as u64),
-            // Two LayerNorms per block plus the final head norm (one row).
+            Op::gemm(OpKind::LmHead, head_rows, dim, self.vocab),
+            Op::non_gemm(NonGemmKind::Softmax, (t * context * per_heads) as u64),
+            // Two LayerNorms per block plus the final head norm.
             Op::non_gemm(
                 NonGemmKind::LayerNorm,
-                2 * elems * layers as u64 + dim as u64,
+                2 * elems * layers as u64 + (head_rows * dim) as u64,
             ),
             Op::non_gemm(NonGemmKind::Residual, 2 * elems * layers as u64),
             Op::non_gemm(NonGemmKind::Gelu, (t * self.ffn_dim * layers) as u64),
-        ] {
-            trace.push(op);
+        ]);
+        if prior > 0 {
+            // Only the prior context streams back from HBM.
+            trace.push(Op::non_gemm(
+                NonGemmKind::KvRead,
+                2 * (prior * dim * layers) as u64,
+            ));
         }
+        let write = KvWrite {
+            rows_written: t * layers,
+            cow_elems,
+        };
+        trace.extend(
+            kv_write_traffic(write, dim)
+                .into_iter()
+                .map(|(kind, elems)| Op::non_gemm(kind, elems)),
+        );
         trace.coalesce()
     }
 }
@@ -396,6 +440,11 @@ impl DecoderLm {
     /// rejected positions back with [`KvCache::truncate`] /
     /// [`PagedKvCache::truncate`].
     ///
+    /// [`DecodeSession::spec_step`] charges this pass without running
+    /// it: [`DecoderConfig::verify_trace`] is its trace, and this
+    /// function is the executable reference that trace is pinned
+    /// against.
+    ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty, `cache` is empty (prefill first),
@@ -491,8 +540,8 @@ pub struct SpecOutcome {
     /// "bonus" token from the extra verified position when every
     /// proposal is accepted.
     pub bonus_token: usize,
-    /// Rejected draft positions whose K/V rows were rolled back
-    /// (`k - accepted`).
+    /// Rejected draft positions (`k - accepted`): rolled back in the
+    /// draft's cache, never written to the target's.
     pub rollback: usize,
 }
 
@@ -504,16 +553,18 @@ impl SpecOutcome {
 }
 
 /// One speculative step's outcome plus its itemized hardware cost:
-/// the draft model's trace (the overhead a real deployment pays) and
-/// the target's batched verify trace, each replayed on the simulator.
+/// the draft model's recorded trace (the overhead a real deployment
+/// pays) and the target's batched verify trace, built from the pass's
+/// shape ([`DecoderConfig::verify_trace`]), each replayed on the
+/// simulator.
 #[derive(Debug, Clone)]
 pub struct SpecStepReport {
     /// Longest-prefix agreement outcome.
     pub outcome: SpecOutcome,
     /// Draft-model ops: cache catch-up plus the `k` draft steps.
     pub draft_trace: Trace,
-    /// Target-model ops: the one batched verify pass (or the plain
-    /// decode step when speculation degenerated to `k_eff = 0`).
+    /// Target-model ops: the one batched verify pass (or the recorded
+    /// plain decode step when speculation degenerated to `k_eff = 0`).
     pub verify_trace: Trace,
     /// [`SpecStepReport::draft_trace`] replayed on the simulator.
     pub draft_cost: RunReport,
@@ -706,13 +757,13 @@ impl SessionKv {
         }
     }
 
-    /// Speculative rollback on whichever cache path the session uses.
-    fn truncate(&mut self, len: usize) {
+    /// The copy-on-write the next append would pay, paid now
+    /// ([`PagedKvCache::unshare_tail`]); a contiguous cache shares
+    /// nothing.
+    fn unshare_tail(&mut self) -> u64 {
         match self {
-            SessionKv::Contiguous(c) => c.truncate(len),
-            SessionKv::Paged(p) => {
-                p.truncate(len);
-            }
+            SessionKv::Contiguous(_) => 0,
+            SessionKv::Paged(p) => p.unshare_tail(),
         }
     }
 }
@@ -1043,20 +1094,28 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
 
     /// One *speculative* decode step: the draft proposes up to `k`
     /// tokens, the target verifies them all (plus the bonus position)
-    /// in one batched [`DecoderLm::verify_step`] pass, rejected
-    /// positions roll back, and `accepted + 1` tokens are emitted.
+    /// in one batched `[k_eff + 1, d]` pass, and `accepted + 1` tokens
+    /// are emitted.
     ///
     /// The emitted stream is bit-identical to plain
     /// [`DecodeSession::step`] decoding for any `k`, on any backend —
-    /// the pinned lossless-greedy contract. Acceptance is judged
-    /// against per-position target steps replayed on the session's own
-    /// engine (the identical call sequence — hence identical noise
-    /// stream — as non-speculative decoding), while the batched verify
-    /// pass runs on a *clone* of the engine and supplies the hardware
-    /// trace speculative hardware actually executes. On deterministic
-    /// backends the two agree exactly (`tests/speculative.rs`); on
-    /// noisy backends the batched pass is the costed execution and the
-    /// per-position replay defines the tokens.
+    /// the pinned lossless-greedy contract. The tokens come from
+    /// per-position target steps replayed on the session's own engine
+    /// (the identical call sequence — hence identical noise stream — as
+    /// non-speculative decoding), stopping at the first token that
+    /// disagrees with the draft; only those positions reach the cache.
+    ///
+    /// The batched verify pass is what speculative hardware executes
+    /// and what the step is charged for, but the host does not run it:
+    /// its trace is built from its shape
+    /// ([`DecoderConfig::verify_trace`]), which this module's tests pin
+    /// op for op against what [`DecoderLm::verify_step`] records. On
+    /// exact backends that pass's rows equal the replayed steps' bit
+    /// for bit (`verify_step_rows_match_successive_decode_steps`), so
+    /// the charged pass yields the committed tokens; on noisy backends
+    /// the replay defines them. A copy-on-write the pass's first append
+    /// would pay on a shared tail block is made before the replay
+    /// ([`PagedKvCache::unshare_tail`]) and charged to the verify trace.
     ///
     /// `k` clamps to `min(k, remaining - 1)` near the end of the
     /// request so the session never over-generates; at zero this falls
@@ -1145,24 +1204,15 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             (drafts, ctx.take_trace().coalesce())
         };
 
-        // --- Verify: one batched pass on a clone of the session's
-        // engine, so the session's own noise stream is untouched.
-        let mut verify_tokens = Vec::with_capacity(k_eff + 1);
-        verify_tokens.push(last);
-        verify_tokens.extend_from_slice(&drafts);
+        // --- Verify, costed from its shape: one batched pass over the
+        // last committed token and the k_eff proposals. Executing it
+        // would repeat the replay below (on exact backends its rows are
+        // the replayed steps' bit for bit), so it is not run. The copy a
+        // shared tail block would cost its first append is made now, so
+        // it is charged here and not to a replayed step.
         let base = self.cache.as_model().len();
-        let verify_trace = {
-            let mut engine = self.engine.clone();
-            let mut rng = GaussianSampler::new(split_seed(self.ticket, !0));
-            let mut ctx = ForwardCtx::inference(&mut engine, self.quant, &mut rng).recording();
-            model.verify_step(&verify_tokens, self.cache.as_model(), &mut ctx);
-            ctx.take_trace().coalesce()
-        };
-        // Roll back ALL verify rows (this is the per-step rollback that
-        // frees paged tail blocks); the authoritative replay below
-        // re-appends the accepted ones on the session's own noise
-        // stream, keeping the cache bit-identical to plain decoding.
-        self.cache.truncate(base);
+        let cow_elems = self.cache.unshare_tail();
+        let verify_trace = model.config().verify_trace(k_eff + 1, base, cow_elems);
 
         // --- Commit: per-position target steps on the session's own
         // engine, stopping at the first token that disagrees with the
@@ -1176,9 +1226,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
                 model.decode_step(fed, cache, ctx)
             });
             // Per-token cost attribution stays the batch-1 replay of the
-            // authoritative step — bit-identical to plain decoding, so a
-            // reply's `steps` never depends on `k`. The speculative
-            // execution's own cost is itemized in the returned report.
+            // authoritative step — equal to plain decoding's, so a
+            // reply's `steps` do not depend on `k` (bar a copy-on-write,
+            // which the verify pass pays). The speculative execution's
+            // own cost is itemized in the returned report.
             self.step_costs.push(sim.run_trace(&trace));
             let token = greedy(&logits);
             self.tokens.push(token);
@@ -1256,6 +1307,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::{BlockPool, PrefixIndex};
     use lt_arch::ArchConfig;
     use lt_core::{NativeBackend, Op};
     use lt_dptc::DptcBackend;
@@ -1590,6 +1642,117 @@ mod tests {
         }
     }
 
+    /// Records [`DecoderLm::verify_step`] over `rows` positions on
+    /// `cache`, rolls the rows back, and checks the recorded trace
+    /// against [`DecoderConfig::verify_trace`], op for op and replayed.
+    fn assert_verify_trace_matches(
+        m: &DecoderLm,
+        sim: &Simulator,
+        cache: &mut SessionKv,
+        quant: QuantConfig,
+        rows: usize,
+        cow_elems: u64,
+    ) {
+        let prior = cache.as_model().len();
+        let mut eng = crate::engine::ExactEngine;
+        let mut rng = GaussianSampler::new(0);
+        let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng).recording();
+        let tokens: Vec<usize> = (0..rows).map(|i| (prior + 3 * i) % 16).collect();
+        m.verify_step(&tokens, cache.as_model(), &mut ctx);
+        let recorded = ctx.take_trace().coalesce();
+        match cache {
+            SessionKv::Contiguous(c) => c.truncate(prior),
+            SessionKv::Paged(p) => {
+                p.truncate(prior);
+            }
+        }
+        let analytic = m.config().verify_trace(rows, prior, cow_elems);
+        assert_eq!(
+            recorded.ops(),
+            analytic.ops(),
+            "{quant:?}: rows {rows}, prior {prior}, cow {cow_elems}"
+        );
+        assert_eq!(sim.run_trace(&recorded), sim.run_trace(&analytic));
+    }
+
+    #[test]
+    fn analytic_verify_trace_costs_exactly_like_the_recorded_pass() {
+        // spec_step charges DecoderConfig::verify_trace for a pass it
+        // never runs, so the trace must be exactly what verify_step
+        // records: 1..=9 rows against every legal prior, on a contiguous
+        // cache (fp32 and int8) and on paged caches of 1-, 3-, 4- and
+        // 16-token blocks.
+        let m = model();
+        let cfg = m.config();
+        let sim = Simulator::new(ArchConfig::lt_base(8));
+        let mut eng = crate::engine::ExactEngine;
+        let mut rng = GaussianSampler::new(0);
+        let caches = [
+            (None, QuantConfig::fp32()),
+            (None, QuantConfig::int8()),
+            (Some(1), QuantConfig::fp32()),
+            (Some(3), QuantConfig::fp32()),
+            (Some(4), QuantConfig::fp32()),
+            (Some(16), QuantConfig::fp32()),
+        ];
+        for (block_tokens, quant) in caches {
+            for rows in 1..=9 {
+                let mut cache = match block_tokens {
+                    None => SessionKv::Contiguous(m.empty_cache()),
+                    Some(bt) => {
+                        let pool = BlockPool::new(cfg.max_seq + 1, cfg.layers, cfg.dim, bt);
+                        SessionKv::Paged(PagedKvCache::new(&pool, cfg.layers, cfg.dim))
+                    }
+                };
+                let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+                m.prefill(&[1], cache.as_model(), &mut ctx);
+                for prior in 1..=cfg.max_seq - rows {
+                    assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, 0);
+                    let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+                    m.decode_step(prior % 16, cache.as_model(), &mut ctx);
+                }
+            }
+        }
+
+        // A borrower of a 6-token prompt shares its partial second
+        // 4-token block, so the pass's first append copies that block.
+        // unshare_tail pays the same copy ahead of the pass, which then
+        // records none.
+        let pool = BlockPool::new(32, cfg.layers, cfg.dim, 4);
+        let prompt = [3, 1, 4, 1, 5, 9];
+        let quant = QuantConfig::fp32();
+        let mut owner = PagedKvCache::new(&pool, cfg.layers, cfg.dim);
+        m.prefill(
+            &prompt,
+            &mut owner,
+            &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
+        );
+        let mut index = PrefixIndex::new();
+        index.register(&prompt, owner.block_refs(prompt.len()));
+        let cow = 2 * pool.block_elems();
+        for rows in 1..=9 {
+            for ahead in [false, true] {
+                let prefix = index.lookup(&pool, &prompt).expect("owner is live");
+                let mut borrower =
+                    PagedKvCache::with_shared_prefix(&pool, cfg.layers, cfg.dim, prefix);
+                m.prefill(
+                    &prompt,
+                    &mut borrower,
+                    &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
+                );
+                let mut cache = SessionKv::Paged(borrower);
+                let recorded_cow = if ahead {
+                    assert_eq!(cache.unshare_tail(), cow, "rows {rows}");
+                    assert_eq!(cache.unshare_tail(), 0, "the tail is private now");
+                    0
+                } else {
+                    cow
+                };
+                assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, recorded_cow);
+            }
+        }
+    }
+
     fn spec_session(
         seed: u64,
         prompt: Vec<usize>,
@@ -1677,34 +1840,79 @@ mod tests {
 
     #[test]
     fn verify_step_rows_match_successive_decode_steps() {
-        // One batched verify pass over [last, d1, d2, d3] produces the
-        // same per-position logits as four matrix-vector decode steps —
-        // row independence under the causal mask.
-        let m = model();
-        let quant = QuantConfig::fp32();
+        // One batched verify pass produces the same per-position logits
+        // and cached K/V as the same positions fed as successive
+        // matrix-vector decode steps — row independence under the causal
+        // mask. Within 1e-5 on ExactEngine; bit for bit on the serving
+        // engine (BackendEngine<NativeBackend>), in the tiny, tapered
+        // tiny and serve_open geometries. The bit equality is what makes
+        // the verify pass spec_step charges without running yield the
+        // tokens its replay commits on exact backends.
+        let serve_open = DecoderConfig {
+            dim: 128,
+            layers: 2,
+            heads: 4,
+            ffn_dim: 256,
+            vocab: 64,
+            max_seq: 32,
+        };
+        let mut tapered = model();
+        tapered.taper_deep_blocks(0.25);
+        let models = [
+            ("tiny", model()),
+            ("tapered tiny", tapered),
+            (
+                "serve_open",
+                DecoderLm::new(serve_open, &mut GaussianSampler::new(3)),
+            ),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut rng = GaussianSampler::new(0);
-        let mut eng = crate::engine::ExactEngine;
-        let prompt = vec![3usize, 1, 4, 1, 5];
-        let toks = vec![2usize, 7, 1, 8];
-
-        let mut cache = m.empty_cache();
-        let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
-        m.prefill(&prompt, &mut cache, &mut ctx);
-        let batched = m.verify_step(&toks, &mut cache, &mut ctx);
-        assert_eq!((batched.rows(), batched.cols()), (4, 16));
-
-        let mut cache2 = m.empty_cache();
-        let mut ctx2 = ForwardCtx::inference(&mut eng, quant, &mut rng);
-        m.prefill(&prompt, &mut cache2, &mut ctx2);
-        for (i, &t) in toks.iter().enumerate() {
-            let row = m.decode_step(t, &mut cache2, &mut ctx2);
-            let diff: f32 = (0..16)
-                .map(|j| (batched.get(i, j) - row.get(0, j)).abs())
-                .fold(0.0, f32::max);
-            assert!(diff < 1e-5, "row {i} diverged by {diff}");
+        for (label, m) in &models {
+            let vocab = m.config().vocab;
+            for prompt_len in [1usize, 5, 13] {
+                let prompt: Vec<usize> = (0..prompt_len).map(|i| (i * 7 + 2) % vocab).collect();
+                for rows in 1..=5 {
+                    let toks: Vec<usize> = (0..rows).map(|i| (i * 5 + 1) % vocab).collect();
+                    let mut exact = crate::engine::ExactEngine;
+                    let mut serving = BackendEngine::new(NativeBackend, 1);
+                    for (bit_exact, engine) in [
+                        (false, &mut exact as &mut dyn crate::engine::MatmulEngine),
+                        (true, &mut serving),
+                    ] {
+                        let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32(), &mut rng);
+                        let mut batched_cache = m.empty_cache();
+                        m.prefill(&prompt, &mut batched_cache, &mut ctx);
+                        let batched = m.verify_step(&toks, &mut batched_cache, &mut ctx);
+                        assert_eq!(batched.shape(), (rows, vocab));
+                        let mut stepped_cache = m.empty_cache();
+                        m.prefill(&prompt, &mut stepped_cache, &mut ctx);
+                        let at = format!("{label}: prompt {prompt_len}, rows {rows}");
+                        for (i, &t) in toks.iter().enumerate() {
+                            let row = m.decode_step(t, &mut stepped_cache, &mut ctx);
+                            let verified = Tensor::from_fn(1, vocab, |_, j| batched.get(i, j));
+                            if bit_exact {
+                                assert_eq!(bits(&row), bits(&verified), "{at}: logit row {i}");
+                            } else {
+                                let diff = row.max_abs_diff(&verified);
+                                assert!(diff < 1e-5, "{at}: row {i} diverged by {diff}");
+                            }
+                        }
+                        assert_eq!(batched_cache.len(), stepped_cache.len());
+                        if bit_exact {
+                            let layers = batched_cache
+                                .layers_mut()
+                                .iter()
+                                .zip(stepped_cache.layers_mut());
+                            for (l, (a, b)) in layers.enumerate() {
+                                assert_eq!(bits(a.keys()), bits(b.keys()), "{at}: layer {l} K");
+                                assert_eq!(bits(a.values()), bits(b.values()), "{at}: layer {l} V");
+                            }
+                        }
+                    }
+                }
+            }
         }
-        // Both paths cached the same context.
-        assert_eq!(cache.len(), cache2.len());
     }
 
     #[test]

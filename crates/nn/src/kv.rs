@@ -357,6 +357,24 @@ impl BlockPool {
         Some((new, 2 * self.block_elems()))
     }
 
+    /// Replaces `*block` with a private copy if another table still
+    /// holds it ([`BlockPool::cow`]); returns the elements copied, `0`
+    /// when the block was already private.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool cannot supply the copy.
+    fn unshare(&self, block: &mut usize) -> u64 {
+        if self.refcount(*block) <= 1 {
+            return 0;
+        }
+        let (new, copied) = self
+            .cow(*block)
+            .expect("KV block pool exhausted during copy-on-write");
+        *block = new;
+        copied
+    }
+
     /// Writes one token row (K and V) of `layer` at `slot` within
     /// `block`.
     fn write_row(&self, block: usize, layer: usize, slot: usize, k: &[f32], v: &[f32]) {
@@ -457,14 +475,7 @@ impl KvLayer for PagedKvLayer {
             if pos >= t.shared_tokens {
                 // Writing into a block another table can see would leak
                 // our rows into their context: copy it first.
-                if self.pool.refcount(t.blocks[bi]) > 1 {
-                    let (new, copied) = self
-                        .pool
-                        .cow(t.blocks[bi])
-                        .expect("KV block pool exhausted during copy-on-write");
-                    t.blocks[bi] = new;
-                    write.cow_elems += copied;
-                }
+                write.cow_elems += self.pool.unshare(&mut t.blocks[bi]);
                 self.pool
                     .write_row(t.blocks[bi], self.layer, pos % bt, k.row(r), v.row(r));
                 write.rows_written += 1;
@@ -698,6 +709,37 @@ impl PagedKvCache {
         }
         t.shared_tokens = t.shared_tokens.min(len);
         released
+    }
+
+    /// Pays, ahead of time, the copy-on-write the next append's first
+    /// row would pay: if the block that row lands in is still shared
+    /// with another table, it is replaced by a private copy. Returns the
+    /// elements copied (K + V), `0` when the next row opens a fresh
+    /// block or its block is already private. Speculative decoding calls
+    /// this before it replays the verified positions, so the copy is
+    /// charged to the verify pass that would have made it
+    /// ([`crate::decode::DecoderConfig::verify_trace`]) and never to a
+    /// replayed step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is swapped out, or if the pool cannot supply
+    /// the copy (the scheduler reserves it; see
+    /// [`PagedKvCache::blocks_needed`]).
+    pub fn unshare_tail(&mut self) -> u64 {
+        let bt = self.pool.block_tokens();
+        let mut t = self.table.lock().expect("table poisoned");
+        assert!(
+            t.swapped.is_none(),
+            "copy-on-write of a swapped-out KV cache"
+        );
+        let len = t.len_max();
+        if len < t.shared_tokens {
+            return 0; // the next row skips its write
+        }
+        t.blocks
+            .get_mut(len / bt)
+            .map_or(0, |block| self.pool.unshare(block))
     }
 
     /// Restores a swapped-out cache: reallocates blocks and copies the

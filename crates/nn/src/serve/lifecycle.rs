@@ -371,15 +371,17 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
                 }
             }
             self.admit_waiting();
-            if !self.advance_one_tick() {
+            let ticked = self.advance_one_tick();
+            // Settle even after an empty tick: requests that failed
+            // admission leave through it, and their users come back.
+            in_flight = in_flight.saturating_sub(self.settle());
+            if !ticked {
                 let idle = self.waiting.iter().all(VecDeque::is_empty) && !self.sched.has_work();
                 if idle && next < order.len() {
                     continue; // release the next user(s)
                 }
                 break; // drained, or a stuck backlog: stop rather than spin
             }
-            let done = self.settle();
-            in_flight = in_flight.saturating_sub(done);
         }
         self.finish()
     }
@@ -739,5 +741,33 @@ mod tests {
                 assert!(admitted >= r.arrival_ps);
             }
         }
+    }
+
+    #[test]
+    fn a_closed_loop_run_settles_requests_that_fail_admission() {
+        // Request 0's empty prompt fails admission, and with one user
+        // the tick that fails it runs nothing. The loop must still
+        // settle the failure and release the next user, not spin. The
+        // run is on its own thread so a spin fails the test instead of
+        // hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let m = model();
+            let cfg = config();
+            let sim = Simulator::new(cfg.arch.clone());
+            let mut requests: Vec<GenRequest> = (0..4)
+                .map(|id| request(id, 0, SloClass::Standard, None))
+                .collect();
+            requests[0].prompt.clear();
+            let _ =
+                tx.send(SloFrontend::new(&m, &sim, NativeBackend, &cfg).run_closed(&requests, 1));
+        });
+        let (records, report) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_closed must return");
+        let outcomes: Vec<RequestOutcome> = records.iter().map(|r| r.outcome).collect();
+        use RequestOutcome::{Completed, Failed};
+        assert_eq!(outcomes, [Failed, Completed, Completed, Completed]);
+        assert_eq!((report.failed, report.completed), (1, 3));
     }
 }

@@ -259,9 +259,8 @@ pub struct KvScheduler<'m, B: ComputeBackend + Clone> {
     prefill_chunk: usize,
     /// Speculative decoding: `(k, draft model)` when enabled. Running
     /// sessions then advance by [`DecodeSession::spec_step`] instead of
-    /// plain steps, and the reserve phase books `k + 1` worst-case
-    /// tokens per session so the batched verify can never exhaust the
-    /// pool mid-speculation.
+    /// plain steps, and the reserve phase books the `k_eff + 1` rows of
+    /// each session's modeled verify pass.
     spec: Option<(usize, DraftLm)>,
     pool: BlockPool,
     prefix: Option<PrefixIndex>,
@@ -337,11 +336,6 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         self
     }
 
-    /// The configured chunked-prefill size (`0` = unchunked).
-    pub fn prefill_chunk(&self) -> usize {
-        self.prefill_chunk
-    }
-
     /// Enables speculative decoding with a *self-speculative* draft —
     /// the target's own bottom half ([`DraftLm::from_target`]). Each
     /// tick then advances every running session by one
@@ -350,10 +344,14 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// a session can emit up to `k + 1` tokens per tick while its
     /// reply stays bit-identical to plain decoding.
     ///
-    /// The reserve phase books the worst case (`k_eff + 1` verify rows
-    /// per session) *before* any session steps, so mid-speculation
-    /// preemption is impossible by construction — a verify pass never
-    /// finds the pool dry. `k = 0` leaves speculation off.
+    /// The reserve phase books `k_eff + 1` rows per session *before*
+    /// any session steps. The host writes only the `accepted + 1`
+    /// replayed rows (the verify pass is costed from its shape, not
+    /// run), but the verify pass each step is charged for appends all
+    /// `k_eff + 1` before rejection rolls them back, so the modeled
+    /// pool must hold them: booking them keeps every admission and
+    /// preemption decision that of the costed schedule, and the replay
+    /// can never find the pool dry. `k = 0` leaves speculation off.
     pub fn with_speculation(self, k: usize) -> Self {
         let draft = DraftLm::from_target(self.model);
         self.with_speculation_draft(k, draft)
@@ -446,9 +444,12 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 }
             } else if let Some((k, draft)) = spec {
                 // Speculative step: the verify trace is the target's
-                // executed work this tick; the draft trace is its
-                // itemized overhead. The reserve phase above already
-                // booked the verify pass's k_eff + 1 transient rows.
+                // costed work this tick (built from the pass's shape;
+                // the host replays only the accepted positions); the
+                // draft trace is its itemized overhead. The reserve
+                // phase above booked the pass's k_eff + 1 rows, which
+                // the modeled pass holds even though the host writes
+                // fewer.
                 let report = entry.session.spec_step(self.model, draft, self.sim, *k);
                 self.stats.spec.merge(&report.stats_delta());
                 step_traces.push(report.verify_trace);
@@ -489,11 +490,12 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     }
 
     /// Tokens the pool must absorb when `entry` next runs: one decode
-    /// token for a running session (`k_eff + 1` in speculative mode —
-    /// the batched verify transiently appends that many rows before
-    /// rolling back, so reserving them up front makes mid-speculation
-    /// preemption impossible by construction), the next chunk for a
-    /// prefilling one.
+    /// token for a running session, the next chunk for a prefilling
+    /// one. In speculative mode a running session books `k_eff + 1`:
+    /// the verify pass it is charged for appends that many rows before
+    /// rejection rolls them back. The host no longer runs that pass,
+    /// but the modeled pool holds its rows, so they stay booked and no
+    /// preemption decision moves.
     fn next_tokens(&self, entry: &Entry<B>) -> usize {
         if entry.session.prefill_done() {
             match &self.spec {
@@ -1057,11 +1059,11 @@ mod tests {
     #[test]
     fn speculative_scheduling_replies_are_bit_identical_even_under_memory_pressure() {
         // The same starved pool as the preemption test: speculation must
-        // coexist with eviction, and — because the reserve phase books
-        // the verify pass's k_eff + 1 transient rows before any session
-        // steps — a batched verify can never find the pool dry. The
-        // replies (tokens AND per-token costs) must match plain
-        // scheduling bit-exactly for every k.
+        // coexist with eviction. The reserve phase books the modeled
+        // verify pass's k_eff + 1 rows before any session steps, so the
+        // replay, which writes at most that many, can never find the
+        // pool dry. The replies (tokens AND per-token costs) must match
+        // plain scheduling bit-exactly for every k.
         let kv = KvServeConfig {
             block_tokens: 4,
             pool_blocks: 13,

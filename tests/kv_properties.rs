@@ -341,8 +341,8 @@ fn paged_decode_is_bit_identical_to_contiguous_for_every_block_size() {
 /// feeds (`prompt + max_new - 1`) plus every token a recompute resume
 /// feeds again — on a starved pool, under both preemption policies,
 /// unchunked and chunked. Plain decoding with prefix sharing off: a
-/// borrowed prefix skips writes, and a verify pass appends rows it may
-/// roll back.
+/// borrowed prefix skips writes, and a charged verify pass appends rows
+/// that rejection rolls back.
 #[test]
 fn every_kv_write_is_charged_to_exactly_one_tick() {
     let m = model();

@@ -9,8 +9,13 @@
 //! *which* tokens. These tests pin that contract plus the rollback
 //! bookkeeping: a speculative session's paged cache never leaks a
 //! block — after every step the `BlockPool` free count matches the
-//! post-rollback context exactly, and a drained pool ends full.
+//! committed context exactly, and a drained pool ends full — and the
+//! copy-on-write of a shared tail block, charged once to the verify
+//! pass.
 
+mod common;
+
+use common::{fnv1a, trace_words};
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::core::{ComputeBackend, GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
@@ -18,9 +23,9 @@ use lightening_transformer::nn::decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
 };
 use lightening_transformer::nn::kv::{BlockPool, ModelKv, PagedKvCache};
-use lightening_transformer::nn::serve::decode::{DecodeServeConfig, SpecConfig};
+use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, SpecConfig};
 use lightening_transformer::nn::serve::lifecycle::SloFrontend;
-use lightening_transformer::nn::serve::sched::KvServeConfig;
+use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
 use lightening_transformer::runtime::loadgen::LoadgenConfig;
 use lightening_transformer::runtime::ParallelBackend;
 
@@ -159,9 +164,10 @@ fn speculative_decode_is_bit_identical_on_paged_caches() {
 #[test]
 fn rollback_restores_the_block_pool_free_count_exactly() {
     // After every speculative step the session's cache must hold
-    // exactly the committed context — the verify rows' rollback
-    // returned every tail block — and the pool's free count must be
-    // the total minus what that context needs. No leak, no slack.
+    // exactly the committed context — only the replayed positions were
+    // written, so no rejected row and no speculative tail block
+    // survives — and the pool's free count must be the total minus what
+    // that context needs. No leak, no slack.
     let config = DecoderConfig::tiny();
     // Untapered target on the noisy backend, on purpose: draft and
     // target greedy streams disagree often, so rounds have tail blocks
@@ -253,4 +259,99 @@ fn the_spec_serving_report_is_invariant_to_gemm_thread_count() {
             "records diverged at {threads} threads"
         );
     }
+}
+
+/// Runs six requests through a prefix-sharing scheduler at speculation
+/// depth `k` (`0` = plain steps) over a pool of `pool_blocks` 4-token
+/// blocks. Their 6-token prompts come in two groups of three, so every
+/// borrower shares its group's partial second block and the first KV
+/// write past the prompt pays a copy-on-write. Returns the digest of
+/// every tick's cost and step traces and of every reply, the replies,
+/// and the pool's copy-on-write and the scheduler's preemption counts.
+fn run_shared_tail(k: usize, pool_blocks: usize) -> (u64, Vec<(u64, DecodeReply)>, u64, u64) {
+    let model = tapered_model(13);
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let kv = KvServeConfig {
+        block_tokens: 4,
+        pool_blocks,
+        prefix_sharing: true,
+        ..KvServeConfig::default()
+    };
+    let mut sched = KvScheduler::new(&model, &sim, NativeBackend, SessionConfig::default(), kv, 6)
+        .with_speculation(k);
+    for ticket in 0..6u64 {
+        let group = ticket as usize % 2;
+        sched.submit(
+            ticket,
+            DecodeRequest {
+                prompt: (0..6).map(|t| (t * 5 + 3 * group + 1) % 16).collect(),
+                max_new_tokens: 12 + ticket as usize,
+            },
+        );
+    }
+    let mut words = Vec::new();
+    let mut replies = Vec::new();
+    while let Some(tick) = sched.tick() {
+        let cost = tick.cost(&sim).expect("every tick runs work");
+        words.extend(format!("{cost:?}").bytes().map(u64::from));
+        for trace in &tick.step_traces {
+            words.extend(trace_words(trace));
+        }
+        replies.extend(sched.drain_finished());
+    }
+    assert!(!sched.has_work(), "the run drains");
+    replies.sort_by_key(|&(ticket, _)| ticket);
+    words.extend(format!("{replies:?}").bytes().map(u64::from));
+    assert_eq!(sched.pool().used_blocks(), 0, "all blocks returned");
+    let cow = sched.pool().stats().cow_copies;
+    (fnv1a(words), replies, cow, sched.stats().preemptions)
+}
+
+#[test]
+fn speculation_over_a_shared_tail_block_is_pinned_bit_for_bit() {
+    // Prefix sharing plus speculation: every session's first write past
+    // its prompt lands in a shared partial block, so its first
+    // speculative step pays a copy-on-write. The copy is charged once,
+    // in that step's verify trace, and the tokens equal plain
+    // decoding's — on a roomy pool and on a 20-block pool that
+    // preempts. The digests were taken when spec_step still executed
+    // its verify pass on a cloned engine and rolled every row back.
+    let want: [((usize, usize), u64); 6] = [
+        ((2, 64), 0x94d5_1ed9_6e1d_2cba),
+        ((3, 64), 0x6365_e7ad_8c29_5970),
+        ((4, 64), 0xe59e_7851_b762_3b1d),
+        ((2, 20), 0x912f_9977_0183_42cc),
+        ((3, 20), 0xaa95_2c42_6a8a_9c6f),
+        ((4, 20), 0xf3d6_e53d_c938_1c40),
+    ];
+    let mut got = Vec::new();
+    for pool_blocks in [64, 20] {
+        let (_, plain, plain_cow, _) = run_shared_tail(0, pool_blocks);
+        assert_eq!(plain.len(), 6);
+        assert!(
+            plain_cow > 0,
+            "pool {pool_blocks}: the tail block is shared"
+        );
+        for k in [2, 3, 4] {
+            let (digest, replies, cow, preemptions) = run_shared_tail(k, pool_blocks);
+            // Tokens and footprints equal plain decoding. Per-token
+            // costs do not: plain decoding pays the copy in its first
+            // step, speculation in its first verify pass.
+            for ((_, a), (_, b)) in replies.iter().zip(&plain) {
+                assert_eq!(
+                    a.tokens, b.tokens,
+                    "k {k}, pool {pool_blocks}: a token moved"
+                );
+                assert_eq!(a.kv_cache_bytes, b.kv_cache_bytes);
+            }
+            assert!(cow > 0, "k {k}, pool {pool_blocks}: no copy-on-write ran");
+            assert_eq!(
+                preemptions > 0,
+                pool_blocks == 20,
+                "k {k}, pool {pool_blocks}: only the small pool preempts"
+            );
+            got.push(((k, pool_blocks), digest));
+        }
+    }
+    assert_eq!(got, want, "speculative ticks or replies moved");
 }

@@ -255,10 +255,13 @@ fn a_recorded_decode_step_at_full_gpt2_small_width_matches_the_analytical_decode
 #[test]
 fn recorded_verify_step_traces_match_the_analytical_spec_trace() {
     // Speculative decoding's batched verify pass at the executable tiny
-    // GPT2-small geometry: every spec step's recorded verify GEMMs must
-    // equal `DecodeTrace::spec_trace(k)` — row-stacked `k+1` high, the
+    // GPT2-small geometry: at every context a speculative session
+    // visits, the GEMMs `DecoderLm::verify_step` records must equal
+    // `DecodeTrace::spec_trace(k)` — row-stacked `k+1` high, the
     // attention context grown by the speculated positions — and cost
-    // the same when replayed through the accelerator model.
+    // the same when replayed through the accelerator model. The whole
+    // recorded pass must also equal the verify trace the session charges
+    // without running it (`SpecStepReport::verify_trace`).
     use lightening_transformer::nn::decode::DraftLm;
     let spec = TransformerConfig::gpt2_small(16).tiny_validation();
     let model = decoder_at(&spec, 16);
@@ -280,13 +283,31 @@ fn recorded_verify_step_traces_match_the_analytical_spec_trace() {
             let committed = session.tokens().len();
             let k_eff = k.min(max_new - committed - 1);
             let base = prompt.len() + committed - 1;
+            // The pass the step is charged for, executed on the committed
+            // context: the last committed token plus k_eff proposals
+            // (their values do not change a shape).
+            let fed: Vec<usize> = prompt.iter().chain(session.tokens()).copied().collect();
+            let verified = vec![fed[base]; k_eff + 1];
+            let (mut engine, mut nrng) = (ExactEngine, GaussianSampler::new(0));
+            let mut cache = model.empty_cache();
+            let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng);
+            model.prefill(&fed[..base], &mut cache, &mut ctx);
+            let mut ctx = ctx.recording();
+            model.verify_step(&verified, &mut cache, &mut ctx);
+            let recorded_pass = ctx.take_trace().coalesce();
             let report = session.spec_step(&model, &draft, &sim, k);
             if k_eff == 0 {
                 // Degenerate tail: a plain step, covered by the
                 // decode-step crossval above.
                 continue;
             }
-            let recorded = body_gemms(&report.verify_trace).coalesce();
+            assert_eq!(
+                recorded_pass, report.verify_trace,
+                "{}: the charged verify trace differs from the recorded pass \
+                 at base {base}, k_eff {k_eff}",
+                spec.name
+            );
+            let recorded = body_gemms(&recorded_pass).coalesce();
             // The first verified position attends over base + 1 tokens.
             let analytical_ops = DecodeTrace::new(spec.clone(), base + 1, 1);
             let analytical = analytical_ops.spec_trace(k_eff).coalesce();
