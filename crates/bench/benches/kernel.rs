@@ -25,12 +25,24 @@
 //!    on real integer codes, grouped per-channel scales).
 //! 5. **fp32 vs int8 forward** — a whole tiny-ViT forward pass with the
 //!    weight-bearing layers on fp32 vs on the integer path.
+//! 6. **source fold** — GMAC/s of an `f64` B read as `f64` beside the
+//!    same B carrying its `f32` source (`MatrixView::with_f32_source`),
+//!    at `m` ∈ {1, 2, 5, 8, 16, 32, 197}, over serve_open's and the tiny
+//!    decoder's weights, DeiT-T's FFN and GPT2-small's; both measured
+//!    alternately, cell by cell. The kernel folds the source only above
+//!    `SOURCE_FOLD_MIN_BYTES` (32 KiB of `f64`) and for at most `RB`
+//!    rows, so the tiny decoder's rows, and every cell at m > 8, run the
+//!    same code on both lines.
+//! 7. **working-set sweep** — `m = 1` GEMVs cycled over 0.25-4 MiB of
+//!    `f64` weights, the way a decode step streams every weight once:
+//!    the L2 knee, with 128 x 128 weights (128 KiB, folded from their
+//!    source) and 64 x 64 ones (32 KiB, at the gate, read as `f64`).
 //!
 //! See the RECORDED RESULTS block at the bottom for the captured table
 //! from the reference build container.
 
 use lt_bench::timing::bench_for;
-use lt_core::kernel::{tiled_gemm, tiled_gemm_into};
+use lt_core::kernel::{tiled_gemm, tiled_gemm_into, SOURCE_FOLD_MIN_BYTES};
 use lt_core::{
     quantized_gemm, reference_gemm, GaussianSampler, Matrix, Matrix32, Matrix64, QuantizedMatrix,
     Scalar,
@@ -122,6 +134,96 @@ fn strip_heights<T: Scalar>(label: &str) {
             line += &format!(" {:>7.2}", (m * k * n) as f64 / report.median_ns);
         }
         println!("{line}");
+    }
+}
+
+/// Weight shapes `(k, n)` of the source-fold table: serve_open's, the
+/// tiny decoder's (below the fold gate), DeiT-T's FFN (dim 192, FFN 768)
+/// and GPT2-small's.
+const SOURCE_SHAPES: [(usize, usize); 11] = [
+    (128, 128),
+    (128, 256),
+    (256, 128),
+    (128, 64),
+    (32, 32),
+    (32, 64),
+    (64, 32),
+    (192, 768),
+    (768, 192),
+    (768, 768),
+    (768, 3072),
+];
+
+/// Two lines per weight shape: GMAC/s of `tiled_gemm_into` at each of
+/// [`STRIP_ROWS`] with B read as `f64`, and with the same B carrying
+/// the `f32` values it was widened from. The two are timed alternately,
+/// cell by cell.
+fn source_fold() {
+    let mut rng = GaussianSampler::new(6);
+    for (k, n) in SOURCE_SHAPES {
+        let source = Matrix32::randn(k, n, 1.0, &mut rng);
+        let b = source.to_f64();
+        let sourced = b.view().with_f32_source(source.view());
+        let shape = format!("{k}x{n}");
+        let (mut plain_line, mut source_line) =
+            (format!("f64 {shape:>9}"), format!("src {shape:>9}"));
+        for m in STRIP_ROWS {
+            let a = Matrix64::randn(m, k, 1.0, &mut rng);
+            let mut out = Matrix64::zeros(0, 0);
+            for (line, b) in [(&mut plain_line, b.view()), (&mut source_line, sourced)] {
+                let report = bench_for(&format!("{m}x{k}x{n}"), STRIP_WINDOW, || {
+                    tiled_gemm_into(&a.view(), &b, &mut out);
+                    out.data()[0]
+                });
+                *line += &format!(" {:>7.2}", (m * k * n) as f64 / report.median_ns);
+            }
+        }
+        println!("{plain_line}\n{source_line}");
+    }
+}
+
+/// Total `f64` weight bytes of the working-set sweep, in KiB.
+const WORKING_SETS_KIB: [usize; 8] = [256, 512, 1024, 1536, 2048, 2560, 3072, 4096];
+
+/// GMAC/s of `m = 1` GEMVs cycled over [`WORKING_SETS_KIB`] of `k x k`
+/// weights, read as `f64` and folded from their `f32` source, timed
+/// alternately, cell by cell; one line pair per weight width.
+fn working_set_sweep() {
+    let mut rng = GaussianSampler::new(8);
+    for k in [128, 64] {
+        let bytes = k * k * 8;
+        let side = if bytes > SOURCE_FOLD_MIN_BYTES {
+            "above"
+        } else {
+            "at"
+        };
+        let label = format!("{k}x{k} ({} KiB, {side} the gate)", bytes / 1024);
+        let (mut plain_line, mut source_line) = (format!("f64 {label}"), format!("src {label}"));
+        let a = Matrix64::randn(1, k, 1.0, &mut rng);
+        for kib in WORKING_SETS_KIB {
+            let sources: Vec<Matrix32> = (0..kib * 1024 / bytes)
+                .map(|_| Matrix32::randn(k, k, 1.0, &mut rng))
+                .collect();
+            let weights: Vec<Matrix64> = sources.iter().map(Matrix32::to_f64).collect();
+            let plain: Vec<_> = weights.iter().map(Matrix64::view).collect();
+            let sourced: Vec<_> = weights
+                .iter()
+                .zip(&sources)
+                .map(|(b, source)| b.view().with_f32_source(source.view()))
+                .collect();
+            let mut out = Matrix64::zeros(0, 0);
+            for (line, set) in [(&mut plain_line, &plain), (&mut source_line, &sourced)] {
+                let report = bench_for(&format!("{kib} KiB of {k}x{k}"), STRIP_WINDOW, || {
+                    for b in set.iter() {
+                        tiled_gemm_into(&a.view(), b, &mut out);
+                    }
+                    out.data()[0]
+                });
+                let macs = set.len() * k * k;
+                *line += &format!(" {:>7.2}", macs as f64 / report.median_ns);
+            }
+        }
+        println!("{plain_line}\n{source_line}");
     }
 }
 
@@ -221,6 +323,25 @@ fn main() {
     strip_heights::<f64>("f64");
     strip_heights::<f32>("f32");
     println!();
+    println!("source fold: tiled f64 GMAC/s by rows m, B read as f64 / from its f32 source");
+    println!(
+        "            k x n {}",
+        STRIP_ROWS
+            .map(|m| format!("{:>7}", format!("m={m}")))
+            .join(" ")
+    );
+    source_fold();
+    println!();
+    println!("working-set sweep: m = 1 GEMV GMAC/s cycling over the f64 weight bytes");
+    println!(
+        "{:>37} {}",
+        "",
+        WORKING_SETS_KIB
+            .map(|kib| format!("{:>7}", format!("{:.2}M", kib as f64 / 1024.0)))
+            .join(" ")
+    );
+    working_set_sweep();
+    println!();
     float_vs_integer(96, 256, 96);
     forward_modes();
 }
@@ -319,6 +440,35 @@ fn main() {
 // unresolved here (ARCHITECTURE.md §9). Narrow outputs (n = 8) at
 // m >= 16 are slower than on the packed tile. Regenerate with the
 // command above.
+//
+// Source fold and working-set sweep, added with the fold: the same
+// build on both lines, medians over three runs of each cell (GMAC/s),
+// 2-core Intel Xeon VM, AVX2 build, 2026-10-18. Cells at m > 8 and on
+// the tiny decoder's weights run the same code on both lines.
+//
+//                        m=1    m=2    m=5    m=8   m=16   m=32  m=197
+//   f64 128x128         5.99   6.96   7.32   6.99   7.55   8.21   7.95
+//   src 128x128         4.67   5.25   5.70   5.49   8.57   8.17   8.29
+//   f64 128x256         8.11   7.35   7.73   7.53   7.09   7.30   7.88
+//   src 128x256         5.83   5.31   5.59   5.55   7.15   7.40   7.90
+//   f64 768x768         3.10   4.43   5.81   6.13   6.11   5.98   5.82
+//   src 768x768         4.69   5.35   5.25   5.75   6.28   5.77   5.95
+//   f64 768x3072        3.02   3.97   5.00   5.00   4.72   4.48   4.70
+//   src 768x3072        5.42   5.95   6.92   6.70   4.68   4.54   4.56
+//
+//                      0.25M  0.50M  1.00M  1.50M  2.00M  2.50M  3.00M  4.00M
+//   f64 128x128         5.06   5.19   5.07   5.10   3.98   3.44   3.08   3.11
+//   src 128x128         4.56   4.58   4.59   4.61   4.60   4.52   4.37   4.02
+//   f64 64x64           4.38   4.30   4.42   4.30   3.31   2.93   2.76   2.70
+//   src 64x64           4.34   4.30   4.44   4.34   3.39   2.99   2.80   2.72
+//
+// A single weight multiplied again and again stays in L2, where the
+// conversion costs more than the bytes it saves (0.7-0.8x at
+// serve_open's shapes); GPT2-small's weights stream from L3 and gain
+// 1.5-1.8x at m = 1. Cycling m = 1 GEMVs over 128x128 weights shows
+// the L2 knee: past 1.5 MiB the f64 fold falls from 5.1 to 3.1 GMAC/s,
+// the source fold holds 4.6 up to 2.5 MiB. The 64x64 weights (32 KiB,
+// at the gate) run the f64 fold on both lines.
 //
 // The integer path is *slower* on the host — a scalar i8 loop can't
 // beat the autovectorized float kernel, and per-call encoding costs

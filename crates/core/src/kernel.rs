@@ -59,12 +59,37 @@
 //! the CPU can run. There is no AVX-512 build: enabling `avx512f` also
 //! enables FMA (see ARCHITECTURE.md §9).
 //!
+//! # Folding B from its `f32` source
+//!
+//! A decode step streams every weight once, so at serving widths its
+//! GEMVs are bound by the bytes of B. Model weights are `f32`; the `f64`
+//! backends see them as staged `f64` copies, twice the bytes. When an
+//! `f64` B carries the `f32` values it was widened from
+//! ([`MatrixView::with_f32_source`]), is larger than
+//! [`SOURCE_FOLD_MIN_BYTES`] and the product has at most [`RB`] rows,
+//! the kernel folds B from that source and widens each element in
+//! register. Widening `f32` to `f64` is exact, so every product and sum
+//! is the same IEEE operation on the same operands in the same order as
+//! the `f64` fold: the bits cannot move.
+//!
+//! Everywhere else the conversion is pure cost, so the kernel reads the
+//! `f64` values: below the gate B stays in the L1 data cache, and a
+//! product taller than one row block re-reads B once per block, from
+//! cache after the first, widening every element again each time (at
+//! `serve_open`'s weight shapes a 197-row product ran at 0.77-0.81x the
+//! `f64` fold's GMAC/s).
+//!
 //! [`reference_gemm`]: crate::matrix::reference_gemm
 
 use crate::matrix::{Matrix, MatrixView, Scalar};
 
 /// Row-block height: the output rows that walk B together.
 pub const RB: usize = 8;
+
+/// Size of B, in bytes of its elements, above which the kernel folds B
+/// from its `f32` source when it carries one: 32 KiB, the smallest L1
+/// data cache the kernel targets. See the module docs.
+pub const SOURCE_FOLD_MIN_BYTES: usize = 32 * 1024;
 
 /// Row-blocked matrix product `a x b`.
 ///
@@ -94,7 +119,8 @@ pub fn tiled_gemm<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) -> Ma
 /// On an x86-64 CPU with AVX2 the kernel runs as compiled for AVX2
 /// (checked at run time); otherwise it runs as compiled for the build's
 /// baseline target. See the module docs for why both builds produce
-/// the same bits.
+/// the same bits, and why folding B from its `f32` source, which this
+/// function does when [`folded_source`] says so, produces them too.
 ///
 /// # Panics
 ///
@@ -104,28 +130,75 @@ pub fn tiled_gemm_into<T: Scalar>(
     b: &MatrixView<'_, T>,
     out: &mut Matrix<T>,
 ) {
+    match folded_source(a.rows(), b) {
+        Some(source) => dispatch(a, &source, out, widen),
+        None => dispatch(a, b, out, |x| x),
+    }
+}
+
+/// The `f32` source [`tiled_gemm_into`] folds `b` from in a product of
+/// `m` rows: `b`'s, when it carries one
+/// ([`MatrixView::with_f32_source`]), its elements take more than
+/// [`SOURCE_FOLD_MIN_BYTES`] and `m` is at most [`RB`].
+pub fn folded_source<'a, T: Scalar>(
+    m: usize,
+    b: &MatrixView<'a, T>,
+) -> Option<MatrixView<'a, f32>> {
+    let bytes = b.rows() * b.cols() * std::mem::size_of::<T>();
+    b.f32_source()
+        .filter(|_| m <= RB && bytes > SOURCE_FOLD_MIN_BYTES)
+}
+
+/// Widens one `f32` element of a source exactly. Only `f64` views carry
+/// a source, so only `T = f64` ever runs this.
+#[inline(always)]
+fn widen<T: Scalar>(x: f32) -> T {
+    T::from_f64(f64::from(x))
+}
+
+/// Runs [`gemm_body`] in the AVX2 build when the CPU has AVX2, in the
+/// portable build otherwise.
+#[inline(always)]
+fn dispatch<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    out: &mut Matrix<T>,
+    widen: impl Fn(U) -> T,
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `gemm_avx2` needs nothing but a CPU that executes
         // AVX2 instructions, which the feature check above established.
-        unsafe { gemm_avx2(a, b, out) };
+        unsafe { gemm_avx2(a, b, out, widen) };
         return;
     }
-    gemm_body(a, b, out);
+    gemm_body(a, b, out, widen);
 }
 
 /// [`gemm_body`] compiled with AVX2 enabled (and FMA not), so the
 /// compiler may widen its column loops to 256-bit lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut Matrix<T>) {
-    gemm_body(a, b, out);
+fn gemm_avx2<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    out: &mut Matrix<T>,
+    widen: impl Fn(U) -> T,
+) {
+    gemm_body(a, b, out, widen);
 }
 
-/// The kernel itself. Always inlined, like [`fold`], so each caller
-/// compiles its own copy for its own target features.
+/// The kernel itself, over B's elements of type `U`, each `widen`ed to
+/// `T` as it is read: `T` itself unchanged, or an `f32` source widened
+/// to `f64`. Always inlined, like [`fold`], so each caller compiles its
+/// own copy for its own target features.
 #[inline(always)]
-fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut Matrix<T>) {
+fn gemm_body<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    out: &mut Matrix<T>,
+    widen: impl Fn(U) -> T,
+) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -139,20 +212,26 @@ fn gemm_body<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, out: &mut 
         return;
     }
     for (i, rows) in out.data_mut().chunks_mut(RB * n).enumerate() {
-        fold(a, b, i * RB, rows);
+        fold(a, b, i * RB, rows, &widen);
     }
 }
 
 /// Folds every row of `b` into the output rows `first..` that `out`
 /// holds, each `b.cols()` wide, back to back:
-/// `out[r, :] += a[first + r, l] * b[l, :]` for
+/// `out[r, :] += a[first + r, l] * widen(b[l, :])` for
 /// `l = 0, 1, ..., a.cols() - 1` in order, reading `b` in place.
 ///
 /// Each output element is its own accumulator. Four reduction steps
 /// share one load/store of it; they are still added one at a time (left
 /// to right), which keeps the reference order.
 #[inline(always)]
-fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, first: usize, out: &mut [T]) {
+fn fold<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    first: usize,
+    out: &mut [T],
+    widen: &impl Fn(U) -> T,
+) {
     const UNROLL: usize = 4;
     let (k, n) = (a.cols(), b.cols());
     let mut l = 0;
@@ -162,7 +241,7 @@ fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, first: usize, o
             let av = &a.row(first + r)[l..l + UNROLL];
             let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
             for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+                *o = *o + a0 * widen(x0) + a1 * widen(x1) + a2 * widen(x2) + a3 * widen(x3);
             }
         }
         l += UNROLL;
@@ -172,7 +251,7 @@ fn fold<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>, first: usize, o
         for (r, orow) in out.chunks_exact_mut(n).enumerate() {
             let av = a.row(first + r)[l];
             for (o, &x) in orow.iter_mut().zip(brow) {
-                *o += av * x;
+                *o += av * widen(x);
             }
         }
     }
@@ -197,7 +276,8 @@ mod tests {
 
     /// Asserts that the portable build and, when this CPU has AVX2, the
     /// AVX2 build each equal the reference product under `==`, writing
-    /// into `out`, which is filled with NaN before each.
+    /// into `out`, which is filled with NaN before each. When `b`
+    /// carries an `f32` source, both builds also fold it from there.
     fn assert_both_builds_exact<T: Scalar>(
         a: &MatrixView<'_, T>,
         b: &MatrixView<'_, T>,
@@ -205,16 +285,39 @@ mod tests {
     ) {
         let want = reference_gemm(a, b);
         let label = format!("{:?} x {:?}", a.shape(), b.shape());
+        each_build_exact(a, b, |x| x, out, &want, &label);
+        if let Some(source) = b.f32_source() {
+            each_build_exact(
+                a,
+                &source,
+                widen,
+                out,
+                &want,
+                &format!("{label}, f32 source"),
+            );
+        }
+    }
+
+    /// The two builds of [`assert_both_builds_exact`] over B's elements
+    /// of type `U`.
+    fn each_build_exact<T: Scalar, U: Scalar>(
+        a: &MatrixView<'_, T>,
+        b: &MatrixView<'_, U>,
+        widen: impl Fn(U) -> T + Copy,
+        out: &mut Matrix<T>,
+        want: &Matrix<T>,
+        label: &str,
+    ) {
         let nan = T::from_f64(f64::NAN);
         out.data_mut().fill(nan);
-        gemm_body(a, b, out);
-        assert_eq!(*out, want, "portable build, {label}");
+        gemm_body(a, b, out, widen);
+        assert_eq!(out, want, "portable build, {label}");
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             out.data_mut().fill(nan);
             // SAFETY: the CPU supports AVX2 (checked just above).
-            unsafe { gemm_avx2(a, b, out) };
-            assert_eq!(*out, want, "AVX2 build, {label}");
+            unsafe { gemm_avx2(a, b, out, widen) };
+            assert_eq!(out, want, "AVX2 build, {label}");
         }
     }
 
@@ -281,6 +384,67 @@ mod tests {
         let mut rng = GaussianSampler::new(13);
         check::<f64>(&mut rng);
         check::<f32>(&mut rng);
+    }
+
+    /// As [`both_builds_match_reference_at_every_block_boundary`] in
+    /// `f64`, with B widened from `f32` values: both builds, folding B
+    /// from those values, equal the reference product of the `f64` ones.
+    #[test]
+    fn both_builds_fold_an_f32_source_exactly_at_every_block_boundary() {
+        let mut rng = GaussianSampler::new(17);
+        let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[6]); // the largest
+        let a_parent = Matrix64::randn(m_max + 1, k_max + 3, 1.0, &mut rng);
+        let b_source = Matrix32::randn(k_max + 2, n_max + 5, 1.0, &mut rng);
+        let b_parent = b_source.to_f64();
+        let mut out = Matrix64::zeros(0, 0);
+        for m in EDGE_M {
+            for k in EDGE_K {
+                for n in EDGE_N {
+                    let a = a_parent.view().block(1, 2, m, k);
+                    let (source, b) = (b_source.view(), b_parent.view());
+                    let (source, b) = (source.block(2, 3, k, n), b.block(2, 3, k, n));
+                    let label = format!("{m} x {k} x {n}");
+                    let want = reference_gemm(&a, &b);
+                    each_build_exact(&a, &source, widen, &mut out, &want, &label);
+                    let (a, source) = (a.to_matrix(), source.to_matrix());
+                    let label = format!("{label}, contiguous");
+                    each_build_exact(&a.view(), &source.view(), widen, &mut out, &want, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_short_product_with_a_sourced_operand_above_the_gate_folds_the_source() {
+        assert_eq!(SOURCE_FOLD_MIN_BYTES, 64 * 64 * 8);
+        let source = Matrix32::from_fn(66, 70, |i, j| (i * 70 + j) as f32);
+        let b = source.to_f64();
+        let sourced = b.view().with_f32_source(source.view());
+        assert!(folded_source(1, &b.view()).is_none(), "no source attached");
+        let folded = folded_source(1, &sourced).expect("above the gate");
+        assert_eq!(folded.to_matrix(), source);
+        assert!(folded_source(RB, &sourced).is_some(), "one row block");
+        assert!(folded_source(RB + 1, &sourced).is_none(), "two row blocks");
+        // Exactly at the gate and below it, B is read in f64.
+        let at_gate = sourced.block(0, 0, 64, 64);
+        assert!(at_gate.f32_source().is_some(), "a block keeps its source");
+        assert!(folded_source(1, &at_gate).is_none());
+        assert!(folded_source(1, &sourced.block(0, 1, 63, 64)).is_none());
+        // A strided block above the gate folds the source's own block.
+        let block = sourced.block(1, 2, 65, 64);
+        let want = source.view().block(1, 2, 65, 64).to_matrix();
+        assert_eq!(folded_source(2, &block).expect("above").to_matrix(), want);
+        // Copies hold the f64 values only.
+        assert!(sourced.to_matrix().view().f32_source().is_none());
+        // The dispatching entry point, on both sides of each gate.
+        let mut out = Matrix64::zeros(0, 0);
+        let a = Matrix64::randn(RB + 1, 66, 1.0, &mut GaussianSampler::new(3));
+        for m in [1, RB, RB + 1] {
+            let a = a.view().block(0, 0, m, 66);
+            assert_every_build_exact(&a, &sourced, &mut out);
+            assert_every_build_exact(&a.block(0, 0, m, 64), &at_gate, &mut out);
+            assert_every_build_exact(&a.block(0, 1, m, 65), &block, &mut out);
+        }
     }
 
     #[test]

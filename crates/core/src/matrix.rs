@@ -175,6 +175,7 @@ impl<T: Scalar> Matrix<T> {
             cols: self.cols,
             stride: self.cols,
             data: &self.data,
+            source: None,
         }
     }
 
@@ -474,6 +475,12 @@ impl<T: Scalar> fmt::Display for Matrix<T> {
 /// views so callers can hand in whole matrices or sub-blocks without
 /// copies.
 ///
+/// An `f64` view may also carry the `f32` values its elements were
+/// widened from ([`MatrixView::with_f32_source`]): the exact kernel can
+/// then stream the right operand at half the bytes with the same bits.
+/// [`MatrixView::block`] keeps the source; every copy out of the view
+/// ([`MatrixView::to_matrix`] and the like) holds the `f64` values only.
+///
 /// ```
 /// use lt_core::Matrix64;
 /// let m = Matrix64::from_fn(4, 6, |i, j| (i * 6 + j) as f64);
@@ -487,6 +494,9 @@ pub struct MatrixView<'a, T> {
     cols: usize,
     stride: usize,
     data: &'a [T],
+    /// `f32` values laid out like `data` that widen to it exactly; only
+    /// an `f64` view carries one ([`MatrixView::with_f32_source`]).
+    source: Option<&'a [f32]>,
 }
 
 impl<'a, T: Scalar> MatrixView<'a, T> {
@@ -502,6 +512,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             cols,
             stride: cols,
             data,
+            source: None,
         }
     }
 
@@ -562,7 +573,20 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             cols: ncols,
             stride: self.stride,
             data: &self.data[start..end],
+            source: self.source.map(|source| &source[start..end]),
         }
+    }
+
+    /// The `f32` values attached by [`MatrixView::with_f32_source`], as
+    /// a view of the same block; `None` when the view carries none.
+    pub(crate) fn f32_source(&self) -> Option<MatrixView<'a, f32>> {
+        self.source.map(|data| MatrixView {
+            rows: self.rows,
+            cols: self.cols,
+            stride: self.stride,
+            data,
+            source: None,
+        })
     }
 
     /// Copies the viewed block into an owned matrix.
@@ -602,6 +626,39 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     /// Panics if the inner dimensions disagree.
     pub fn matmul_into(&self, rhs: &MatrixView<'_, T>, out: &mut Matrix<T>) {
         crate::kernel::tiled_gemm_into(self, rhs, out);
+    }
+}
+
+impl<'a> MatrixView<'a, f64> {
+    /// Attaches `source`, the `f32` values this view's elements were
+    /// widened from, laid out alike (same shape and row stride). Widening
+    /// is exact, so the exact kernel may fold the right operand from the
+    /// source instead, converting each element in register: the same
+    /// products and sums, half the bytes streamed
+    /// ([`crate::kernel::tiled_gemm_into`]). Every other reader of the
+    /// view still reads its `f64` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes or strides differ, and, in debug builds, if
+    /// an element of `source` does not widen to this view's element.
+    pub fn with_f32_source(self, source: MatrixView<'a, f32>) -> Self {
+        assert_eq!(
+            (source.rows, source.cols, source.stride),
+            (self.rows, self.cols, self.stride),
+            "an f32 source must be laid out like its view"
+        );
+        debug_assert!(
+            (0..self.rows).all(|i| {
+                let widened = source.row(i).iter().map(|&v| f64::from(v).to_bits());
+                widened.eq(self.row(i).iter().map(|v| v.to_bits()))
+            }),
+            "an f32 source must widen to its view's values"
+        );
+        MatrixView {
+            source: Some(source.data),
+            ..self
+        }
     }
 }
 

@@ -1115,7 +1115,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     /// the charged pass yields the committed tokens; on noisy backends
     /// the replay defines them. A copy-on-write the pass's first append
     /// would pay on a shared tail block is made before the replay
-    /// ([`PagedKvCache::unshare_tail`]) and charged to the verify trace.
+    /// ([`PagedKvCache::unshare_tail`]) and charged to the verify trace;
+    /// the first replayed step's cost in the reply carries it as well,
+    /// as plain decoding's first step does, so a reply's per-token costs
+    /// equal plain decoding's for any `k`.
     ///
     /// `k` clamps to `min(k, remaining - 1)` near the end of the
     /// request so the session never over-generates; at zero this falls
@@ -1222,14 +1225,29 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         let mut emitted = 0;
         let bonus_token = loop {
             let fed = *self.tokens.last().expect("stream is non-empty");
-            let (logits, trace) = self.recorded_pass(model, |model, ctx, cache| {
+            let (logits, mut trace) = self.recorded_pass(model, |model, ctx, cache| {
                 model.decode_step(fed, cache, ctx)
             });
             // Per-token cost attribution stays the batch-1 replay of the
             // authoritative step — equal to plain decoding's, so a
-            // reply's `steps` do not depend on `k` (bar a copy-on-write,
-            // which the verify pass pays). The speculative execution's
-            // own cost is itemized in the returned report.
+            // reply's `steps` do not depend on `k`. The first step's
+            // append found its block already copied; plain decoding's
+            // first step pays that copy, so its cost carries it here
+            // too (the tick is charged it once, in the verify trace).
+            // The speculative execution's own cost is itemized in the
+            // returned report.
+            if emitted == 0 && cow_elems > 0 {
+                let copy = KvWrite {
+                    rows_written: 0,
+                    cow_elems,
+                };
+                trace.extend(
+                    kv_write_traffic(copy, model.config().dim)
+                        .into_iter()
+                        .map(|(kind, elems)| Op::non_gemm(kind, elems)),
+                );
+                trace = trace.coalesce();
+            }
             self.step_costs.push(sim.run_trace(&trace));
             let token = greedy(&logits);
             self.tokens.push(token);
@@ -1531,7 +1549,7 @@ mod tests {
             }
             let trace = ctx.take_trace();
             assert_eq!(trace.is_empty(), !record, "record {record}");
-            runs.push((logits, engine.calls()));
+            runs.push((logits, engine.seed_draws()));
         }
         assert_eq!(runs[0], runs[1]);
     }

@@ -120,8 +120,12 @@ impl<B: ComputeBackend> BackendEngine<B> {
         &self.backend
     }
 
-    /// Number of matmuls executed so far.
-    pub fn calls(&self) -> u64 {
+    /// Per-call seeds the wrapped backend has drawn from the engine's
+    /// stream so far ([`RunCtx::calls`]). A stochastic backend draws one
+    /// per product; a deterministic one, such as
+    /// [`lt_core::NativeBackend`], draws none, so this reads 0 however
+    /// many products it ran.
+    pub fn seed_draws(&self) -> u64 {
         self.ctx.calls()
     }
 }
@@ -160,10 +164,16 @@ impl<B: ComputeBackend> MatmulEngine for BackendEngine<B> {
     }
 
     fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, w64: &OnceLock<Matrix64>) -> Tensor {
-        let w64 = w64.get_or_init(|| w.to_f64());
+        // The staged copy carries `w` as its f32 source: the exact
+        // kernel may stream that instead, with the same bits; every
+        // other backend reads the copy.
+        let w64 = w64
+            .get_or_init(|| w.to_f64())
+            .view()
+            .with_f32_source(w.view());
         a.to_f64_into(&mut self.a64);
         self.backend
-            .gemm_into(self.a64.view(), w64.view(), &mut self.ctx, &mut self.out64);
+            .gemm_into(self.a64.view(), w64, &mut self.ctx, &mut self.out64);
         self.out64.to_f32()
     }
 
@@ -247,7 +257,7 @@ mod tests {
         let first = eng.matmul(&a, &b);
         let second = eng.matmul(&a, &b);
         assert!(first.max_abs_diff(&second) > 0.0, "fresh noise per call");
-        assert_eq!(eng.calls(), 2);
+        assert_eq!(eng.seed_draws(), 2);
     }
 
     #[test]

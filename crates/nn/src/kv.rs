@@ -716,10 +716,10 @@ impl PagedKvCache {
     /// with another table, it is replaced by a private copy. Returns the
     /// elements copied (K + V), `0` when the next row opens a fresh
     /// block or its block is already private. Speculative decoding calls
-    /// this before it replays the verified positions, so the copy is
-    /// charged to the verify pass that would have made it
-    /// ([`crate::decode::DecoderConfig::verify_trace`]) and never to a
-    /// replayed step.
+    /// this before it replays the verified positions, so the tick is
+    /// charged the copy through the verify pass that would have made it
+    /// ([`crate::decode::DecoderConfig::verify_trace`]), not through a
+    /// replayed step's recorded trace.
     ///
     /// # Panics
     ///

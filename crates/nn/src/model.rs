@@ -531,7 +531,10 @@ mod tests {
 
     /// Asserts that `lin` infers exactly like a freshly built layer with
     /// its current weight and bias (which has nothing staged), and
-    /// differently from `before`, its output before the change.
+    /// differently from `before`, its output before the change, and
+    /// that the copy it staged is its weight widened. Above the exact
+    /// kernel's source-fold gate the native backend reads the weight
+    /// itself, so only that last check sees a stale copy there.
     fn assert_follows_new_weight(lin: &Linear, x: &Tensor, before: &Tensor) {
         let (rows, cols) = lin.w().value.shape();
         let mut fresh = Linear::new(rows, cols, &mut GaussianSampler::new(0));
@@ -540,27 +543,34 @@ mod tests {
         let got = infer_f64(lin, x);
         assert_eq!(got, infer_f64(&fresh, x));
         assert_ne!(&got, before, "the change must show in the output");
+        assert_eq!(lin.w64.get(), Some(&lin.w().value.to_f64()));
     }
 
+    /// Every `&mut` route to a weight drops its staged copy, in a block
+    /// whose weights are below the source-fold gate (8 wide) and in one
+    /// whose weights are above it (servebench `serve_open`'s 128 wide,
+    /// 64-256 KiB in f64).
     #[test]
     fn every_weight_change_drops_the_staged_copy() {
-        let mut rng = GaussianSampler::new(7);
-        let mut block = EncoderBlock::new(8, 2, 16, &mut rng);
-        let x = Tensor::randn(2, 8, 1.0, &mut rng);
-        let h = Tensor::randn(2, 16, 1.0, &mut rng);
+        for (dim, ffn) in [(8, 16), (128, 256)] {
+            let mut rng = GaussianSampler::new(7);
+            let mut block = EncoderBlock::new(dim, 2, ffn, &mut rng);
+            let x = Tensor::randn(2, dim, 1.0, &mut rng);
+            let h = Tensor::randn(2, ffn, 1.0, &mut rng);
 
-        let (wo, ffn2) = (infer_f64(&block.attn.wo, &x), infer_f64(&block.ffn2, &h));
-        block.scale_residual(0.5);
-        assert_follows_new_weight(&block.attn.wo, &x, &wo);
-        assert_follows_new_weight(&block.ffn2, &h, &ffn2);
+            let (wo, ffn2) = (infer_f64(&block.attn.wo, &x), infer_f64(&block.ffn2, &h));
+            block.scale_residual(0.5);
+            assert_follows_new_weight(&block.attn.wo, &x, &wo);
+            assert_follows_new_weight(&block.ffn2, &h, &ffn2);
 
-        let ffn1 = infer_f64(&block.ffn1, &x);
-        block.ffn1.w_mut().value.data_mut()[3] += 1.0;
-        assert_follows_new_weight(&block.ffn1, &x, &ffn1);
+            let ffn1 = infer_f64(&block.ffn1, &x);
+            block.ffn1.w_mut().value.data_mut()[3] += 1.0;
+            assert_follows_new_weight(&block.ffn1, &x, &ffn1);
 
-        let wq = infer_f64(&block.attn.wq, &x);
-        block.visit_params(&mut |p| p.value = p.value.map(|v| v * 1.5 + 0.25));
-        assert_follows_new_weight(&block.attn.wq, &x, &wq);
+            let wq = infer_f64(&block.attn.wq, &x);
+            block.visit_params(&mut |p| p.value = p.value.map(|v| v * 1.5 + 0.25));
+            assert_follows_new_weight(&block.attn.wq, &x, &wq);
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! and the modeled LT-B cost of the same tokens. Every GEMM of a decode
 //! step is a `[1, d] x [d, n]` matrix-vector product, so the host rate
 //! here is the exact kernel's single pass over each weight plus the
-//! per-op costs around it. Peak memory includes the `f64` copy of every
-//! weight that the engine stages on first use (8 bytes per weight
-//! parameter).
+//! per-op costs around it. That pass reads each weight's own `f32`
+//! values (4 bytes per weight parameter), widened in register, with the
+//! bits of the `f64` product. Peak memory still includes the `f64` copy
+//! of every weight that the engine stages on first use (8 bytes per
+//! weight parameter), which non-exact backends read.
 //!
 //! ```sh
 //! cargo run --release --example gpt2_small_decode

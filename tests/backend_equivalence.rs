@@ -337,15 +337,20 @@ fn reply_words(reply: &DecodeReply) -> Vec<u64> {
     words
 }
 
-/// Digest of everything the decode path produces on one backend and
-/// quantization mode: the logits of `DecoderLm`'s four passes driven
-/// directly through a `ForwardCtx` (and the engine's call count after
-/// them), then the tokens, per-pass cycles and coalesced traces of
-/// `DecodeSession` runs: whole and chunked prefill, speculative steps
-/// on a tapered decoder, and recompute-on-resume of a paged cache
-/// dropped after its prefill and again mid-prefill.
-fn decode_path_digest<B: ComputeBackend + Clone>(backend: B, quant: QuantConfig) -> u64 {
-    let model = DecoderLm::new(DecoderConfig::tiny(), &mut GaussianSampler::new(23));
+/// Digest of everything the decode path produces for a decoder of
+/// geometry `config` on one backend and quantization mode: the logits
+/// of `DecoderLm`'s four passes driven directly through a `ForwardCtx`
+/// (and the engine's seed draws after them), then the tokens, per-pass
+/// cycles and coalesced traces of `DecodeSession` runs: whole and
+/// chunked prefill, speculative steps on a tapered decoder, and
+/// recompute-on-resume of a paged cache dropped after its prefill and
+/// again mid-prefill.
+fn decode_path_digest<B: ComputeBackend + Clone>(
+    config: DecoderConfig,
+    backend: B,
+    quant: QuantConfig,
+) -> u64 {
+    let model = DecoderLm::new(config, &mut GaussianSampler::new(23));
     let cfg = model.config();
     let mut words = Vec::new();
 
@@ -370,7 +375,7 @@ fn decode_path_digest<B: ComputeBackend + Clone>(backend: B, quant: QuantConfig)
             words.extend(tensor_words(&model.logits_at_last(&h, &mut ctx)));
         }
     }
-    words.push(engine.calls());
+    words.push(engine.seed_draws());
 
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let config = SessionConfig {
@@ -453,15 +458,39 @@ fn decode_path_outputs_are_pinned_bit_for_bit() {
         ("native low_bit(8)", 0x922d_f35e_0a81_bfcd),
         ("native int8", 0x90cc_835f_0898_5992),
     ];
+    let tiny = DecoderConfig::tiny();
     let got = [
-        decode_path_digest(NativeBackend, QuantConfig::fp32()),
-        decode_path_digest(DptcBackend::paper(8, 13), QuantConfig::fp32()),
-        decode_path_digest(DptcBackend::quantized(8), QuantConfig::fp32()),
-        decode_path_digest(NativeBackend, QuantConfig::low_bit(8)),
-        decode_path_digest(NativeBackend, QuantConfig::int8()),
+        decode_path_digest(tiny, NativeBackend, QuantConfig::fp32()),
+        decode_path_digest(tiny, DptcBackend::paper(8, 13), QuantConfig::fp32()),
+        decode_path_digest(tiny, DptcBackend::quantized(8), QuantConfig::fp32()),
+        decode_path_digest(tiny, NativeBackend, QuantConfig::low_bit(8)),
+        decode_path_digest(tiny, NativeBackend, QuantConfig::int8()),
     ];
     let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
     assert_eq!(got, want, "decode path outputs moved");
+}
+
+/// The decode path at servebench `serve_open`'s geometry (dim 128, 2
+/// layers, 4 heads, FFN 256, vocabulary 64), pinned bit for bit on the
+/// exact backend at fp32 (see [`decode_path_digest`]). Every staged
+/// weight there (64-256 KiB in f64) is above the 32 KiB gate at which
+/// the exact kernel folds B from its f32 source, so this pins that fold
+/// on the decode path; the digest was taken before the kernel had it.
+#[test]
+fn decode_path_at_serve_geometry_is_pinned_bit_for_bit() {
+    let serve = DecoderConfig {
+        dim: 128,
+        layers: 2,
+        heads: 4,
+        ffn_dim: 256,
+        vocab: 64,
+        max_seq: 32,
+    };
+    assert_eq!(
+        decode_path_digest(serve, NativeBackend, QuantConfig::fp32()),
+        0x21d7_3987_9f46_14dd,
+        "decode path outputs at serve geometry moved"
+    );
 }
 
 /// The logits `evaluate` scores, pinned bit for bit on every photonic
@@ -529,13 +558,13 @@ fn photonic_accuracy_engines_are_pinned_bit_for_bit() {
                 let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
                 words.extend(tensor_words(&vision.forward(image, &mut ctx)));
             }
-            words.push(engine.calls());
+            words.push(engine.seed_draws());
             let (mut engine, mut rng) = (new_engine(), GaussianSampler::new(0));
             for (sentence, _) in &sentences {
                 let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
                 words.extend(tensor_words(&text.forward(sentence, &mut ctx)));
             }
-            words.push(engine.calls());
+            words.push(engine.seed_draws());
         }
         got.push(((bits, n_lambda, seed, noise), fnv1a(words)));
     }

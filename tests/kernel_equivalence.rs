@@ -25,9 +25,16 @@
 //!    once, unblocked. They are pinned at decode-step weight shapes,
 //!    for a strided single-row view, and through an output buffer
 //!    reused across shapes.
+//! 5. **An `f32` source changes nothing.** A right operand that carries
+//!    the `f32` values it was widened from (`with_f32_source`) multiplies
+//!    to exactly the product without them on every exact backend, on
+//!    both sides of the size above which, and of the row count up to
+//!    which, the kernel folds the source.
 
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend};
-use lightening_transformer::core::kernel::{tiled_gemm, tiled_gemm_into, RB};
+use lightening_transformer::core::kernel::{
+    folded_source, tiled_gemm, tiled_gemm_into, RB, SOURCE_FOLD_MIN_BYTES,
+};
 use lightening_transformer::core::{
     blocked_gemm, quantized_gemm, reference_gemm, ComputeBackend, GaussianSampler, Matrix32,
     Matrix64, NativeBackend, QuantizedMatrix, RunCtx,
@@ -213,6 +220,68 @@ fn exact_backends_are_bit_identical_to_the_naive_reference() {
         let mut ctx = RunCtx::new(7);
         assert_eq!(NativeBackend.gemm(a.view(), b.view(), &mut ctx), want);
         assert_eq!(ideal.gemm(a.view(), b.view(), &mut ctx), want);
+    }
+}
+
+#[test]
+fn a_right_operand_carrying_its_f32_source_multiplies_bit_identically_on_every_exact_backend() {
+    let mut rng = GaussianSampler::new(113);
+    let ideal = DptcBackend::ideal(DptcConfig::lt_paper());
+    // Each thread count inline where the pool would not pay (the view,
+    // source and all, reaches the kernel) and with every block sent to
+    // the pool (a copy of B without its source crosses it).
+    let parallel: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .flat_map(|t| {
+            let inline = ParallelBackend::new(NativeBackend, t);
+            let pooled = inline.clone().with_min_parallel_macs(0);
+            [(t, inline), (t, pooled)]
+        })
+        .collect();
+    let mut out = Matrix64::zeros(0, 0);
+    // B at the fold gate (64 x 64 f64 = 32 KiB, read in f64), just above
+    // it, and at a `serve_open` FFN weight's shape.
+    assert_eq!(SOURCE_FOLD_MIN_BYTES, 64 * 64 * 8);
+    for (k, n) in [(64, 64), (65, 64), (128, 256)] {
+        let source_parent = Matrix32::randn(k + 3, n + 5, 1.0, &mut rng);
+        let b_parent = source_parent.to_f64();
+        let contiguous = source_parent.view().block(2, 3, k, n).to_matrix();
+        let contiguous64 = contiguous.to_f64();
+        let variants = [
+            (contiguous64.view(), contiguous.view(), "contiguous"),
+            (
+                b_parent.view().block(2, 3, k, n),
+                source_parent.view().block(2, 3, k, n),
+                "strided",
+            ),
+        ];
+        for (b, source, layout) in variants {
+            let sourced = b.with_f32_source(source);
+            assert_eq!(folded_source(1, &sourced).is_some(), k * n > 64 * 64);
+            for m in [1, 2, 8, 9, 197] {
+                let label = format!("{m} x {k} x {n}, {layout}");
+                let a = Matrix64::randn(m, k, 1.0, &mut rng);
+                let a = a.view();
+                let mut ctx = RunCtx::new(7);
+                let want = NativeBackend.gemm(a, b, &mut ctx);
+                assert_eq!(want, reference_gemm(&a, &b), "{label}");
+                assert_eq!(NativeBackend.gemm(a, sourced, &mut ctx), want, "{label}");
+                out.data_mut().fill(f64::NAN);
+                NativeBackend.gemm_into(a, sourced, &mut ctx, &mut out);
+                assert_eq!(out, want, "gemm_into, {label}");
+                let block = NativeBackend.gemm_block(a, sourced, 5);
+                assert_eq!(block, want, "gemm_block, {label}");
+                for (threads, backend) in &parallel {
+                    let got = backend.gemm(a, sourced, &mut ctx);
+                    assert_eq!(got, want, "parallel at {threads} threads, {label}");
+                }
+                assert_eq!(
+                    ideal.gemm(a, sourced, &mut ctx),
+                    want,
+                    "ideal DPTC, {label}"
+                );
+            }
+        }
     }
 }
 

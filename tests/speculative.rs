@@ -311,18 +311,21 @@ fn run_shared_tail(k: usize, pool_blocks: usize) -> (u64, Vec<(u64, DecodeReply)
 fn speculation_over_a_shared_tail_block_is_pinned_bit_for_bit() {
     // Prefix sharing plus speculation: every session's first write past
     // its prompt lands in a shared partial block, so its first
-    // speculative step pays a copy-on-write. The copy is charged once,
-    // in that step's verify trace, and the tokens equal plain
-    // decoding's — on a roomy pool and on a 20-block pool that
-    // preempts. The digests were taken when spec_step still executed
-    // its verify pass on a cloned engine and rolled every row back.
+    // speculative step pays a copy-on-write. The tick is charged the
+    // copy once, in that step's verify trace; the reply charges it to
+    // the first replayed step, as plain decoding does, so on the roomy
+    // pool whole replies equal plain decoding's. On a 20-block pool
+    // that preempts, a shared tail can be swapped out before its first
+    // write (and come back private), so there only tokens and
+    // footprints are compared. The digests were taken when the reply
+    // first charged the copy.
     let want: [((usize, usize), u64); 6] = [
-        ((2, 64), 0x94d5_1ed9_6e1d_2cba),
-        ((3, 64), 0x6365_e7ad_8c29_5970),
-        ((4, 64), 0xe59e_7851_b762_3b1d),
-        ((2, 20), 0x912f_9977_0183_42cc),
-        ((3, 20), 0xaa95_2c42_6a8a_9c6f),
-        ((4, 20), 0xf3d6_e53d_c938_1c40),
+        ((2, 64), 0x5740_2889_451a_d6ba),
+        ((3, 64), 0x77d0_e4fc_1001_d9f0),
+        ((4, 64), 0xb31f_eadc_9b36_fc9d),
+        ((2, 20), 0xe8a5_54b9_7852_d6cc),
+        ((3, 20), 0xacc8_2602_d14c_b6ef),
+        ((4, 20), 0x80ee_5ee3_7883_1c40),
     ];
     let mut got = Vec::new();
     for pool_blocks in [64, 20] {
@@ -334,9 +337,9 @@ fn speculation_over_a_shared_tail_block_is_pinned_bit_for_bit() {
         );
         for k in [2, 3, 4] {
             let (digest, replies, cow, preemptions) = run_shared_tail(k, pool_blocks);
-            // Tokens and footprints equal plain decoding. Per-token
-            // costs do not: plain decoding pays the copy in its first
-            // step, speculation in its first verify pass.
+            if pool_blocks == 64 {
+                assert_eq!(replies, plain, "k {k}: a reply differs from plain decoding");
+            }
             for ((_, a), (_, b)) in replies.iter().zip(&plain) {
                 assert_eq!(
                     a.tokens, b.tokens,
