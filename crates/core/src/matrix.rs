@@ -215,29 +215,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Appends the rows of `other` in place (amortized O(rows of
-    /// `other`), no rebuild of the existing buffer) — the growth
-    /// operation of a KV cache appending one token per decode step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn extend_rows(&mut self, other: &Matrix<T>) {
-        assert_eq!(self.cols, other.cols, "extend_rows width mismatch");
-        self.data.extend_from_slice(&other.data);
-        self.rows += other.rows;
-    }
-
-    /// Drops every row past `rows` in place (no-op when the matrix is
-    /// already that short) — the inverse of [`Matrix::extend_rows`],
-    /// used by KV-cache rollback to discard rejected speculative tokens.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.data.truncate(rows * self.cols);
-            self.rows = rows;
-        }
-    }
-
     /// Matrix product `self x rhs` through the shared tiled kernel.
     ///
     /// # Panics
@@ -735,37 +712,6 @@ mod tests {
             }
             assert_eq!(tt.transpose(), t);
         }
-    }
-
-    #[test]
-    fn extend_rows_appends_in_place() {
-        let mut m = Matrix32::zeros(0, 3);
-        m.extend_rows(&Matrix32::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
-        m.extend_rows(&Matrix32::from_vec(
-            2,
-            3,
-            vec![4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
-        ));
-        assert_eq!(m.shape(), (3, 3));
-        assert_eq!(m.row(2), &[7.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "extend_rows width mismatch")]
-    fn extend_rows_rejects_width_mismatch() {
-        Matrix32::zeros(1, 3).extend_rows(&Matrix32::zeros(1, 4));
-    }
-
-    #[test]
-    fn truncate_rows_inverts_extend_rows() {
-        let mut m = Matrix32::from_fn(5, 3, |i, j| (i * 3 + j) as f32);
-        let kept = Matrix32::from_fn(2, 3, |i, j| (i * 3 + j) as f32);
-        m.truncate_rows(2);
-        assert_eq!(m, kept);
-        m.truncate_rows(4); // longer than current: no-op
-        assert_eq!(m, kept);
-        m.truncate_rows(0);
-        assert_eq!(m.shape(), (0, 3));
     }
 
     #[test]

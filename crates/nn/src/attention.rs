@@ -6,7 +6,7 @@
 //! DPTC encoding, quantization, and noise — exactly the scenario prior
 //! weight-static photonic accelerators cannot serve.
 
-use crate::kv::{kv_write_traffic, KvLayer};
+use crate::kv::{kv_write_traffic, PagedKvLayer};
 use crate::layers::{
     softmax_rows, softmax_rows_backward, softmax_rows_in_place, ForwardCtx, Linear, Param,
 };
@@ -37,65 +37,6 @@ struct AttnCache {
     k: Tensor,
     v: Tensor,
     probs: Vec<Tensor>, // per head
-}
-
-/// One layer's KV cache for autoregressive decode (paper Section VI-B):
-/// the K and V projections of every token seen so far, all heads
-/// concatenated (`[context, dim]` each), appended one token at a time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttnKvCache {
-    k: Tensor,
-    v: Tensor,
-}
-
-impl AttnKvCache {
-    /// An empty cache for a `dim`-wide layer.
-    pub fn new(dim: usize) -> Self {
-        AttnKvCache {
-            k: Tensor::zeros(0, dim),
-            v: Tensor::zeros(0, dim),
-        }
-    }
-
-    /// Context length in tokens.
-    pub fn len(&self) -> usize {
-        self.k.rows()
-    }
-
-    /// Whether no tokens are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached K rows, `[context, dim]`.
-    pub fn keys(&self) -> &Tensor {
-        &self.k
-    }
-
-    /// The cached V rows, `[context, dim]`.
-    pub fn values(&self) -> &Tensor {
-        &self.v
-    }
-
-    /// Appends the K/V rows of newly seen tokens (in place — a decode
-    /// step pays for its own row, not for recopying the whole context).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` and `v` shapes disagree with each other or the cache.
-    pub fn append(&mut self, k: &Tensor, v: &Tensor) {
-        assert_eq!(k.shape(), v.shape(), "K/V shape mismatch");
-        self.k.extend_rows(k);
-        self.v.extend_rows(v);
-    }
-
-    /// Rolls the cache back to its first `len` tokens, discarding the
-    /// K/V rows of rejected speculative positions (no-op when already
-    /// that short).
-    pub fn truncate(&mut self, len: usize) {
-        self.k.truncate_rows(len);
-        self.v.truncate_rows(len);
-    }
 }
 
 impl MultiHeadAttention {
@@ -166,7 +107,12 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if `cache` is non-empty (prefill starts a sequence).
-    pub fn prefill(&self, x: &Tensor, cache: &mut dyn KvLayer, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    pub fn prefill(
+        &self,
+        x: &Tensor,
+        cache: &mut PagedKvLayer<'_>,
+        ctx: &mut ForwardCtx<'_>,
+    ) -> Tensor {
         assert_eq!(cache.context_len(), 0, "prefill expects an empty KV cache");
         let (q, k, v) = self.project_and_append(x, cache, ctx);
         let concat = self.attend(&q, &k, &v, 0, ctx);
@@ -191,7 +137,7 @@ impl MultiHeadAttention {
     pub fn prefill_chunk(
         &self,
         x: &Tensor,
-        cache: &mut dyn KvLayer,
+        cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         let prior = cache.context_len();
@@ -202,7 +148,7 @@ impl MultiHeadAttention {
             ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (prior * self.dim) as u64);
         }
         debug_assert_eq!(cache.context_len(), prior + x.rows());
-        let (keys, values) = cache.lend_context();
+        let (keys, values) = cache.context();
         let concat = self.attend(&q, &keys, &values, prior, ctx);
         self.wo.infer(&concat, ctx)
     }
@@ -220,7 +166,7 @@ impl MultiHeadAttention {
     pub fn decode_step(
         &self,
         x: &Tensor,
-        cache: &mut dyn KvLayer,
+        cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         assert_eq!(x.shape(), (1, self.dim), "decode step takes one token");
@@ -229,7 +175,7 @@ impl MultiHeadAttention {
         // Decode attends over the whole cached context: every cached
         // K and V row streams back through HBM each step.
         ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (context * self.dim) as u64);
-        let (keys, values) = cache.lend_context();
+        let (keys, values) = cache.context();
         let concat = self.attend(&q, &keys, &values, context - 1, ctx);
         self.wo.infer(&concat, ctx)
     }
@@ -240,7 +186,7 @@ impl MultiHeadAttention {
     fn project_and_append(
         &self,
         x: &Tensor,
-        cache: &mut dyn KvLayer,
+        cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> (Tensor, Tensor, Tensor) {
         let q = self.wq.infer(x, ctx);

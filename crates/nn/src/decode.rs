@@ -6,7 +6,7 @@
 //! batching is the remedy — but until this module the repo only modeled
 //! that analytically (`lt_workloads::DecodeTrace`). Here the decode loop
 //! actually runs: [`DecoderLm::prefill`] runs the causal prompt pass and
-//! fills a [`KvCache`], [`DecoderLm::decode_step`] appends one token's
+//! fills a [`PagedKvCache`], [`DecoderLm::decode_step`] appends one token's
 //! K/V and attends over the cached context, and every pass records its
 //! op trace (the matrix-vector `[1, dh] x [dh, context]` attention
 //! shapes, the `[1, d] x [d, d]` projections, the KV-append traffic) so
@@ -19,10 +19,15 @@
 //! seed discipline as the classifier server, so token streams are
 //! bit-identical no matter how sessions are scheduled — the property the
 //! continuous-batching server in [`crate::serve::decode`] relies on.
+//!
+//! Every cache is a [`PagedKvCache`]: a scheduler's sessions draw blocks
+//! from its shared pool, while [`DecodeSession::new`] and the
+//! speculative draft get [`DecoderLm::empty_cache`], a private pool of
+//! one `max_seq`-token block. Gathers are exact, so a session decodes
+//! the same bits on either.
 
-use crate::attention::AttnKvCache;
 use crate::engine::BackendEngine;
-use crate::kv::{kv_write_traffic, KvLayer, KvWrite, ModelKv, PagedKvCache};
+use crate::kv::{kv_write_traffic, BlockPool, KvWrite, PagedKvCache};
 use crate::layers::{ForwardCtx, Linear, Param};
 use crate::model::EncoderBlock;
 use crate::quant::QuantConfig;
@@ -77,12 +82,45 @@ impl DecoderConfig {
         }
     }
 
+    /// Checks a request for `max_new_tokens` after `prompt` against this
+    /// geometry: exactly the conditions under which
+    /// [`DecodeSession::new`] or [`DecoderLm::prefill`] would panic, so
+    /// a server can fail a malformed request instead of catching the
+    /// panic.
+    pub fn check_request(
+        &self,
+        prompt: &[usize],
+        max_new_tokens: usize,
+    ) -> Result<(), RequestError> {
+        if prompt.is_empty() {
+            return Err(RequestError::EmptyPrompt);
+        }
+        if max_new_tokens == 0 {
+            return Err(RequestError::NoNewTokens);
+        }
+        if let Some(&token) = prompt.iter().find(|&&t| t >= self.vocab) {
+            return Err(RequestError::TokenOutOfVocab {
+                token,
+                vocab: self.vocab,
+            });
+        }
+        // The last new token is sampled but never fed back.
+        if prompt.len() + max_new_tokens - 1 > self.max_seq {
+            return Err(RequestError::ContextOverflow {
+                prompt: prompt.len(),
+                max_new_tokens,
+                max_seq: self.max_seq,
+            });
+        }
+        Ok(())
+    }
+
     /// The op trace an *unchunked* causal prefill of `tokens` prompt
     /// tokens records, built analytically from the geometry (no forward
     /// pass, no weights). Prefill cost is a pure function of shapes, so
     /// replaying this trace through a simulator yields exactly the cost
-    /// [`DecodeSession::prefill`] would report for a contiguous,
-    /// non-shared cache — which makes it the exact minimum
+    /// [`DecodeSession::prefill`] would report on a cache that borrows
+    /// no prefix — which makes it the exact minimum
     /// time-to-first-token an admission controller can promise
     /// (`tests/trace_crossval.rs`-style pinning lives in this module's
     /// tests).
@@ -105,8 +143,8 @@ impl DecoderConfig {
     /// rows]` attention, the prior context read back, `rows` K/V rows
     /// appended, and `cow_elems` of copy-on-write traffic (the block copy
     /// the pass's first append pays on a shared tail block, as
-    /// [`crate::kv::kv_write_traffic`] records it; `0` on a contiguous or
-    /// unshared cache, see [`PagedKvCache::unshare_tail`]). This is the
+    /// [`crate::kv::kv_write_traffic`] records it; `0` on an unshared
+    /// cache, see [`PagedKvCache::unshare_tail`]). This is the
     /// trace [`DecodeSession::spec_step`] charges for its verify pass;
     /// this module's tests pin it op for op against the recorded pass.
     ///
@@ -169,73 +207,57 @@ impl DecoderConfig {
     }
 }
 
-/// The whole model's KV cache: one [`AttnKvCache`] per layer, all at the
-/// same context length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KvCache {
-    layers: Vec<AttnKvCache>,
-    dim: usize,
+/// Why a decode request cannot run on a model
+/// ([`DecoderConfig::check_request`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestError {
+    /// The prompt holds no tokens.
+    EmptyPrompt,
+    /// The request asks for no new tokens.
+    NoNewTokens,
+    /// A prompt token lies outside the vocabulary.
+    TokenOutOfVocab {
+        /// The first such token.
+        token: usize,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
+    /// The prompt plus every new token but the last overflows the
+    /// context window.
+    ContextOverflow {
+        /// Prompt tokens.
+        prompt: usize,
+        /// Requested new tokens.
+        max_new_tokens: usize,
+        /// The model's context window.
+        max_seq: usize,
+    },
 }
 
-impl KvCache {
-    /// An empty cache for a model of `layers` blocks of width `dim`.
-    pub fn new(layers: usize, dim: usize) -> Self {
-        KvCache {
-            layers: (0..layers).map(|_| AttnKvCache::new(dim)).collect(),
-            dim,
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            RequestError::EmptyPrompt => write!(f, "empty prompt"),
+            RequestError::NoNewTokens => write!(f, "must generate at least one token"),
+            RequestError::TokenOutOfVocab { token, vocab } => {
+                write!(
+                    f,
+                    "prompt token {token} out of vocabulary ({vocab} symbols)"
+                )
+            }
+            RequestError::ContextOverflow {
+                prompt,
+                max_new_tokens,
+                max_seq,
+            } => write!(
+                f,
+                "prompt {prompt} + {max_new_tokens} new tokens overflows max_seq {max_seq}"
+            ),
         }
     }
-
-    /// Context length in tokens (identical across layers).
-    pub fn len(&self) -> usize {
-        self.layers.first().map_or(0, AttnKvCache::len)
-    }
-
-    /// Whether no tokens are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Per-layer caches.
-    pub fn layers_mut(&mut self) -> &mut [AttnKvCache] {
-        &mut self.layers
-    }
-
-    /// Rolls every layer back to its first `len` tokens — the
-    /// contiguous-cache half of speculative-decoding rollback (no-op
-    /// when already that short).
-    pub fn truncate(&mut self, len: usize) {
-        for layer in &mut self.layers {
-            layer.truncate(len);
-        }
-    }
-
-    /// Cache footprint in bytes at `bits` operand precision: keys and
-    /// values, every layer, the whole context — the
-    /// `DecodeTrace::kv_cache_bytes` accounting, now measured on a live
-    /// cache instead of derived from hyper-parameters.
-    pub fn bytes(&self, bits: u32) -> u64 {
-        2 * self.layers.len() as u64 * self.len() as u64 * self.dim as u64 * bits as u64 / 8
-    }
 }
 
-impl ModelKv for KvCache {
-    fn len(&self) -> usize {
-        KvCache::len(self)
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn layer_mut(&mut self, layer: usize) -> &mut dyn KvLayer {
-        &mut self.layers[layer]
-    }
-
-    fn bytes(&self, bits: u32) -> u64 {
-        KvCache::bytes(self, bits)
-    }
-}
+impl std::error::Error for RequestError {}
 
 /// A decoder-only (GPT-style) language model over the same tiny-layer
 /// stack as the classifiers: token + learned positional embedding,
@@ -302,9 +324,11 @@ impl DecoderLm {
         }
     }
 
-    /// A fresh, empty KV cache sized for this model.
-    pub fn empty_cache(&self) -> KvCache {
-        KvCache::new(self.config.layers, self.config.dim)
+    /// A fresh, empty KV cache sized for this model: a private pool of
+    /// one block that holds the whole `max_seq`-token window.
+    pub fn empty_cache(&self) -> PagedKvCache {
+        let c = self.config;
+        PagedKvCache::new(&BlockPool::new(1, c.layers, c.dim, c.max_seq))
     }
 
     /// Embeds `tokens` starting at position `start`.
@@ -325,7 +349,7 @@ impl DecoderLm {
     pub fn prefill(
         &self,
         prompt: &[usize],
-        cache: &mut dyn ModelKv,
+        cache: &mut PagedKvCache,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         assert!(!prompt.is_empty(), "empty prompt");
@@ -338,7 +362,7 @@ impl DecoderLm {
         );
         let mut h = self.embed_at(prompt, 0);
         for (i, block) in self.blocks.iter().enumerate() {
-            h = block.prefill(&h, cache.layer_mut(i), ctx);
+            h = block.prefill(&h, &mut cache.layer_mut(i), ctx);
         }
         self.logits_at_last(&h, ctx)
     }
@@ -363,7 +387,7 @@ impl DecoderLm {
     pub fn prefill_chunk(
         &self,
         tokens: &[usize],
-        cache: &mut dyn ModelKv,
+        cache: &mut PagedKvCache,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         assert!(!tokens.is_empty(), "empty prefill chunk");
@@ -377,7 +401,7 @@ impl DecoderLm {
         );
         let mut h = self.embed_at(tokens, start);
         for (i, block) in self.blocks.iter().enumerate() {
-            h = block.prefill_chunk(&h, cache.layer_mut(i), ctx);
+            h = block.prefill_chunk(&h, &mut cache.layer_mut(i), ctx);
         }
         h
     }
@@ -400,7 +424,7 @@ impl DecoderLm {
     pub fn decode_step(
         &self,
         token: usize,
-        cache: &mut dyn ModelKv,
+        cache: &mut PagedKvCache,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         let pos = cache.len();
@@ -408,7 +432,7 @@ impl DecoderLm {
         assert!(pos < self.config.max_seq, "context window full at {pos}");
         let mut h = self.embed_at(&[token], pos);
         for (i, block) in self.blocks.iter().enumerate() {
-            h = block.decode_step(&h, cache.layer_mut(i), ctx);
+            h = block.decode_step(&h, &mut cache.layer_mut(i), ctx);
         }
         self.head_logits(&h, ctx)
     }
@@ -437,8 +461,7 @@ impl DecoderLm {
     /// that is ~81% bandwidth-stalled at batch 1.
     ///
     /// All `k + 1` K/V rows are appended to `cache`; the caller rolls
-    /// rejected positions back with [`KvCache::truncate`] /
-    /// [`PagedKvCache::truncate`].
+    /// rejected positions back with [`PagedKvCache::truncate`].
     ///
     /// [`DecodeSession::spec_step`] charges this pass without running
     /// it: [`DecoderConfig::verify_trace`] is its trace, and this
@@ -452,7 +475,7 @@ impl DecoderLm {
     pub fn verify_step(
         &self,
         tokens: &[usize],
-        cache: &mut dyn ModelKv,
+        cache: &mut PagedKvCache,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         assert!(!cache.is_empty(), "verify_step before prefill");
@@ -634,13 +657,14 @@ impl SpecSessionStats {
     }
 }
 
-/// Per-session draft-model state: the draft's own KV cache and noise
-/// streams, kept in sync with the committed token stream.
+/// Per-session draft-model state: the draft's own KV cache (a private
+/// pool, [`DecoderLm::empty_cache`]) and noise streams, kept in sync
+/// with the committed token stream.
 #[derive(Debug)]
 struct SpecState<B: ComputeBackend + Clone> {
     engine: BackendEngine<B>,
     rng: GaussianSampler,
-    cache: KvCache,
+    cache: PagedKvCache,
 }
 
 /// Seed salt separating the draft model's noise streams from the
@@ -731,43 +755,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// A session's KV storage: the original contiguous per-layer buffers, or
-/// a block table over a shared paged pool (which adds prefix sharing and
-/// preemption; see [`crate::kv`]).
-#[derive(Debug)]
-pub enum SessionKv {
-    /// Contiguous per-layer buffers ([`KvCache`]).
-    Contiguous(KvCache),
-    /// Block table over a shared [`crate::kv::BlockPool`].
-    Paged(PagedKvCache),
-}
-
-impl SessionKv {
-    fn as_model(&mut self) -> &mut dyn ModelKv {
-        match self {
-            SessionKv::Contiguous(c) => c,
-            SessionKv::Paged(p) => p,
-        }
-    }
-
-    fn bytes(&self, bits: u32) -> u64 {
-        match self {
-            SessionKv::Contiguous(c) => ModelKv::bytes(c, bits),
-            SessionKv::Paged(p) => ModelKv::bytes(p, bits),
-        }
-    }
-
-    /// The copy-on-write the next append would pay, paid now
-    /// ([`PagedKvCache::unshare_tail`]); a contiguous cache shares
-    /// nothing.
-    fn unshare_tail(&mut self) -> u64 {
-        match self {
-            SessionKv::Contiguous(_) => 0,
-            SessionKv::Paged(p) => p.unshare_tail(),
-        }
-    }
-}
-
 /// One request's decode lifecycle: prefill once, then step until
 /// `max_new_tokens` are generated, recording and costing every pass.
 ///
@@ -783,7 +770,7 @@ pub struct DecodeSession<B: ComputeBackend + Clone> {
     quant: QuantConfig,
     engine: BackendEngine<B>,
     rng: GaussianSampler,
-    cache: SessionKv,
+    cache: PagedKvCache,
     tokens: Vec<usize>,
     prefill_cost: Option<RunReport>,
     /// Prompt tokens already prefilled via [`DecodeSession::prefill_partial`].
@@ -800,12 +787,15 @@ pub struct DecodeSession<B: ComputeBackend + Clone> {
 }
 
 impl<B: ComputeBackend + Clone> DecodeSession<B> {
-    /// Creates a session for `prompt`, generating `max_new_tokens`.
+    /// Creates a session for `prompt`, generating `max_new_tokens`, on a
+    /// private cache ([`DecoderLm::empty_cache`]).
     ///
     /// # Panics
     ///
-    /// Panics if the prompt is empty, `max_new_tokens` is zero, or the
-    /// full sequence would overflow the model's context window.
+    /// Panics if [`DecoderConfig::check_request`] rejects the request:
+    /// the prompt is empty or holds a token outside the vocabulary,
+    /// `max_new_tokens` is zero, or the full sequence would overflow the
+    /// model's context window.
     pub fn new(
         model: &DecoderLm,
         ticket: u64,
@@ -814,8 +804,8 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         backend: B,
         config: SessionConfig,
     ) -> Self {
-        let cache = SessionKv::Contiguous(model.empty_cache());
-        Self::with_cache(
+        let cache = model.empty_cache();
+        Self::new_paged(
             model,
             ticket,
             prompt,
@@ -826,11 +816,11 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         )
     }
 
-    /// Creates a session whose KV lives in `cache` — a paged block table
-    /// over a shared pool (possibly seeded with a shared prefix). Seeds,
+    /// Creates a session whose KV lives in `cache` — a block table over
+    /// a shared pool (possibly seeded with a shared prefix). Seeds,
     /// sampling, and costs follow the exact same discipline as
     /// [`DecodeSession::new`], so for a pool large enough to avoid
-    /// preemption the reply is bit-identical to the contiguous path.
+    /// preemption the reply is bit-identical to a private cache's.
     ///
     /// # Panics
     ///
@@ -844,35 +834,9 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         config: SessionConfig,
         cache: PagedKvCache,
     ) -> Self {
-        Self::with_cache(
-            model,
-            ticket,
-            prompt,
-            max_new_tokens,
-            backend,
-            config,
-            SessionKv::Paged(cache),
-        )
-    }
-
-    fn with_cache(
-        model: &DecoderLm,
-        ticket: u64,
-        prompt: Vec<usize>,
-        max_new_tokens: usize,
-        backend: B,
-        config: SessionConfig,
-        cache: SessionKv,
-    ) -> Self {
-        assert!(!prompt.is_empty(), "empty prompt");
-        assert!(max_new_tokens > 0, "must generate at least one token");
-        assert!(
-            prompt.len() + max_new_tokens - 1 <= model.config().max_seq,
-            "prompt {} + {} new tokens overflows max_seq {}",
-            prompt.len(),
-            max_new_tokens,
-            model.config().max_seq
-        );
+        if let Err(e) = model.config().check_request(&prompt, max_new_tokens) {
+            panic!("{e}");
+        }
         DecodeSession {
             ticket,
             prompt,
@@ -914,25 +878,19 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         self.max_new_tokens - self.tokens.len()
     }
 
-    /// The paged KV cache, if this session uses one — the handle the
-    /// memory-pressure scheduler drives for reservation
-    /// ([`PagedKvCache::blocks_needed`]) and preemption.
-    pub fn paged_kv(&self) -> Option<&PagedKvCache> {
-        match &self.cache {
-            SessionKv::Paged(p) => Some(p),
-            SessionKv::Contiguous(_) => None,
-        }
+    /// The session's KV cache — the handle the memory-pressure
+    /// scheduler drives for reservation ([`PagedKvCache::blocks_needed`])
+    /// and preemption.
+    pub fn paged_kv(&self) -> &PagedKvCache {
+        &self.cache
     }
 
-    /// Mutable access to the paged KV cache, if any (swap-out / resume).
-    pub fn paged_kv_mut(&mut self) -> Option<&mut PagedKvCache> {
-        match &mut self.cache {
-            SessionKv::Paged(p) => Some(p),
-            SessionKv::Contiguous(_) => None,
-        }
+    /// Mutable access to the KV cache (swap-out / resume).
+    pub fn paged_kv_mut(&mut self) -> &mut PagedKvCache {
+        &mut self.cache
     }
 
-    /// Rebuilds a paged KV cache that was dropped by a
+    /// Rebuilds a KV cache that was dropped by a
     /// [`crate::kv::PreemptPolicy::Recompute`] preemption: re-runs the
     /// causal prefill over everything fed so far (prompt plus all but
     /// the last sampled token) on a *clone* of the session's engine, so
@@ -949,8 +907,8 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     ///
     /// # Panics
     ///
-    /// Panics if the session is not paged, has fed nothing yet, or its
-    /// cache is not empty (recompute resumes a dropped cache).
+    /// Panics if the session has fed nothing yet, or its cache is not
+    /// empty (recompute resumes a dropped cache).
     pub fn resume_by_recompute(&mut self, model: &DecoderLm) -> Trace {
         let fed: Vec<usize> = if self.prefill_cost.is_some() {
             let mut fed = self.prompt.clone();
@@ -964,10 +922,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         let quant = self.quant;
         let mut engine = self.engine.clone();
         let mut rng = GaussianSampler::new(split_seed(self.ticket, !0));
-        let cache = match &mut self.cache {
-            SessionKv::Paged(p) => p,
-            SessionKv::Contiguous(_) => panic!("recompute on a contiguous session"),
-        };
+        let cache = &mut self.cache;
         assert!(cache.is_empty(), "recompute expects a dropped cache");
         let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng).recording();
         if done {
@@ -1165,14 +1120,13 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
 
         // --- Draft: propose k_eff tokens on the draft's own streams.
         if self.spec.is_none() {
-            let cfg = draft.config();
             self.spec = Some(SpecState {
                 engine: BackendEngine::new(
                     self.engine.backend().clone(),
                     split_seed(self.seed ^ DRAFT_SEED_SALT, self.ticket),
                 ),
                 rng: GaussianSampler::new(split_seed(!(self.seed ^ DRAFT_SEED_SALT), self.ticket)),
-                cache: KvCache::new(cfg.layers, cfg.dim),
+                cache: draft.model().empty_cache(),
             });
         }
         // The draft cache must hold everything committed but the last
@@ -1213,7 +1167,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         // the replayed steps' bit for bit), so it is not run. The copy a
         // shared tail block would cost its first append is made now, so
         // it is charged here and not to a replayed step.
-        let base = self.cache.as_model().len();
+        let base = self.cache.len();
         let cow_elems = self.cache.unshare_tail();
         let verify_trace = model.config().verify_trace(k_eff + 1, base, cow_elems);
 
@@ -1260,7 +1214,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         };
 
         // Keep the agreeing prefix of the draft's speculated rows, drop
-        // the rest (contiguous-cache rollback on the draft side). The
+        // the rest (rollback of the draft's private cache). The
         // kept rows are exactly the committed tokens, so the draft is
         // already synced for the next step.
         let spec = self.spec.as_mut().expect("spec state exists");
@@ -1297,11 +1251,11 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     fn recorded_pass(
         &mut self,
         model: &DecoderLm,
-        pass: impl FnOnce(&DecoderLm, &mut ForwardCtx<'_>, &mut dyn ModelKv) -> Tensor,
+        pass: impl FnOnce(&DecoderLm, &mut ForwardCtx<'_>, &mut PagedKvCache) -> Tensor,
     ) -> (Tensor, Trace) {
         let mut ctx =
             ForwardCtx::inference(&mut self.engine, self.quant, &mut self.rng).recording();
-        let logits = pass(model, &mut ctx, self.cache.as_model());
+        let logits = pass(model, &mut ctx, &mut self.cache);
         (logits, ctx.take_trace().coalesce())
     }
 
@@ -1666,24 +1620,19 @@ mod tests {
     fn assert_verify_trace_matches(
         m: &DecoderLm,
         sim: &Simulator,
-        cache: &mut SessionKv,
+        cache: &mut PagedKvCache,
         quant: QuantConfig,
         rows: usize,
         cow_elems: u64,
     ) {
-        let prior = cache.as_model().len();
+        let prior = cache.len();
         let mut eng = crate::engine::ExactEngine;
         let mut rng = GaussianSampler::new(0);
         let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng).recording();
         let tokens: Vec<usize> = (0..rows).map(|i| (prior + 3 * i) % 16).collect();
-        m.verify_step(&tokens, cache.as_model(), &mut ctx);
+        m.verify_step(&tokens, cache, &mut ctx);
         let recorded = ctx.take_trace().coalesce();
-        match cache {
-            SessionKv::Contiguous(c) => c.truncate(prior),
-            SessionKv::Paged(p) => {
-                p.truncate(prior);
-            }
-        }
+        cache.truncate(prior);
         let analytic = m.config().verify_trace(rows, prior, cow_elems);
         assert_eq!(
             recorded.ops(),
@@ -1697,9 +1646,9 @@ mod tests {
     fn analytic_verify_trace_costs_exactly_like_the_recorded_pass() {
         // spec_step charges DecoderConfig::verify_trace for a pass it
         // never runs, so the trace must be exactly what verify_step
-        // records: 1..=9 rows against every legal prior, on a contiguous
-        // cache (fp32 and int8) and on paged caches of 1-, 3-, 4- and
-        // 16-token blocks.
+        // records: 1..=9 rows against every legal prior, on the private
+        // one-block cache (fp32 and int8) and on shared pools of 1-, 3-,
+        // 4- and 16-token blocks.
         let m = model();
         let cfg = m.config();
         let sim = Simulator::new(ArchConfig::lt_base(8));
@@ -1716,18 +1665,17 @@ mod tests {
         for (block_tokens, quant) in caches {
             for rows in 1..=9 {
                 let mut cache = match block_tokens {
-                    None => SessionKv::Contiguous(m.empty_cache()),
+                    None => m.empty_cache(),
                     Some(bt) => {
-                        let pool = BlockPool::new(cfg.max_seq + 1, cfg.layers, cfg.dim, bt);
-                        SessionKv::Paged(PagedKvCache::new(&pool, cfg.layers, cfg.dim))
+                        PagedKvCache::new(&BlockPool::new(cfg.max_seq + 1, cfg.layers, cfg.dim, bt))
                     }
                 };
                 let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
-                m.prefill(&[1], cache.as_model(), &mut ctx);
+                m.prefill(&[1], &mut cache, &mut ctx);
                 for prior in 1..=cfg.max_seq - rows {
                     assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, 0);
                     let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
-                    m.decode_step(prior % 16, cache.as_model(), &mut ctx);
+                    m.decode_step(prior % 16, &mut cache, &mut ctx);
                 }
             }
         }
@@ -1739,26 +1687,24 @@ mod tests {
         let pool = BlockPool::new(32, cfg.layers, cfg.dim, 4);
         let prompt = [3, 1, 4, 1, 5, 9];
         let quant = QuantConfig::fp32();
-        let mut owner = PagedKvCache::new(&pool, cfg.layers, cfg.dim);
+        let mut owner = PagedKvCache::new(&pool);
         m.prefill(
             &prompt,
             &mut owner,
             &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
         );
         let mut index = PrefixIndex::new();
-        index.register(&prompt, owner.block_refs(prompt.len()));
+        index.register(&pool, &prompt, owner.block_refs(prompt.len()));
         let cow = 2 * pool.block_elems();
         for rows in 1..=9 {
             for ahead in [false, true] {
                 let prefix = index.lookup(&pool, &prompt).expect("owner is live");
-                let mut borrower =
-                    PagedKvCache::with_shared_prefix(&pool, cfg.layers, cfg.dim, prefix);
+                let mut cache = PagedKvCache::with_shared_prefix(&pool, prefix);
                 m.prefill(
                     &prompt,
-                    &mut borrower,
+                    &mut cache,
                     &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
                 );
-                let mut cache = SessionKv::Paged(borrower);
                 let recorded_cow = if ahead {
                     assert_eq!(cache.unshare_tail(), cow, "rows {rows}");
                     assert_eq!(cache.unshare_tail(), 0, "the tail is private now");
@@ -1918,13 +1864,11 @@ mod tests {
                         }
                         assert_eq!(batched_cache.len(), stepped_cache.len());
                         if bit_exact {
-                            let layers = batched_cache
-                                .layers_mut()
-                                .iter()
-                                .zip(stepped_cache.layers_mut());
-                            for (l, (a, b)) in layers.enumerate() {
-                                assert_eq!(bits(a.keys()), bits(b.keys()), "{at}: layer {l} K");
-                                assert_eq!(bits(a.values()), bits(b.values()), "{at}: layer {l} V");
+                            for l in 0..m.config().layers {
+                                let (ka, va) = batched_cache.layer_mut(l).context();
+                                let (kb, vb) = stepped_cache.layer_mut(l).context();
+                                assert_eq!(bits(&ka), bits(&kb), "{at}: layer {l} K");
+                                assert_eq!(bits(&va), bits(&vb), "{at}: layer {l} V");
                             }
                         }
                     }
@@ -1934,19 +1878,24 @@ mod tests {
     }
 
     #[test]
-    fn spec_rollback_restores_the_contiguous_cache_bit_exactly() {
+    fn spec_rollback_restores_the_private_cache_bit_exactly() {
         let m = model();
         let mut rng = GaussianSampler::new(4);
         let quant = QuantConfig::fp32();
         let mut eng = crate::engine::ExactEngine;
         let mut cache = m.empty_cache();
         let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+        let contexts = |cache: &mut PagedKvCache| -> Vec<(Tensor, Tensor)> {
+            (0..m.config().layers)
+                .map(|l| cache.layer_mut(l).context())
+                .collect()
+        };
         m.prefill(&[1, 2, 3], &mut cache, &mut ctx);
-        let before = cache.clone();
+        let before = contexts(&mut cache);
         m.verify_step(&[4, 5, 6], &mut cache, &mut ctx);
         assert_eq!(cache.len(), 6);
         cache.truncate(3);
-        assert_eq!(cache, before, "rollback must be bit-exact");
+        assert_eq!(contexts(&mut cache), before, "rollback must be bit-exact");
     }
 
     #[test]

@@ -4,26 +4,24 @@
 //! capacity question the hardware model can answer (how many sessions
 //! fit a fixed pool before decode falls off the bandwidth cliff).
 //!
-//! The contiguous [`AttnKvCache`] grows
-//! one flat buffer per layer per session: simple, but it can neither
-//! share memory between sessions nor be preempted, and its reads were
-//! invisible to the scheduler. This module replaces that path behind
-//! two object-safe traits:
-//!
-//! * [`KvLayer`] — one layer's cache as attention sees it: append K/V
-//!   rows (returning [`KvWrite`] stats so the caller can record the
-//!   *actual* traffic, including copy-on-write and skipped shared
-//!   rows), and lend (or gather) the cached context back.
-//! * [`ModelKv`] — the whole model's cache as the decoder sees it: one
-//!   [`KvLayer`] per block of the stack.
-//!
-//! [`PagedKvCache`] implements both over a shared [`BlockPool`] of
-//! fixed-size blocks. One block holds `block_tokens` tokens of K and V
-//! for *every* layer (vLLM-style paging, one indirection per token
-//! position), so allocation, sharing, copy-on-write, and swap all move
-//! whole blocks — the block-granular traffic the op-trace records as
+//! [`PagedKvCache`] is the one KV cache: every decode session and
+//! every speculative draft keeps its K and V in a block table over a
+//! [`BlockPool`] of fixed-size blocks. A scheduler's sessions share one
+//! pool; [`crate::decode::DecoderLm::empty_cache`] gives a plain session
+//! or a draft a private pool of a single `max_seq`-token block. One
+//! block holds `block_tokens` tokens of K and V for *every* layer
+//! (vLLM-style paging, one indirection per token position), so
+//! allocation, sharing, copy-on-write, and swap all move whole blocks —
+//! the block-granular traffic the op-trace records as
 //! [`NonGemmKind::KvRead`]/`KvAppend` and `lt_arch::schedule` turns
 //! into HBM bandwidth stalls.
+//!
+//! Attention drives one layer at a time through a [`PagedKvLayer`], a
+//! view borrowed from the cache: it appends K/V rows (returning
+//! [`KvWrite`] stats so the caller can record the *actual* traffic,
+//! including copy-on-write and skipped shared rows) and gathers the
+//! cached context back. A gather copies f32 to f32, so a session reads
+//! the same bits at every block size, private pool or shared.
 //!
 //! Prefix sharing is weak and self-correcting: a [`PrefixIndex`] entry
 //! remembers `(block id, generation)` pairs; the pool bumps a block's
@@ -32,13 +30,11 @@
 //! (refcount), and any write into a block with refcount > 1 copies it
 //! first — copy-on-write never mutates memory another session can see.
 
-use crate::attention::AttnKvCache;
 use crate::tensor::Tensor;
 use lt_core::trace::NonGemmKind;
-use std::borrow::Cow;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
-/// What one [`KvLayer::append`] actually did, in traffic terms: the
+/// What one [`PagedKvLayer::append`] actually did, in traffic terms: the
 /// caller records `2 * rows_written * dim` elements of
 /// [`NonGemmKind::KvAppend`] (skipped shared-prefix rows save their
 /// write), plus `cow_elems` of both `KvRead` and `KvAppend` for every
@@ -50,63 +46,6 @@ pub struct KvWrite {
     pub rows_written: usize,
     /// Elements (K and V) duplicated by copy-on-write, block-granular.
     pub cow_elems: u64,
-}
-
-/// One layer's KV cache as the attention module drives it.
-pub trait KvLayer {
-    /// Tokens cached in this layer.
-    fn context_len(&self) -> usize;
-    /// Appends the K/V rows of newly seen tokens and reports the
-    /// resulting memory traffic (see [`KvWrite`]).
-    fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite;
-    /// The cached K and V rows, each `[context, dim]`: borrowed when the
-    /// cache stores them contiguously, gathered into fresh tensors when
-    /// it does not.
-    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>);
-    /// The cached K and V rows, each materialized `[context, dim]`.
-    fn context(&self) -> (Tensor, Tensor) {
-        let (k, v) = self.lend_context();
-        (k.into_owned(), v.into_owned())
-    }
-}
-
-impl KvLayer for AttnKvCache {
-    fn context_len(&self) -> usize {
-        self.len()
-    }
-
-    fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite {
-        let rows = k.rows();
-        AttnKvCache::append(self, k, v);
-        KvWrite {
-            rows_written: rows,
-            cow_elems: 0,
-        }
-    }
-
-    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>) {
-        (Cow::Borrowed(self.keys()), Cow::Borrowed(self.values()))
-    }
-}
-
-/// The whole model's KV cache as the decoder drives it: one layer view
-/// per decoder block, a common context length, and the token-granular
-/// byte accounting replies report (identical for the contiguous and
-/// paged implementations, so replies stay comparable across paths).
-pub trait ModelKv {
-    /// Context length in tokens (identical across layers between passes).
-    fn len(&self) -> usize;
-    /// Whether no tokens are cached.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Number of layers.
-    fn num_layers(&self) -> usize;
-    /// One layer's cache.
-    fn layer_mut(&mut self, layer: usize) -> &mut dyn KvLayer;
-    /// Token-granular footprint at `bits` operand precision: keys and
-    /// values, every layer, the whole context.
-    fn bytes(&self, bits: u32) -> u64;
 }
 
 /// What to do with a preempted session's KV blocks.
@@ -151,6 +90,19 @@ struct PoolInner {
     slots: Vec<BlockSlot>,
     free: Vec<usize>,
     stats: PoolStats,
+}
+
+impl PoolInner {
+    /// Whether every `(block, generation)` pair is still live and
+    /// un-recycled. A block that returns to the free list bumps its
+    /// generation, so once false this stays false.
+    fn all_live(&self, blocks: &[(usize, u64)]) -> bool {
+        blocks.iter().all(|&(id, generation)| {
+            self.slots
+                .get(id)
+                .is_some_and(|s| s.refcount > 0 && s.generation == generation)
+        })
+    }
 }
 
 /// A shared, refcounted pool of fixed-size KV blocks. Cloning the
@@ -318,12 +270,7 @@ impl BlockPool {
     /// primitive behind prefix sharing.
     pub fn try_retain_all(&self, blocks: &[(usize, u64)]) -> bool {
         let mut inner = self.inner.lock().expect("pool poisoned");
-        let valid = blocks.iter().all(|&(id, generation)| {
-            inner
-                .slots
-                .get(id)
-                .is_some_and(|s| s.refcount > 0 && s.generation == generation)
-        });
+        let valid = inner.all_live(blocks);
         if valid {
             for &(id, _) in blocks {
                 inner.slots[id].refcount += 1;
@@ -388,23 +335,25 @@ impl BlockPool {
 
     /// Gathers `rows` tokens of `layer` from the block sequence into a
     /// contiguous `[rows, dim]` K and V pair — the materialization the
-    /// attention step reads. Copies are exact (f32 to f32), so a paged
-    /// gather is bit-identical to a contiguous cache read.
+    /// attention step reads. A layer's rows sit contiguously within a
+    /// block, so each block contributes one copy per operand; copies are
+    /// exact (f32 to f32), so the result is independent of the block
+    /// size.
     fn gather(&self, blocks: &[usize], layer: usize, rows: usize) -> (Tensor, Tensor) {
+        let (bt, dim) = (self.block_tokens, self.dim);
+        let base = layer * bt * dim;
         let inner = self.inner.lock().expect("pool poisoned");
-        let mut k = vec![0.0f32; rows * self.dim];
-        let mut v = vec![0.0f32; rows * self.dim];
-        for pos in 0..rows {
-            let block = blocks[pos / self.block_tokens];
-            let slot = pos % self.block_tokens;
-            let base = (layer * self.block_tokens + slot) * self.dim;
+        let mut k = Vec::with_capacity(rows * dim);
+        let mut v = Vec::with_capacity(rows * dim);
+        for (i, &block) in blocks[..rows.div_ceil(bt)].iter().enumerate() {
+            let end = base + (rows - i * bt).min(bt) * dim;
             let s = &inner.slots[block];
-            k[pos * self.dim..(pos + 1) * self.dim].copy_from_slice(&s.k[base..base + self.dim]);
-            v[pos * self.dim..(pos + 1) * self.dim].copy_from_slice(&s.v[base..base + self.dim]);
+            k.extend_from_slice(&s.k[base..end]);
+            v.extend_from_slice(&s.v[base..end]);
         }
         (
-            Tensor::from_vec(rows, self.dim, k),
-            Tensor::from_vec(rows, self.dim, v),
+            Tensor::from_vec(rows, dim, k),
+            Tensor::from_vec(rows, dim, v),
         )
     }
 
@@ -424,74 +373,73 @@ impl BlockPool {
     }
 }
 
-/// Per-session table state shared by the cache and its layer views.
+/// One layer's view of a [`PagedKvCache`], borrowed for a pass through
+/// one decoder block ([`PagedKvCache::layer_mut`]).
 #[derive(Debug)]
-struct TableState {
-    /// Block ids covering the context, in sequence order.
-    blocks: Vec<usize>,
-    /// Tokens appended so far, per layer (layers advance one forward
-    /// pass at a time, so fills differ at most transiently mid-pass).
-    layer_fill: Vec<usize>,
-    /// Leading tokens borrowed from a shared prefix: appends below this
-    /// position skip their write (the rows are already cached).
-    shared_tokens: usize,
-    /// Swap-out storage (block payloads, in block order) when preempted.
-    swapped: Option<Vec<(Vec<f32>, Vec<f32>)>>,
-}
-
-/// One layer's view of a [`PagedKvCache`] (the [`KvLayer`] the decoder
-/// blocks drive).
-#[derive(Debug)]
-pub struct PagedKvLayer {
-    pool: BlockPool,
-    table: Arc<Mutex<TableState>>,
+pub struct PagedKvLayer<'a> {
+    cache: &'a mut PagedKvCache,
     layer: usize,
 }
 
-impl KvLayer for PagedKvLayer {
-    fn context_len(&self) -> usize {
-        self.table.lock().expect("table poisoned").layer_fill[self.layer]
+impl PagedKvLayer<'_> {
+    /// Tokens cached in this layer.
+    pub fn context_len(&self) -> usize {
+        self.cache.layer_fill[self.layer]
     }
 
-    fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite {
+    /// Appends the K/V rows of newly seen tokens and reports the
+    /// resulting memory traffic (see [`KvWrite`]). The first layer to
+    /// reach a fresh block allocates it for the whole stack; rows below
+    /// the shared-prefix watermark skip their write; a write into a
+    /// block another table still holds copies it first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if K and V disagree in shape or with the pool's width, if
+    /// the cache is swapped out, or if the pool runs dry (the scheduler
+    /// reserves capacity before stepping).
+    pub fn append(&mut self, k: &Tensor, v: &Tensor) -> KvWrite {
+        let cache = &mut *self.cache;
+        let pool = &cache.pool;
         assert_eq!(k.shape(), v.shape(), "K/V shape mismatch");
-        assert_eq!(k.cols(), self.pool.dim(), "K/V width mismatch");
-        let bt = self.pool.block_tokens();
-        let mut t = self.table.lock().expect("table poisoned");
-        assert!(t.swapped.is_none(), "append to a swapped-out KV cache");
+        assert_eq!(k.cols(), pool.dim(), "K/V width mismatch");
+        assert!(cache.swapped.is_none(), "append to a swapped-out KV cache");
+        let bt = pool.block_tokens();
         let mut write = KvWrite::default();
         for r in 0..k.rows() {
-            let pos = t.layer_fill[self.layer];
+            let pos = cache.layer_fill[self.layer];
             let bi = pos / bt;
-            if bi == t.blocks.len() {
-                // First layer to reach a fresh block allocates it for
-                // the whole stack (one indirection per position).
-                let id = self.pool.alloc().expect(
+            if bi == cache.blocks.len() {
+                let id = pool.alloc().expect(
                     "KV block pool exhausted mid-pass — the scheduler must reserve \
                      capacity before stepping",
                 );
-                t.blocks.push(id);
+                cache.blocks.push(id);
             }
-            if pos >= t.shared_tokens {
+            if pos >= cache.shared_tokens {
                 // Writing into a block another table can see would leak
                 // our rows into their context: copy it first.
-                write.cow_elems += self.pool.unshare(&mut t.blocks[bi]);
-                self.pool
-                    .write_row(t.blocks[bi], self.layer, pos % bt, k.row(r), v.row(r));
+                write.cow_elems += pool.unshare(&mut cache.blocks[bi]);
+                pool.write_row(cache.blocks[bi], self.layer, pos % bt, k.row(r), v.row(r));
                 write.rows_written += 1;
             }
-            t.layer_fill[self.layer] += 1;
+            cache.layer_fill[self.layer] += 1;
         }
         write
     }
 
-    fn lend_context(&self) -> (Cow<'_, Tensor>, Cow<'_, Tensor>) {
-        let t = self.table.lock().expect("table poisoned");
-        assert!(t.swapped.is_none(), "context of a swapped-out KV cache");
-        let (k, v) = self
+    /// The cached K and V rows, each gathered into a `[context, dim]`
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is swapped out.
+    pub fn context(&self) -> (Tensor, Tensor) {
+        let cache = &*self.cache;
+        assert!(cache.swapped.is_none(), "context of a swapped-out KV cache");
+        cache
             .pool
-            .gather(&t.blocks, self.layer, t.layer_fill[self.layer]);
-        (Cow::Owned(k), Cow::Owned(v))
+            .gather(&cache.blocks, self.layer, self.context_len())
     }
 }
 
@@ -515,42 +463,34 @@ impl SharedPrefix {
     }
 }
 
-/// The paged whole-model KV cache: a block table over a shared
-/// [`BlockPool`], one [`PagedKvLayer`] view per decoder block.
+/// A whole model's KV cache: a block table over a [`BlockPool`], whose
+/// `layers()` and `dim()` fix the geometry. Attention reaches one
+/// layer at a time through [`PagedKvCache::layer_mut`].
 #[derive(Debug)]
 pub struct PagedKvCache {
     pool: BlockPool,
-    table: Arc<Mutex<TableState>>,
-    layers: Vec<PagedKvLayer>,
+    /// Block ids covering the context, in sequence order.
+    blocks: Vec<usize>,
+    /// Tokens appended so far, per layer (layers advance one forward
+    /// pass at a time, so fills differ at most transiently mid-pass).
+    layer_fill: Vec<usize>,
+    /// Leading tokens borrowed from a shared prefix: appends below this
+    /// position skip their write (the rows are already cached).
+    shared_tokens: usize,
+    /// Swap-out storage (block payloads, in block order) when preempted.
+    swapped: Option<Vec<(Vec<f32>, Vec<f32>)>>,
 }
 
 impl PagedKvCache {
-    /// An empty paged cache for a model of `layers` blocks of width
-    /// `dim`, drawing blocks from `pool`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool geometry disagrees with the model's.
-    pub fn new(pool: &BlockPool, layers: usize, dim: usize) -> Self {
-        assert_eq!(pool.layers(), layers, "pool/model layer mismatch");
-        assert_eq!(pool.dim(), dim, "pool/model width mismatch");
-        let table = Arc::new(Mutex::new(TableState {
-            blocks: Vec::new(),
-            layer_fill: vec![0; layers],
-            shared_tokens: 0,
-            swapped: None,
-        }));
-        let layer_views = (0..layers)
-            .map(|layer| PagedKvLayer {
-                pool: pool.clone(),
-                table: Arc::clone(&table),
-                layer,
-            })
-            .collect();
+    /// An empty cache drawing blocks from `pool`, whose `layers()` and
+    /// `dim()` are the model's.
+    pub fn new(pool: &BlockPool) -> Self {
         PagedKvCache {
             pool: pool.clone(),
-            table,
-            layers: layer_views,
+            blocks: Vec::new(),
+            layer_fill: vec![0; pool.layers()],
+            shared_tokens: 0,
+            swapped: None,
         }
     }
 
@@ -560,46 +500,50 @@ impl PagedKvCache {
     /// prefill still runs over the whole prompt — but appends below the
     /// shared position skip their writes, and any write into a still
     /// shared block copies it first.
-    pub fn with_shared_prefix(
-        pool: &BlockPool,
-        layers: usize,
-        dim: usize,
-        prefix: SharedPrefix,
-    ) -> Self {
-        let cache = Self::new(pool, layers, dim);
-        {
-            let mut t = cache.table.lock().expect("table poisoned");
-            t.blocks = prefix.blocks;
-            t.shared_tokens = prefix.tokens;
-        }
+    pub fn with_shared_prefix(pool: &BlockPool, prefix: SharedPrefix) -> Self {
+        let mut cache = Self::new(pool);
+        cache.blocks = prefix.blocks;
+        cache.shared_tokens = prefix.tokens;
         cache
     }
 
-    /// The pool this cache draws from.
-    pub fn pool(&self) -> &BlockPool {
-        &self.pool
+    /// Context length in tokens: identical across layers between
+    /// passes; mid-pass the earliest layers lead.
+    pub fn len(&self) -> usize {
+        self.layer_fill.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Whether no tokens are cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Layer `layer`'s view of the cache.
+    pub fn layer_mut(&mut self, layer: usize) -> PagedKvLayer<'_> {
+        PagedKvLayer { cache: self, layer }
+    }
+
+    /// Token-granular footprint at `bits` operand precision: keys and
+    /// values, every layer, the whole context (what a reply reports; the
+    /// pool holds whole blocks).
+    pub fn bytes(&self, bits: u32) -> u64 {
+        2 * self.layer_fill.len() as u64 * self.len() as u64 * self.pool.dim() as u64 * bits as u64
+            / 8
     }
 
     /// Blocks currently resident (0 while swapped out).
     pub fn resident_blocks(&self) -> usize {
-        self.table.lock().expect("table poisoned").blocks.len()
-    }
-
-    /// Block-granular resident footprint at `bits` precision (what the
-    /// pool actually holds for this session, as opposed to the
-    /// token-granular [`ModelKv::bytes`]).
-    pub fn resident_block_bytes(&self, bits: u32) -> u64 {
-        self.resident_blocks() as u64 * self.pool.block_bytes(bits)
+        self.blocks.len()
     }
 
     /// Leading tokens borrowed from a shared prefix.
     pub fn shared_tokens(&self) -> usize {
-        self.table.lock().expect("table poisoned").shared_tokens
+        self.shared_tokens
     }
 
     /// Whether the cache is swapped out (preempted).
     pub fn is_swapped(&self) -> bool {
-        self.table.lock().expect("table poisoned").swapped.is_some()
+        self.swapped.is_some()
     }
 
     /// New blocks an append of `extra` tokens may allocate: fresh
@@ -608,17 +552,13 @@ impl PagedKvCache {
     /// the scheduler reserves before stepping.
     pub fn blocks_needed(&self, extra: usize) -> usize {
         let bt = self.pool.block_tokens();
-        let t = self.table.lock().expect("table poisoned");
-        if let Some(swapped) = &t.swapped {
+        let len = self.len();
+        if let Some(swapped) = &self.swapped {
             // Resuming restores every swapped block before any append.
-            return swapped.len()
-                + (t.len_max() + extra)
-                    .div_ceil(bt)
-                    .saturating_sub(swapped.len());
+            return swapped.len() + (len + extra).div_ceil(bt).saturating_sub(swapped.len());
         }
-        let len = t.len_max();
-        let mut needed = (len + extra).div_ceil(bt).saturating_sub(t.blocks.len());
-        if let Some(&block) = t.blocks.get(len / bt) {
+        let mut needed = (len + extra).div_ceil(bt).saturating_sub(self.blocks.len());
+        if let Some(&block) = self.blocks.get(len / bt) {
             if self.pool.refcount(block) > 1 {
                 needed += 1;
             }
@@ -630,10 +570,10 @@ impl PagedKvCache {
     /// stamped with their current generations — what a
     /// [`PrefixIndex::register`] entry stores.
     pub fn block_refs(&self, tokens: usize) -> Vec<(usize, u64)> {
-        let bt = self.pool.block_tokens();
-        let t = self.table.lock().expect("table poisoned");
-        let blocks = tokens.div_ceil(bt).min(t.blocks.len());
-        t.blocks[..blocks]
+        let blocks = tokens
+            .div_ceil(self.pool.block_tokens())
+            .min(self.blocks.len());
+        self.blocks[..blocks]
             .iter()
             .map(|&id| (id, self.pool.generation(id)))
             .collect()
@@ -648,17 +588,14 @@ impl PagedKvCache {
     ///
     /// Panics if already swapped out.
     pub fn swap_out(&mut self) -> u64 {
-        let mut t = self.table.lock().expect("table poisoned");
-        assert!(t.swapped.is_none(), "double swap-out");
-        let payloads: Vec<_> = t.blocks.iter().map(|&id| self.pool.export(id)).collect();
+        assert!(self.swapped.is_none(), "double swap-out");
+        let payloads: Vec<_> = self.blocks.iter().map(|&id| self.pool.export(id)).collect();
         let moved = 2 * self.pool.block_elems() * payloads.len() as u64;
-        for id in t.blocks.drain(..) {
-            self.pool.release(id);
-        }
+        self.release_blocks();
         // The payloads are now private copies: the shared-prefix link is
         // broken, so future appends must not skip writes.
-        t.shared_tokens = 0;
-        t.swapped = Some(payloads);
+        self.shared_tokens = 0;
+        self.swapped = Some(payloads);
         moved
     }
 
@@ -667,14 +604,10 @@ impl PagedKvCache {
     /// recompute-on-resume can re-run the prefill. Returns the blocks
     /// released.
     pub fn drop_resident(&mut self) -> usize {
-        let mut t = self.table.lock().expect("table poisoned");
-        let dropped = t.blocks.len();
-        for id in t.blocks.drain(..) {
-            self.pool.release(id);
-        }
-        t.layer_fill.iter_mut().for_each(|f| *f = 0);
-        t.shared_tokens = 0;
-        t.swapped = None;
+        let dropped = self.release_blocks();
+        self.layer_fill.fill(0);
+        self.shared_tokens = 0;
+        self.swapped = None;
         dropped
     }
 
@@ -693,21 +626,21 @@ impl PagedKvCache {
     ///
     /// Panics if the cache is swapped out.
     pub fn truncate(&mut self, len: usize) -> usize {
-        let bt = self.pool.block_tokens();
-        let mut t = self.table.lock().expect("table poisoned");
-        assert!(t.swapped.is_none(), "truncate of a swapped-out KV cache");
-        if len >= t.len_max() {
+        assert!(self.swapped.is_none(), "truncate of a swapped-out KV cache");
+        if len >= self.len() {
             return 0;
         }
-        let keep = len.div_ceil(bt).min(t.blocks.len());
-        let released = t.blocks.len() - keep;
-        for id in t.blocks.drain(keep..) {
+        let keep = len
+            .div_ceil(self.pool.block_tokens())
+            .min(self.blocks.len());
+        let released = self.blocks.len() - keep;
+        for id in self.blocks.drain(keep..) {
             self.pool.release(id);
         }
-        for fill in t.layer_fill.iter_mut() {
+        for fill in &mut self.layer_fill {
             *fill = (*fill).min(len);
         }
-        t.shared_tokens = t.shared_tokens.min(len);
+        self.shared_tokens = self.shared_tokens.min(len);
         released
     }
 
@@ -727,17 +660,16 @@ impl PagedKvCache {
     /// the copy (the scheduler reserves it; see
     /// [`PagedKvCache::blocks_needed`]).
     pub fn unshare_tail(&mut self) -> u64 {
-        let bt = self.pool.block_tokens();
-        let mut t = self.table.lock().expect("table poisoned");
         assert!(
-            t.swapped.is_none(),
+            self.swapped.is_none(),
             "copy-on-write of a swapped-out KV cache"
         );
-        let len = t.len_max();
-        if len < t.shared_tokens {
+        let len = self.len();
+        if len < self.shared_tokens {
             return 0; // the next row skips its write
         }
-        t.blocks
+        let bt = self.pool.block_tokens();
+        self.blocks
             .get_mut(len / bt)
             .map_or(0, |block| self.pool.unshare(block))
     }
@@ -751,55 +683,31 @@ impl PagedKvCache {
     /// Panics if not swapped out, or if the pool cannot supply the
     /// blocks (the scheduler failed to reserve).
     pub fn resume(&mut self) -> u64 {
-        let mut t = self.table.lock().expect("table poisoned");
-        let payloads = t.swapped.take().expect("resume without swap-out");
+        let payloads = self.swapped.take().expect("resume without swap-out");
         let moved = 2 * self.pool.block_elems() * payloads.len() as u64;
         for (k, v) in payloads {
             let id = self
                 .pool
                 .import(k, v)
                 .expect("KV block pool exhausted during resume — reserve before resuming");
-            t.blocks.push(id);
+            self.blocks.push(id);
         }
         moved
+    }
+
+    /// Returns every resident block to the pool; returns how many.
+    fn release_blocks(&mut self) -> usize {
+        let released = self.blocks.len();
+        for id in self.blocks.drain(..) {
+            self.pool.release(id);
+        }
+        released
     }
 }
 
 impl Drop for PagedKvCache {
     fn drop(&mut self) {
-        // A panic while the table was locked (a documented assertion,
-        // say) poisons it; the block list is still consistent, and
-        // panicking again here while unwinding would abort the process.
-        let mut t = self.table.lock().unwrap_or_else(PoisonError::into_inner);
-        for id in t.blocks.drain(..) {
-            self.pool.release(id);
-        }
-    }
-}
-
-impl TableState {
-    /// Context length across layers (they agree between passes; mid-pass
-    /// the earliest layers lead).
-    fn len_max(&self) -> usize {
-        self.layer_fill.iter().copied().max().unwrap_or(0)
-    }
-}
-
-impl ModelKv for PagedKvCache {
-    fn len(&self) -> usize {
-        self.table.lock().expect("table poisoned").len_max()
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn layer_mut(&mut self, layer: usize) -> &mut dyn KvLayer {
-        &mut self.layers[layer]
-    }
-
-    fn bytes(&self, bits: u32) -> u64 {
-        2 * self.layers.len() as u64 * self.len() as u64 * self.pool.dim() as u64 * bits as u64 / 8
+        self.release_blocks();
     }
 }
 
@@ -823,8 +731,8 @@ pub fn kv_write_traffic(write: KvWrite, dim: usize) -> Vec<(NonGemmKind, u64)> {
 
 /// A weak index from prompt prefixes to the blocks that cache them.
 /// Entries hold no references: they are validated against the pool's
-/// generation stamps at lookup and pruned when stale, so the index can
-/// never keep memory alive or resurrect recycled blocks.
+/// generation stamps at register and lookup and pruned when stale, so
+/// the index can never keep memory alive or resurrect recycled blocks.
 #[derive(Debug, Default)]
 pub struct PrefixIndex {
     entries: Vec<PrefixEntry>,
@@ -842,8 +750,8 @@ impl PrefixIndex {
         Self::default()
     }
 
-    /// Registered entries (live or stale — staleness is only discovered
-    /// at lookup).
+    /// Registered entries (live or stale — staleness is discovered at
+    /// the next register or lookup).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -853,12 +761,20 @@ impl PrefixIndex {
         self.entries.is_empty()
     }
 
-    /// Remembers that `prompt`'s tokens are cached in `blocks`
-    /// (generation-stamped; see [`PagedKvCache::block_refs`]). An
-    /// existing entry for the same prompt is replaced.
-    pub fn register(&mut self, prompt: &[usize], blocks: Vec<(usize, u64)>) {
+    /// Remembers that `prompt`'s tokens are cached in `blocks` of
+    /// `pool` (generation-stamped; see [`PagedKvCache::block_refs`]).
+    /// An existing entry for the same prompt is replaced. First it
+    /// forgets every entry whose blocks are no longer all live at their
+    /// stamped generations: such an entry can never be borrowed again,
+    /// so lookups are unchanged, and the prompts of finished sessions
+    /// do not pile up.
+    pub fn register(&mut self, pool: &BlockPool, prompt: &[usize], blocks: Vec<(usize, u64)>) {
         if blocks.is_empty() {
             return;
+        }
+        {
+            let inner = pool.inner.lock().expect("pool poisoned");
+            self.entries.retain(|e| inner.all_live(&e.blocks));
         }
         if let Some(e) = self.entries.iter_mut().find(|e| e.key == prompt) {
             e.blocks = blocks;
@@ -909,7 +825,7 @@ mod tests {
     #[test]
     fn paged_append_and_gather_round_trip() {
         let pool = BlockPool::new(8, 2, 4, 3);
-        let mut cache = PagedKvCache::new(&pool, 2, 4);
+        let mut cache = PagedKvCache::new(&pool);
         for layer in 0..2 {
             let w = write_tokens(&mut cache, layer, 7, 10.0 * layer as f32);
             assert_eq!(w.rows_written, 7);
@@ -934,14 +850,14 @@ mod tests {
         let mut index = PrefixIndex::new();
         let prompt = vec![1usize, 2, 3, 4, 5, 6]; // 6 tokens: 1.5 blocks
 
-        let mut a = PagedKvCache::new(&pool, 1, 2);
+        let mut a = PagedKvCache::new(&pool);
         let w = write_tokens(&mut a, 0, 6, 0.0);
         assert_eq!(w.rows_written, 6);
-        index.register(&prompt, a.block_refs(6));
+        index.register(&pool, &prompt, a.block_refs(6));
 
         let shared = index.lookup(&pool, &prompt).expect("live entry");
         assert_eq!((shared.tokens(), shared.num_blocks()), (6, 2));
-        let mut b = PagedKvCache::with_shared_prefix(&pool, 1, 2, shared);
+        let mut b = PagedKvCache::with_shared_prefix(&pool, shared);
         let w = write_tokens(&mut b, 0, 6, 99.0);
         assert_eq!(w.rows_written, 0, "all six rows already cached");
         assert_eq!(w.cow_elems, 0);
@@ -968,9 +884,9 @@ mod tests {
         let mut index = PrefixIndex::new();
         let prompt = vec![7usize, 7, 7, 7];
         {
-            let mut a = PagedKvCache::new(&pool, 1, 2);
+            let mut a = PagedKvCache::new(&pool);
             write_tokens(&mut a, 0, 4, 0.0);
-            index.register(&prompt, a.block_refs(4));
+            index.register(&pool, &prompt, a.block_refs(4));
         } // A drops: blocks freed, generations bumped.
         assert_eq!(pool.free_blocks(), 4);
         assert!(index.lookup(&pool, &prompt).is_none(), "stale entry");
@@ -978,9 +894,31 @@ mod tests {
     }
 
     #[test]
+    fn registering_forgets_the_prompts_of_finished_sessions() {
+        // A hundred sessions each register a distinct prompt and finish;
+        // lookups of an unrelated prompt in between never meet their
+        // entries. Each register drops the entries whose blocks were
+        // freed, so the index holds only the newest.
+        let pool = BlockPool::new(4, 1, 2, 2);
+        let mut index = PrefixIndex::new();
+        for i in 0..100 {
+            let prompt = [i, i + 1];
+            let mut cache = PagedKvCache::new(&pool);
+            write_tokens(&mut cache, 0, 2, i as f32);
+            index.register(&pool, &prompt, cache.block_refs(2));
+            drop(cache);
+            assert!(index.lookup(&pool, &[1000, 1001]).is_none());
+        }
+        assert_eq!(pool.used_blocks(), 0);
+        assert_eq!(index.len(), 1, "only the last prompt's entry remains");
+        assert!(index.lookup(&pool, &[99, 100]).is_none(), "and it is stale");
+        assert!(index.is_empty());
+    }
+
+    #[test]
     fn swap_out_and_resume_restore_contents_exactly() {
         let pool = BlockPool::new(6, 2, 4, 2);
-        let mut cache = PagedKvCache::new(&pool, 2, 4);
+        let mut cache = PagedKvCache::new(&pool);
         for layer in 0..2 {
             write_tokens(&mut cache, layer, 5, layer as f32);
         }
@@ -1001,7 +939,7 @@ mod tests {
     #[test]
     fn blocks_needed_counts_fresh_blocks_and_cow() {
         let pool = BlockPool::new(8, 1, 2, 4);
-        let mut cache = PagedKvCache::new(&pool, 1, 2);
+        let mut cache = PagedKvCache::new(&pool);
         assert_eq!(cache.blocks_needed(1), 1, "first token needs a block");
         write_tokens(&mut cache, 0, 4, 0.0);
         assert_eq!(cache.blocks_needed(1), 1, "block boundary");
@@ -1009,9 +947,9 @@ mod tests {
         assert_eq!(cache.blocks_needed(1), 0, "room in the last block");
         // Share the table's blocks: the next write must budget a CoW.
         let mut index = PrefixIndex::new();
-        index.register(&[1, 2, 3, 4, 5], cache.block_refs(5));
+        index.register(&pool, &[1, 2, 3, 4, 5], cache.block_refs(5));
         let shared = index.lookup(&pool, &[1, 2, 3, 4, 5]).unwrap();
-        let other = PagedKvCache::with_shared_prefix(&pool, 1, 2, shared);
+        let other = PagedKvCache::with_shared_prefix(&pool, shared);
         assert_eq!(cache.blocks_needed(1), 1, "CoW needs a spare block");
         drop(other);
     }
@@ -1019,7 +957,7 @@ mod tests {
     #[test]
     fn truncate_frees_tail_blocks_and_restores_the_pool_exactly() {
         let pool = BlockPool::new(8, 2, 4, 3);
-        let mut cache = PagedKvCache::new(&pool, 2, 4);
+        let mut cache = PagedKvCache::new(&pool);
         for layer in 0..2 {
             write_tokens(&mut cache, layer, 4, layer as f32);
         }
@@ -1057,11 +995,11 @@ mod tests {
         let pool = BlockPool::new(8, 1, 2, 2);
         let mut index = PrefixIndex::new();
         let prompt = vec![1usize, 2, 3, 4, 5, 6];
-        let mut a = PagedKvCache::new(&pool, 1, 2);
+        let mut a = PagedKvCache::new(&pool);
         write_tokens(&mut a, 0, 6, 0.0);
-        index.register(&prompt, a.block_refs(6));
+        index.register(&pool, &prompt, a.block_refs(6));
         let shared = index.lookup(&pool, &prompt).expect("live entry");
-        let mut b = PagedKvCache::with_shared_prefix(&pool, 1, 2, shared);
+        let mut b = PagedKvCache::with_shared_prefix(&pool, shared);
         write_tokens(&mut b, 0, 6, 9.0);
 
         // B rolls back into the shared region: its references go, A's
@@ -1075,12 +1013,7 @@ mod tests {
             let still = index.lookup(&pool, &prompt);
             assert!(still.is_some(), "A's registration is still valid");
             // Route the borrow through a cache so its refs release again.
-            drop(PagedKvCache::with_shared_prefix(
-                &pool,
-                1,
-                2,
-                still.unwrap(),
-            ));
+            drop(PagedKvCache::with_shared_prefix(&pool, still.unwrap()));
         }
 
         // A truncates to nothing: its blocks free, generations bump, and
@@ -1115,13 +1048,10 @@ mod tests {
         );
     }
 
-    /// A paged cache of two tokens, swapped out. Reading or appending
-    /// to it fails an assertion with the table locked, so the cache then
-    /// drops, while unwinding, with its table poisoned: that must unwind
-    /// cleanly (a second panic there would abort the test process).
+    /// A paged cache of two tokens, swapped out.
     fn swapped_out_cache() -> PagedKvCache {
         let pool = BlockPool::new(4, 1, 2, 2);
-        let mut cache = PagedKvCache::new(&pool, 1, 2);
+        let mut cache = PagedKvCache::new(&pool);
         write_tokens(&mut cache, 0, 2, 0.0);
         cache.swap_out();
         cache

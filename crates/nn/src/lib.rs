@@ -75,11 +75,11 @@ pub mod tensor;
 pub mod train;
 
 pub use decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, KvCache, SessionConfig,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, RequestError, SessionConfig,
     SpecOutcome, SpecSessionStats, SpecStepReport,
 };
 pub use engine::{BackendEngine, ExactEngine, MatmulEngine};
-pub use kv::{BlockPool, KvLayer, ModelKv, PagedKvCache, PreemptPolicy, PrefixIndex};
+pub use kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 pub use model::{TextClassifier, VisionTransformer};
 pub use quant::{IntegerQuant, QuantConfig};
 pub use serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, ServingStats, SpecConfig};

@@ -1,8 +1,13 @@
 //! Model assemblies: the encoder block, a tiny ViT (the DeiT stand-in),
 //! and a tiny bidirectional text classifier (the BERT stand-in).
+//!
+//! The encoder block is also the decoder's block: its cache-driven
+//! passes (`prefill`, `prefill_chunk`, `decode_step`) read and write one
+//! layer of a [`crate::kv::PagedKvCache`] through a borrowed
+//! [`PagedKvLayer`].
 
 use crate::attention::MultiHeadAttention;
-use crate::kv::KvLayer;
+use crate::kv::PagedKvLayer;
 use crate::layers::{ForwardCtx, Gelu, LayerNorm, Linear, Param};
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, OpKind};
@@ -75,13 +80,16 @@ impl EncoderBlock {
         x1.add(&ffn_out)
     }
 
-    /// Causal prefill of a whole prompt, filling this layer's KV cache —
-    /// the block body of the autoregressive decode path (inference-only,
-    /// `&self`, so concurrent decode sessions share one set of weights).
-    /// The cache is any [`KvLayer`] — the contiguous
-    /// [`crate::attention::AttnKvCache`] or one layer of a paged
-    /// [`crate::kv::PagedKvCache`].
-    pub fn prefill(&self, x: &Tensor, cache: &mut dyn KvLayer, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    /// Causal prefill of a whole prompt, filling this layer's view of a
+    /// [`crate::kv::PagedKvCache`] — the block body of the
+    /// autoregressive decode path (inference-only, `&self`, so
+    /// concurrent decode sessions share one set of weights).
+    pub fn prefill(
+        &self,
+        x: &Tensor,
+        cache: &mut PagedKvLayer<'_>,
+        ctx: &mut ForwardCtx<'_>,
+    ) -> Tensor {
         self.decode_pass(x, ctx, |attn, normed, ctx| attn.prefill(normed, cache, ctx))
     }
 
@@ -92,7 +100,7 @@ impl EncoderBlock {
     pub fn prefill_chunk(
         &self,
         x: &Tensor,
-        cache: &mut dyn KvLayer,
+        cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         self.decode_pass(x, ctx, |attn, normed, ctx| {
@@ -105,7 +113,7 @@ impl EncoderBlock {
     pub fn decode_step(
         &self,
         x: &Tensor,
-        cache: &mut dyn KvLayer,
+        cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         self.decode_pass(x, ctx, |attn, normed, ctx| {

@@ -185,9 +185,10 @@ impl PendingDecode {
     /// # Panics
     ///
     /// Panics if the server shut down before serving this request, or if
-    /// the request was malformed (empty prompt, context overflow,
-    /// out-of-vocabulary token) and its session panicked — other
-    /// requests and the worker are unaffected.
+    /// the request was malformed (empty prompt, no new tokens, context
+    /// overflow, out-of-vocabulary token; see
+    /// [`crate::decode::DecoderConfig::check_request`]) and failed
+    /// admission — other requests and the worker are unaffected.
     pub fn wait(self) -> DecodeReply {
         self.rx
             .recv()
@@ -360,10 +361,10 @@ impl Drop for DecodeServer {
 /// stepping; the loop feeds it from the shared queue (blocking only
 /// when the scheduler is idle), costs every tick, publishes its stats
 /// snapshot to `slot`, and routes finished replies back to their
-/// clients. Malformed requests (empty prompt, context overflow,
-/// out-of-vocabulary token) are contained by the scheduler — the
-/// offending client's sender is dropped, its `wait` panics with a clear
-/// message, and the worker survives.
+/// clients. Malformed requests (empty prompt, no new tokens, context
+/// overflow, out-of-vocabulary token) fail the scheduler's admission
+/// check — the offending client's sender is dropped, its `wait` panics
+/// with a clear message, and the worker survives.
 fn worker_loop<B: ComputeBackend + Clone>(
     model: &DecoderLm,
     backend: &B,

@@ -29,7 +29,8 @@
 //! memory pressure changes *when* tokens are produced, never *which*.
 
 use crate::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig, SpecSessionStats,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, RequestError, SessionConfig,
+    SpecSessionStats,
 };
 use crate::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 use crate::serve::decode::DecodeRequest;
@@ -238,14 +239,6 @@ impl TickOutcome {
     }
 }
 
-struct Entry<B: ComputeBackend + Clone> {
-    session: DecodeSession<B>,
-}
-
-/// What [`KvScheduler::admit_one`] yields: the resident entry plus, in
-/// unchunked mode, the admission prefill's recorded trace.
-type AdmitEntry<B> = (Entry<B>, Option<Trace>);
-
 /// The per-worker paged-KV decode scheduler. See the [module
 /// docs](self).
 pub struct KvScheduler<'m, B: ComputeBackend + Clone> {
@@ -265,8 +258,8 @@ pub struct KvScheduler<'m, B: ComputeBackend + Clone> {
     pool: BlockPool,
     prefix: Option<PrefixIndex>,
     max_active: usize,
-    active: Vec<Entry<B>>,
-    paused: Vec<Entry<B>>,
+    active: Vec<DecodeSession<B>>,
+    paused: Vec<DecodeSession<B>>,
     backlog: VecDeque<(u64, DecodeRequest)>,
     finished: Vec<(u64, DecodeReply)>,
     failed: Vec<u64>,
@@ -429,17 +422,17 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         let mut emitted = Vec::with_capacity(self.active.len());
         let mut draft_traces = Vec::new();
         let spec = self.spec.as_ref();
-        for entry in self.active.iter_mut() {
-            let ticket = entry.session.ticket();
-            if !entry.session.prefill_done() {
+        for session in self.active.iter_mut() {
+            let ticket = session.ticket();
+            if !session.prefill_done() {
                 // Chunked prefill: one bounded piece this tick, so the
                 // decode steps below never wait out a whole prompt.
-                prefill_traces.push(entry.session.prefill_partial(
+                prefill_traces.push(session.prefill_partial(
                     self.model,
                     self.sim,
                     self.prefill_chunk,
                 ));
-                if entry.session.prefill_done() {
+                if session.prefill_done() {
                     first_tokens.push(ticket);
                 }
             } else if let Some((k, draft)) = spec {
@@ -450,14 +443,14 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 // phase above booked the pass's k_eff + 1 rows, which
                 // the modeled pass holds even though the host writes
                 // fewer.
-                let report = entry.session.spec_step(self.model, draft, self.sim, *k);
+                let report = session.spec_step(self.model, draft, self.sim, *k);
                 self.stats.spec.merge(&report.stats_delta());
                 step_traces.push(report.verify_trace);
                 draft_traces.push(report.draft_trace);
                 stepped.push(ticket);
                 emitted.push(report.outcome.emitted());
             } else {
-                step_traces.push(entry.session.step(self.model, self.sim));
+                step_traces.push(session.step(self.model, self.sim));
                 stepped.push(ticket);
                 emitted.push(1);
             }
@@ -469,10 +462,9 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
 
         let mut i = 0;
         while i < self.active.len() {
-            if self.active[i].session.is_done() {
-                let entry = self.active.remove(i);
-                self.finished
-                    .push((entry.session.ticket(), entry.session.into_reply()));
+            if self.active[i].is_done() {
+                let session = self.active.remove(i);
+                self.finished.push((session.ticket(), session.into_reply()));
             } else {
                 i += 1;
             }
@@ -489,49 +481,46 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
         })
     }
 
-    /// Tokens the pool must absorb when `entry` next runs: one decode
+    /// Tokens the pool must absorb when `session` next runs: one decode
     /// token for a running session, the next chunk for a prefilling
     /// one. In speculative mode a running session books `k_eff + 1`:
     /// the verify pass it is charged for appends that many rows before
     /// rejection rolls them back. The host no longer runs that pass,
     /// but the modeled pool holds its rows, so they stay booked and no
     /// preemption decision moves.
-    fn next_tokens(&self, entry: &Entry<B>) -> usize {
-        if entry.session.prefill_done() {
+    fn next_tokens(&self, session: &DecodeSession<B>) -> usize {
+        if session.prefill_done() {
             match &self.spec {
-                Some((k, _)) => (*k).min(entry.session.remaining_tokens().saturating_sub(1)) + 1,
+                Some((k, _)) => (*k).min(session.remaining_tokens().saturating_sub(1)) + 1,
                 None => 1,
             }
         } else {
-            entry.session.prefill_remaining().min(self.prefill_chunk)
+            session.prefill_remaining().min(self.prefill_chunk)
         }
     }
 
     /// Blocks a paused session needs to become resident again (restore
     /// plus one decode step).
-    fn resume_need(&self, entry: &Entry<B>) -> usize {
-        let kv = entry
-            .session
-            .paged_kv()
-            .expect("scheduler sessions are paged");
-        let pending = self.next_tokens(entry);
+    fn resume_need(&self, session: &DecodeSession<B>) -> usize {
+        let kv = session.paged_kv();
+        let pending = self.next_tokens(session);
         if kv.is_swapped() {
             kv.blocks_needed(pending)
         } else {
             // Recompute: the cache is empty; the resume re-prefills
             // everything fed so far, then the tick appends its next work.
-            (self.fed_tokens(entry) + pending).div_ceil(self.pool.block_tokens())
+            (self.fed_tokens(session) + pending).div_ceil(self.pool.block_tokens())
         }
     }
 
-    /// Tokens already in (or owed to) `entry`'s KV cache: the full
+    /// Tokens already in (or owed to) `session`'s KV cache: the full
     /// context for a running session, the chunks fed so far for a
     /// still-prefilling one.
-    fn fed_tokens(&self, entry: &Entry<B>) -> usize {
-        if entry.session.prefill_done() {
-            entry.session.prompt().len() + entry.session.tokens().len() - 1
+    fn fed_tokens(&self, session: &DecodeSession<B>) -> usize {
+        if session.prefill_done() {
+            session.prompt().len() + session.tokens().len() - 1
         } else {
-            entry.session.prompt().len() - entry.session.prefill_remaining()
+            session.prompt().len() - session.prefill_remaining()
         }
     }
 
@@ -540,32 +529,28 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// caches (prefill work of this tick).
     fn resume_paused(&mut self) -> Vec<Trace> {
         let mut recomputed = Vec::new();
-        self.paused.sort_by_key(|e| e.session.ticket());
+        self.paused.sort_by_key(DecodeSession::ticket);
         while let Some(front) = self.paused.first() {
             if self.resume_need(front) > self.pool.free_blocks() {
                 break;
             }
-            let mut entry = self.paused.remove(0);
+            let mut session = self.paused.remove(0);
             match self.preempt {
                 PreemptPolicy::SwapOut => {
-                    let moved = entry
-                        .session
-                        .paged_kv_mut()
-                        .expect("scheduler sessions are paged")
-                        .resume();
+                    let moved = session.paged_kv_mut().resume();
                     self.stats.swapped_in_elems += moved;
                 }
                 PreemptPolicy::Recompute => {
-                    let fed = self.fed_tokens(&entry);
+                    let fed = self.fed_tokens(&session);
                     if fed > 0 {
-                        recomputed.push(entry.session.resume_by_recompute(self.model));
+                        recomputed.push(session.resume_by_recompute(self.model));
                     }
                     self.stats.recompute_tokens += fed as u64;
                 }
             }
             self.stats.resumes += 1;
-            self.active.push(entry);
-            self.active.sort_by_key(|e| e.session.ticket());
+            self.active.push(session);
+            self.active.sort_by_key(DecodeSession::ticket);
         }
         recomputed
     }
@@ -595,7 +580,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             }
             let (ticket, request) = self.backlog.pop_front().expect("front exists");
             match self.admit_one(ticket, request) {
-                Ok((entry, trace)) => {
+                Ok((session, trace)) => {
                     self.stats.admitted += 1;
                     admitted.push(ticket);
                     if let Some(trace) = trace {
@@ -604,32 +589,38 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                         prefill_traces.push(trace);
                         first_tokens.push(ticket);
                     }
-                    if entry.session.is_done() {
-                        self.finished
-                            .push((entry.session.ticket(), entry.session.into_reply()));
+                    if session.is_done() {
+                        self.finished.push((session.ticket(), session.into_reply()));
                     } else {
-                        self.active.push(entry);
-                        self.active.sort_by_key(|e| e.session.ticket());
+                        self.active.push(session);
+                        self.active.sort_by_key(DecodeSession::ticket);
                     }
                 }
-                Err(()) => self.failed.push(ticket),
+                Err(_) => self.failed.push(ticket),
             }
         }
         (admitted, first_tokens)
     }
 
     /// Builds one session and — in unchunked mode — runs its whole
-    /// prefill, returning the recorded trace. A panic (empty prompt,
-    /// context overflow, out-of-vocabulary token) is contained — the
-    /// unwound cache's `Drop` releases every block it held, borrowed
-    /// prefix blocks included, so a malformed request cannot leak pool
-    /// memory. In chunked mode the session is only *validated and
-    /// created* here (no trace); [`KvScheduler::tick`]'s step phase
-    /// feeds its chunks, and prefix sharing is bypassed because a
-    /// borrowed prefix would desynchronize the chunk cursor from the
-    /// cache length.
-    fn admit_one(&mut self, ticket: u64, request: DecodeRequest) -> Result<AdmitEntry<B>, ()> {
-        let cfg = self.model.config();
+    /// prefill, returning the recorded trace. The request is checked
+    /// against the model first ([`DecoderConfig::check_request`]: empty
+    /// prompt, no new tokens, a token outside the vocabulary, context
+    /// overflow), before the prefix lookup retains any block, so a
+    /// malformed request fails without touching the pool. In chunked
+    /// mode the session is only created here (no trace);
+    /// [`KvScheduler::tick`]'s step phase feeds its chunks, and prefix
+    /// sharing is bypassed because a borrowed prefix would
+    /// desynchronize the chunk cursor from the cache length.
+    fn admit_one(
+        &mut self,
+        ticket: u64,
+        request: DecodeRequest,
+    ) -> Result<(DecodeSession<B>, Option<Trace>), RequestError> {
+        let model = self.model;
+        model
+            .config()
+            .check_request(&request.prompt, request.max_new_tokens)?;
         let chunked = self.prefill_chunk > 0;
         let shared = if chunked {
             None
@@ -638,59 +629,32 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 .as_mut()
                 .and_then(|index| index.lookup(&self.pool, &request.prompt))
         };
-        let shared_stats = shared.as_ref().map(|p| (p.num_blocks(), p.tokens()));
-        let model = self.model;
-        let sim = self.sim;
-        let backend = self.backend.clone();
-        let session_config = self.session_config;
-        let pool = self.pool.clone();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            if chunked {
-                // Later chunks run outside this catch_unwind, so reject
-                // out-of-vocabulary tokens up front.
-                assert!(
-                    request.prompt.iter().all(|&t| t < cfg.vocab),
-                    "prompt token out of vocabulary"
-                );
+        let cache = match shared {
+            Some(prefix) => {
+                self.stats.prefix_hits += 1;
+                self.stats.prefix_shared_blocks += prefix.num_blocks() as u64;
+                self.stats.prefix_shared_tokens += prefix.tokens() as u64;
+                PagedKvCache::with_shared_prefix(&self.pool, prefix)
             }
-            let cache = match shared {
-                Some(prefix) => {
-                    PagedKvCache::with_shared_prefix(&pool, cfg.layers, cfg.dim, prefix)
-                }
-                None => PagedKvCache::new(&pool, cfg.layers, cfg.dim),
-            };
-            let mut session = DecodeSession::new_paged(
-                model,
-                ticket,
-                request.prompt,
-                request.max_new_tokens,
-                backend,
-                session_config,
-                cache,
-            );
-            let trace = (!chunked).then(|| session.prefill(model, sim));
-            (session, trace)
-        }));
-        match outcome {
-            Ok((session, trace)) => {
-                if let Some((blocks, tokens)) = shared_stats {
-                    self.stats.prefix_hits += 1;
-                    self.stats.prefix_shared_blocks += blocks as u64;
-                    self.stats.prefix_shared_tokens += tokens as u64;
-                }
-                if !chunked {
-                    if let Some(index) = self.prefix.as_mut() {
-                        let refs = session
-                            .paged_kv()
-                            .expect("scheduler sessions are paged")
-                            .block_refs(session.prompt().len());
-                        index.register(session.prompt(), refs);
-                    }
-                }
-                Ok((Entry { session }, trace))
+            None => PagedKvCache::new(&self.pool),
+        };
+        let mut session = DecodeSession::new_paged(
+            model,
+            ticket,
+            request.prompt,
+            request.max_new_tokens,
+            self.backend.clone(),
+            self.session_config,
+            cache,
+        );
+        let trace = (!chunked).then(|| session.prefill(model, self.sim));
+        if !chunked {
+            if let Some(index) = self.prefix.as_mut() {
+                let refs = session.paged_kv().block_refs(session.prompt().len());
+                index.register(&self.pool, session.prompt(), refs);
             }
-            Err(_) => Err(()),
         }
+        Ok((session, trace))
     }
 
     /// Guarantees the pool can absorb every resident session's next
@@ -701,12 +665,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
             let need: usize = self
                 .active
                 .iter()
-                .map(|e| {
-                    e.session
-                        .paged_kv()
-                        .expect("scheduler sessions are paged")
-                        .blocks_needed(self.next_tokens(e))
-                })
+                .map(|s| s.paged_kv().blocks_needed(self.next_tokens(s)))
                 .sum();
             if need <= self.pool.free_blocks() {
                 return;
@@ -716,32 +675,24 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
                 "KV pool cannot cover a single session's next token — \
                  KvServeConfig::validate should have rejected this pool"
             );
-            let resident: Vec<u64> = self.active.iter().map(|e| e.session.ticket()).collect();
+            let resident: Vec<u64> = self.active.iter().map(DecodeSession::ticket).collect();
             let victim_idx = self.active.len() - 1; // active is ticket-sorted
-            let mut entry = self.active.remove(victim_idx);
+            let mut session = self.active.remove(victim_idx);
             match self.preempt {
                 PreemptPolicy::SwapOut => {
-                    let moved = entry
-                        .session
-                        .paged_kv_mut()
-                        .expect("scheduler sessions are paged")
-                        .swap_out();
+                    let moved = session.paged_kv_mut().swap_out();
                     self.stats.swapped_out_elems += moved;
                 }
                 PreemptPolicy::Recompute => {
-                    entry
-                        .session
-                        .paged_kv_mut()
-                        .expect("scheduler sessions are paged")
-                        .drop_resident();
+                    session.paged_kv_mut().drop_resident();
                 }
             }
             self.stats.preemptions += 1;
             self.preemption_events.push(PreemptionEvent {
-                victim: entry.session.ticket(),
+                victim: session.ticket(),
                 resident,
             });
-            self.paused.push(entry);
+            self.paused.push(session);
         }
     }
 }
@@ -994,35 +945,70 @@ mod tests {
     }
 
     #[test]
-    fn a_malformed_request_fails_cleanly_in_chunked_mode() {
+    fn malformed_requests_fail_cleanly_chunked_or_not() {
+        // Each malformed shape fails admission with its typed reason,
+        // unchunked and chunked, with prefix sharing on: all but the
+        // empty prompt extend a cached prompt, so a check made after the
+        // prefix lookup would leak the borrowed blocks. The well-formed
+        // neighbours are served and the pool ends empty.
         let m = model();
+        let cfg = m.config();
         let sim = Simulator::new(ArchConfig::lt_base(8));
-        let kv = KvServeConfig {
-            block_tokens: 4,
-            pool_blocks: 64,
-            ..KvServeConfig::default()
-        };
-        let mut sched = KvScheduler::new(&m, &sim, NativeBackend, SessionConfig::default(), kv, 4)
-            .with_prefill_chunk(2);
-        sched.submit(
-            0,
-            DecodeRequest {
-                prompt: vec![1, usize::MAX, 2], // out of vocabulary
-                max_new_tokens: 4,
-            },
-        );
-        sched.submit(
-            1,
-            DecodeRequest {
-                prompt: vec![1, 2, 3, 4, 5],
-                max_new_tokens: 4,
-            },
-        );
-        let replies = run_to_completion(&mut sched);
-        assert_eq!(sched.drain_failed(), vec![0]);
-        assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].0, 1);
-        assert_eq!(sched.pool().used_blocks(), 0, "no leaked blocks");
+        let good = vec![1, 2, 3, 4, 5];
+        let malformed = [
+            (vec![], 4, RequestError::EmptyPrompt),
+            (good.clone(), 0, RequestError::NoNewTokens),
+            (
+                vec![1, 2, 3, 4, 5, usize::MAX],
+                4,
+                RequestError::TokenOutOfVocab {
+                    token: usize::MAX,
+                    vocab: cfg.vocab,
+                },
+            ),
+            (
+                good.clone(),
+                45,
+                RequestError::ContextOverflow {
+                    prompt: 5,
+                    max_new_tokens: 45,
+                    max_seq: cfg.max_seq,
+                },
+            ),
+        ];
+        for (prompt, max_new_tokens, reason) in malformed {
+            assert_eq!(cfg.check_request(&prompt, max_new_tokens), Err(reason));
+            for chunk in [0, 2] {
+                let kv = KvServeConfig {
+                    block_tokens: 4,
+                    pool_blocks: 64,
+                    prefix_sharing: true,
+                    ..KvServeConfig::default()
+                };
+                let mut sched =
+                    KvScheduler::new(&m, &sim, NativeBackend, SessionConfig::default(), kv, 4)
+                        .with_prefill_chunk(chunk);
+                for (t, prompt, max_new_tokens) in [
+                    (0, good.clone(), 4),
+                    (1, prompt.clone(), max_new_tokens),
+                    (2, good.clone(), 4),
+                ] {
+                    sched.submit(
+                        t,
+                        DecodeRequest {
+                            prompt,
+                            max_new_tokens,
+                        },
+                    );
+                }
+                let replies = run_to_completion(&mut sched);
+                let at = format!("{reason}, chunk {chunk}");
+                assert_eq!(sched.drain_failed(), vec![1], "{at}");
+                let served: Vec<u64> = replies.iter().map(|&(t, _)| t).collect();
+                assert_eq!(served, vec![0, 2], "{at}");
+                assert_eq!(sched.pool().used_blocks(), 0, "{at}: leaked blocks");
+            }
+        }
     }
 
     fn run_requests_spec(

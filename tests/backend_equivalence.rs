@@ -417,7 +417,7 @@ fn decode_path_digest<B: ComputeBackend + Clone>(
 
     let pool = BlockPool::new(32, cfg.layers, cfg.dim, 4);
     for mid_prefill in [false, true] {
-        let cache = PagedKvCache::new(&pool, cfg.layers, cfg.dim);
+        let cache = PagedKvCache::new(&pool);
         let mut s =
             DecodeSession::new_paged(&model, 6, prompt.clone(), 8, backend.clone(), config, cache);
         if mid_prefill {
@@ -428,7 +428,7 @@ fn decode_path_digest<B: ComputeBackend + Clone>(
                 s.step(&model, &sim);
             }
         }
-        s.paged_kv_mut().expect("paged").drop_resident();
+        s.paged_kv_mut().drop_resident();
         words.extend(trace_words(&s.resume_by_recompute(&model)));
         while !s.prefill_done() {
             s.prefill_partial(&model, &sim, 4);

@@ -15,9 +15,10 @@
 //! 4. a preempted-and-resumed decode is bit-identical to an
 //!    uninterrupted one — under swap-out for a *noisy* backend, and
 //!    under recompute for a deterministic one;
-//! 5. paged decode is bit-identical to the contiguous cache for any
-//!    block size, whenever the pool is large enough to avoid preemption
-//!    (the acceptance cross-validation);
+//! 5. a session decodes bit-identically on its private one-block cache
+//!    (`DecoderLm::empty_cache`) and on a shared pool of any block size
+//!    large enough to avoid preemption, up to a session that fills the
+//!    whole context window (the acceptance cross-validation);
 //! 6. every token written to a session's KV cache, recomputed ones
 //!    included, is charged to a tick's traces exactly once.
 
@@ -26,11 +27,9 @@ use lightening_transformer::core::{ComputeBackend, NonGemmKind, Op};
 use lightening_transformer::core::{GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, SessionConfig,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
 };
-use lightening_transformer::nn::kv::{
-    BlockPool, ModelKv, PagedKvCache, PreemptPolicy, PrefixIndex,
-};
+use lightening_transformer::nn::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 use lightening_transformer::nn::serve::decode::DecodeRequest;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
 use lightening_transformer::nn::Tensor;
@@ -104,15 +103,15 @@ fn cow_never_aliases_writes_into_a_shared_prefix() {
 
         let shared_tokens = 4 + rng.below(7);
         let prompt: Vec<usize> = (0..shared_tokens).map(|i| i % 16).collect();
-        let mut a = PagedKvCache::new(&pool, 1, dim);
+        let mut a = PagedKvCache::new(&pool);
         let rows = Tensor::from_fn(shared_tokens, dim, |i, j| {
             (seed * 100) as f32 + (i * dim + j) as f32
         });
         a.layer_mut(0).append(&rows, &rows);
-        index.register(&prompt, a.block_refs(shared_tokens));
+        index.register(&pool, &prompt, a.block_refs(shared_tokens));
 
         let prefix = index.lookup(&pool, &prompt).expect("registered and live");
-        let mut b = PagedKvCache::with_shared_prefix(&pool, 1, dim, prefix);
+        let mut b = PagedKvCache::with_shared_prefix(&pool, prefix);
         let skipped = Tensor::from_fn(shared_tokens, dim, |_, _| -1.0);
         let w = b.layer_mut(0).append(&skipped, &skipped);
         assert_eq!(w.rows_written, 0, "seed {seed}: borrowed rows rewritten");
@@ -287,52 +286,85 @@ fn preempted_decode_is_bit_identical_to_uninterrupted_decode() {
     }
 }
 
+/// One request decoded at depth `k` (plain steps at 0) twice: on the
+/// private one-block cache of `DecodeSession::new` and on a cache over
+/// the shared `pool`. Checks that the pool drains.
+fn private_and_shared_replies<B: ComputeBackend + Clone>(
+    m: &DecoderLm,
+    backend: B,
+    (ticket, prompt, max_new): (u64, &[usize], usize),
+    k: usize,
+    pool: &BlockPool,
+) -> [DecodeReply; 2] {
+    let draft = DraftLm::from_target(m);
+    let sim = Simulator::new(ArchConfig::lt_base(8));
+    let config = SessionConfig::default();
+    let sessions = [
+        DecodeSession::new(m, ticket, prompt.to_vec(), max_new, backend.clone(), config),
+        DecodeSession::new_paged(
+            m,
+            ticket,
+            prompt.to_vec(),
+            max_new,
+            backend,
+            config,
+            PagedKvCache::new(pool),
+        ),
+    ];
+    let replies = sessions.map(|mut s| {
+        s.prefill(m, &sim);
+        while !s.is_done() {
+            if k == 0 {
+                s.step(m, &sim);
+            } else {
+                s.spec_step(m, &draft, &sim, k);
+            }
+        }
+        s.into_reply()
+    });
+    assert_eq!(pool.used_blocks(), 0, "the shared pool drains");
+    replies
+}
+
 /// Invariant 5 (the acceptance cross-validation): for any block size,
-/// a paged session over a pool large enough to avoid preemption is
-/// bit-identical to the contiguous-cache session — tokens, per-token
-/// costs, and KV byte accounting.
+/// a session on a shared pool large enough to avoid preemption is
+/// bit-identical to the same session on its private one-block cache
+/// (`DecodeSession::new`) — tokens, per-token costs, and KV byte
+/// accounting.
 #[test]
-fn paged_decode_is_bit_identical_to_contiguous_for_every_block_size() {
+fn a_shared_pool_is_bit_identical_to_the_private_cache_for_every_block_size() {
     let m = model();
     let cfg = m.config();
-    let sim = Simulator::new(ArchConfig::lt_base(8));
     for block_tokens in [1, 3, 16] {
-        for (ticket, prompt, n) in [(0u64, vec![1usize, 2, 3, 4, 5], 6), (9, vec![7, 7, 1], 12)] {
+        let pool = BlockPool::new(200, cfg.layers, cfg.dim, block_tokens);
+        for request in [(0u64, &[1usize, 2, 3, 4, 5][..], 6), (9, &[7, 7, 1], 12)] {
             let backend = DptcBackend::paper(8, 5);
-            let mut contiguous = DecodeSession::new(
-                &m,
-                ticket,
-                prompt.clone(),
-                n,
-                backend.clone(),
-                SessionConfig::default(),
-            );
-            contiguous.prefill(&m, &sim);
-            while !contiguous.is_done() {
-                contiguous.step(&m, &sim);
-            }
-
-            let pool = BlockPool::new(200, cfg.layers, cfg.dim, block_tokens);
-            let cache = PagedKvCache::new(&pool, cfg.layers, cfg.dim);
-            let mut paged = DecodeSession::new_paged(
-                &m,
-                ticket,
-                prompt,
-                n,
-                backend,
-                SessionConfig::default(),
-                cache,
-            );
-            paged.prefill(&m, &sim);
-            while !paged.is_done() {
-                paged.step(&m, &sim);
-            }
-            assert_eq!(
-                contiguous.into_reply(),
-                paged.into_reply(),
-                "block_tokens={block_tokens}: paged and contiguous diverged"
-            );
+            let [private, shared] = private_and_shared_replies(&m, backend, request, 0, &pool);
+            assert_eq!(private, shared, "block_tokens={block_tokens}");
         }
+    }
+}
+
+/// Invariant 5 at the window's edge: a request that fills the whole
+/// context window (`prompt + max_new - 1 == max_seq`: 40 + 9 on the
+/// tiny decoder) fits the private cache's one block exactly, plain and
+/// speculative (the draft keeps a private cache too), on the exact and
+/// the noisy backend, and decodes as on a shared pool of 4-token blocks
+/// exactly that large.
+#[test]
+fn a_session_that_fills_the_window_decodes_alike_on_private_and_shared_caches() {
+    let m = model();
+    let cfg = m.config();
+    let prompt: Vec<usize> = (0..40).map(|i| (i * 7 + 3) % cfg.vocab).collect();
+    let request = (5, &prompt[..], cfg.max_seq + 1 - prompt.len());
+    let pool = BlockPool::new(cfg.max_seq / 4, cfg.layers, cfg.dim, 4);
+    for k in [0, 4] {
+        let [private, shared] = private_and_shared_replies(&m, NativeBackend, request, k, &pool);
+        assert_eq!(private.tokens.len(), 9);
+        assert_eq!(private, shared, "exact backend, k {k}");
+        let noisy = DptcBackend::paper(8, 5);
+        let [private, shared] = private_and_shared_replies(&m, noisy, request, k, &pool);
+        assert_eq!(private, shared, "noisy backend, k {k}");
     }
 }
 

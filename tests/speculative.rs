@@ -3,15 +3,15 @@
 //! Greedy draft + greedy verify + KV rollback must leave the output
 //! stream **bit-identical** to plain greedy decode — for every
 //! speculation depth, every backend (deterministic native and noisy
-//! photonic), both cache paths (contiguous and paged), and any
-//! `ParallelBackend` thread count. Speculation may only change *how
-//! fast* tokens are produced (scheduler ticks, replayed cycles), never
-//! *which* tokens. These tests pin that contract plus the rollback
-//! bookkeeping: a speculative session's paged cache never leaks a
-//! block — after every step the `BlockPool` free count matches the
-//! committed context exactly, and a drained pool ends full — and the
-//! copy-on-write of a shared tail block, charged once to the verify
-//! pass.
+//! photonic), a session's private one-block cache and a shared block
+//! pool, and any `ParallelBackend` thread count. Speculation may only
+//! change *how fast* tokens are produced (scheduler ticks, replayed
+//! cycles), never *which* tokens. These tests pin that contract plus
+//! the rollback bookkeeping: a speculative session's paged cache never
+//! leaks a block — after every step the `BlockPool` free count matches
+//! the committed context exactly, and a drained pool ends full — and
+//! the copy-on-write of a shared tail block, charged once to the
+//! verify pass.
 
 mod common;
 
@@ -22,7 +22,7 @@ use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
     DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
 };
-use lightening_transformer::nn::kv::{BlockPool, ModelKv, PagedKvCache};
+use lightening_transformer::nn::kv::{BlockPool, PagedKvCache};
 use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, SpecConfig};
 use lightening_transformer::nn::serve::lifecycle::SloFrontend;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
@@ -42,45 +42,19 @@ fn tapered_model(seed: u64) -> DecoderLm {
     model
 }
 
-/// Runs one session to completion on a contiguous cache: plain steps
-/// at `k == 0`, speculative steps otherwise.
-fn run_contiguous<B: ComputeBackend + Clone>(
+/// Runs one session to completion — plain steps at `k == 0`,
+/// speculative steps otherwise — on a cache over the shared `pool`, or
+/// on the session's private cache (`DecoderLm::empty_cache`, what
+/// `DecodeSession::new` uses) when `pool` is `None`.
+fn run<B: ComputeBackend + Clone>(
     model: &DecoderLm,
     backend: B,
     k: usize,
+    pool: Option<&BlockPool>,
 ) -> DecodeReply {
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let draft = DraftLm::from_target(model);
-    let mut session = DecodeSession::new(
-        model,
-        0,
-        PROMPT.to_vec(),
-        MAX_NEW,
-        backend,
-        SessionConfig::default(),
-    );
-    session.prefill(model, &sim);
-    while !session.is_done() {
-        if k == 0 {
-            session.step(model, &sim);
-        } else {
-            session.spec_step(model, &draft, &sim, k);
-        }
-    }
-    session.into_reply()
-}
-
-/// Same, on a paged cache over `pool`.
-fn run_paged<B: ComputeBackend + Clone>(
-    model: &DecoderLm,
-    backend: B,
-    k: usize,
-    pool: &BlockPool,
-) -> DecodeReply {
-    let sim = Simulator::new(ArchConfig::lt_base(8));
-    let draft = DraftLm::from_target(model);
-    let config = model.config();
-    let cache = PagedKvCache::new(pool, config.layers, config.dim);
+    let cache = pool.map_or_else(|| model.empty_cache(), PagedKvCache::new);
     let mut session = DecodeSession::new_paged(
         model,
         0,
@@ -102,22 +76,22 @@ fn run_paged<B: ComputeBackend + Clone>(
 }
 
 #[test]
-fn speculative_decode_is_bit_identical_on_contiguous_caches() {
+fn speculative_decode_is_bit_identical_on_private_caches() {
     // Full-reply equality (tokens AND per-token replayed costs AND KV
     // footprint) across seeds, depths, and both backend families.
     for seed in [1u64, 9, 23] {
         let model = tapered_model(seed);
-        let exact = run_contiguous(&model, NativeBackend, 0);
-        let noisy = run_contiguous(&model, DptcBackend::paper(8, 3), 0);
+        let exact = run(&model, NativeBackend, 0, None);
+        let noisy = run(&model, DptcBackend::paper(8, 3), 0, None);
         assert_eq!(exact.tokens.len(), MAX_NEW);
         for k in SPEC_KS {
             assert_eq!(
-                run_contiguous(&model, NativeBackend, k),
+                run(&model, NativeBackend, k, None),
                 exact,
                 "native backend diverged at seed {seed}, k={k}"
             );
             assert_eq!(
-                run_contiguous(&model, DptcBackend::paper(8, 3), k),
+                run(&model, DptcBackend::paper(8, 3), k, None),
                 noisy,
                 "noisy DPTC backend diverged at seed {seed}, k={k}"
             );
@@ -131,24 +105,24 @@ fn speculative_decode_is_bit_identical_on_paged_caches() {
     for seed in [5u64, 17] {
         let model = tapered_model(seed);
         // A roomy pool: the contract under pressure is the scheduler
-        // tests' business; here the paged session itself must match
-        // both its plain-paged and contiguous siblings.
+        // tests' business; here the session on the shared pool must
+        // match both its plain sibling there and its private-cache one.
         let pool = BlockPool::new(64, config.layers, config.dim, 4);
-        let exact = run_paged(&model, NativeBackend, 0, &pool);
+        let exact = run(&model, NativeBackend, 0, Some(&pool));
         assert_eq!(
             exact,
-            run_contiguous(&model, NativeBackend, 0),
-            "paged plain decode must match contiguous (seed {seed})"
+            run(&model, NativeBackend, 0, None),
+            "plain decode on the shared pool must match the private cache (seed {seed})"
         );
-        let noisy = run_paged(&model, DptcBackend::paper(8, 3), 0, &pool);
+        let noisy = run(&model, DptcBackend::paper(8, 3), 0, Some(&pool));
         for k in SPEC_KS {
             assert_eq!(
-                run_paged(&model, NativeBackend, k, &pool),
+                run(&model, NativeBackend, k, Some(&pool)),
                 exact,
                 "native paged diverged at seed {seed}, k={k}"
             );
             assert_eq!(
-                run_paged(&model, DptcBackend::paper(8, 3), k, &pool),
+                run(&model, DptcBackend::paper(8, 3), k, Some(&pool)),
                 noisy,
                 "noisy paged diverged at seed {seed}, k={k}"
             );
@@ -178,7 +152,7 @@ fn rollback_restores_the_block_pool_free_count_exactly() {
     let draft = DraftLm::from_target(&model);
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let pool = BlockPool::new(64, config.layers, config.dim, 4);
-    let cache = PagedKvCache::new(&pool, config.layers, config.dim);
+    let cache = PagedKvCache::new(&pool);
     let mut session = DecodeSession::new_paged(
         &model,
         0,
@@ -195,7 +169,7 @@ fn rollback_restores_the_block_pool_free_count_exactly() {
             report.outcome.rollback <= 4,
             "at most k proposals roll back"
         );
-        let kv = session.paged_kv().expect("session is paged");
+        let kv = session.paged_kv();
         // The cache holds everything *fed*: the prompt plus all sampled
         // tokens except the newest, which is fed by the next step.
         let context = PROMPT.len() + session.tokens().len() - 1;
