@@ -1,7 +1,8 @@
 //! Benches for the DPTC core: one-shot MM and tiled GEMM at the
 //! simulation fidelities, the ragged-vs-flat storage comparison, the
-//! noisy backend per call at serving shapes, and bulk vs per-draw
-//! Gaussian sampling.
+//! noisy backend per call at serving shapes (on a plain B and on a B
+//! whose DAC codes are memoized), and bulk vs per-draw Gaussian
+//! sampling.
 //!
 //! # Before/after note (flat `Matrix` migration)
 //!
@@ -39,7 +40,7 @@
 //! `fill_normal`.
 
 use lt_bench::timing::bench;
-use lt_core::{ComputeBackend, GaussianSampler, Matrix64, RunCtx};
+use lt_core::{ComputeBackend, GaussianSampler, Matrix64, OperandMemo, RunCtx};
 use lt_dptc::ddot::WavelengthCoefficients;
 use lt_dptc::{DdotCircuit, Dptc, DptcBackend, DptcConfig, Fidelity, NoiseModel};
 
@@ -175,26 +176,32 @@ fn main() {
     }
 
     // The serving path: `BackendEngine` calls `gemm_into` on a reused
-    // buffer. The first three shapes are servebench `dptc_pressure`'s
+    // buffer. The first four shapes are servebench `dptc_pressure`'s
     // decode GEMMs (tiny decoder, dim 32), the last a GPT2-small
-    // projection.
+    // projection. Each `memo` row runs the same product on a B that
+    // carries a memo, which the harness's warmup fills with B's DAC
+    // codes, as a staged weight's first product does.
     println!();
     let backend = DptcBackend::paper(8, 5);
     let mut out = Matrix64::zeros(0, 0);
     for &(m, k, n) in &[
         (1usize, 32usize, 32usize),
         (4, 32, 32),
+        (1, 32, 64),
         (1, 8, 17),
         (1, 768, 768),
     ] {
         let a = rand_matrix(m, k, 5);
         let b = rand_matrix(k, n, 6);
-        let mut ctx = RunCtx::new(7);
-        let r = bench(&format!("backend_paper_8bit/{m}x{k}x{n}"), || {
-            backend.gemm_into(a.view(), b.view(), &mut ctx, &mut out);
-            out.get(0, 0)
-        });
-        println!("{}", r.row());
+        let memo = OperandMemo::new();
+        for (label, b) in [("", b.view()), ("/memo", b.view().with_memo(&memo))] {
+            let mut ctx = RunCtx::new(7);
+            let r = bench(&format!("backend_paper_8bit/{m}x{k}x{n}{label}"), || {
+                backend.gemm_into(a.view(), b, &mut ctx, &mut out);
+                out.get(0, 0)
+            });
+            println!("{}", r.row());
+        }
     }
 
     // Bulk Gaussian draws against one `sample()` call per draw.

@@ -55,7 +55,7 @@ pub use backend::{
     blocked_gemm, blocked_gemm_with_seed, row_blocks, split_seed, ComputeBackend, NativeBackend,
     RunCtx,
 };
-pub use matrix::{reference_gemm, Matrix, Matrix32, Matrix64, MatrixView, Scalar};
+pub use matrix::{reference_gemm, Matrix, Matrix32, Matrix64, MatrixView, OperandMemo, Scalar};
 pub use noise::GaussianSampler;
 pub use quant::{quantized_gemm, GroupAxis, QuantizedMatrix, Quantizer};
 pub use trace::{Module, NonGemmKind, Op, OpKind, OperandDynamics, Trace};

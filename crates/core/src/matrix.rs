@@ -9,8 +9,16 @@
 //! zero-copy slicing and a cache-friendly tiled matmul kernel.
 
 use crate::noise::GaussianSampler;
+use std::any::Any;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::sync::{Arc, OnceLock};
+
+/// A memo slot an `f64` operand can carry ([`MatrixView::with_memo`]): a
+/// backend may fill it once with work that depends only on the
+/// operand's values, such as the DPTC's DAC codes of a staged weight,
+/// and reuse that work on every later product with the same operand.
+pub type OperandMemo = OnceLock<Arc<dyn Any + Send + Sync>>;
 
 /// Scalar element types a [`Matrix`] can hold (`f32` and `f64`).
 pub trait Scalar:
@@ -176,6 +184,7 @@ impl<T: Scalar> Matrix<T> {
             stride: self.cols,
             data: &self.data,
             source: None,
+            memo: None,
         }
     }
 
@@ -455,8 +464,10 @@ impl<T: Scalar> fmt::Display for Matrix<T> {
 /// An `f64` view may also carry the `f32` values its elements were
 /// widened from ([`MatrixView::with_f32_source`]): the exact kernel can
 /// then stream the right operand at half the bytes with the same bits.
-/// [`MatrixView::block`] keeps the source; every copy out of the view
-/// ([`MatrixView::to_matrix`] and the like) holds the `f64` values only.
+/// It may also carry a memo slot ([`MatrixView::with_memo`]).
+/// [`MatrixView::block`] keeps the source and drops the memo; every copy
+/// out of the view ([`MatrixView::to_matrix`] and the like) holds the
+/// `f64` values only.
 ///
 /// ```
 /// use lt_core::Matrix64;
@@ -474,6 +485,9 @@ pub struct MatrixView<'a, T> {
     /// `f32` values laid out like `data` that widen to it exactly; only
     /// an `f64` view carries one ([`MatrixView::with_f32_source`]).
     source: Option<&'a [f32]>,
+    /// A memo of work derived from the viewed values
+    /// ([`MatrixView::with_memo`]); only an `f64` view carries one.
+    memo: Option<&'a OperandMemo>,
 }
 
 impl<'a, T: Scalar> MatrixView<'a, T> {
@@ -490,6 +504,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             stride: cols,
             data,
             source: None,
+            memo: None,
         }
     }
 
@@ -551,6 +566,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             stride: self.stride,
             data: &self.data[start..end],
             source: self.source.map(|source| &source[start..end]),
+            memo: None,
         }
     }
 
@@ -563,6 +579,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             stride: self.stride,
             data,
             source: None,
+            memo: None,
         })
     }
 
@@ -636,6 +653,24 @@ impl<'a> MatrixView<'a, f64> {
             source: Some(source.data),
             ..self
         }
+    }
+
+    /// Attaches `memo`, a slot a backend may fill with work derived from
+    /// this view's values alone and reuse on every later product with
+    /// them (the analytic DPTC keeps the right operand's DAC codes
+    /// there). The caller keeps it current: whoever changes the values
+    /// must empty the memo first. Products equal those without it, bit
+    /// for bit.
+    pub fn with_memo(self, memo: &'a OperandMemo) -> Self {
+        MatrixView {
+            memo: Some(memo),
+            ..self
+        }
+    }
+
+    /// The slot attached by [`MatrixView::with_memo`], if any.
+    pub fn memo(&self) -> Option<&'a OperandMemo> {
+        self.memo
     }
 }
 

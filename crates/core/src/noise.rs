@@ -171,7 +171,7 @@ impl GaussianSampler {
     }
 
     /// The rest of the ziggurat after `bits` missed its layer's
-    /// rectangle (about 1 % of draws): the tail beyond `ZIG_R` for the
+    /// rectangle (about 2.76 % of draws): the tail beyond `ZIG_R` for the
     /// base strip, else the wedge's density test, and on rejection fresh
     /// draws from the top. Out of line so the common case stays small
     /// enough to inline into every caller.
@@ -379,7 +379,7 @@ mod tests {
     fn sample_stream_is_pinned() {
         // Digests of the first 200 000 `sample()` draws per seed, taken
         // from the per-draw ziggurat before `fill_normal` became the bulk
-        // path. 200 000 draws reach the wedge (~1 %) and the tail
+        // path. 200 000 draws reach the wedge (~2.7 %) and the tail
         // (~0.06 %), so a change to any branch of the sampler, or to how
         // many raw draws a branch consumes, moves a digest.
         const PINNED: [(u64, u64); 4] = [
@@ -393,6 +393,19 @@ mod tests {
             let got = fnv1a((0..200_000).map(|_| g.sample()));
             assert_eq!(got, digest, "seed {seed}: sample() stream moved");
         }
+    }
+
+    #[test]
+    fn about_2_76_percent_of_draws_miss_the_rectangle() {
+        // The 128-layer tables accept sum(x[i+1] / x[i]) / 128 = 0.97244
+        // of draws in the rectangle; the rest run out of line.
+        let (t, mut g) = (zig_tables(), GaussianSampler::new(31));
+        let n = 1_000_000;
+        let misses = (0..n)
+            .filter(|_| zig_rectangle(t, g.next_u64()).is_none())
+            .count();
+        let rate = misses as f64 / n as f64;
+        assert!((0.025..=0.030).contains(&rate), "miss rate {rate}");
     }
 
     #[test]

@@ -272,11 +272,11 @@ impl ComputeBackend for DptcBackend {
 
     fn preferred_block_rows(&self) -> usize {
         // Blocks stay a whole number of `Nh`-row hardware strips, but
-        // span several of them: every `gemm_block` call re-gathers,
-        // re-quantizes, and re-encodes the full right operand's tiles,
-        // so wider blocks amortize that DAC work across more output
-        // rows (the tiled loop reuses B tiles for every strip in the
-        // block).
+        // span several of them: every `gemm_block` call redraws the
+        // full right operand's encoding noise (and re-encodes its tiles
+        // unless a memo holds their codes), so wider blocks amortize
+        // that DAC work across more output rows (the tiled loop reuses
+        // B tiles for every strip in the block).
         self.core.config().nh * 4
     }
 
@@ -307,7 +307,7 @@ impl ComputeBackend for DptcBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lt_core::{GaussianSampler, NativeBackend};
+    use lt_core::{GaussianSampler, NativeBackend, OperandMemo};
 
     fn rand_pair(m: usize, k: usize, n: usize, seed: u64) -> (Matrix64, Matrix64) {
         let mut rng = GaussianSampler::new(seed);
@@ -419,6 +419,72 @@ mod tests {
                 assert_eq!(got_ctx, want_ctx, "seed stream position");
             }
         }
+    }
+
+    fn bits(m: &Matrix64) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_memo_never_changes_a_product() {
+        let mut rng = GaussianSampler::new(17);
+        let dims = [1, 11, 12, 13, 37];
+        let mut bs: Vec<Matrix64> = Vec::new();
+        for d in dims {
+            for n in dims {
+                bs.push(Matrix64::from_fn(d, n, |_, _| rng.uniform_in(-1.0, 1.0)));
+            }
+        }
+        // An all-zero tile (rows and columns 12..24) and `-0.0` entries.
+        bs.push(Matrix64::from_fn(37, 37, |i, j| match (i, j) {
+            (12..24, 12..24) => 0.0,
+            _ if (i + j) % 5 == 0 => -0.0,
+            _ => rng.uniform_in(-1.0, 1.0),
+        }));
+        let (mut want, mut got) = (Matrix64::zeros(0, 0), Matrix64::zeros(0, 0));
+        for backend in [
+            DptcBackend::paper(8, 3),
+            DptcBackend::paper(4, 3),
+            DptcBackend::quantized(8),
+        ] {
+            for b in &bs {
+                let memo = OperandMemo::new();
+                let staged = b.view().with_memo(&memo);
+                let (mut plain_ctx, mut memo_ctx) = (RunCtx::new(9), RunCtx::new(9));
+                for m in [0, 1, 4, 48, 49, 97] {
+                    let name = ComputeBackend::name(&backend);
+                    let label = format!("{name} {}-bit {m} x {:?}", backend.bits(), b.shape());
+                    let a = Matrix64::from_fn(m, b.rows(), |_, _| rng.uniform_in(-1.0, 1.0));
+                    backend.gemm_into(a.view(), b.view(), &mut plain_ctx, &mut want);
+                    backend.gemm_into(a.view(), staged, &mut memo_ctx, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "gemm_into {label}");
+                    assert!(memo.get().is_some() || m == 0, "filled by {label}");
+                    let want = backend.gemm(a.view(), b.view(), &mut plain_ctx);
+                    let got = backend.gemm(a.view(), staged, &mut memo_ctx);
+                    assert_eq!(bits(&got), bits(&want), "gemm {label}");
+                    assert_eq!(memo_ctx, plain_ctx, "seed stream {label}");
+                }
+            }
+        }
+
+        // A 4-bit entry stays, and an 8-bit backend encodes beside it.
+        let (a, b) = (Matrix64::from_fn(5, 37, |i, j| (i * j) as f64), &bs[25]);
+        let memo = OperandMemo::new();
+        let staged = b.view().with_memo(&memo);
+        DptcBackend::paper(4, 3).gemm(a.view(), staged, &mut RunCtx::new(1));
+        let entry = Arc::clone(memo.get().expect("filled"));
+        let paper8 = DptcBackend::paper(8, 3);
+        let want = paper8.gemm(a.view(), b.view(), &mut RunCtx::new(2));
+        let mut got = paper8.gemm(a.view(), staged, &mut RunCtx::new(2));
+        assert_eq!(bits(&got), bits(&want));
+        assert!(Arc::ptr_eq(memo.get().expect("kept"), &entry));
+
+        let memo = OperandMemo::new();
+        let staged = b.view().with_memo(&memo);
+        let ideal = DptcBackend::ideal(DptcConfig::lt_paper());
+        ideal.gemm_into(a.view(), staged, &mut RunCtx::new(3), &mut got);
+        ideal.gemm(a.view(), staged, &mut RunCtx::new(3));
+        assert!(memo.get().is_none(), "the exact product keeps no codes");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::ddot::{
 };
 use crate::noise_model::NoiseModel;
 use lt_core::{GaussianSampler, Matrix64, MatrixView, Quantizer};
+use std::sync::Arc;
 
 /// Geometry of a DPTC crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -366,24 +367,33 @@ impl Dptc {
     ///
     /// The analytic path is the workspace's hottest loop (every recorded
     /// forward pass lands here), so it is organized around three
-    /// invariants: every `B` tile is gathered, normalized, DAC-quantized,
-    /// and magnitude-perturbed exactly once per call (stored transposed
-    /// so each DDot reads its wavelength column contiguously); every `A`
-    /// tile once per row strip. Encoding noise is drawn at gather time
-    /// because that is when the DAC drives the modulator: a tile loaded
-    /// once and reused against many partners carries one encoding
-    /// realization — the same operand-reuse structure the paper's Eq. 6
-    /// counts DAC conversions by. The per-output noise model then needs
-    /// one `sin_cos` and two Gaussians per DDot, with a branch-free
-    /// multiply-add MAC loop in between. Noise work is confined to the
-    /// *valid* tile region: edge tiles (and especially the `m = 1`
-    /// matrix-vector products of autoregressive decode, which occupy one
-    /// row of a 12-row strip) never pay DAC-encoding or per-DDot draws
-    /// for zero-padded rows, columns, or wavelengths — padding is never
-    /// encoded, carries no signal, and its detector outputs are
-    /// discarded, so the model draws nothing for it. The circuit
-    /// fidelity keeps the straightforward gather-per-tile structure — it
-    /// is a validation path, not a hot one.
+    /// invariants: every `B` tile is magnitude-perturbed exactly once per
+    /// call (stored transposed so each DDot reads its wavelength column
+    /// contiguously), every `A` tile once per row strip, and each tile's
+    /// noise-free DAC codes are computed at most once per call. Encoding
+    /// noise is drawn at gather time because that is when the DAC drives
+    /// the modulator: a tile loaded once and reused against many partners
+    /// carries one encoding realization — the same operand-reuse
+    /// structure the paper's Eq. 6 counts DAC conversions by. The
+    /// per-output noise model then needs one `sin_cos` and two Gaussians
+    /// per DDot, with a branch-free multiply-add MAC loop in between.
+    /// Noise work is confined to the *valid* tile region: edge tiles (and
+    /// especially the `m = 1` matrix-vector products of autoregressive
+    /// decode, which occupy one row of a 12-row strip) never pay
+    /// DAC-encoding or per-DDot draws for zero-padded rows, columns, or
+    /// wavelengths — padding is never encoded, carries no signal, and its
+    /// detector outputs are discarded, so the model draws nothing for it.
+    /// The circuit fidelity keeps the straightforward gather-per-tile
+    /// structure — it is a validation path, not a hot one.
+    ///
+    /// A weight reaches the DAC as stored codes: only the drive and its
+    /// noise are per use. So when `b` carries a memo
+    /// ([`MatrixView::with_memo`]) the first product fills it with `B`'s
+    /// codes ([`Dptc::encode_b`]), keyed by the core geometry, `bits` and
+    /// `B`'s shape, and every later product reads them back instead of
+    /// re-encoding; the first writer wins, and a call whose key differs
+    /// encodes into scratch as an operand without a memo does. Encoding
+    /// draws nothing, so the memo moves no draw and no bit.
     ///
     /// Gaussians are drawn in bulk: one [`GaussianSampler::fill_normal`]
     /// per encoded tile and one per tile product, each in the order the
@@ -440,43 +450,65 @@ impl Dptc {
         let nn = n.div_ceil(nv);
         let tlen_a = nh * nlambda;
         let tlen_b = nv * nlambda;
+        let sigma = noise.sigma_magnitude;
         // One tile's encoding draws, or one tile product's (phase,
         // systematic) pairs, whichever is larger.
         let draws = (nh.max(nv) * nlambda).max(2 * nh * nv);
+        let key = (self.config, bits, d, n);
+        let staged = b.memo().and_then(|memo| {
+            memo.get_or_init(|| {
+                let mut codes = vec![0.0; nn * nd * tlen_b];
+                let mut betas = vec![0.0; nn * nd];
+                self.encode_b(b, levels, &mut codes, &mut betas);
+                Arc::new(BCodes { key, codes, betas })
+            })
+            .downcast_ref::<BCodes>()
+            .filter(|staged| staged.key == key)
+        });
 
         TILE_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let (b_tiles, beta_b, a_tiles, beta_a, tile_out, z) =
-                scratch.prepare(nn * nd * tlen_b, nn * nd, nd * tlen_a, nd, nh * nv, draws);
-
-            // Gather, normalize, quantize, and magnitude-perturb every B tile
-            // once (the DAC drive), transposed to wavelength-contiguous
-            // columns. beta == 0 marks an all-zero tile (never encoded, so
-            // it consumes no noise and is skipped below).
-            for (nj, ni) in (0..n).step_by(nv).enumerate() {
-                let cols_used = nv.min(n - ni);
-                for (dj, di) in (0..d).step_by(nlambda).enumerate() {
-                    let lambda_used = nlambda.min(d - di);
-                    let tile = &mut b_tiles[(nj * nd + dj) * tlen_b..][..tlen_b];
-                    for tl in 0..lambda_used {
-                        let brow = b.row(di + tl);
-                        for (tj, &v) in brow[ni..ni + cols_used].iter().enumerate() {
-                            tile[tj * nlambda + tl] = v;
+            let s = &mut *scratch;
+            let (b_codes, beta_b): (&[f64], &[f64]) = match staged {
+                Some(staged) => (&staged.codes, &staged.betas),
+                None => {
+                    let codes = grow(&mut s.b_codes, nn * nd * tlen_b);
+                    let betas = grow(&mut s.beta_b, nn * nd);
+                    self.encode_b(b, levels, codes, betas);
+                    (codes, betas)
+                }
+            };
+            let z = grow(&mut s.z, draws);
+            // B's magnitude noise, one realization per tile and call, in
+            // encoding order; beta == 0 marks an all-zero tile (never
+            // encoded, so it draws nothing and is skipped below).
+            let b_tiles: &[f64] = if sigma > 0.0 {
+                let noisy = grow(&mut s.b_noisy, nn * nd * tlen_b);
+                for (nj, ni) in (0..n).step_by(nv).enumerate() {
+                    for (dj, di) in (0..d).step_by(nlambda).enumerate() {
+                        let t = nj * nd + dj;
+                        if beta_b[t] != 0.0 {
+                            perturb_tile(
+                                &b_codes[t * tlen_b..][..tlen_b],
+                                &mut noisy[t * tlen_b..][..tlen_b],
+                                nv.min(n - ni),
+                                nlambda.min(d - di),
+                                nlambda,
+                                sigma,
+                                &mut rng,
+                                z,
+                            );
                         }
                     }
-                    let beta = encode_tile(
-                        tile,
-                        cols_used,
-                        lambda_used,
-                        nlambda,
-                        levels,
-                        noise.sigma_magnitude,
-                        &mut rng,
-                        z,
-                    );
-                    beta_b[nj * nd + dj] = beta;
                 }
-            }
+                noisy
+            } else {
+                b_codes
+            };
+            let a_codes = grow(&mut s.a_codes, nd * tlen_a);
+            let a_noisy = grow(&mut s.a_noisy, nd * tlen_a);
+            let beta_a = grow(&mut s.beta_a, nd);
+            let tile_out = grow(&mut s.tile_out, nh * nv);
 
             // Per-row-strip A tiles (encoded once per strip, reused by every
             // column strip — one DAC drive per load) and the tile output.
@@ -484,22 +516,27 @@ impl Dptc {
                 let rows_used = nh.min(m - mi);
                 for (dj, di) in (0..d).step_by(nlambda).enumerate() {
                     let lambda_used = nlambda.min(d - di);
-                    let tile = &mut a_tiles[dj * tlen_a..][..tlen_a];
+                    let tile = &mut a_codes[dj * tlen_a..][..tlen_a];
                     for ti in 0..rows_used {
                         tile[ti * nlambda..][..lambda_used]
                             .copy_from_slice(&a.row(mi + ti)[di..di + lambda_used]);
                     }
-                    beta_a[dj] = encode_tile(
-                        tile,
-                        rows_used,
-                        lambda_used,
-                        nlambda,
-                        levels,
-                        noise.sigma_magnitude,
-                        &mut rng,
-                        z,
-                    );
+                    beta_a[dj] = quantize_tile(tile, rows_used, lambda_used, nlambda, levels);
+                    if sigma > 0.0 && beta_a[dj] != 0.0 {
+                        let noisy = &mut a_noisy[dj * tlen_a..][..tlen_a];
+                        perturb_tile(
+                            tile,
+                            noisy,
+                            rows_used,
+                            lambda_used,
+                            nlambda,
+                            sigma,
+                            &mut rng,
+                            z,
+                        );
+                    }
                 }
+                let a_tiles: &[f64] = if sigma > 0.0 { a_noisy } else { a_codes };
                 for nj in 0..nn {
                     let ni = nj * nv;
                     let cols_used = nv.min(n - ni);
@@ -538,6 +575,34 @@ impl Dptc {
                 }
             }
         });
+    }
+
+    /// Encodes every `N_lambda x Nv` tile of the right operand `b`: the
+    /// noise-free half of its DAC drive. Each tile is gathered transposed
+    /// (wavelength-contiguous columns), normalized by its `beta = max|v|`
+    /// and quantized ([`quantize_tile`]) into `codes`, `Nv * N_lambda`
+    /// entries per tile with column strips outer and wavelength blocks
+    /// inner, and its `beta` lands in `betas`. Nothing is drawn, so the
+    /// codes depend only on `b`, the geometry and `levels`.
+    fn encode_b(&self, b: MatrixView<'_, f64>, levels: f64, codes: &mut [f64], betas: &mut [f64]) {
+        let DptcConfig { nv, nlambda, .. } = self.config;
+        let (d, n) = b.shape();
+        let nd = d.div_ceil(nlambda);
+        let tlen_b = nv * nlambda;
+        for (nj, ni) in (0..n).step_by(nv).enumerate() {
+            let cols_used = nv.min(n - ni);
+            for (dj, di) in (0..d).step_by(nlambda).enumerate() {
+                let lambda_used = nlambda.min(d - di);
+                let tile = &mut codes[(nj * nd + dj) * tlen_b..][..tlen_b];
+                for tl in 0..lambda_used {
+                    let brow = b.row(di + tl);
+                    for (tj, &v) in brow[ni..ni + cols_used].iter().enumerate() {
+                        tile[tj * nlambda + tl] = v;
+                    }
+                }
+                betas[nj * nd + dj] = quantize_tile(tile, cols_used, lambda_used, nlambda, levels);
+            }
+        }
     }
 
     /// Circuit-fidelity tiled GEMM: gather-per-tile, field propagation
@@ -643,55 +708,38 @@ impl Dptc {
 /// One instance per thread (see [`TILE_SCRATCH`]): the analytic GEMM is
 /// called hundreds of times per decoded token with identical small
 /// shapes, and per-call `Vec` allocation was a measurable slice of the
-/// decode hot path. Buffers only ever grow; callers slice to the exact
-/// lengths they need and must not read beyond the region they wrote
-/// (stale data from earlier calls is deliberately left in place).
+/// decode hot path. Buffers only ever grow ([`grow`]); callers must not
+/// read beyond the region they wrote (stale data from earlier calls is
+/// deliberately left in place).
 #[derive(Default)]
 struct TileScratch {
-    b_tiles: Vec<f64>,
+    /// DAC codes and scales of a right operand without memo'd codes.
+    b_codes: Vec<f64>,
     beta_b: Vec<f64>,
-    a_tiles: Vec<f64>,
+    b_noisy: Vec<f64>,
+    a_codes: Vec<f64>,
+    a_noisy: Vec<f64>,
     beta_a: Vec<f64>,
     tile_out: Vec<f64>,
     /// Standard-normal draws of one tile encoding or one tile product.
     z: Vec<f64>,
 }
 
-impl TileScratch {
-    /// Grows each buffer to at least the requested length and returns
-    /// exact-length mutable slices.
-    #[allow(clippy::type_complexity)]
-    fn prepare(
-        &mut self,
-        b_tiles: usize,
-        beta_b: usize,
-        a_tiles: usize,
-        beta_a: usize,
-        tile_out: usize,
-        z: usize,
-    ) -> (
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-    ) {
-        fn grow(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-            &mut buf[..len]
-        }
-        (
-            grow(&mut self.b_tiles, b_tiles),
-            grow(&mut self.beta_b, beta_b),
-            grow(&mut self.a_tiles, a_tiles),
-            grow(&mut self.beta_a, beta_a),
-            grow(&mut self.tile_out, tile_out),
-            grow(&mut self.z, z),
-        )
+/// Grows `buf` to at least `len` entries and returns its first `len`.
+fn grow(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
+    &mut buf[..len]
+}
+
+/// A right operand's DAC codes ([`Dptc::encode_b`]) as a staged weight's
+/// memo keeps them, with the `(geometry, bits, rows, cols)` they were
+/// encoded for.
+struct BCodes {
+    key: (DptcConfig, u32, usize, usize),
+    codes: Vec<f64>,
+    betas: Vec<f64>,
 }
 
 thread_local! {
@@ -729,11 +777,19 @@ fn dac_quantize(u: f64, levels: f64) -> f64 {
     (r / levels).copysign(x)
 }
 
-/// Normalizes a gathered tile into `[-1, 1]`, quantizes it (the DAC),
-/// and draws its magnitude-noise realization — one encoding per tile
-/// load, shared by every product the loaded tile participates in.
+/// The row runs of a tile's valid region: `outer` rows of `inner`
+/// entries at stride `stride`, or one run when the rows fill the stride.
+fn runs(outer: usize, inner: usize, stride: usize) -> (usize, usize) {
+    if inner == stride {
+        (1, outer * inner)
+    } else {
+        (outer, inner)
+    }
+}
+
+/// Normalizes a gathered tile into `[-1, 1]` and quantizes it (the DAC).
 /// Returns the tile scale `beta = max |v|`; `0` marks an all-zero tile,
-/// which is left as gathered and draws no noise.
+/// which is left as gathered.
 ///
 /// Only the valid region is encoded: `outer` rows of `inner` entries at
 /// stride `stride` (`stride = N_lambda` for both the row-major `A` tile
@@ -742,26 +798,9 @@ fn dac_quantize(u: f64, levels: f64) -> f64 {
 ///
 /// `beta` is the maximum of four independent running maxima instead of
 /// one serial chain; `max` is exact and does not depend on order, so
-/// the value is the same. The region is quantized in full before its
-/// `outer x inner` magnitude draws are taken with one `fill_normal` into
-/// `z`, in the row-major order a per-element loop would draw them.
-#[allow(clippy::too_many_arguments)]
-fn encode_tile(
-    tile: &mut [f64],
-    outer: usize,
-    inner: usize,
-    stride: usize,
-    levels: f64,
-    sigma_magnitude: f64,
-    rng: &mut GaussianSampler,
-    z: &mut [f64],
-) -> f64 {
-    // A region whose rows fill the stride is one contiguous run.
-    let (outer, inner) = if inner == stride {
-        (1, outer * inner)
-    } else {
-        (outer, inner)
-    };
+/// the value is the same.
+fn quantize_tile(tile: &mut [f64], outer: usize, inner: usize, stride: usize, levels: f64) -> f64 {
+    let (outer, inner) = runs(outer, inner, stride);
     // `max(m, |v|)` as a compare-and-select (one `maxpd` lane): it
     // equals `f64::max` here because `m` starts at 0 and is never NaN.
     let mut lanes = [0.0f64; 4];
@@ -782,16 +821,34 @@ fn encode_tile(
             *v = dac_quantize(*v * inv, levels);
         }
     }
-    if sigma_magnitude > 0.0 {
-        let z = &mut z[..outer * inner];
-        rng.fill_normal(z);
-        for (o, zrow) in z.chunks_exact(inner).enumerate() {
-            for (v, &zv) in tile[o * stride..][..inner].iter_mut().zip(zrow) {
-                *v = magnitude_noise(*v, sigma_magnitude, zv);
-            }
+    beta
+}
+
+/// Draws one encoded tile's magnitude-noise realization, shared by every
+/// product the loaded tile participates in, and writes the noisy valid
+/// region: `noisy = magnitude_noise(code, σ, z)`. The region's
+/// `outer x inner` draws come from one `fill_normal` into `z`, in the
+/// row-major order a per-element loop would draw them.
+#[allow(clippy::too_many_arguments)]
+fn perturb_tile(
+    codes: &[f64],
+    noisy: &mut [f64],
+    outer: usize,
+    inner: usize,
+    stride: usize,
+    sigma_magnitude: f64,
+    rng: &mut GaussianSampler,
+    z: &mut [f64],
+) {
+    let (outer, inner) = runs(outer, inner, stride);
+    let z = &mut z[..outer * inner];
+    rng.fill_normal(z);
+    for (o, zrow) in z.chunks_exact(inner).enumerate() {
+        let codes = &codes[o * stride..][..inner];
+        for ((v, &c), &zv) in noisy[o * stride..][..inner].iter_mut().zip(codes).zip(zrow) {
+            *v = magnitude_noise(c, sigma_magnitude, zv);
         }
     }
-    beta
 }
 
 /// The per-output DDot loop shared by the one-shot MM and the tiled

@@ -11,7 +11,7 @@
 //! backends.
 
 use crate::tensor::Tensor;
-use lt_core::{ComputeBackend, Matrix64, MatrixView, RunCtx};
+use lt_core::{ComputeBackend, Matrix64, MatrixView, OperandMemo, RunCtx};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -23,16 +23,18 @@ pub trait MatmulEngine: fmt::Debug {
     /// Computes `a x b`.
     fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor;
 
-    /// Computes `a x w` for a model weight `w` whose `f64` copy is
-    /// staged in `w64`. An engine that computes in `f64` reads that copy,
-    /// building it from `w` on first use, instead of widening `w` on
-    /// every call; the result is bit-identical to [`MatmulEngine::matmul`].
-    /// The default is plain `matmul`, which leaves `w64` unbuilt.
+    /// Computes `a x w` for a model weight `w` staged in `staged`. An
+    /// engine that computes in `f64` reads the staged copy, building it
+    /// from `w` on first use, instead of widening `w` on every call, and
+    /// hands the backend the staging's memo with it; the result is
+    /// bit-identical to [`MatmulEngine::matmul`]. The default is plain
+    /// `matmul`, which leaves the staging empty.
     ///
-    /// The caller keeps `w64` current: once built it must equal
-    /// `w.to_f64()`, so every change to `w` must empty it first.
-    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, w64: &OnceLock<Matrix64>) -> Tensor {
-        let _ = w64;
+    /// The caller keeps the staging current: once built the copy must
+    /// equal `w.to_f64()` and the memo must hold only work derived from
+    /// it, so every change to `w` must empty both first.
+    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, staged: &StagedWeight) -> Tensor {
+        let _ = staged;
         self.matmul(a, w)
     }
 
@@ -55,6 +57,31 @@ pub trait MatmulEngine: fmt::Debug {
 
     /// A short human-readable backend name.
     fn name(&self) -> &str;
+}
+
+/// A model weight's `f64` staging: its widened copy and a memo the
+/// backend may fill with work derived from that copy (the analytic DPTC
+/// keeps the weight's DAC codes there). Both stay empty until an `f64`
+/// engine needs them.
+#[derive(Debug, Clone, Default)]
+pub struct StagedWeight {
+    pub(crate) w64: OnceLock<Matrix64>,
+    pub(crate) memo: OperandMemo,
+}
+
+impl StagedWeight {
+    /// The staged copy of `w`, built from it on first use, as a view
+    /// that carries `w` as its f32 source and this staging's memo.
+    pub(crate) fn view<'a>(&'a self, w: &'a Tensor) -> MatrixView<'a, f64> {
+        let w64 = self.w64.get_or_init(|| w.to_f64());
+        w64.view().with_f32_source(w.view()).with_memo(&self.memo)
+    }
+
+    /// Empties the copy and the memo.
+    pub(crate) fn clear(&mut self) {
+        self.w64.take();
+        self.memo.take();
+    }
 }
 
 /// Owned copies of the operands of [`MatmulEngine::matmul_blocks`]: `a`,
@@ -163,14 +190,11 @@ impl<B: ComputeBackend> MatmulEngine for BackendEngine<B> {
         self.out64.to_f32()
     }
 
-    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, w64: &OnceLock<Matrix64>) -> Tensor {
-        // The staged copy carries `w` as its f32 source: the exact
-        // kernel may stream that instead, with the same bits; every
-        // other backend reads the copy.
-        let w64 = w64
-            .get_or_init(|| w.to_f64())
-            .view()
-            .with_f32_source(w.view());
+    fn matmul_staged(&mut self, a: &Tensor, w: &Tensor, staged: &StagedWeight) -> Tensor {
+        // The staged copy carries `w` as its f32 source, which the exact
+        // kernel may stream instead, and the memo, where the analytic
+        // DPTC keeps the weight's DAC codes; both give the same bits.
+        let w64 = staged.view(w);
         a.to_f64_into(&mut self.a64);
         self.backend
             .gemm_into(self.a64.view(), w64, &mut self.ctx, &mut self.out64);

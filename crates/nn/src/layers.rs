@@ -1,13 +1,12 @@
 //! Trainable layers with hand-written backward passes.
 
-use crate::engine::{block_copies, MatmulEngine};
+use crate::engine::{block_copies, MatmulEngine, StagedWeight};
 use crate::quant::{IntegerQuant, QuantConfig};
 use crate::tanh::tanhf;
 use crate::tensor::Tensor;
 use lt_core::trace::{NonGemmKind, Op, OpKind, Trace};
 use lt_core::GaussianSampler;
-use lt_core::{quantized_gemm, Matrix64, MatrixView, QuantizedMatrix};
-use std::sync::OnceLock;
+use lt_core::{quantized_gemm, MatrixView, QuantizedMatrix};
 
 /// A trainable parameter with its gradient and Adam state.
 #[derive(Debug, Clone)]
@@ -191,23 +190,23 @@ impl<'a> ForwardCtx<'a> {
         self.apply_train_noise(y)
     }
 
-    /// As [`ForwardCtx::matmul_as`] for a layer weight `w` whose `f64`
-    /// copy is staged in `w64` ([`MatmulEngine::matmul_staged`]).
-    /// Fake quantization replaces `w` with its quantized value, which
-    /// the staged copy is not, so a quantizing context takes
-    /// `matmul_as` and leaves `w64` alone.
+    /// As [`ForwardCtx::matmul_as`] for a layer weight `w` staged in
+    /// `staged` ([`MatmulEngine::matmul_staged`]). Fake quantization
+    /// replaces `w` with its quantized value, which the staged copy is
+    /// not, so a quantizing context takes `matmul_as` and leaves the
+    /// staging alone.
     pub(crate) fn matmul_weight_as(
         &mut self,
         kind: OpKind,
         x: &Tensor,
         w: &Tensor,
-        w64: &OnceLock<Matrix64>,
+        staged: &StagedWeight,
     ) -> Tensor {
         if self.quant.bits.is_some() {
             return self.matmul_as(kind, x, w);
         }
         self.record(Op::gemm(kind, x.rows(), x.cols(), w.cols()));
-        let y = self.engine.matmul_staged(x, w, w64);
+        let y = self.engine.matmul_staged(x, w, staged);
         self.apply_train_noise(y)
     }
 
@@ -256,16 +255,19 @@ fn encode_integer_operands(
 /// A fully connected layer `y = x W + b`.
 ///
 /// The weight is private so that every change to it goes through
-/// [`Linear::w_mut`] (or [`Linear::visit_params`]), which drops the
-/// layer's staged `f64` copy of the weight. An `f64` engine builds that
-/// copy on the layer's first fp32 inference ([`Linear::infer`]) and
-/// reuses it after, instead of widening the weight on every call; it
-/// costs 8 bytes per weight element while it exists.
+/// [`Linear::w_mut`] (or [`Linear::visit_params`]), which empties the
+/// layer's staging of the weight ([`StagedWeight`]). An `f64` engine
+/// builds the staged `f64` copy on the layer's first fp32 inference
+/// ([`Linear::infer`]) and reuses it after, instead of widening the
+/// weight on every call; it costs 8 bytes per weight element while it
+/// exists. On an analytic DPTC backend the staging also keeps the
+/// weight's DAC codes, about as many bytes again (more where the
+/// weight's edges pad out to whole 12 x 12 tiles: 1.27x at 32 x 32).
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Param,
-    /// `w.value` widened to `f64`; empty until an `f64` engine needs it.
-    pub(crate) w64: OnceLock<Matrix64>,
+    /// `w.value` widened to `f64`, and the backend's memo of it.
+    pub(crate) staged: StagedWeight,
     /// Bias, `1 x out`.
     pub b: Param,
     /// Workload role this linear's product records as (defaults to
@@ -281,7 +283,7 @@ impl Linear {
         let std = (2.0 / (inputs + outputs) as f32).sqrt();
         Linear {
             w: Param::new(Tensor::randn(inputs, outputs, std, rng)),
-            w64: OnceLock::new(),
+            staged: StagedWeight::default(),
             b: Param::new(Tensor::zeros(1, outputs)),
             role: OpKind::Other,
             cache_x: None,
@@ -301,10 +303,10 @@ impl Linear {
         &self.w
     }
 
-    /// The weight, mutably. Drops the staged `f64` copy, so the next
-    /// inference on an `f64` engine widens the weight as changed.
+    /// The weight, mutably. Empties the staging, so the next inference
+    /// on an `f64` engine widens and encodes the weight as changed.
     pub fn w_mut(&mut self) -> &mut Param {
-        self.w64.take();
+        self.staged.clear();
         &mut self.w
     }
 
@@ -343,7 +345,7 @@ impl Linear {
             let (xq, wq) = encode_integer_operands(x, &self.w.value, iq);
             ctx.matmul_integer_as(self.role, &xq, &wq)
         } else {
-            ctx.matmul_weight_as(self.role, x, &self.w.value, &self.w64)
+            ctx.matmul_weight_as(self.role, x, &self.w.value, &self.staged)
         };
         y.add_row_broadcast_assign(&self.b.value);
         y
@@ -1029,7 +1031,7 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(staged.seed_draws(), unstaged.seed_draws());
-        assert!(layer.w64.get().is_some(), "an f64 engine stages the weight");
+        assert!(layer.staged.w64.get().is_some(), "an f64 engine stages");
     }
 
     /// Below and above the exact kernel's source-fold gate (32 KiB of
@@ -1041,8 +1043,10 @@ mod tests {
             let mut layer = Linear::new(inputs, outputs, &mut rng);
             layer.b.value = Tensor::randn(1, outputs, 0.5, &mut rng);
             assert_staged_matches_unstaged(NativeBackend, &layer);
-            layer.w64.take();
+            assert!(layer.staged.memo.get().is_none(), "no codes on exact");
+            layer.staged.clear();
             assert_staged_matches_unstaged(DptcBackend::paper(8, 13), &layer);
+            assert!(layer.staged.memo.get().is_some(), "DPTC codes");
         }
     }
 
@@ -1054,14 +1058,15 @@ mod tests {
         let (mut eng, mut nrng) = ctx_parts();
         let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
         let _ = layer.infer(&x, &mut ctx);
-        assert!(layer.w64.get().is_none(), "ExactEngine computes in f32");
+        assert!(layer.staged.w64.get().is_none(), "ExactEngine is f32");
+        assert!(layer.staged.memo.get().is_none(), "ExactEngine is f32");
         // Fake quantization feeds the engine a quantized weight, which the
         // staged copy is not; the integer path never calls the engine.
         for quant in [QuantConfig::low_bit(8), QuantConfig::int8()] {
             let mut eng = BackendEngine::new(NativeBackend, 0);
             let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut nrng);
             let _ = layer.infer(&x, &mut ctx);
-            assert!(layer.w64.get().is_none(), "{quant:?}");
+            assert!(layer.staged.w64.get().is_none(), "{quant:?}");
         }
     }
 

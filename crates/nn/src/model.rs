@@ -435,9 +435,10 @@ impl Classifier<[usize]> for TextClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BackendEngine, ExactEngine};
+    use crate::engine::{BackendEngine, ExactEngine, MatmulEngine};
     use crate::quant::QuantConfig;
     use lt_core::NativeBackend;
+    use lt_dptc::DptcBackend;
 
     #[test]
     fn vit_forward_shapes() {
@@ -529,32 +530,41 @@ mod tests {
         }
     }
 
-    /// `lin.infer(x)` on the f64 native engine, which stages the weight.
-    fn infer_f64(lin: &Linear, x: &Tensor) -> Tensor {
-        let mut eng = BackendEngine::new(NativeBackend, 0);
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
-        lin.infer(x, &mut ctx)
+    /// `lin.infer(x)` on the f64 native engine, which stages the weight,
+    /// and on the analytic DPTC, which also keeps its codes.
+    fn infer_f64(lin: &Linear, x: &Tensor) -> [Tensor; 2] {
+        let infer = |engine: &mut dyn MatmulEngine| {
+            let mut nrng = GaussianSampler::new(0);
+            let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32(), &mut nrng);
+            lin.infer(x, &mut ctx)
+        };
+        [
+            infer(&mut BackendEngine::new(NativeBackend, 0)),
+            infer(&mut BackendEngine::new(DptcBackend::paper(8, 3), 0)),
+        ]
     }
 
     /// Asserts that `lin` infers exactly like a freshly built layer with
     /// its current weight and bias (which has nothing staged), and
-    /// differently from `before`, its output before the change, and
+    /// differently from `before`, its outputs before the change, and
     /// that the copy it staged is its weight widened. Above the exact
     /// kernel's source-fold gate the native backend reads the weight
-    /// itself, so only that last check sees a stale copy there.
-    fn assert_follows_new_weight(lin: &Linear, x: &Tensor, before: &Tensor) {
+    /// itself, so only that last check sees a stale copy there; the
+    /// DPTC sees stale codes at every width.
+    fn assert_follows_new_weight(lin: &Linear, x: &Tensor, before: &[Tensor; 2]) {
         let (rows, cols) = lin.w().value.shape();
         let mut fresh = Linear::new(rows, cols, &mut GaussianSampler::new(0));
         *fresh.w_mut() = lin.w().clone();
         fresh.b = lin.b.clone();
         let got = infer_f64(lin, x);
         assert_eq!(got, infer_f64(&fresh, x));
-        assert_ne!(&got, before, "the change must show in the output");
-        assert_eq!(lin.w64.get(), Some(&lin.w().value.to_f64()));
+        for (got, before) in got.iter().zip(before) {
+            assert_ne!(got, before, "the change must show in the output");
+        }
+        assert_eq!(lin.staged.w64.get(), Some(&lin.w().value.to_f64()));
     }
 
-    /// Every `&mut` route to a weight drops its staged copy, in a block
+    /// Every `&mut` route to a weight empties its staging, in a block
     /// whose weights are below the source-fold gate (8 wide) and in one
     /// whose weights are above it (servebench `serve_open`'s 128 wide,
     /// 64-256 KiB in f64).

@@ -30,6 +30,10 @@
 //!    to exactly the product without them on every exact backend, on
 //!    both sides of the size above which, and of the row count up to
 //!    which, the kernel folds the source.
+//! 6. **A memo changes nothing.** A right operand that carries a memo
+//!    slot (`with_memo`, where the analytic DPTC keeps a weight's DAC
+//!    codes) multiplies to exactly the product without it on every
+//!    backend that may read it, through the parallel wrapper too.
 
 use lightening_transformer::baselines::{MrrBackend, MziBackend, PcmBackend};
 use lightening_transformer::core::kernel::{
@@ -37,7 +41,7 @@ use lightening_transformer::core::kernel::{
 };
 use lightening_transformer::core::{
     blocked_gemm, quantized_gemm, reference_gemm, ComputeBackend, GaussianSampler, Matrix32,
-    Matrix64, NativeBackend, QuantizedMatrix, RunCtx,
+    Matrix64, NativeBackend, OperandMemo, QuantizedMatrix, RunCtx,
 };
 use lightening_transformer::dptc::{DptcBackend, DptcConfig, Fidelity, NoiseModel};
 use lightening_transformer::runtime::ParallelBackend;
@@ -282,6 +286,50 @@ fn a_right_operand_carrying_its_f32_source_multiplies_bit_identically_on_every_e
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_memoized_right_operand_multiplies_bit_identically_on_every_backend() {
+    let mut rng = GaussianSampler::new(127);
+    let ideal = DptcBackend::ideal(DptcConfig::lt_paper());
+    let mut backends: Vec<(String, Box<dyn ComputeBackend>)> = vec![
+        ("native".into(), Box::new(NativeBackend)),
+        ("ideal DPTC".into(), Box::new(ideal)),
+    ];
+    for (label, dptc) in [
+        ("paper(8)", DptcBackend::paper(8, 5)),
+        ("quantized(8)", DptcBackend::quantized(8)),
+    ] {
+        backends.push((label.into(), Box::new(dptc.clone())));
+        // Products the wrapper runs inline reach the loop with B's memo;
+        // those it sends to the pool carry a copy of B without one.
+        for threads in [1, 2, 4] {
+            let inline = ParallelBackend::new(dptc.clone(), threads);
+            let pooled = inline.clone().with_min_parallel_macs(0);
+            backends.push((format!("{label} inline x{threads}"), Box::new(inline)));
+            backends.push((format!("{label} pooled x{threads}"), Box::new(pooled)));
+        }
+    }
+    let bits = |m: &Matrix64| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut out = Matrix64::zeros(0, 0);
+    for (k, n) in [(37, 29), (64, 64)] {
+        let b = Matrix64::randn(k, n, 1.0, &mut rng);
+        // One memo for every backend: paper(8) and quantized(8) share codes.
+        let memo = OperandMemo::new();
+        let staged = b.view().with_memo(&memo);
+        for m in [1, 9, 48, 49, 97] {
+            let a = Matrix64::randn(m, k, 1.0, &mut rng);
+            for (label, backend) in &backends {
+                let label = format!("{label}, {m} x {k} x {n}");
+                let want = backend.gemm(a.view(), b.view(), &mut RunCtx::new(7));
+                let got = backend.gemm(a.view(), staged, &mut RunCtx::new(7));
+                assert_eq!(bits(&got), bits(&want), "{label}");
+                backend.gemm_into(a.view(), staged, &mut RunCtx::new(7), &mut out);
+                assert_eq!(bits(&out), bits(&want), "gemm_into, {label}");
+            }
+        }
+        assert!(memo.get().is_some(), "the analytic DPTC fills the memo");
     }
 }
 
