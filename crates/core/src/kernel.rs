@@ -1,14 +1,15 @@
-//! The shared GEMM kernel: one unpacked loop.
+//! The shared GEMM kernel: one register-tiled loop.
 //!
 //! Every exact matrix product in the workspace — [`MatrixView::matmul`],
 //! and through it `NativeBackend`, the ideal DPTC fidelity, the photonic
 //! baselines, and the NN engines — lands in [`tiled_gemm`]. The kernel
-//! is one loop: every output row folds B's rows, in place, into the
-//! zeroed output (`out[i, :] += a[i, l] * b[l, :]`), four reduction
-//! steps per load and store of an output element. The column loop runs
-//! over contiguous slices whatever the operands' strides, and the
-//! compiler vectorizes it for both `f32` and `f64`. The kernel performs
-//! **zero heap allocations** beyond the output buffer, and
+//! is one loop over register tiles: a tile of up to four output rows by
+//! a few vectors of columns starts at zero in registers, adds
+//! `a[i, l] * b[l, j]` for `l = 0, 1, ..., k - 1`, and is stored once.
+//! Each segment of a B row is loaded once per tile and shared by the
+//! tile's rows, and B is read in place whatever the operands' strides.
+//! The compiler vectorizes the tile for both `f32` and `f64`. The kernel
+//! performs **zero heap allocations** beyond the output buffer, and
 //! [`tiled_gemm_into`] removes even that one for callers that provide
 //! (and reuse) the output matrix, e.g. per-token decode loops issuing
 //! the same shapes every step.
@@ -20,44 +21,61 @@
 //! add only a handful of rows. A packed register tile copies B into a
 //! panel buffer on every call and pays that copy back only across many
 //! rows; at decode heights it costs more than it saves (ARCHITECTURE.md
-//! §9 has the measured table). Folding B's rows in place reads every
-//! weight once per row block and copies nothing.
+//! §9 has the measured table). The tiles here load B's row segments
+//! where they lie, so every weight is read once per row block and
+//! nothing is copied; only the output stays in registers.
 //!
 //! # Blocking
 //!
 //! The output is cut into blocks of [`RB`] full-width rows, and each
 //! block walks all of B once. A product of at most `RB` rows — every
 //! decode GEMV, prefill chunk and verify pass — is one block, so it
-//! reads B once. B is not cut into panels: the tall products the
-//! workspace's models issue (training, and the executable validation
-//! models) have weights of at most 192 rows and 64 columns, which stay
-//! in cache from one row block to the next, so a panel walk would run
-//! once on each of them. At GPT2-small widths a tall product streams B
-//! from outer cache once per row block.
+//! reads B once. Inside a block, rows go four at a time, then two, then
+//! one, and each group walks B in column strips, one register tile per
+//! strip. Every tile holds the same number of accumulators: four rows
+//! by `W4` columns, two by `2 W4` or one by `4 W4`, which is 16 of the
+//! 32 registers of the AVX-512 build (`W4` = 32 `f64` or 64 `f32`) and
+//! 8 of the 16 of the AVX2 and portable builds (`W4` = 8 and 4 `f64`).
+//! A product of one or two rows, which cannot fill four, gets wider
+//! strips instead: enough independent accumulators to hide the latency
+//! of the adds. At the right edge the strips halve, down to one column.
+//!
+//! A B above 512 KiB is walked in panels of eight rows: each strip of a
+//! panel reads eight row segments, and the next strip continues the
+//! same eight rows, which the hardware prefetchers follow. A strip that
+//! walks more rows streams from as many places at once; at GPT2-small's
+//! weights, which stream from L3, 128-row panels read 0.5-0.75x the
+//! throughput of 8-row ones at `m = 1`. Between panels a tile's partial
+//! sums are stored to the output and loaded back.
 //!
 //! # Bit-identity contract
 //!
 //! The kernel is *bit-identical* to [`reference_gemm`]: every output
 //! element accumulates its `k` products in strictly increasing reduction
-//! order into a single accumulator that starts at zero. Four reduction
-//! steps share one load and store of the element but are still added
-//! one at a time, left to right. Row blocks choose only which elements
-//! are updated when; no element sees its products in another order.
-//! This is what lets `tests/` property suites assert `tiled == naive`
-//! with `==` instead of a tolerance.
+//! order into a single accumulator that starts at zero, one IEEE
+//! multiply and then one IEEE add per step. A tile holds each element
+//! in one register lane for a whole panel, and between panels the store
+//! and reload of a partial sum are exact. Row blocks, tiles and panels
+//! choose only which elements are in registers when; no element sees
+//! its products in another order. This is what lets `tests/` property
+//! suites assert `tiled == naive` with `==` instead of a tolerance.
 //!
 //! # Instruction set
 //!
 //! The workspace builds for baseline x86-64 (SSE2, 128-bit lanes).
-//! [`tiled_gemm_into`] checks once per call whether the CPU has AVX2 and,
-//! if so, runs the same kernel body compiled with AVX2 enabled, whose
-//! column loops use 256-bit lanes. FMA stays disabled, and Rust never
-//! contracts a multiply and an add on its own, so every lane performs
-//! the same IEEE multiply, then the same IEEE add, on the same operands
-//! in the same order as the portable build: both builds are
-//! bit-identical to [`reference_gemm`]. The unit tests check each build
-//! the CPU can run. There is no AVX-512 build: enabling `avx512f` also
-//! enables FMA (see ARCHITECTURE.md §9).
+//! [`tiled_gemm_into`] checks on each call whether the CPU has AVX-512F,
+//! then AVX2, and runs the same kernel body compiled for the first it
+//! has: its tiles use 512-bit, 256-bit or 128-bit lanes. No build fuses
+//! a multiply into an add. Enabling `avx512f` also enables `fma`, so the
+//! AVX-512 build could emit fused multiply-adds, but the compiler fuses
+//! only where the code allows it, and Rust never does: it emits
+//! `a * b + c` as a separate multiply and add, with no `contract`
+//! flag and no `fmuladd` intrinsic. So every lane performs the same IEEE
+//! multiply, then the same IEEE add, on the same operands in the same
+//! order in all three builds, and each is bit-identical to
+//! [`reference_gemm`]. The unit tests check each build the CPU can run,
+//! and `no_build_fuses_a_multiply_into_its_add` checks the argument with
+//! operands whose every product reads zero unfused and not zero fused.
 //!
 //! # Folding B from its `f32` source
 //!
@@ -67,17 +85,21 @@
 //! `f64` B carries the `f32` values it was widened from
 //! ([`MatrixView::with_f32_source`]), is larger than
 //! [`SOURCE_FOLD_MIN_BYTES`] and the product has at most [`RB`] rows,
-//! the kernel folds B from that source and widens each element in
-//! register. Widening `f32` to `f64` is exact, so every product and sum
-//! is the same IEEE operation on the same operands in the same order as
-//! the `f64` fold: the bits cannot move.
+//! the kernel folds B from that source and widens each segment in
+//! register, once for all rows of a tile. Widening `f32` to `f64` is
+//! exact, so every product and sum is the same IEEE operation on the
+//! same operands in the same order as on the `f64` values: the bits
+//! cannot move.
 //!
-//! Everywhere else the conversion is pure cost, so the kernel reads the
-//! `f64` values: below the gate B stays in the L1 data cache, and a
-//! product taller than one row block re-reads B once per block, from
-//! cache after the first, widening every element again each time (at
-//! `serve_open`'s weight shapes a 197-row product ran at 0.77-0.81x the
-//! `f64` fold's GMAC/s).
+//! Everywhere else the kernel reads the `f64` values. The widening costs
+//! instructions and saves bytes, so it pays where B streams from beyond
+//! L2, as a decode step's weights do once the model outgrows L2: below
+//! the gate B stays in the L1 data cache, and a product taller than one
+//! row block re-reads B once per block, from cache after the first.
+//! Where a B above the gate stays in L2 and is multiplied again and
+//! again, the `f64` values read faster from two rows up, and at one row
+//! for a B of 64 KiB; the kernel sees only B, not the working set
+//! (ARCHITECTURE.md §9 has both tables).
 //!
 //! [`reference_gemm`]: crate::matrix::reference_gemm
 
@@ -91,7 +113,7 @@ pub const RB: usize = 8;
 /// data cache the kernel targets. See the module docs.
 pub const SOURCE_FOLD_MIN_BYTES: usize = 32 * 1024;
 
-/// Row-blocked matrix product `a x b`.
+/// Register-tiled, row-blocked matrix product `a x b`.
 ///
 /// Bit-identical to [`reference_gemm`](crate::matrix::reference_gemm)
 /// on every shape (see the module docs for why), including 0-sized,
@@ -116,11 +138,12 @@ pub fn tiled_gemm<T: Scalar>(a: &MatrixView<'_, T>, b: &MatrixView<'_, T>) -> Ma
 /// The result is bit-identical to [`tiled_gemm`]: both run this one
 /// function over a zeroed output buffer.
 ///
-/// On an x86-64 CPU with AVX2 the kernel runs as compiled for AVX2
-/// (checked at run time); otherwise it runs as compiled for the build's
-/// baseline target. See the module docs for why both builds produce
-/// the same bits, and why folding B from its `f32` source, which this
-/// function does when [`folded_source`] says so, produces them too.
+/// On an x86-64 CPU with AVX-512F or AVX2 the kernel runs as compiled
+/// for that instruction set (checked at run time, AVX-512F first);
+/// otherwise it runs as compiled for the build's baseline target. See
+/// the module docs for why every build produces the same bits, and why
+/// folding B from its `f32` source, which this function does when
+/// [`folded_source`] says so, produces them too.
 ///
 /// # Panics
 ///
@@ -156,8 +179,8 @@ fn widen<T: Scalar>(x: f32) -> T {
     T::from_f64(f64::from(x))
 }
 
-/// Runs [`gemm_body`] in the AVX2 build when the CPU has AVX2, in the
-/// portable build otherwise.
+/// Runs [`gemm_body`] in the AVX-512 build when the CPU has AVX-512F,
+/// in the AVX2 build when it has AVX2, in the portable build otherwise.
 #[inline(always)]
 fn dispatch<T: Scalar, U: Scalar>(
     a: &MatrixView<'_, T>,
@@ -166,17 +189,41 @@ fn dispatch<T: Scalar, U: Scalar>(
     widen: impl Fn(U) -> T,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_avx2` needs nothing but a CPU that executes
-        // AVX2 instructions, which the feature check above established.
-        unsafe { gemm_avx2(a, b, out, widen) };
-        return;
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512` needs nothing but a CPU that executes
+            // AVX-512F instructions, which the feature check established.
+            unsafe { gemm_avx512(a, b, out, widen) };
+            return;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for AVX2.
+            unsafe { gemm_avx2(a, b, out, widen) };
+            return;
+        }
     }
-    gemm_body(a, b, out, widen);
+    gemm_portable(a, b, out, widen);
 }
 
-/// [`gemm_body`] compiled with AVX2 enabled (and FMA not), so the
-/// compiler may widen its column loops to 256-bit lanes.
+/// [`gemm_body`] compiled with AVX-512F enabled: 16 of its 32 512-bit
+/// registers hold a tile's accumulators.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    out: &mut Matrix<T>,
+    widen: impl Fn(U) -> T,
+) {
+    if std::mem::size_of::<T>() == 4 {
+        gemm_body::<T, U, 64, 128, 256>(a, b, out, widen);
+    } else {
+        gemm_body::<T, U, 32, 64, 128>(a, b, out, widen);
+    }
+}
+
+/// [`gemm_body`] compiled with AVX2 enabled (and FMA not): 8 of its 16
+/// 256-bit registers hold a tile's accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2<T: Scalar, U: Scalar>(
@@ -185,15 +232,56 @@ fn gemm_avx2<T: Scalar, U: Scalar>(
     out: &mut Matrix<T>,
     widen: impl Fn(U) -> T,
 ) {
-    gemm_body(a, b, out, widen);
+    if std::mem::size_of::<T>() == 4 {
+        gemm_body::<T, U, 16, 32, 64>(a, b, out, widen);
+    } else {
+        gemm_body::<T, U, 8, 16, 32>(a, b, out, widen);
+    }
+}
+
+/// [`gemm_body`] for the build's baseline target: 8 of its 16 128-bit
+/// registers hold a tile's accumulators.
+fn gemm_portable<T: Scalar, U: Scalar>(
+    a: &MatrixView<'_, T>,
+    b: &MatrixView<'_, U>,
+    out: &mut Matrix<T>,
+    widen: impl Fn(U) -> T,
+) {
+    if std::mem::size_of::<T>() == 4 {
+        gemm_body::<T, U, 8, 16, 32>(a, b, out, widen);
+    } else {
+        gemm_body::<T, U, 4, 8, 16>(a, b, out, widen);
+    }
+}
+
+/// Size of B, in bytes of the elements the kernel reads, above which a
+/// row block walks B in panels of [`PANEL_ROWS`] rows: 512 KiB, a
+/// quarter of the 2 MiB L2 the kernel targets, beyond which B streams
+/// from L3 as soon as anything else shares the cache. See the module
+/// docs.
+const PANEL_MIN_BYTES: usize = 512 * 1024;
+
+/// Rows of B per panel when B is above [`PANEL_MIN_BYTES`].
+const PANEL_ROWS: usize = 8;
+
+/// The operands of one row block over one panel of B's rows.
+struct Panel<'p, 'a, T, U, W> {
+    a: &'p MatrixView<'a, T>,
+    b: &'p MatrixView<'a, U>,
+    /// Index in `a` of the block's first row.
+    first: usize,
+    /// The panel's rows of B (columns of `a`).
+    ls: std::ops::Range<usize>,
+    widen: &'p W,
 }
 
 /// The kernel itself, over B's elements of type `U`, each `widen`ed to
 /// `T` as it is read: `T` itself unchanged, or an `f32` source widened
-/// to `f64`. Always inlined, like [`fold`], so each caller compiles its
-/// own copy for its own target features.
+/// to `f64`. Its tiles are four rows by `W4` columns, two by `W2` or one
+/// by `W1`. Always inlined, like everything it calls, so each build
+/// compiles its own copy for its own target features.
 #[inline(always)]
-fn gemm_body<T: Scalar, U: Scalar>(
+fn gemm_body<T: Scalar, U: Scalar, const W4: usize, const W2: usize, const W1: usize>(
     a: &MatrixView<'_, T>,
     b: &MatrixView<'_, U>,
     out: &mut Matrix<T>,
@@ -211,49 +299,105 @@ fn gemm_body<T: Scalar, U: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    for (i, rows) in out.data_mut().chunks_mut(RB * n).enumerate() {
-        fold(a, b, i * RB, rows, &widen);
+    let kc = if k * n * std::mem::size_of::<U>() > PANEL_MIN_BYTES {
+        PANEL_ROWS
+    } else {
+        k
+    };
+    for (i, block) in out.data_mut().chunks_mut(RB * n).enumerate() {
+        let rows = block.len() / n;
+        for l0 in (0..k).step_by(kc) {
+            let panel = Panel {
+                a,
+                b,
+                first: i * RB,
+                ls: l0..(l0 + kc).min(k),
+                widen: &widen,
+            };
+            let mut r = 0;
+            while r + 4 <= rows {
+                row_tiles::<T, U, 4, W4>(&panel, block, n, r);
+                r += 4;
+            }
+            if r + 2 <= rows {
+                row_tiles::<T, U, 2, W2>(&panel, block, n, r);
+                r += 2;
+            }
+            if r < rows {
+                row_tiles::<T, U, 1, W1>(&panel, block, n, r);
+            }
+        }
     }
 }
 
-/// Folds every row of `b` into the output rows `first..` that `out`
-/// holds, each `b.cols()` wide, back to back:
-/// `out[r, :] += a[first + r, l] * widen(b[l, :])` for
-/// `l = 0, 1, ..., a.cols() - 1` in order, reading `b` in place.
-///
-/// Each output element is its own accumulator. Four reduction steps
-/// share one load/store of it; they are still added one at a time (left
-/// to right), which keeps the reference order.
+/// Runs the tiles of rows `r..r + H` of a row block `n` wide: `W`
+/// columns at a time, then, at the right edge, tiles half as wide, and
+/// half again, down to one column.
 #[inline(always)]
-fn fold<T: Scalar, U: Scalar>(
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, U>,
-    first: usize,
-    out: &mut [T],
-    widen: &impl Fn(U) -> T,
+fn row_tiles<T: Scalar, U: Scalar, const H: usize, const W: usize>(
+    p: &Panel<'_, '_, T, U, impl Fn(U) -> T>,
+    block: &mut [T],
+    n: usize,
+    r: usize,
 ) {
-    const UNROLL: usize = 4;
-    let (k, n) = (a.cols(), b.cols());
-    let mut l = 0;
-    while l + UNROLL <= k {
-        let (b0, b1, b2, b3) = (b.row(l), b.row(l + 1), b.row(l + 2), b.row(l + 3));
-        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
-            let av = &a.row(first + r)[l..l + UNROLL];
-            let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
-            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                *o = *o + a0 * widen(x0) + a1 * widen(x1) + a2 * widen(x2) + a3 * widen(x3);
-            }
-        }
-        l += UNROLL;
+    let mut j = 0;
+    while j + W <= n {
+        tile::<T, U, H, W>(p, block, n, r, j);
+        j += W;
     }
-    for l in l..k {
-        let brow = b.row(l);
-        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
-            let av = a.row(first + r)[l];
-            for (o, &x) in orow.iter_mut().zip(brow) {
-                *o += av * widen(x);
+    macro_rules! narrower {
+        ($($w:literal)*) => {$(
+            if W > $w && j + $w <= n {
+                tile::<T, U, H, $w>(p, block, n, r, j);
+                j += $w;
+            }
+        )*};
+    }
+    narrower!(128 64 32 16 8 4 2);
+    if j < n {
+        tile::<T, U, H, 1>(p, block, n, r, j);
+    }
+}
+
+/// One `H x V` tile at row `r` and column `j` of a row block `n` wide:
+/// starts at zero on the first panel and from the stored partial sums
+/// on later ones, adds `a[first + r + h, l] * widen(b[l, j + v])` for
+/// every `l` of the panel in increasing order, and stores it. Each
+/// output element is its own accumulator, and each B row segment is
+/// widened once for all `H` rows.
+#[inline(always)]
+fn tile<T: Scalar, U: Scalar, const H: usize, const V: usize>(
+    p: &Panel<'_, '_, T, U, impl Fn(U) -> T>,
+    block: &mut [T],
+    n: usize,
+    r: usize,
+    j: usize,
+) {
+    let mut acc = [[T::ZERO; V]; H];
+    if p.ls.start > 0 {
+        for (h, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&block[(r + h) * n + j..][..V]);
+        }
+    }
+    let mut arows: [&[T]; H] = [&[]; H];
+    for (h, row) in arows.iter_mut().enumerate() {
+        *row = &p.a.row(p.first + r + h)[p.ls.start..p.ls.end];
+    }
+    let mut bv = [T::ZERO; V];
+    for (t, l) in p.ls.clone().enumerate() {
+        let seg = &p.b.row(l)[j..j + V];
+        for v in 0..V {
+            bv[v] = (p.widen)(seg[v]);
+        }
+        for h in 0..H {
+            let x = arows[h][t];
+            for v in 0..V {
+                acc[h][v] += x * bv[v];
             }
         }
+    }
+    for (h, acc) in acc.iter().enumerate() {
+        block[(r + h) * n + j..][..V].copy_from_slice(acc);
     }
 }
 
@@ -263,22 +407,26 @@ mod tests {
     use crate::matrix::{reference_gemm, Matrix32, Matrix64};
     use crate::noise::GaussianSampler;
 
-    /// Row counts on both sides of every row-block boundary, up to 197
-    /// (DeiT-T's tokens: many blocks and a ragged last one).
+    /// Row counts on both sides of every tile height (4, 2, 1) and
+    /// row-block boundary, up to 197 (DeiT-T's tokens: many blocks and a
+    /// ragged last one).
     const EDGE_M: [usize; 10] = [1, 2, 3, 4, 5, RB - 1, RB, RB + 1, 2 * RB + 3, 197];
-    /// Reduction lengths on both sides of the four-step unroll, short
-    /// and long (around 256, the depth at which a packed or panelled
-    /// kernel splits the reduction, and past twice that).
+    /// Reduction lengths, short and long; at the widest outputs the long
+    /// ones put B above the panel gate in `f64`, and 257 and 515 leave a
+    /// ragged last panel.
     const EDGE_K: [usize; 8] = [1, 3, 4, 5, 255, 256, 257, 515];
-    /// Output widths with every vector-tail length of both builds:
-    /// narrow ones, and wide ones around 256.
-    const EDGE_N: [usize; 7] = [1, 7, 8, 17, 255, 256, 257];
+    /// Output widths on both sides of every tile width of every build
+    /// (4 to 256 columns), so every strip runs whole, and with every
+    /// narrower strip after it, down to one column.
+    const EDGE_N: [usize; 22] = [
+        1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257,
+    ];
 
-    /// Asserts that the portable build and, when this CPU has AVX2, the
-    /// AVX2 build each equal the reference product under `==`, writing
-    /// into `out`, which is filled with NaN before each. When `b`
-    /// carries an `f32` source, both builds also fold it from there.
-    fn assert_both_builds_exact<T: Scalar>(
+    /// Asserts that every build this CPU runs equals the reference
+    /// product under `==`, writing into `out`, which is filled with NaN
+    /// before each. When `b` carries an `f32` source, every build also
+    /// folds it from there.
+    fn assert_each_build_exact<T: Scalar>(
         a: &MatrixView<'_, T>,
         b: &MatrixView<'_, T>,
         out: &mut Matrix<T>,
@@ -298,8 +446,9 @@ mod tests {
         }
     }
 
-    /// The two builds of [`assert_both_builds_exact`] over B's elements
-    /// of type `U`.
+    /// The builds of [`assert_each_build_exact`] over B's elements of
+    /// type `U`: the portable one, and the AVX2 and AVX-512 ones where
+    /// this CPU has them.
     fn each_build_exact<T: Scalar, U: Scalar>(
         a: &MatrixView<'_, T>,
         b: &MatrixView<'_, U>,
@@ -310,7 +459,7 @@ mod tests {
     ) {
         let nan = T::from_f64(f64::NAN);
         out.data_mut().fill(nan);
-        gemm_body(a, b, out, widen);
+        gemm_portable(a, b, out, widen);
         assert_eq!(out, want, "portable build, {label}");
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -319,9 +468,16 @@ mod tests {
             unsafe { gemm_avx2(a, b, out, widen) };
             assert_eq!(out, want, "AVX2 build, {label}");
         }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            out.data_mut().fill(nan);
+            // SAFETY: the CPU supports AVX-512F (checked just above).
+            unsafe { gemm_avx512(a, b, out, widen) };
+            assert_eq!(out, want, "AVX-512 build, {label}");
+        }
     }
 
-    /// As [`assert_both_builds_exact`], and the dispatching entry point
+    /// As [`assert_each_build_exact`], and the dispatching entry point
     /// into a fresh output as well.
     fn assert_every_build_exact<T: Scalar>(
         a: &MatrixView<'_, T>,
@@ -329,7 +485,7 @@ mod tests {
         out: &mut Matrix<T>,
     ) {
         assert_eq!(tiled_gemm(a, b), reference_gemm(a, b), "dispatched");
-        assert_both_builds_exact(a, b, out);
+        assert_each_build_exact(a, b, out);
     }
 
     #[test]
@@ -363,9 +519,9 @@ mod tests {
     /// `k + 3` and `n + 5` at the largest shape) and on contiguous
     /// copies of them, through one output reused across every shape.
     #[test]
-    fn both_builds_match_reference_at_every_block_boundary() {
+    fn every_build_matches_reference_at_every_tile_edge() {
         fn check<T: Scalar>(rng: &mut GaussianSampler) {
-            let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[6]); // the largest
+            let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[21]); // the largest
             let a_parent = Matrix::<T>::randn(m_max + 1, k_max + 3, T::ONE, rng);
             let b_parent = Matrix::<T>::randn(k_max + 2, n_max + 5, T::ONE, rng);
             let mut out = Matrix::zeros(0, 0);
@@ -374,9 +530,12 @@ mod tests {
                     for n in EDGE_N {
                         let a = a_parent.view().block(1, 2, m, k);
                         let b = b_parent.view().block(2, 3, k, n);
-                        assert_both_builds_exact(&a, &b, &mut out);
+                        let want = reference_gemm(&a, &b);
+                        let label = format!("{m} x {k} x {n}");
+                        each_build_exact(&a, &b, |x| x, &mut out, &want, &label);
                         let (a, b) = (a.to_matrix(), b.to_matrix());
-                        assert_both_builds_exact(&a.view(), &b.view(), &mut out);
+                        let label = format!("{label}, contiguous");
+                        each_build_exact(&a.view(), &b.view(), |x| x, &mut out, &want, &label);
                     }
                 }
             }
@@ -386,13 +545,13 @@ mod tests {
         check::<f32>(&mut rng);
     }
 
-    /// As [`both_builds_match_reference_at_every_block_boundary`] in
-    /// `f64`, with B widened from `f32` values: both builds, folding B
-    /// from those values, equal the reference product of the `f64` ones.
+    /// As [`every_build_matches_reference_at_every_tile_edge`] in `f64`,
+    /// with B widened from `f32` values: every build, folding B from
+    /// those values, equals the reference product of the `f64` ones.
     #[test]
-    fn both_builds_fold_an_f32_source_exactly_at_every_block_boundary() {
+    fn every_build_folds_an_f32_source_exactly_at_every_tile_edge() {
         let mut rng = GaussianSampler::new(17);
-        let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[6]); // the largest
+        let (m_max, k_max, n_max) = (EDGE_M[9], EDGE_K[7], EDGE_N[21]); // the largest
         let a_parent = Matrix64::randn(m_max + 1, k_max + 3, 1.0, &mut rng);
         let b_source = Matrix32::randn(k_max + 2, n_max + 5, 1.0, &mut rng);
         let b_parent = b_source.to_f64();
@@ -412,6 +571,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Products whose B is just above the panel gate, with `k` on both
+    /// sides of one and two panels, and one exactly at the gate (a single
+    /// panel): `f32` and `f64`, strided and contiguous, with and without
+    /// an `f32` source, and through the dispatching entry point.
+    #[test]
+    fn every_build_matches_reference_across_panel_edges() {
+        fn check<T: Scalar>(elem: usize, rng: &mut GaussianSampler) {
+            let mut out = Matrix::zeros(0, 0);
+            let ks = [
+                PANEL_ROWS - 1,
+                PANEL_ROWS,
+                PANEL_ROWS + 1,
+                2 * PANEL_ROWS + 1,
+            ];
+            for k in ks {
+                let above = PANEL_MIN_BYTES / (k * elem) + 1;
+                let at = PANEL_MIN_BYTES / (PANEL_ROWS * elem);
+                for (k, n) in [(k, above), (PANEL_ROWS, at)] {
+                    let a = Matrix::<T>::randn(RB + 2, k + 1, T::ONE, rng);
+                    let b = Matrix::<T>::randn(k + 1, n + 3, T::ONE, rng);
+                    for m in [1, 3, RB + 1] {
+                        let (a, b) = (a.view().block(1, 1, m, k), b.view().block(1, 2, k, n));
+                        assert_every_build_exact(&a, &b, &mut out);
+                        let (a, b) = (a.to_matrix(), b.to_matrix());
+                        assert_every_build_exact(&a.view(), &b.view(), &mut out);
+                    }
+                }
+            }
+        }
+        let mut rng = GaussianSampler::new(19);
+        check::<f64>(8, &mut rng);
+        check::<f32>(4, &mut rng);
+        // An f64 B carrying its f32 source, which the kernel reads at four
+        // bytes an element: above the gate, and at it.
+        let mut out = Matrix64::zeros(0, 0);
+        for (k, n) in [
+            (PANEL_ROWS + 1, PANEL_MIN_BYTES / 36 + 1),
+            (PANEL_ROWS, 1 << 14),
+        ] {
+            let source = Matrix32::randn(k, n + 3, 1.0, &mut rng);
+            let b64 = source.to_f64();
+            let sourced = b64.view().with_f32_source(source.view());
+            let a = Matrix64::randn(RB + 1, k, 1.0, &mut rng);
+            for m in [1, 3, RB, RB + 1] {
+                let a = a.view().block(0, 0, m, k);
+                assert_every_build_exact(&a, &sourced.block(0, 1, k, n), &mut out);
+            }
+        }
+    }
+
+    /// Pairs of reduction steps whose second product is exact only when
+    /// fused into the add after it: `1 * 1`, then `(1 + e) * -(1 - e)`,
+    /// which rounds to `-1`. Unfused, each pair sums to zero; a fused
+    /// multiply-add leaves `e^2` (2^-60 in `f64` with `e = 2^-30`, 2^-26
+    /// in `f32` with `e = 2^-13`). The products are wide and tall enough
+    /// to run every build's whole tiles, every narrower strip, every
+    /// row-group height and, at `k = 514`, B above the panel gate.
+    #[test]
+    fn no_build_fuses_a_multiply_into_its_add() {
+        fn check<T: Scalar, U: Scalar>(
+            a_pair: [T; 2],
+            b_pair: [U; 2],
+            widen: impl Fn(U) -> T + Copy,
+            label: &str,
+        ) {
+            let mut out = Matrix::zeros(0, 0);
+            for k in [66, 514] {
+                let (m, n) = (2 * RB + 3, 511);
+                let a = Matrix::from_fn(m, k, |_, l| a_pair[l % 2]);
+                let b = Matrix::from_fn(k, n, |l, _| b_pair[l % 2]);
+                let zero = Matrix::zeros(m, n);
+                let label = format!("{label}, {m} x {k} x {n}");
+                each_build_exact(&a.view(), &b.view(), widen, &mut out, &zero, &label);
+            }
+        }
+        let e64 = 2f64.powi(-30);
+        check([1.0, 1.0 + e64], [1.0, -(1.0 - e64)], |x| x, "f64");
+        let e32 = 2f32.powi(-13);
+        check([1.0, 1.0 + e32], [1.0, -(1.0 - e32)], |x| x, "f32");
+        // An f32 source needs the rounding in the second product:
+        // (1 + 2^-30)(1 + 2^-23) = p + 2^-53 rounds (to even) to p.
+        let p = 1.0 + 2f64.powi(-23) + e64;
+        let (a_pair, b_pair) = ([-p, 1.0 + e64], [1.0, 1.0 + 2f32.powi(-23)]);
+        check(a_pair, b_pair, widen, "f64 from an f32 source");
+
+        // The dispatching entry point, on the f64 and f32 operands and on
+        // an f64 B folded from its f32 source (at most `RB` rows, B above
+        // `SOURCE_FOLD_MIN_BYTES`).
+        let (m, k, n) = (RB, 514, 511);
+        let a = Matrix64::from_fn(m, k, |_, l| [1.0, 1.0 + e64][l % 2]);
+        let b = Matrix64::from_fn(k, n, |l, _| [1.0, -(1.0 - e64)][l % 2]);
+        assert_eq!(tiled_gemm(&a.view(), &b.view()), Matrix64::zeros(m, n));
+        let a = Matrix32::from_fn(m, k, |_, l| [1.0, 1.0 + e32][l % 2]);
+        let b = Matrix32::from_fn(k, n, |l, _| [1.0, -(1.0 - e32)][l % 2]);
+        assert_eq!(tiled_gemm(&a.view(), &b.view()), Matrix32::zeros(m, n));
+        let a = Matrix64::from_fn(m, k, |_, l| a_pair[l % 2]);
+        let source = Matrix32::from_fn(k, n, |l, _| b_pair[l % 2]);
+        let b = source.to_f64();
+        let sourced = b.view().with_f32_source(source.view());
+        assert!(folded_source(m, &sourced).is_some());
+        assert_eq!(tiled_gemm(&a.view(), &sourced), Matrix64::zeros(m, n));
+        assert_eq!(reference_gemm(&a.view(), &b.view()), Matrix64::zeros(m, n));
     }
 
     #[test]

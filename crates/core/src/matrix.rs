@@ -537,6 +537,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     }
 
     /// One row as a slice.
+    #[inline]
     pub fn row(&self, i: usize) -> &'a [T] {
         &self.data[i * self.stride..i * self.stride + self.cols]
     }
@@ -597,11 +598,12 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
 
     /// Matrix product through the shared kernel: `self x rhs`.
     ///
-    /// Delegates to the one row-blocked kernel in [`crate::kernel`],
-    /// which folds B's rows in place into the output and is
-    /// bit-identical to [`reference_gemm`] on every shape. All backends
-    /// that advertise exact arithmetic route through this one kernel so
-    /// "exact" is bit-for-bit reproducible across the workspace.
+    /// Delegates to the one register-tiled kernel in [`crate::kernel`],
+    /// which accumulates tiles of the output in registers from B's rows,
+    /// read in place, and is bit-identical to [`reference_gemm`] on
+    /// every shape. All backends that advertise exact arithmetic route
+    /// through this one kernel so "exact" is bit-for-bit reproducible
+    /// across the workspace.
     ///
     /// # Panics
     ///
