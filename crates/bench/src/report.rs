@@ -32,13 +32,11 @@
 //! and gated.
 //!
 //! Schema 5 added the `kernel` section for the shared GEMM kernel and
-//! the true integer execution path:
-//! `prev_forward_record_us` (the committed pre-rework baseline, kept as
-//! a `_us` field so it is exempt like all wall-clock) next to the fresh
-//! `forward_record_us`, tiled-vs-naive and f64-vs-i8 wall-clocks, and
-//! gated deterministic fields — the kernel's blocking (`micro_tile`,
-//! `RBxKxN`: rows per block, each block over all of B), the int8
-//! forward's recorded op/MAC counts (integer execution must be
+//! the true integer execution path: `forward_record_us`, tiled-vs-naive
+//! and f64-vs-i8 wall-clocks (`_us` fields, exempt like all
+//! wall-clock), and gated deterministic fields — the kernel's blocking
+//! (`micro_tile`, `RBxKxN`: rows per block, each block over all of B),
+//! the int8 forward's recorded op/MAC counts (integer execution must be
 //! workload-transparent), i8/i4 code bytes for a reference weight
 //! (i4 really halves memory), and the int8 logit deviation on the
 //! exact engine (pure quantization error, no noise).
@@ -47,9 +45,7 @@
 //! cache's hit/miss/entry counters over a fixed replay workload (every
 //! paper benchmark plus the analytical decode trace) — deterministic and
 //! gated, since the op sequence is fixed — plus the decode serving
-//! loop's before/after wall-clock (`prev_decode_record_replay_us`, the
-//! committed PR-7 baseline, next to the fresh
-//! `decode_record_replay_us`; both `_us`, both exempt).
+//! loop's wall-clock (`decode_record_replay_us`, exempt).
 //!
 //! Schema 7 added the `serving` section: the SLO frontend's fixed
 //! open-loop scenario (see [`crate::experiments::serving`]) run
@@ -258,12 +254,8 @@ fn serving_section() -> String {
 /// analytical trace plus the batch-1 decode trace through one LT-B
 /// simulator. The op sequence is fixed, so hits/misses/entries (and
 /// their ratio) are deterministic and gated; the decode serving loop's
-/// before/after wall-clock rides along as exempt `_us` fields
-/// (`prev_decode_record_replay_us` is the committed PR-7 baseline).
+/// wall-clock rides along as an exempt `_us` field.
 fn schedule_cache_section(decode_record_replay_us: f64) -> String {
-    // The committed pre-rework measurement (see ISSUE 8 acceptance).
-    let prev_decode_record_replay_us = 1.233668e4;
-
     // Two passes over the fixed workload: the first populates (all
     // misses once coalesced traces are deduped by shape x dataflow),
     // the second replays warm — the steady-state serving regime.
@@ -277,30 +269,22 @@ fn schedule_cache_section(decode_record_replay_us: f64) -> String {
     let stats = sim.schedule_cache_stats();
     format!(
         "  \"schedule_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \
-         \"hit_rate\": {}, \"prev_decode_record_replay_us\": {}, \
-         \"decode_record_replay_us\": {} }}",
+         \"hit_rate\": {}, \"decode_record_replay_us\": {} }}",
         stats.hits,
         stats.misses,
         stats.entries,
         num(stats.hit_rate()),
-        num(prev_decode_record_replay_us),
         num(decode_record_replay_us),
     )
 }
 
-/// The `kernel` section (schema 5): the kernel rework's
-/// before/after wall-clock and the integer path's deterministic
-/// footprint. `prev_forward_record_us` is the forward_record_us the
-/// PR-6 baseline committed (Box-Muller sampler, per-use re-encoding,
-/// pre-tiling kernel); the `_us` suffix keeps every host-dependent
-/// field out of the `repro check` gate, while the integer-path fields
-/// are modeled/deterministic and gated.
+/// The `kernel` section (schema 5): the kernel's wall-clock and the
+/// integer path's deterministic footprint. The `_us` suffix keeps every
+/// host-dependent field out of the `repro check` gate, while the
+/// integer-path fields are modeled/deterministic and gated.
 fn kernel_section(forward_record_us: f64) -> String {
     use lt_core::kernel::RB;
     use lt_core::{quantized_gemm, reference_gemm, Matrix32, Matrix64, QuantizedMatrix};
-
-    // The committed pre-rework measurement (see ISSUE 7 acceptance).
-    let prev_forward_record_us = 2.711536e4;
 
     let (m, k, n) = (96usize, 256, 96);
     let mut rng = GaussianSampler::new(3);
@@ -337,12 +321,11 @@ fn kernel_section(forward_record_us: f64) -> String {
 
     format!(
         "  \"kernel\": {{ \"micro_tile\": \"{RB}xKxN\", \
-         \"prev_forward_record_us\": {}, \"forward_record_us\": {}, \
+         \"forward_record_us\": {}, \
          \"naive_f64_gemm_us\": {}, \"tiled_f64_gemm_us\": {}, \"i8_gemm_us\": {}, \
          \"int8_forward_ops\": {}, \"int8_forward_macs\": {}, \
          \"i8_weight_code_bytes\": {}, \"i4_weight_code_bytes\": {}, \
          \"int8_logit_err\": {} }}",
-        num(prev_forward_record_us),
         num(forward_record_us),
         num(naive.us_per_iter()),
         num(tiled.us_per_iter()),
@@ -508,7 +491,6 @@ mod tests {
             "\"kv_bandwidth_stall_frac\"",
             "\"kernel\"",
             "\"micro_tile\"",
-            "\"prev_forward_record_us\"",
             "\"i8_gemm_us\"",
             "\"int8_forward_macs\"",
             "\"i4_weight_code_bytes\"",
@@ -518,7 +500,6 @@ mod tests {
             "\"misses\"",
             "\"entries\"",
             "\"hit_rate\"",
-            "\"prev_decode_record_replay_us\"",
             "\"serving\"",
             "\"prefill_chunk_tokens\"",
             "\"unchunked\"",

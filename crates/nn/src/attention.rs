@@ -5,6 +5,12 @@
 //! with the photonic engine, both operands of those products go through
 //! DPTC encoding, quantization, and noise — exactly the scenario prior
 //! weight-static photonic accelerators cannot serve.
+//!
+//! Training runs [`MultiHeadAttention::forward`] and `backward`. Every
+//! inference pass over a KV cache (whole-prompt prefill, prefill chunk,
+//! recompute, speculative verify, decode step) runs one body,
+//! [`MultiHeadAttention::extend`]: project the new rows, append their
+//! K/V, attend the cached context.
 
 use crate::kv::{kv_write_traffic, PagedKvLayer};
 use crate::layers::{
@@ -96,99 +102,32 @@ impl MultiHeadAttention {
         self.wo.forward(&concat, ctx)
     }
 
-    /// Causal (masked) prefill over a whole prompt `x: [tokens, dim]`,
-    /// filling `cache` with every token's K/V rows. Inference-only
+    /// The cache-driven pass: causal attention of `x: [t, dim]`, the
+    /// tokens at positions `prior .. prior + t` where `prior` is the
+    /// cache's context length, over everything cached. Projects the new
+    /// rows, appends their K/V to `cache` (recording the cache's actual
+    /// write traffic: a shared prefix skips its rows' writes, a
+    /// copy-on-write pays for the block copy), and attends each query
+    /// over the whole context under the causal mask. Inference-only
     /// (`&self`): concurrent decode sessions share one set of weights.
     ///
-    /// Records the same GEMM shapes as [`MultiHeadAttention::forward`]
-    /// (the mask changes values, not dims) plus the KV-cache append
-    /// traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is non-empty (prefill starts a sequence).
-    pub fn prefill(
-        &self,
-        x: &Tensor,
-        cache: &mut PagedKvLayer<'_>,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        assert_eq!(cache.context_len(), 0, "prefill expects an empty KV cache");
-        let (q, k, v) = self.project_and_append(x, cache, ctx);
-        let concat = self.attend(&q, &k, &v, 0, ctx);
-        self.wo.infer(&concat, ctx)
-    }
-
-    /// Causal prefill of one *chunk* of a prompt (`x: [t, dim]`, the
-    /// tokens at positions `prior .. prior + t` where `prior` is the
-    /// cache's current context length): appends the chunk's K/V rows
-    /// and attends each chunk query over the whole cached context under
-    /// the causal mask. Chunked prefill interleaves these pieces with
-    /// decode ticks so a long prompt cannot monopolize the engine.
-    ///
-    /// On an empty cache with `t` = the whole prompt this computes
-    /// bit-identically to [`MultiHeadAttention::prefill`] for
-    /// deterministic backends (same per-row GEMMs, same mask); the
-    /// *recorded trace* differs in that prior context streams back as
-    /// [`NonGemmKind::KvRead`] (there is none when `prior == 0`) and
-    /// attention reads K/V through the cache rather than the fresh
-    /// projections — which is why [`MultiHeadAttention::prefill`]
-    /// remains the whole-prompt fast path.
-    pub fn prefill_chunk(
+    /// Whole-prompt prefill, a prefill chunk, recompute, a speculative
+    /// verify pass and a decode step are all this pass; they differ only
+    /// in `t` and `prior`. At `t = 1` the recorded `Q K^T` is `[1, dh] x
+    /// [dh, context]` and `A V` is `[1, context] x [context, dh]` per
+    /// head, the matrix-vector regime of paper Section VI-B. Only the
+    /// prior context streams back from HBM as [`NonGemmKind::KvRead`];
+    /// the new rows were just produced on-chip. On an empty cache the
+    /// pass attends the rows it just projected and gathers nothing, so
+    /// a prefill over a borrowed prefix attends its own K/V, not the
+    /// prefix owner's.
+    pub fn extend(
         &self,
         x: &Tensor,
         cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
         let prior = cache.context_len();
-        let (q, _, _) = self.project_and_append(x, cache, ctx);
-        // Only the *prior* context streams back from HBM; the chunk's
-        // own K/V rows were just produced on-chip.
-        if prior > 0 {
-            ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (prior * self.dim) as u64);
-        }
-        debug_assert_eq!(cache.context_len(), prior + x.rows());
-        let (keys, values) = cache.context();
-        let concat = self.attend(&q, &keys, &values, prior, ctx);
-        self.wo.infer(&concat, ctx)
-    }
-
-    /// One autoregressive decode step: appends the new token's K/V to
-    /// `cache` and attends its query over the whole cached context —
-    /// the per-token matrix-vector regime of paper Section VI-B. The
-    /// recorded `Q K^T` is `[1, dh] x [dh, context]` and `A V` is
-    /// `[1, context] x [context, dh]` per head, exactly the analytical
-    /// `DecodeTrace` shapes at batch 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not a single `[1, dim]` token row.
-    pub fn decode_step(
-        &self,
-        x: &Tensor,
-        cache: &mut PagedKvLayer<'_>,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        assert_eq!(x.shape(), (1, self.dim), "decode step takes one token");
-        let (q, _, _) = self.project_and_append(x, cache, ctx);
-        let context = cache.context_len();
-        // Decode attends over the whole cached context: every cached
-        // K and V row streams back through HBM each step.
-        ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (context * self.dim) as u64);
-        let (keys, values) = cache.context();
-        let concat = self.attend(&q, &keys, &values, context - 1, ctx);
-        self.wo.infer(&concat, ctx)
-    }
-
-    /// The Q/K/V projections of `x`, with K and V appended to `cache`
-    /// and the cache's actual write traffic recorded: a shared prefix
-    /// skips its rows' writes, a copy-on-write pays for the block copy.
-    fn project_and_append(
-        &self,
-        x: &Tensor,
-        cache: &mut PagedKvLayer<'_>,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> (Tensor, Tensor, Tensor) {
         let q = self.wq.infer(x, ctx);
         let k = self.wk.infer(x, ctx);
         let v = self.wv.infer(x, ctx);
@@ -196,7 +135,14 @@ impl MultiHeadAttention {
         for (kind, elems) in kv_write_traffic(write, self.dim) {
             ctx.record_non_gemm(kind, elems);
         }
-        (q, k, v)
+        let (keys, values) = if prior == 0 {
+            (k, v)
+        } else {
+            ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (prior * self.dim) as u64);
+            cache.context()
+        };
+        let concat = self.attend(&q, &keys, &values, prior, ctx);
+        self.wo.infer(&concat, ctx)
     }
 
     /// Causal attention of the `[t, dim]` queries `q` over `[context,

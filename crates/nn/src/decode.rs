@@ -5,12 +5,16 @@
 //! The paper argues LLM decoding is memory-bound at batch 1 and that
 //! batching is the remedy — but until this module the repo only modeled
 //! that analytically (`lt_workloads::DecodeTrace`). Here the decode loop
-//! actually runs: [`DecoderLm::prefill`] runs the causal prompt pass and
-//! fills a [`PagedKvCache`], [`DecoderLm::decode_step`] appends one token's
-//! K/V and attends over the cached context, and every pass records its
-//! op trace (the matrix-vector `[1, dh] x [dh, context]` attention
-//! shapes, the `[1, d] x [d, d]` projections, the KV-append traffic) so
-//! [`lt_arch::Simulator::run_trace`] can cost each generated token.
+//! actually runs, on one cache pass: [`DecoderLm::prefill_chunk`] feeds
+//! new tokens through every block, appending their K/V to a
+//! [`PagedKvCache`] and attending over the cached context. A whole
+//! prompt's [`DecoderLm::prefill`], a [`DecoderLm::verify_step`] and a
+//! [`DecoderLm::decode_step`] are that pass plus the LM head; a decode
+//! step is a one-row pass that also reads back its own K/V row. Every
+//! pass records its op trace (the matrix-vector `[1, dh] x [dh,
+//! context]` attention shapes, the `[1, d] x [d, d]` projections, the
+//! KV-append traffic) so [`lt_arch::Simulator::run_trace`] can cost
+//! each generated token.
 //! `tests/trace_crossval.rs` pins the recorded decode-step trace against
 //! the analytical `DecodeTrace::op_trace()` dims and MACs.
 //!
@@ -338,9 +342,11 @@ impl DecoderLm {
         })
     }
 
-    /// Causal prefill over a whole prompt: fills `cache` with every
-    /// prompt token's K/V and returns the `[1, vocab]` logits of the
-    /// *last* position (the distribution of the first generated token).
+    /// Causal prefill over a whole prompt: one
+    /// [`DecoderLm::prefill_chunk`] over every prompt token, then
+    /// [`DecoderLm::logits_at_last`]. Fills `cache` with every prompt
+    /// token's K/V and returns the `[1, vocab]` logits of the *last*
+    /// position (the distribution of the first generated token).
     ///
     /// # Panics
     ///
@@ -352,27 +358,18 @@ impl DecoderLm {
         cache: &mut PagedKvCache,
         ctx: &mut ForwardCtx<'_>,
     ) -> Tensor {
-        assert!(!prompt.is_empty(), "empty prompt");
         assert!(cache.is_empty(), "prefill expects an empty KV cache");
-        assert!(
-            prompt.len() <= self.config.max_seq,
-            "prompt length {} exceeds max_seq {}",
-            prompt.len(),
-            self.config.max_seq
-        );
-        let mut h = self.embed_at(prompt, 0);
-        for (i, block) in self.blocks.iter().enumerate() {
-            h = block.prefill(&h, &mut cache.layer_mut(i), ctx);
-        }
+        let h = self.prefill_chunk(prompt, cache, ctx);
         self.logits_at_last(&h, ctx)
     }
 
-    /// Causal prefill of one *chunk* of a prompt: feeds the tokens at
+    /// The one cache pass of the decode path: feeds the tokens at
     /// positions `cache.len() .. cache.len() + tokens.len()` through
-    /// every block's [`EncoderBlock::prefill_chunk`], appending their
-    /// K/V, and returns the chunk's `[t, dim]` final hidden states.
-    /// Unlike [`DecoderLm::prefill`] this does *not* run the LM head —
-    /// only the last chunk of a prompt needs logits; call
+    /// every block's [`EncoderBlock::extend`], appending their K/V, and
+    /// returns their `[t, dim]` final hidden states. Whole-prompt
+    /// prefill, a prefill chunk, recompute, [`DecoderLm::verify_step`]
+    /// and [`DecoderLm::decode_step`] all run it. It does *not* run the
+    /// LM head: only the last chunk of a prompt needs logits; call
     /// [`DecoderLm::logits_at_last`] on the returned hidden states then.
     ///
     /// For deterministic backends without per-tensor fake quantization,
@@ -401,7 +398,7 @@ impl DecoderLm {
         );
         let mut h = self.embed_at(tokens, start);
         for (i, block) in self.blocks.iter().enumerate() {
-            h = block.prefill_chunk(&h, &mut cache.layer_mut(i), ctx);
+            h = block.extend(&h, &mut cache.layer_mut(i), ctx);
         }
         h
     }
@@ -414,8 +411,11 @@ impl DecoderLm {
         self.head_logits(&last, ctx)
     }
 
-    /// One decode step: feeds the single `token` at the next position,
-    /// appends its K/V to `cache`, and returns `[1, vocab]` logits.
+    /// One decode step: a one-row [`DecoderLm::prefill_chunk`] of
+    /// `token` at the next position plus the LM head, returning
+    /// `[1, vocab]` logits. Its logits, noise draws and trace equal a
+    /// one-row [`DecoderLm::verify_step`]'s, but for one
+    /// [`NonGemmKind::KvRead`] of the new row itself.
     ///
     /// # Panics
     ///
@@ -430,10 +430,13 @@ impl DecoderLm {
         let pos = cache.len();
         assert!(pos > 0, "decode_step before prefill");
         assert!(pos < self.config.max_seq, "context window full at {pos}");
-        let mut h = self.embed_at(&[token], pos);
-        for (i, block) in self.blocks.iter().enumerate() {
-            h = block.decode_step(&h, &mut cache.layer_mut(i), ctx);
-        }
+        let h = self.prefill_chunk(&[token], cache, ctx);
+        // A step also reads back its own new K/V row in every layer,
+        // which a one-row chunk does not charge. Whether it should is the
+        // open question of ROADMAP.md item 2; this line is the only place
+        // the decode path applies that rule.
+        let (dim, layers) = (self.config.dim, self.config.layers);
+        ctx.record_non_gemm(NonGemmKind::KvRead, 2 * (dim * layers) as u64);
         self.head_logits(&h, ctx)
     }
 
@@ -515,13 +518,6 @@ impl DraftLm {
                 lm_head: target.lm_head.clone(),
             },
         }
-    }
-
-    /// Wraps an arbitrary decoder as a draft (e.g. an independently
-    /// trained small model). Its vocabulary and context window must
-    /// match the target's.
-    pub fn from_model(model: DecoderLm) -> Self {
-        DraftLm { model }
     }
 
     /// The draft decoder itself.
@@ -612,9 +608,10 @@ impl SpecStepReport {
     }
 }
 
-/// Cumulative speculation counters of one session — the acceptance
-/// accounting [`crate::serve::sched::KvSchedStats`] and the serving
-/// report aggregate across requests.
+/// Speculation counters: one step's ([`SpecStepReport::stats_delta`]),
+/// or the merged acceptance accounting that
+/// [`crate::serve::sched::KvSchedStats`] and the serving report keep
+/// across steps and requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecSessionStats {
     /// Speculative steps taken (including `k_eff = 0` fallbacks).
@@ -635,7 +632,7 @@ pub struct SpecSessionStats {
 }
 
 impl SpecSessionStats {
-    /// Merges another session's counters into this one.
+    /// Merges another step's or session's counters into this one.
     pub fn merge(&mut self, other: &SpecSessionStats) {
         self.spec_steps += other.spec_steps;
         self.proposed += other.proposed;
@@ -772,18 +769,16 @@ pub struct DecodeSession<B: ComputeBackend + Clone> {
     rng: GaussianSampler,
     cache: PagedKvCache,
     tokens: Vec<usize>,
+    /// Merged cost of the prefill chunks fed so far.
     prefill_cost: Option<RunReport>,
     /// Prompt tokens already prefilled via [`DecodeSession::prefill_partial`].
     prefill_fed: usize,
-    /// Accumulated cost of partial chunks until the prefill completes.
-    prefill_accum: Option<RunReport>,
     step_costs: Vec<RunReport>,
     kv_bits: u32,
     /// Root seed (pre-split), kept to derive the draft's streams lazily.
     seed: u64,
     /// Draft-model state, created on the first [`DecodeSession::spec_step`].
     spec: Option<SpecState<B>>,
-    spec_stats: SpecSessionStats,
 }
 
 impl<B: ComputeBackend + Clone> DecodeSession<B> {
@@ -848,12 +843,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             tokens: Vec::with_capacity(max_new_tokens),
             prefill_cost: None,
             prefill_fed: 0,
-            prefill_accum: None,
             step_costs: Vec::new(),
             kv_bits: config.kv_bits,
             seed: config.seed,
             spec: None,
-            spec_stats: SpecSessionStats::default(),
         }
     }
 
@@ -901,34 +894,31 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     /// cached values (which is why the swap-out policy is the default).
     ///
     /// A session preempted *mid-prefill* (chunked prefill) recomputes
-    /// only the chunks fed so far, via [`DecoderLm::prefill_chunk`] (no
-    /// LM head — the first token has not been sampled yet); chunking
-    /// then continues from where it stopped.
+    /// only the chunks fed so far, without the LM head (the first token
+    /// has not been sampled yet); chunking then continues from where it
+    /// stopped. Either way the recompute is one
+    /// [`DecoderLm::prefill_chunk`] pass.
     ///
     /// # Panics
     ///
     /// Panics if the session has fed nothing yet, or its cache is not
     /// empty (recompute resumes a dropped cache).
     pub fn resume_by_recompute(&mut self, model: &DecoderLm) -> Trace {
-        let fed: Vec<usize> = if self.prefill_cost.is_some() {
-            let mut fed = self.prompt.clone();
+        assert!(self.prefill_fed > 0, "recompute before any prefill chunk");
+        let done = self.prefill_done();
+        let mut fed = self.prompt[..self.prefill_fed].to_vec();
+        if done {
             fed.extend_from_slice(&self.tokens[..self.tokens.len() - 1]);
-            fed
-        } else {
-            assert!(self.prefill_fed > 0, "recompute before any prefill chunk");
-            self.prompt[..self.prefill_fed].to_vec()
-        };
-        let done = self.prefill_cost.is_some();
+        }
         let quant = self.quant;
         let mut engine = self.engine.clone();
         let mut rng = GaussianSampler::new(split_seed(self.ticket, !0));
         let cache = &mut self.cache;
         assert!(cache.is_empty(), "recompute expects a dropped cache");
         let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng).recording();
+        let h = model.prefill_chunk(&fed, cache, &mut ctx);
         if done {
-            model.prefill(&fed, cache, &mut ctx);
-        } else {
-            model.prefill_chunk(&fed, cache, &mut ctx);
+            model.logits_at_last(&h, &mut ctx);
         }
         ctx.take_trace().coalesce()
     }
@@ -938,57 +928,43 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         self.tokens.len() >= self.max_new_tokens
     }
 
-    /// Runs the causal prompt pass: fills the KV cache, samples the
-    /// first token, and costs the recorded trace on `sim`. Returns the
-    /// coalesced prefill trace (for schedulers that aggregate tick
-    /// traffic).
+    /// Runs the causal prompt pass: one
+    /// [`DecodeSession::prefill_partial`] over the whole prompt, which
+    /// fills the KV cache, samples the first token, and costs the
+    /// recorded trace on `sim`. Returns the coalesced prefill trace (for
+    /// schedulers that aggregate tick traffic).
     ///
     /// # Panics
     ///
-    /// Panics if called twice.
+    /// Panics if the prefill already finished.
     pub fn prefill(&mut self, model: &DecoderLm, sim: &Simulator) -> Trace {
-        assert!(self.prefill_cost.is_none(), "prefill already ran");
-        assert_eq!(self.prefill_fed, 0, "prefill after partial chunks");
-        let prompt = std::mem::take(&mut self.prompt);
-        let (logits, trace) = self.recorded_pass(model, |model, ctx, cache| {
-            model.prefill(&prompt, cache, ctx)
-        });
-        self.prompt = prompt;
-        let cost = sim.run_trace(&trace);
-        self.prefill_cost = Some(cost);
-        self.tokens.push(greedy(&logits));
-        trace
+        self.prefill_partial(model, sim, self.prompt.len())
     }
 
     /// Whether the prefill (whole or chunked) has completed and the
     /// first token has been sampled.
     pub fn prefill_done(&self) -> bool {
-        self.prefill_cost.is_some()
+        self.prefill_fed == self.prompt.len()
     }
 
     /// Prompt tokens not yet prefilled (the whole prompt before any
     /// prefill ran; zero once [`DecodeSession::prefill_done`]).
     pub fn prefill_remaining(&self) -> usize {
-        if self.prefill_done() {
-            0
-        } else {
-            self.prompt.len() - self.prefill_fed
-        }
+        self.prompt.len() - self.prefill_fed
     }
 
     /// Feeds the next chunk of up to `chunk_tokens` prompt tokens —
     /// the unit of *chunked prefill*, letting a scheduler interleave a
     /// long prompt with decode steps of running sessions instead of
     /// stalling them for the whole prompt pass. On the final chunk the
-    /// first token is sampled and the session's prefill cost becomes
-    /// the merged cost of every chunk; until then
-    /// [`DecodeSession::prefill_done`] stays false. Returns the chunk's
-    /// coalesced trace.
+    /// first token is sampled; the session's prefill cost is the merged
+    /// cost of every chunk. Until then [`DecodeSession::prefill_done`]
+    /// stays false. Returns the chunk's coalesced trace.
     ///
     /// For deterministic backends without per-tensor fake quantization
-    /// the sampled tokens are bit-identical to the unchunked
-    /// [`DecodeSession::prefill`] path; the *cost* legitimately differs
-    /// (smaller GEMMs plus prior-context KV re-reads).
+    /// the sampled tokens are bit-identical in any chunking; the *cost*
+    /// legitimately differs (smaller GEMMs plus prior-context KV
+    /// re-reads).
     ///
     /// # Panics
     ///
@@ -1000,7 +976,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         chunk_tokens: usize,
     ) -> Trace {
         assert!(chunk_tokens > 0, "chunk must hold at least one token");
-        assert!(self.prefill_cost.is_none(), "prefill already ran");
+        assert!(!self.prefill_done(), "prefill already ran");
         let prompt = std::mem::take(&mut self.prompt);
         let end = (self.prefill_fed + chunk_tokens).min(prompt.len());
         let chunk = &prompt[self.prefill_fed..end];
@@ -1016,12 +992,11 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         self.prompt = prompt;
         self.prefill_fed = end;
         let cost = sim.run_trace(&trace);
-        match &mut self.prefill_accum {
+        match &mut self.prefill_cost {
             Some(acc) => acc.merge(&cost),
-            None => self.prefill_accum = Some(cost),
+            None => self.prefill_cost = Some(cost),
         }
         if is_final {
-            self.prefill_cost = self.prefill_accum.take();
             self.tokens.push(greedy(&out));
         }
         trace
@@ -1036,7 +1011,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     /// Panics if called before [`DecodeSession::prefill`] or after the
     /// session [`DecodeSession::is_done`].
     pub fn step(&mut self, model: &DecoderLm, sim: &Simulator) -> Trace {
-        assert!(self.prefill_cost.is_some(), "step before prefill");
+        assert!(self.prefill_done(), "step before prefill");
         assert!(!self.is_done(), "session already finished");
         let last = *self.tokens.last().expect("prefill sampled a token");
         let (logits, trace) = self.recorded_pass(model, |model, ctx, cache| {
@@ -1095,16 +1070,13 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         sim: &Simulator,
         k: usize,
     ) -> SpecStepReport {
-        assert!(self.prefill_cost.is_some(), "spec_step before prefill");
+        assert!(self.prefill_done(), "spec_step before prefill");
         assert!(!self.is_done(), "session already finished");
-        self.spec_stats.spec_steps += 1;
         let remaining = self.max_new_tokens - self.tokens.len();
         let k_eff = k.min(remaining - 1);
         if k_eff == 0 {
             let verify_trace = self.step(model, sim);
             let verify_cost = *self.step_costs.last().expect("step recorded its cost");
-            self.spec_stats.emitted += 1;
-            self.spec_stats.verify_cycles += verify_cost.cycles;
             return SpecStepReport {
                 outcome: SpecOutcome {
                     accepted: 0,
@@ -1222,12 +1194,6 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
 
         let draft_cost = sim.run_trace(&draft_trace);
         let verify_cost = sim.run_trace(&verify_trace);
-        self.spec_stats.proposed += k_eff as u64;
-        self.spec_stats.accepted += accepted as u64;
-        self.spec_stats.emitted += emitted as u64;
-        self.spec_stats.rolled_back += (k_eff - accepted) as u64;
-        self.spec_stats.draft_cycles += draft_cost.cycles;
-        self.spec_stats.verify_cycles += verify_cost.cycles;
         SpecStepReport {
             outcome: SpecOutcome {
                 accepted,
@@ -1239,11 +1205,6 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             draft_cost,
             verify_cost,
         }
-    }
-
-    /// Cumulative speculation counters (all zeros for plain sessions).
-    pub fn spec_stats(&self) -> SpecSessionStats {
-        self.spec_stats
     }
 
     /// Runs one recorded forward pass and returns its logits and
@@ -1416,8 +1377,8 @@ mod tests {
     fn recorded_prefill_trace_has_full_prompt_shapes() {
         // Pins prefill's recorded ops so the causal prompt pass cannot
         // silently drift from the encoder-style attention recording
-        // (prefill deliberately re-implements the forward loop with
-        // masking + cache filling; this test names any divergence).
+        // (the cache pass re-implements the forward loop with masking +
+        // cache filling; this test names any divergence).
         let m = model();
         let sim = Simulator::new(ArchConfig::lt_base(8));
         let mut s = DecodeSession::new(
@@ -1560,7 +1521,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_prefill_accumulates_cost_across_chunks() {
+    fn chunked_prefill_cost_is_the_sum_of_its_chunks() {
         let m = model();
         let sim = Simulator::new(ArchConfig::lt_base(8));
         let mut s = DecodeSession::new(
@@ -1738,10 +1699,10 @@ mod tests {
             },
         );
         s.prefill(&m, &sim);
+        let mut stats = SpecSessionStats::default();
         while !s.is_done() {
-            s.spec_step(&m, &draft, &sim, k);
+            stats.merge(&s.spec_step(&m, &draft, &sim, k).stats_delta());
         }
-        let stats = s.spec_stats();
         (s.into_reply(), stats)
     }
 
@@ -1788,10 +1749,10 @@ mod tests {
             SessionConfig::default(),
         );
         s.prefill(&m, &sim);
+        let mut stats = SpecSessionStats::default();
         while !s.is_done() {
-            s.spec_step(&m, &draft, &sim, 4);
+            stats.merge(&s.spec_step(&m, &draft, &sim, 4).stats_delta());
         }
-        let stats = s.spec_stats();
         assert!(stats.proposed > 0);
         assert!(
             stats.acceptance_rate() > 0.25,
@@ -1875,6 +1836,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Prefills twin engines from `make` to each of a few contexts, then
+    /// feeds one token as a [`DecoderLm::decode_step`] on one twin and a
+    /// one-row [`DecoderLm::verify_step`] on the other. Asserts equal
+    /// logits bit for bit, equal seed draws, and coalesced traces that
+    /// differ only in `KvRead`, by the step's own row in every layer.
+    fn assert_step_is_a_one_row_verify<B: ComputeBackend + Clone>(
+        m: &DecoderLm,
+        make: impl Fn() -> BackendEngine<B>,
+    ) {
+        let cfg = m.config();
+        let own_row = 2 * (cfg.dim * cfg.layers) as u64;
+        for context in [1usize, 2, 7, 31] {
+            let prompt: Vec<usize> = (0..context).map(|i| (i * 7 + 2) % cfg.vocab).collect();
+            let token = (context * 5 + 1) % cfg.vocab;
+            let mut runs = Vec::new();
+            for one_row_verify in [false, true] {
+                let mut engine = make();
+                let mut rng = GaussianSampler::new(context as u64);
+                let mut cache = m.empty_cache();
+                let (logits, trace) = {
+                    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut rng);
+                    m.prefill(&prompt, &mut cache, &mut ctx);
+                    let mut ctx = ctx.recording();
+                    let logits = if one_row_verify {
+                        m.verify_step(&[token], &mut cache, &mut ctx)
+                    } else {
+                        m.decode_step(token, &mut cache, &mut ctx)
+                    };
+                    (logits, ctx.take_trace().coalesce())
+                };
+                let bits: Vec<u32> = logits.data().iter().map(|v| v.to_bits()).collect();
+                runs.push((bits, engine.seed_draws(), trace));
+            }
+            let (step, verify) = (&runs[0], &runs[1]);
+            assert_eq!(step.0, verify.0, "context {context}: logits");
+            assert_eq!(step.1, verify.1, "context {context}: seed draws");
+            let expect: Vec<Op> = verify
+                .2
+                .ops()
+                .iter()
+                .map(|&op| match op {
+                    Op::NonGemm {
+                        kind: NonGemmKind::KvRead,
+                        elems,
+                    } => Op::non_gemm(NonGemmKind::KvRead, elems + own_row),
+                    op => op,
+                })
+                .collect();
+            assert_eq!(step.2.ops(), &expect[..], "context {context}: traces");
+        }
+    }
+
+    #[test]
+    fn a_decode_step_is_a_one_row_verify_pass_plus_its_own_row_read() {
+        // The decode path runs one cache pass: a decode step is a one-row
+        // verify pass (the same projections, append and attention over
+        // the prior context), plus the read of its own new K/V row that
+        // DecoderLm::decode_step charges. On the exact and the noisy
+        // backend alike.
+        let m = model();
+        assert_step_is_a_one_row_verify(&m, || BackendEngine::new(NativeBackend, 1));
+        assert_step_is_a_one_row_verify(&m, || BackendEngine::new(DptcBackend::paper(8, 3), 2));
     }
 
     #[test]

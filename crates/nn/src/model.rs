@@ -1,10 +1,9 @@
 //! Model assemblies: the encoder block, a tiny ViT (the DeiT stand-in),
 //! and a tiny bidirectional text classifier (the BERT stand-in).
 //!
-//! The encoder block is also the decoder's block: its cache-driven
-//! passes (`prefill`, `prefill_chunk`, `decode_step`) read and write one
-//! layer of a [`crate::kv::PagedKvCache`] through a borrowed
-//! [`PagedKvLayer`].
+//! The encoder block is also the decoder's block: its one cache-driven
+//! pass, [`EncoderBlock::extend`], reads and writes one layer of a
+//! [`crate::kv::PagedKvCache`] through a borrowed [`PagedKvLayer`].
 
 use crate::attention::MultiHeadAttention;
 use crate::kv::PagedKvLayer;
@@ -80,60 +79,22 @@ impl EncoderBlock {
         x1.add(&ffn_out)
     }
 
-    /// Causal prefill of a whole prompt, filling this layer's view of a
-    /// [`crate::kv::PagedKvCache`] — the block body of the
-    /// autoregressive decode path (inference-only, `&self`, so
-    /// concurrent decode sessions share one set of weights).
-    pub fn prefill(
+    /// The cache-driven block pass: `x: [t, dim]` holds the tokens at
+    /// positions `cache.context_len() ..`, whose attention runs
+    /// [`MultiHeadAttention::extend`] against this layer's view of a
+    /// [`crate::kv::PagedKvCache`] (inference-only, `&self`, so
+    /// concurrent decode sessions share one set of weights). Both
+    /// residuals add into the branch output in place (`a + b == b + a`
+    /// exactly in IEEE arithmetic, so this is `forward`'s `x + delta`).
+    pub fn extend(
         &self,
         x: &Tensor,
         cache: &mut PagedKvLayer<'_>,
         ctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        self.decode_pass(x, ctx, |attn, normed, ctx| attn.prefill(normed, cache, ctx))
-    }
-
-    /// Causal prefill of one chunk of a prompt against this layer's KV
-    /// cache (`x: [t, dim]` holding the tokens at positions
-    /// `cache.context_len() ..`); see
-    /// [`MultiHeadAttention::prefill_chunk`].
-    pub fn prefill_chunk(
-        &self,
-        x: &Tensor,
-        cache: &mut PagedKvLayer<'_>,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        self.decode_pass(x, ctx, |attn, normed, ctx| {
-            attn.prefill_chunk(normed, cache, ctx)
-        })
-    }
-
-    /// One single-token decode step against this layer's KV cache
-    /// (`x: [1, dim]`, inference-only).
-    pub fn decode_step(
-        &self,
-        x: &Tensor,
-        cache: &mut PagedKvLayer<'_>,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Tensor {
-        self.decode_pass(x, ctx, |attn, normed, ctx| {
-            attn.decode_step(normed, cache, ctx)
-        })
-    }
-
-    /// The shared pre-LN block body of the cache-driven passes; only
-    /// the attention inner call differs. Both residuals add into the
-    /// branch output in place (`a + b == b + a` exactly in IEEE
-    /// arithmetic, so this is `forward`'s `x + delta`).
-    fn decode_pass(
-        &self,
-        x: &Tensor,
-        ctx: &mut ForwardCtx<'_>,
-        attend: impl FnOnce(&MultiHeadAttention, &Tensor, &mut ForwardCtx<'_>) -> Tensor,
     ) -> Tensor {
         let elems = (x.rows() * x.cols()) as u64;
         ctx.record_non_gemm(NonGemmKind::LayerNorm, elems);
-        let mut x1 = attend(&self.attn, &self.ln1.infer(x), ctx);
+        let mut x1 = self.attn.extend(&self.ln1.infer(x), cache, ctx);
         ctx.record_non_gemm(NonGemmKind::Residual, elems);
         x1.add_assign(x);
         ctx.record_non_gemm(NonGemmKind::LayerNorm, elems);

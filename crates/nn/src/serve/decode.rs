@@ -31,7 +31,7 @@
 //! different `max_active` — returns bit-identical replies
 //! (`tests/runtime_determinism.rs`).
 
-use crate::decode::{DecodeReply, DecoderLm, DraftLm, SessionConfig};
+use crate::decode::{DecodeReply, DecoderLm, SessionConfig};
 use crate::quant::QuantConfig;
 use crate::serve::sched::{KvSchedStats, KvScheduler, KvServeConfig};
 use lt_arch::{ArchConfig, ScheduleCacheStats, Simulator};
@@ -60,18 +60,16 @@ pub const LT_SPEC_K_ENV: &str = "LT_SPEC_K";
 pub struct SpecConfig {
     /// Draft tokens proposed per speculative step; `0` (the default)
     /// leaves speculation off and serving byte-for-byte on the plain
-    /// decode path.
+    /// decode path. The draft is always self-speculative: the target's
+    /// own bottom half ([`crate::decode::DraftLm::from_target`]), built
+    /// at scheduler construction.
     pub k: usize,
-    /// An explicit draft model; `None` derives the self-speculative
-    /// draft — the target's own bottom half — via
-    /// [`DraftLm::from_target`] at scheduler construction.
-    pub draft: Option<DraftLm>,
 }
 
 impl SpecConfig {
     /// Speculation depth `k` with the self-speculative draft.
     pub fn with_k(k: usize) -> Self {
-        SpecConfig { k, draft: None }
+        SpecConfig { k }
     }
 
     /// Reads `LT_SPEC_K` from the environment: unset, empty, or
@@ -93,9 +91,7 @@ impl SpecConfig {
     }
 
     /// Applies these knobs to a freshly built scheduler: identity when
-    /// disabled, [`KvScheduler::with_speculation_draft`] with the
-    /// explicit draft when one is set, the self-speculative default
-    /// otherwise.
+    /// disabled, [`KvScheduler::with_speculation`] otherwise.
     pub fn apply<'m, B: ComputeBackend + Clone>(
         &self,
         sched: KvScheduler<'m, B>,
@@ -103,10 +99,7 @@ impl SpecConfig {
         if !self.is_enabled() {
             return sched;
         }
-        match &self.draft {
-            Some(draft) => sched.with_speculation_draft(self.k, draft.clone()),
-            None => sched.with_speculation(self.k),
-        }
+        sched.with_speculation(self.k)
     }
 }
 

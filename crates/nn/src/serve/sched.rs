@@ -345,16 +345,8 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// pool must hold them: booking them keeps every admission and
     /// preemption decision that of the costed schedule, and the replay
     /// can never find the pool dry. `k = 0` leaves speculation off.
-    pub fn with_speculation(self, k: usize) -> Self {
-        let draft = DraftLm::from_target(self.model);
-        self.with_speculation_draft(k, draft)
-    }
-
-    /// Enables speculative decoding with an explicit draft model (same
-    /// contract as [`KvScheduler::with_speculation`]; the draft must
-    /// share the target's vocabulary).
-    pub fn with_speculation_draft(mut self, k: usize, draft: DraftLm) -> Self {
-        self.spec = (k > 0).then_some((k, draft));
+    pub fn with_speculation(mut self, k: usize) -> Self {
+        self.spec = (k > 0).then(|| (k, DraftLm::from_target(self.model)));
         self
     }
 

@@ -20,7 +20,7 @@ use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::core::{ComputeBackend, GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig, SpecSessionStats,
 };
 use lightening_transformer::nn::kv::{BlockPool, PagedKvCache};
 use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, SpecConfig};
@@ -163,8 +163,10 @@ fn rollback_restores_the_block_pool_free_count_exactly() {
         cache,
     );
     session.prefill(&model, &sim);
+    let mut stats = SpecSessionStats::default();
     while !session.is_done() {
         let report = session.spec_step(&model, &draft, &sim, 4);
+        stats.merge(&report.stats_delta());
         assert!(
             report.outcome.rollback <= 4,
             "at most k proposals roll back"
@@ -186,7 +188,6 @@ fn rollback_restores_the_block_pool_free_count_exactly() {
             "rollback must restore the pool free count exactly"
         );
     }
-    let stats = session.spec_stats();
     assert!(stats.rolled_back > 0, "the sweep must exercise rollback");
     assert!(
         stats.accepted > 0,
