@@ -35,13 +35,13 @@ use lt_arch::{ArchConfig, Simulator};
 use lt_bench::timing::{bench_for, BenchReport};
 use lt_core::{ComputeBackend, GaussianSampler, Matrix64, NativeBackend, Op, OpKind, RunCtx};
 use lt_dptc::DptcBackend;
-use lt_nn::decode::{DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig};
+use lt_nn::decode::{DecodeReply, DecodeSession, DecoderConfig, DecoderLm, SessionConfig};
 use lt_nn::model::ModelConfig;
-use lt_nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, SpecConfig};
+use lt_nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer};
 use lt_nn::serve::sched::KvServeConfig;
 use lt_nn::serve::{Request, ServeConfig, Server};
 use lt_nn::{Tensor, TextClassifier, VisionTransformer};
-use lt_runtime::{ParallelBackend, ThreadsConfig};
+use lt_runtime::ParallelBackend;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -167,7 +167,7 @@ fn serving_threads_sweep() {
                         workers: 2,
                         max_batch: 4,
                         seed: 7,
-                        threads: ThreadsConfig::new(threads),
+                        threads,
                         ..ServeConfig::default()
                     },
                 );
@@ -230,7 +230,7 @@ fn spec_k_sweep() {
                         pool_blocks: 64,
                         ..KvServeConfig::default()
                     },
-                    spec: SpecConfig::with_k(k),
+                    spec_k: k,
                     ..DecodeServeConfig::default()
                 },
             );
@@ -266,7 +266,7 @@ fn spec_k_sweep() {
 fn decode_path_rows() {
     let mut model = DecoderLm::new(DecoderConfig::tiny(), &mut GaussianSampler::new(42));
     model.taper_deep_blocks(0.25);
-    let draft = DraftLm::from_target(&model);
+    let draft = model.draft();
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let session = || {
         let config = SessionConfig::default();

@@ -350,9 +350,9 @@ pub fn blocked_gemm<B: ComputeBackend + ?Sized>(
 }
 
 /// [`blocked_gemm`] with the call-level seed already drawn — the single
-/// canonical loop both the sequential and (for its inline/one-pair
-/// paths) the parallel runtime execute, so the partition and seed
-/// schedule exist in exactly one place.
+/// canonical loop both the sequential and (for its inline path) the
+/// parallel runtime execute, so the partition and seed schedule exist
+/// in exactly one place.
 ///
 /// # Panics
 ///

@@ -76,7 +76,7 @@ impl DecoderConfig {
     /// decoder stack (at least one block) over the *same* embedding
     /// width, head count, vocabulary, and context window. Sharing the
     /// vocabulary keeps draft proposals in the target's token space (one
-    /// tokenizer), and sharing the width lets [`DraftLm::from_target`]
+    /// tokenizer), and sharing the width lets [`DecoderLm::draft`]
     /// reuse the target's own embeddings and LM head, which is what
     /// makes greedy agreement high enough for speculation to pay.
     pub fn draft(&self) -> Self {
@@ -147,8 +147,8 @@ impl DecoderConfig {
     /// rows]` attention, the prior context read back, `rows` K/V rows
     /// appended, and `cow_elems` of copy-on-write traffic (the block copy
     /// the pass's first append pays on a shared tail block, as
-    /// [`crate::kv::kv_write_traffic`] records it; `0` on an unshared
-    /// cache, see [`PagedKvCache::unshare_tail`]). This is the
+    /// [`crate::kv::kv_write_traffic`] records it; see
+    /// [`PagedKvCache::tail_cow_elems`]). This is the
     /// trace [`DecodeSession::spec_step`] charges for its verify pass;
     /// this module's tests pin it op for op against the recorded pass.
     ///
@@ -485,49 +485,23 @@ impl DecoderLm {
         let h = self.prefill_chunk(tokens, cache, ctx);
         self.head_logits(&h, ctx)
     }
-}
 
-/// The draft model of speculative decoding: a shallower [`DecoderLm`]
-/// sharing the target's vocabulary and embedding space, cheap enough
-/// that proposing `k` tokens costs a fraction of one target step.
-///
-/// [`DraftLm::from_target`] builds the *self-speculative* draft the
-/// serving stack uses by default: the target's own embeddings, first
-/// half of its blocks ([`DecoderConfig::draft`]), final LayerNorm, and
-/// LM head, all weight-shared. Because the decoder is residual, the
-/// truncated stack's hidden states track the full stack's closely, so
-/// greedy agreement stays high without training a separate model.
-#[derive(Debug, Clone)]
-pub struct DraftLm {
-    model: DecoderLm,
-}
-
-impl DraftLm {
-    /// Builds the self-speculative draft: the first
-    /// [`DecoderConfig::draft`]`.layers` blocks of `target` with its
-    /// embeddings, final LayerNorm, and LM head, weights copied.
-    pub fn from_target(target: &DecoderLm) -> Self {
-        let config = target.config.draft();
-        DraftLm {
-            model: DecoderLm {
-                config,
-                embed: target.embed.clone(),
-                pos_embed: target.pos_embed.clone(),
-                blocks: target.blocks[..config.layers].to_vec(),
-                ln_f: target.ln_f.clone(),
-                lm_head: target.lm_head.clone(),
-            },
+    /// The *self-speculative* draft of speculative decoding: the first
+    /// [`DecoderConfig::draft`]`.layers` blocks of this model with its
+    /// embeddings, final LayerNorm, and LM head, weights copied. Because
+    /// the decoder is residual, the truncated stack's hidden states
+    /// track the full stack's closely, so greedy agreement stays high
+    /// without training a separate model.
+    pub fn draft(&self) -> DecoderLm {
+        let config = self.config.draft();
+        DecoderLm {
+            config,
+            embed: self.embed.clone(),
+            pos_embed: self.pos_embed.clone(),
+            blocks: self.blocks[..config.layers].to_vec(),
+            ln_f: self.ln_f.clone(),
+            lm_head: self.lm_head.clone(),
         }
-    }
-
-    /// The draft decoder itself.
-    pub fn model(&self) -> &DecoderLm {
-        &self.model
-    }
-
-    /// The draft geometry.
-    pub fn config(&self) -> DecoderConfig {
-        self.model.config
     }
 }
 
@@ -1043,12 +1017,12 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     /// exact backends that pass's rows equal the replayed steps' bit
     /// for bit (`verify_step_rows_match_successive_decode_steps`), so
     /// the charged pass yields the committed tokens; on noisy backends
-    /// the replay defines them. A copy-on-write the pass's first append
-    /// would pay on a shared tail block is made before the replay
-    /// ([`PagedKvCache::unshare_tail`]) and charged to the verify trace;
-    /// the first replayed step's cost in the reply carries it as well,
-    /// as plain decoding's first step does, so a reply's per-token costs
-    /// equal plain decoding's for any `k`.
+    /// the replay defines them. The copy-on-write the pass's first append
+    /// would pay on a shared tail block
+    /// ([`PagedKvCache::tail_cow_elems`]) is charged to the verify
+    /// trace; the first replayed step's own append makes and records
+    /// it, as plain decoding's first step does, so a reply's per-token
+    /// costs equal plain decoding's for any `k`.
     ///
     /// `k` clamps to `min(k, remaining - 1)` near the end of the
     /// request so the session never over-generates; at zero this falls
@@ -1066,7 +1040,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     pub fn spec_step(
         &mut self,
         model: &DecoderLm,
-        draft: &DraftLm,
+        draft: &DecoderLm,
         sim: &Simulator,
         k: usize,
     ) -> SpecStepReport {
@@ -1098,7 +1072,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
                     split_seed(self.seed ^ DRAFT_SEED_SALT, self.ticket),
                 ),
                 rng: GaussianSampler::new(split_seed(!(self.seed ^ DRAFT_SEED_SALT), self.ticket)),
-                cache: draft.model().empty_cache(),
+                cache: draft.empty_cache(),
             });
         }
         // The draft cache must hold everything committed but the last
@@ -1119,14 +1093,12 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
                     .copied()
                     .take(synced)
                     .collect();
-                draft
-                    .model()
-                    .prefill_chunk(&seq[spec.cache.len()..], &mut spec.cache, &mut ctx);
+                draft.prefill_chunk(&seq[spec.cache.len()..], &mut spec.cache, &mut ctx);
             }
             let mut cur = last;
             let mut drafts = Vec::with_capacity(k_eff);
             for _ in 0..k_eff {
-                let logits = draft.model().decode_step(cur, &mut spec.cache, &mut ctx);
+                let logits = draft.decode_step(cur, &mut spec.cache, &mut ctx);
                 cur = greedy(&logits);
                 drafts.push(cur);
             }
@@ -1136,11 +1108,9 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         // --- Verify, costed from its shape: one batched pass over the
         // last committed token and the k_eff proposals. Executing it
         // would repeat the replay below (on exact backends its rows are
-        // the replayed steps' bit for bit), so it is not run. The copy a
-        // shared tail block would cost its first append is made now, so
-        // it is charged here and not to a replayed step.
+        // the replayed steps' bit for bit), so it is not run.
         let base = self.cache.len();
-        let cow_elems = self.cache.unshare_tail();
+        let cow_elems = self.cache.tail_cow_elems();
         let verify_trace = model.config().verify_trace(k_eff + 1, base, cow_elems);
 
         // --- Commit: per-position target steps on the session's own
@@ -1151,29 +1121,13 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         let mut emitted = 0;
         let bonus_token = loop {
             let fed = *self.tokens.last().expect("stream is non-empty");
-            let (logits, mut trace) = self.recorded_pass(model, |model, ctx, cache| {
+            let (logits, trace) = self.recorded_pass(model, |model, ctx, cache| {
                 model.decode_step(fed, cache, ctx)
             });
             // Per-token cost attribution stays the batch-1 replay of the
             // authoritative step — equal to plain decoding's, so a
-            // reply's `steps` do not depend on `k`. The first step's
-            // append found its block already copied; plain decoding's
-            // first step pays that copy, so its cost carries it here
-            // too (the tick is charged it once, in the verify trace).
-            // The speculative execution's own cost is itemized in the
-            // returned report.
-            if emitted == 0 && cow_elems > 0 {
-                let copy = KvWrite {
-                    rows_written: 0,
-                    cow_elems,
-                };
-                trace.extend(
-                    kv_write_traffic(copy, model.config().dim)
-                        .into_iter()
-                        .map(|(kind, elems)| Op::non_gemm(kind, elems)),
-                );
-                trace = trace.coalesce();
-            }
+            // reply's `steps` do not depend on `k`. The speculative
+            // execution's own cost is itemized in the returned report.
             self.step_costs.push(sim.run_trace(&trace));
             let token = greedy(&logits);
             self.tokens.push(token);
@@ -1642,9 +1596,8 @@ mod tests {
         }
 
         // A borrower of a 6-token prompt shares its partial second
-        // 4-token block, so the pass's first append copies that block.
-        // unshare_tail pays the same copy ahead of the pass, which then
-        // records none.
+        // 4-token block, so the pass's first append copies that block,
+        // and tail_cow_elems says so beforehand.
         let pool = BlockPool::new(32, cfg.layers, cfg.dim, 4);
         let prompt = [3, 1, 4, 1, 5, 9];
         let quant = QuantConfig::fp32();
@@ -1658,23 +1611,15 @@ mod tests {
         index.register(&pool, &prompt, owner.block_refs(prompt.len()));
         let cow = 2 * pool.block_elems();
         for rows in 1..=9 {
-            for ahead in [false, true] {
-                let prefix = index.lookup(&pool, &prompt).expect("owner is live");
-                let mut cache = PagedKvCache::with_shared_prefix(&pool, prefix);
-                m.prefill(
-                    &prompt,
-                    &mut cache,
-                    &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
-                );
-                let recorded_cow = if ahead {
-                    assert_eq!(cache.unshare_tail(), cow, "rows {rows}");
-                    assert_eq!(cache.unshare_tail(), 0, "the tail is private now");
-                    0
-                } else {
-                    cow
-                };
-                assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, recorded_cow);
-            }
+            let prefix = index.lookup(&pool, &prompt).expect("owner is live");
+            let mut cache = PagedKvCache::with_shared_prefix(&pool, prefix);
+            m.prefill(
+                &prompt,
+                &mut cache,
+                &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
+            );
+            assert_eq!(cache.tail_cow_elems(), cow, "rows {rows}");
+            assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, cow);
         }
     }
 
@@ -1685,7 +1630,7 @@ mod tests {
         k: usize,
     ) -> (DecodeReply, SpecSessionStats) {
         let m = model();
-        let draft = DraftLm::from_target(&m);
+        let draft = m.draft();
         let sim = Simulator::new(ArchConfig::lt_base(8));
         let mut s = DecodeSession::new(
             &m,
@@ -1738,7 +1683,7 @@ mod tests {
         let mut rng = GaussianSampler::new(9);
         let mut m = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
         m.taper_deep_blocks(0.25);
-        let draft = DraftLm::from_target(&m);
+        let draft = m.draft();
         let sim = Simulator::new(ArchConfig::lt_base(8));
         let mut s = DecodeSession::new(
             &m,
@@ -1932,9 +1877,9 @@ mod tests {
         // Depth-1 configs cannot shrink to zero layers.
         assert_eq!(d.draft().layers, 1);
         let m = model();
-        let draft = DraftLm::from_target(&m);
+        let draft = m.draft();
         assert_eq!(draft.config().layers, 1);
-        assert_eq!(draft.model().config().vocab, m.config().vocab);
+        assert_eq!(draft.config().vocab, m.config().vocab);
     }
 
     #[test]

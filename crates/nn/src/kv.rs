@@ -644,34 +644,22 @@ impl PagedKvCache {
         released
     }
 
-    /// Pays, ahead of time, the copy-on-write the next append's first
-    /// row would pay: if the block that row lands in is still shared
-    /// with another table, it is replaced by a private copy. Returns the
-    /// elements copied (K + V), `0` when the next row opens a fresh
-    /// block or its block is already private. Speculative decoding calls
-    /// this before it replays the verified positions, so the tick is
-    /// charged the copy through the verify pass that would have made it
-    /// ([`crate::decode::DecoderConfig::verify_trace`]), not through a
-    /// replayed step's recorded trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is swapped out, or if the pool cannot supply
-    /// the copy (the scheduler reserves it; see
-    /// [`PagedKvCache::blocks_needed`]).
-    pub fn unshare_tail(&mut self) -> u64 {
-        assert!(
-            self.swapped.is_none(),
-            "copy-on-write of a swapped-out KV cache"
-        );
+    /// The elements (K + V) the next append's first row will copy: the
+    /// whole block it lands in when that row is past the borrowed prefix
+    /// and another table still holds the block, `0` otherwise (the row
+    /// skips its write, opens a fresh block, or writes a private one).
+    /// Speculative decoding charges it to the verify pass
+    /// ([`crate::decode::DecoderConfig::verify_trace`]) whose first
+    /// replayed step then makes the copy.
+    pub fn tail_cow_elems(&self) -> u64 {
         let len = self.len();
         if len < self.shared_tokens {
-            return 0; // the next row skips its write
+            return 0;
         }
-        let bt = self.pool.block_tokens();
-        self.blocks
-            .get_mut(len / bt)
-            .map_or(0, |block| self.pool.unshare(block))
+        match self.blocks.get(len / self.pool.block_tokens()) {
+            Some(&block) if self.pool.refcount(block) > 1 => 2 * self.pool.block_elems(),
+            _ => 0,
+        }
     }
 
     /// Restores a swapped-out cache: reallocates blocks and copies the
@@ -846,36 +834,53 @@ mod tests {
 
     #[test]
     fn prefix_sharing_skips_writes_and_cow_protects_the_owner() {
-        let pool = BlockPool::new(8, 1, 2, 4);
-        let mut index = PrefixIndex::new();
-        let prompt = vec![1usize, 2, 3, 4, 5, 6]; // 6 tokens: 1.5 blocks
+        // The borrower, then the owner, writes past the shared prefix.
+        for owner_writes in [false, true] {
+            let pool = BlockPool::new(8, 1, 2, 4);
+            let mut index = PrefixIndex::new();
+            let prompt = vec![1usize, 2, 3, 4, 5, 6]; // 6 tokens: 1.5 blocks
 
-        let mut a = PagedKvCache::new(&pool);
-        let w = write_tokens(&mut a, 0, 6, 0.0);
-        assert_eq!(w.rows_written, 6);
-        index.register(&pool, &prompt, a.block_refs(6));
+            let mut a = PagedKvCache::new(&pool);
+            let w = write_tokens(&mut a, 0, 6, 0.0);
+            assert_eq!(w.rows_written, 6);
+            index.register(&pool, &prompt, a.block_refs(6));
 
-        let shared = index.lookup(&pool, &prompt).expect("live entry");
-        assert_eq!((shared.tokens(), shared.num_blocks()), (6, 2));
-        let mut b = PagedKvCache::with_shared_prefix(&pool, shared);
-        let w = write_tokens(&mut b, 0, 6, 99.0);
-        assert_eq!(w.rows_written, 0, "all six rows already cached");
-        assert_eq!(w.cow_elems, 0);
-        assert_eq!(b.len(), 6);
-        // B reads A's values, bit for bit.
-        let (ka, kb) = (a.layer_mut(0).context().0, b.layer_mut(0).context().0);
-        assert_eq!(ka, kb);
-        assert_eq!(pool.used_blocks(), 2, "no extra blocks for B");
+            let shared = index.lookup(&pool, &prompt).expect("live entry");
+            assert_eq!((shared.tokens(), shared.num_blocks()), (6, 2));
+            let mut b = PagedKvCache::with_shared_prefix(&pool, shared);
+            assert_eq!(b.tail_cow_elems(), 0, "inside the borrowed prefix");
+            let w = write_tokens(&mut b, 0, 6, 99.0);
+            assert_eq!(w.rows_written, 0, "all six rows already cached");
+            assert_eq!(w.cow_elems, 0);
+            assert_eq!(b.len(), 6);
+            // B reads A's values, bit for bit.
+            let (ka, kb) = (a.layer_mut(0).context().0, b.layer_mut(0).context().0);
+            assert_eq!(ka, kb);
+            assert_eq!(pool.used_blocks(), 2, "no extra blocks for B");
 
-        // B continues past the prefix into the shared partial block:
-        // copy-on-write, and A's view must not change.
-        let before = a.layer_mut(0).context().0;
-        let w = write_tokens(&mut b, 0, 1, 50.0);
-        assert_eq!(w.rows_written, 1);
-        assert_eq!(w.cow_elems, 2 * pool.block_elems(), "one block copied");
-        assert_eq!(a.layer_mut(0).context().0, before, "A unchanged");
-        assert_eq!(b.layer_mut(0).context().0.get(6, 0), 50.0);
-        assert_eq!(pool.stats().cow_copies, 1);
+            // Both tables end in the shared partial block, so either's
+            // next append copies it; asking copies nothing.
+            let copy = 2 * pool.block_elems();
+            assert_eq!((a.tail_cow_elems(), b.tail_cow_elems()), (copy, copy));
+            assert_eq!(pool.stats().cow_copies, 0);
+
+            // One table continues past the prefix into the shared
+            // partial block: copy-on-write, and the other's view must
+            // not change.
+            let (writer, other) = if owner_writes {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            let before = other.layer_mut(0).context().0;
+            let w = write_tokens(writer, 0, 1, 50.0);
+            assert_eq!(w.rows_written, 1);
+            assert_eq!(w.cow_elems, copy, "one block copied");
+            assert_eq!(other.layer_mut(0).context().0, before, "other unchanged");
+            assert_eq!(writer.layer_mut(0).context().0.get(6, 0), 50.0);
+            assert_eq!(pool.stats().cow_copies, 1);
+            assert_eq!((a.tail_cow_elems(), b.tail_cow_elems()), (0, 0));
+        }
     }
 
     #[test]

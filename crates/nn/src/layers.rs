@@ -135,14 +135,9 @@ impl<'a> ForwardCtx<'a> {
     }
 
     /// Executes a (possibly noisy, possibly quantized) matmul, recorded
-    /// as an untagged [`OpKind::Other`] product.
-    pub fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        self.matmul_as(OpKind::Other, a, b)
-    }
-
-    /// As [`ForwardCtx::matmul`], recorded under the given workload role.
-    /// Without fake quantization the operands go to the engine as
-    /// borrowed; nothing is copied on the way.
+    /// under the given workload role. Without fake quantization the
+    /// operands go to the engine as borrowed; nothing is copied on the
+    /// way.
     pub fn matmul_as(&mut self, kind: OpKind, a: &Tensor, b: &Tensor) -> Tensor {
         let aq = self.quant.apply(a);
         let bq = self.quant.apply(b);
@@ -173,17 +168,11 @@ impl<'a> ForwardCtx<'a> {
         self.apply_train_noise(y)
     }
 
-    /// As [`ForwardCtx::matmul`] but for operands the caller has already
-    /// fake-quantized (e.g. to cache them for backward) — skips the
-    /// redundant re-quantization, still injects training noise.
+    /// As [`ForwardCtx::matmul_as`] but for operands the caller has
+    /// already fake-quantized (e.g. to cache them for backward) — skips
+    /// the redundant re-quantization, still injects training noise.
     /// Quantization is idempotent, so the result is identical to
-    /// [`ForwardCtx::matmul`] on the raw operands.
-    pub fn matmul_prequantized(&mut self, aq: &Tensor, bq: &Tensor) -> Tensor {
-        self.matmul_prequantized_as(OpKind::Other, aq, bq)
-    }
-
-    /// As [`ForwardCtx::matmul_prequantized`], recorded under the given
-    /// workload role.
+    /// [`ForwardCtx::matmul_as`] on the raw operands.
     pub fn matmul_prequantized_as(&mut self, kind: OpKind, aq: &Tensor, bq: &Tensor) -> Tensor {
         self.record(Op::gemm(kind, aq.rows(), aq.cols(), bq.cols()));
         let y = self.engine.matmul(aq, bq);

@@ -75,14 +75,14 @@ pub mod tensor;
 pub mod train;
 
 pub use decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, RequestError, SessionConfig,
-    SpecOutcome, SpecSessionStats, SpecStepReport,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, RequestError, SessionConfig, SpecOutcome,
+    SpecSessionStats, SpecStepReport,
 };
 pub use engine::{BackendEngine, ExactEngine, MatmulEngine};
 pub use kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 pub use model::{TextClassifier, VisionTransformer};
 pub use quant::{IntegerQuant, QuantConfig};
-pub use serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, ServingStats, SpecConfig};
+pub use serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer, ServingStats};
 pub use serve::lifecycle::{RequestLifecycle, RequestOutcome, ServingReport, SloFrontend};
 pub use serve::sched::{KvScheduler, KvServeConfig};
 pub use serve::{Reply, Request, ServeConfig, Server};

@@ -58,7 +58,7 @@ use crate::tensor::Tensor;
 use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::backend::split_seed;
 use lt_core::{ComputeBackend, GaussianSampler, Trace};
-use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool, ThreadsConfig};
+use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -91,9 +91,9 @@ pub struct ServeConfig {
     /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
     /// out as row-block jobs on one pool shared by all workers
     /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. Default is sequential; read `LT_THREADS`
-    /// with [`ThreadsConfig::from_env`].
-    pub threads: ThreadsConfig,
+    /// every thread count. `1` (the default) or `0` runs the backend
+    /// unwrapped.
+    pub threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -104,7 +104,7 @@ impl Default for ServeConfig {
             seed: 0,
             quant: QuantConfig::fp32(),
             arch: ArchConfig::lt_base(8),
-            threads: ThreadsConfig::default(),
+            threads: 1,
         }
     }
 }
@@ -194,7 +194,7 @@ impl Server {
     /// across every request that worker serves). The backend type is
     /// consumed by the workers, so the handle itself is not generic.
     ///
-    /// With [`ServeConfig::threads`] parallel, the backend is wrapped
+    /// With [`ServeConfig::threads`] above 1, the backend is wrapped
     /// in a [`ParallelBackend`] over one pool shared by every worker,
     /// so each GEMM inside a forward pass fans out as row-block jobs —
     /// with bit-identical replies, per the seed-partition contract.
@@ -204,8 +204,8 @@ impl Server {
         backend: B,
         config: ServeConfig,
     ) -> Self {
-        if config.threads.is_parallel() {
-            let pool = Arc::new(ThreadPool::new(config.threads.threads()));
+        if config.threads > 1 {
+            let pool = Arc::new(ThreadPool::new(config.threads));
             return Server::spawn(
                 vision,
                 text,

@@ -30,13 +30,23 @@
 //! computes, so serving the same stream with 1, 2, or 4 workers — or a
 //! different `max_active` — returns bit-identical replies
 //! (`tests/runtime_determinism.rs`).
+//!
+//! # Configuration
+//!
+//! [`DecodeServeConfig`] holds plain values, and
+//! [`DecodeServeConfig::scheduler`] is the one mapping from them to a
+//! [`KvScheduler`]: every [`DecodeServer`] worker and
+//! [`crate::serve::lifecycle::SloFrontend`] build theirs with it.
+//! Nothing here reads the environment; the examples map `LT_THREADS`
+//! and `LT_SPEC_K` onto [`DecodeServeConfig::threads`] and
+//! [`DecodeServeConfig::spec_k`].
 
 use crate::decode::{DecodeReply, DecoderLm, SessionConfig};
 use crate::quant::QuantConfig;
 use crate::serve::sched::{KvSchedStats, KvScheduler, KvServeConfig};
 use lt_arch::{ArchConfig, ScheduleCacheStats, Simulator};
 use lt_core::ComputeBackend;
-use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool, ThreadsConfig};
+use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -50,57 +60,6 @@ pub struct DecodeRequest {
     /// Number of tokens to generate (>= 1; the first comes from the
     /// prefill logits, the rest from decode steps).
     pub max_new_tokens: usize,
-}
-
-/// Environment variable read by [`SpecConfig::from_env`].
-pub const LT_SPEC_K_ENV: &str = "LT_SPEC_K";
-
-/// Speculative-decoding knobs ([`DecodeServeConfig::spec`]).
-#[derive(Debug, Clone, Default)]
-pub struct SpecConfig {
-    /// Draft tokens proposed per speculative step; `0` (the default)
-    /// leaves speculation off and serving byte-for-byte on the plain
-    /// decode path. The draft is always self-speculative: the target's
-    /// own bottom half ([`crate::decode::DraftLm::from_target`]), built
-    /// at scheduler construction.
-    pub k: usize,
-}
-
-impl SpecConfig {
-    /// Speculation depth `k` with the self-speculative draft.
-    pub fn with_k(k: usize) -> Self {
-        SpecConfig { k }
-    }
-
-    /// Reads `LT_SPEC_K` from the environment: unset, empty, or
-    /// unparsable all mean `0` (speculation off), so a stray value can
-    /// never silently change what a run computes — speculation is
-    /// bit-identical to plain decoding, and a bad value merely keeps
-    /// the plain path.
-    pub fn from_env() -> Self {
-        let k = std::env::var(LT_SPEC_K_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        SpecConfig::with_k(k)
-    }
-
-    /// Whether speculation is on.
-    pub fn is_enabled(&self) -> bool {
-        self.k > 0
-    }
-
-    /// Applies these knobs to a freshly built scheduler: identity when
-    /// disabled, [`KvScheduler::with_speculation`] otherwise.
-    pub fn apply<'m, B: ComputeBackend + Clone>(
-        &self,
-        sched: KvScheduler<'m, B>,
-    ) -> KvScheduler<'m, B> {
-        if !self.is_enabled() {
-            return sched;
-        }
-        sched.with_speculation(self.k)
-    }
 }
 
 /// Decode-serving configuration.
@@ -126,9 +85,9 @@ pub struct DecodeServeConfig {
     /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
     /// out as row-block jobs on one pool shared by all workers
     /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. Default is sequential; read `LT_THREADS`
-    /// with [`ThreadsConfig::from_env`].
-    pub threads: ThreadsConfig,
+    /// every thread count. `1` (the default) or `0` runs the backend
+    /// unwrapped.
+    pub threads: usize,
     /// Chunked-prefill size in prompt tokens: `0` (default) prefills a
     /// whole prompt at admission; a positive chunk interleaves prefill
     /// pieces with running sessions' decode steps, bounding how long a
@@ -136,12 +95,12 @@ pub struct DecodeServeConfig {
     /// [`KvScheduler::with_prefill_chunk`]). Replies are bit-identical
     /// either way for deterministic engines.
     pub prefill_chunk_tokens: usize,
-    /// Speculative decoding: `spec.k > 0` makes every scheduler tick a
-    /// draft-then-batched-verify round ([`KvScheduler::with_speculation`]),
-    /// emitting up to `k + 1` tokens per session per tick with replies
-    /// bit-identical to plain decoding. Read `LT_SPEC_K` with
-    /// [`SpecConfig::from_env`].
-    pub spec: SpecConfig,
+    /// Speculative decoding: `spec_k > 0` makes every scheduler tick a
+    /// draft-then-batched-verify round with the self-speculative draft
+    /// ([`KvScheduler::with_speculation`]), emitting up to `spec_k + 1`
+    /// tokens per session per tick with replies bit-identical to plain
+    /// decoding. `0` (the default) leaves speculation off.
+    pub spec_k: usize,
 }
 
 impl Default for DecodeServeConfig {
@@ -153,10 +112,44 @@ impl Default for DecodeServeConfig {
             quant: QuantConfig::fp32(),
             arch: ArchConfig::lt_base(8),
             kv: KvServeConfig::default(),
-            threads: ThreadsConfig::default(),
+            threads: 1,
             prefill_chunk_tokens: 0,
-            spec: SpecConfig::default(),
+            spec_k: 0,
         }
+    }
+}
+
+impl DecodeServeConfig {
+    /// The scheduler this configuration describes over `model`, costed
+    /// by `sim` (built from `self.arch`) and running GEMMs through
+    /// `backend`. `workers` and `threads` belong to the server, not the
+    /// scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kv` is invalid for this model and architecture (see
+    /// [`KvServeConfig::validate`]).
+    pub fn scheduler<'m, B: ComputeBackend + Clone>(
+        &self,
+        model: &'m DecoderLm,
+        sim: &'m Simulator,
+        backend: B,
+    ) -> KvScheduler<'m, B> {
+        let session_config = SessionConfig {
+            seed: self.seed,
+            quant: self.quant,
+            kv_bits: self.arch.precision_bits,
+        };
+        KvScheduler::new(
+            model,
+            sim,
+            backend,
+            session_config,
+            self.kv,
+            self.max_active,
+        )
+        .with_prefill_chunk(self.prefill_chunk_tokens)
+        .with_speculation(self.spec_k)
     }
 }
 
@@ -263,7 +256,7 @@ impl DecodeServer {
     /// (zero block size, or a pool too small to hold one full-context
     /// session — see [`KvServeConfig::validate`]).
     ///
-    /// With [`DecodeServeConfig::threads`] parallel, the backend is
+    /// With [`DecodeServeConfig::threads`] above 1, the backend is
     /// wrapped in a [`ParallelBackend`] over one pool shared by every
     /// worker, so each step's GEMMs fan out as row-block jobs — with
     /// bit-identical replies, per the seed-partition contract.
@@ -272,8 +265,8 @@ impl DecodeServer {
         backend: B,
         config: DecodeServeConfig,
     ) -> Self {
-        if config.threads.is_parallel() {
-            let pool = Arc::new(ThreadPool::new(config.threads.threads()));
+        if config.threads > 1 {
+            let pool = Arc::new(ThreadPool::new(config.threads));
             return DecodeServer::spawn(model, ParallelBackend::with_pool(backend, pool), config);
         }
         DecodeServer::spawn(model, backend, config)
@@ -366,22 +359,7 @@ fn worker_loop<B: ComputeBackend + Clone>(
     slot: &Mutex<ServingStats>,
 ) {
     let sim = Simulator::new(config.arch.clone());
-    let session_config = SessionConfig {
-        seed: config.seed,
-        quant: config.quant,
-        kv_bits: config.arch.precision_bits,
-    };
-    let mut sched = config.spec.apply(
-        KvScheduler::new(
-            model,
-            &sim,
-            backend.clone(),
-            session_config,
-            config.kv,
-            config.max_active,
-        )
-        .with_prefill_chunk(config.prefill_chunk_tokens),
-    );
+    let mut sched = config.scheduler(model, &sim, backend.clone());
     let mut replies: HashMap<u64, Sender<DecodeReply>> = HashMap::new();
     let mut stats = ServingStats::default();
     loop {
@@ -568,7 +546,7 @@ mod tests {
             backend,
             DecodeServeConfig {
                 workers: 1,
-                spec: SpecConfig::with_k(4),
+                spec_k: 4,
                 ..DecodeServeConfig::default()
             },
         );
@@ -585,22 +563,6 @@ mod tests {
             plain.iter().map(|r| r.steps.len() as u64).sum()
         );
         server.shutdown();
-    }
-
-    #[test]
-    fn spec_env_parsing_is_forgiving() {
-        // `from_env` is exercised without mutating the process
-        // environment (tests run concurrently): the parsing contract is
-        // the same closed-form expression applied to captured values.
-        let parse = |v: Option<&str>| {
-            SpecConfig::with_k(v.and_then(|v| v.trim().parse::<usize>().ok()).unwrap_or(0))
-        };
-        assert!(!parse(None).is_enabled());
-        assert!(!parse(Some("")).is_enabled());
-        assert!(!parse(Some("banana")).is_enabled());
-        assert!(!parse(Some("0")).is_enabled());
-        assert_eq!(parse(Some(" 4 ")).k, 4);
-        assert!(!SpecConfig::default().is_enabled(), "off by default");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! running session — `tests/serving_slo.rs` pins that bound, and pins
 //! the replies bit-identical to the unchunked path.
 
-use crate::decode::{DecoderConfig, DecoderLm, SessionConfig};
+use crate::decode::{DecoderConfig, DecoderLm};
 use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use crate::serve::sched::KvScheduler;
 use lt_arch::{CycleClock, Simulator};
@@ -245,33 +245,17 @@ impl<B: ComputeBackend + Clone> std::fmt::Debug for SloFrontend<'_, B> {
 impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
     /// Builds a frontend over `model`, costed by `sim` (which must be
     /// built from `config.arch`), running GEMMs through `backend`.
-    /// `config.workers` is ignored: the frontend is a single
-    /// deterministic event loop, which is what makes its latency
-    /// stamps CI-gateable.
+    /// `config.workers` and `config.threads` are ignored: the frontend
+    /// is a single deterministic event loop, which is what makes its
+    /// latency stamps CI-gateable.
     pub fn new(
         model: &'m DecoderLm,
         sim: &'m Simulator,
         backend: B,
         config: &DecodeServeConfig,
     ) -> Self {
-        let session_config = SessionConfig {
-            seed: config.seed,
-            quant: config.quant,
-            kv_bits: config.arch.precision_bits,
-        };
-        let sched = config.spec.apply(
-            KvScheduler::new(
-                model,
-                sim,
-                backend,
-                session_config,
-                config.kv,
-                config.max_active,
-            )
-            .with_prefill_chunk(config.prefill_chunk_tokens),
-        );
         SloFrontend {
-            sched,
+            sched: config.scheduler(model, sim, backend),
             sim,
             model_config: model.config(),
             clock: CycleClock::new(),
@@ -672,17 +656,13 @@ mod tests {
 
     #[test]
     fn a_speculative_run_serves_the_same_tokens_with_acceptance_accounting() {
-        use crate::serve::decode::SpecConfig;
         let m = model();
         let cfg = config();
         let sim = Simulator::new(cfg.arch.clone());
         let requests = LoadgenConfig::smoke(11, 10).generate();
         let (plain_rec, plain_rep) =
             SloFrontend::new(&m, &sim, NativeBackend, &cfg).run_open(&requests);
-        let spec_cfg = DecodeServeConfig {
-            spec: SpecConfig::with_k(4),
-            ..cfg
-        };
+        let spec_cfg = DecodeServeConfig { spec_k: 4, ..cfg };
         let (spec_rec, spec_rep) =
             SloFrontend::new(&m, &sim, NativeBackend, &spec_cfg).run_open(&requests);
         assert_eq!(spec_rep.completed, plain_rep.completed);

@@ -29,7 +29,7 @@
 //! memory pressure changes *when* tokens are produced, never *which*.
 
 use crate::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, RequestError, SessionConfig,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, RequestError, SessionConfig,
     SpecSessionStats,
 };
 use crate::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
@@ -254,7 +254,7 @@ pub struct KvScheduler<'m, B: ComputeBackend + Clone> {
     /// sessions then advance by [`DecodeSession::spec_step`] instead of
     /// plain steps, and the reserve phase books the `k_eff + 1` rows of
     /// each session's modeled verify pass.
-    spec: Option<(usize, DraftLm)>,
+    spec: Option<(usize, DecoderLm)>,
     pool: BlockPool,
     prefix: Option<PrefixIndex>,
     max_active: usize,
@@ -330,7 +330,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     }
 
     /// Enables speculative decoding with a *self-speculative* draft —
-    /// the target's own bottom half ([`DraftLm::from_target`]). Each
+    /// the target's own bottom half ([`DecoderLm::draft`]). Each
     /// tick then advances every running session by one
     /// [`DecodeSession::spec_step`]: the draft proposes up to `k`
     /// tokens and the target verifies them all in one batched pass, so
@@ -346,7 +346,7 @@ impl<'m, B: ComputeBackend + Clone> KvScheduler<'m, B> {
     /// preemption decision that of the costed schedule, and the replay
     /// can never find the pool dry. `k = 0` leaves speculation off.
     pub fn with_speculation(mut self, k: usize) -> Self {
-        self.spec = (k > 0).then(|| (k, DraftLm::from_target(self.model)));
+        self.spec = (k > 0).then(|| (k, self.model.draft()));
         self
     }
 

@@ -11,7 +11,10 @@
 //!   partitions every GEMM into the canonical
 //!   [`lt_core::backend::row_blocks`] work items, dispatched across the
 //!   pool. It is itself a `ComputeBackend`, so it drops into
-//!   `lt_nn::BackendEngine` (or anywhere else) unchanged.
+//!   `lt_nn::BackendEngine` (or anywhere else) unchanged. The serving
+//!   layers (`lt_nn::serve::Server`, `lt_nn::serve::decode::DecodeServer`)
+//!   wrap their backend in one over a pool shared by every worker when
+//!   their `threads` setting is above 1.
 //! * [`BatchQueue`] — a FIFO request-coalescing queue: concurrent
 //!   inference submissions drain in ticket order as batches, mirroring
 //!   how the accelerator amortizes per-layer weight loading across a
@@ -52,10 +55,8 @@ pub mod batch;
 pub mod loadgen;
 pub mod parallel;
 pub mod pool;
-pub mod threads;
 
 pub use batch::BatchQueue;
 pub use loadgen::{ArrivalModel, GenRequest, LengthMix, LoadgenConfig, SloClass, SloMix};
 pub use parallel::{ParallelBackend, MIN_PARALLEL_MACS};
 pub use pool::ThreadPool;
-pub use threads::ThreadsConfig;

@@ -142,70 +142,7 @@ impl<B: ComputeBackend + Send + Sync + 'static> ComputeBackend for ParallelBacke
             a.shape(),
             b.shape()
         );
-        self.gemm_with_call_seed(a, b, ctx.next_seed())
-    }
-
-    fn gemm_batch(
-        &self,
-        pairs: &[(MatrixView<'_, f64>, MatrixView<'_, f64>)],
-        ctx: &mut RunCtx,
-    ) -> Vec<Matrix64> {
-        // Draw call-level seeds in submission order (identical to the
-        // default sequential loop), then run whole pairs concurrently:
-        // for a batch there is more parallelism *across* requests than
-        // within one product. A one-pair batch instead parallelizes
-        // *inside* the product, and a batch of only tiny products runs
-        // inline — all with identical results, since every path shares
-        // the `blocked_gemm_with_seed` seed schedule.
-        let seeds: Vec<u64> = pairs.iter().map(|_| ctx.next_seed()).collect();
-        if pairs.len() == 1 {
-            let (a, b) = pairs[0];
-            return vec![self.gemm_with_call_seed(a, b, seeds[0])];
-        }
-        let largest = pairs
-            .iter()
-            .map(|&(a, b)| a.rows() * a.cols() * b.cols())
-            .max()
-            .unwrap_or(0);
-        if self.pool.threads() <= 1 || largest < self.min_parallel_macs {
-            return pairs
-                .iter()
-                .zip(&seeds)
-                .map(|(&(a, b), &s)| blocked_gemm_with_seed(self.backend.as_ref(), a, b, s))
-                .collect();
-        }
-        let (tx, rx) = channel();
-        for (idx, (&(a, b), &seed)) in pairs.iter().zip(&seeds).enumerate() {
-            let a = a.to_matrix();
-            let b = b.to_matrix();
-            let backend = Arc::clone(&self.backend);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                let out = blocked_gemm_with_seed(backend.as_ref(), a.view(), b.view(), seed);
-                let _ = tx.send((idx, out));
-            });
-        }
-        drop(tx);
-        let mut outs: Vec<Option<Matrix64>> = (0..pairs.len()).map(|_| None).collect();
-        for _ in 0..pairs.len() {
-            let (idx, out) = rx.recv().expect("a batch job panicked in the worker pool");
-            outs[idx] = Some(out);
-        }
-        outs.into_iter()
-            .map(|o| o.expect("job delivered"))
-            .collect()
-    }
-}
-
-impl<B: ComputeBackend + Send + Sync + 'static> ParallelBackend<B> {
-    /// The row-block fan-out with the call-level seed already drawn —
-    /// shared by `gemm` and the one-pair `gemm_batch` fast path.
-    fn gemm_with_call_seed(
-        &self,
-        a: MatrixView<'_, f64>,
-        b: MatrixView<'_, f64>,
-        call_seed: u64,
-    ) -> Matrix64 {
+        let call_seed = ctx.next_seed();
         let (m, k) = a.shape();
         let n = b.cols();
         let blocks = row_blocks(m, self.backend.preferred_block_rows());

@@ -25,7 +25,6 @@ use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm};
 use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer};
 use lightening_transformer::nn::QuantConfig;
-use lightening_transformer::runtime::ThreadsConfig;
 use std::time::Instant;
 
 /// Total requests; override with `LT_DECODE_REQUESTS` (CI smoke runs 4).
@@ -49,6 +48,15 @@ fn quant_mode() -> QuantConfig {
     }
 }
 
+/// Row-block GEMM threads; `LT_THREADS` above 1 fans every GEMM out
+/// over a shared pool. Unset, empty or unparsable means 1 (sequential).
+fn gemm_threads() -> usize {
+    std::env::var("LT_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(1)
+}
+
 fn make_request(i: usize) -> DecodeRequest {
     DecodeRequest {
         prompt: (0..(3 + i % 5)).map(|t| (i * 7 + t * 3) % 16).collect(),
@@ -61,7 +69,7 @@ fn main() {
     let quant = quant_mode();
     let mut rng = GaussianSampler::new(42);
     let model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
-    let threads = ThreadsConfig::from_env();
+    let threads = gemm_threads();
     let config = DecodeServeConfig {
         workers: 2,
         max_active: 8,
@@ -72,11 +80,8 @@ fn main() {
     };
     let clock_ghz = config.arch.clock.value();
     let server = DecodeServer::new(model.clone(), DptcBackend::paper(8, 7), config);
-    if threads.is_parallel() {
-        println!(
-            "parallel GEMM dispatch: LT_THREADS={} (replies stay bit-identical)",
-            threads.threads()
-        );
+    if threads > 1 {
+        println!("parallel GEMM dispatch: LT_THREADS={threads} (replies stay bit-identical)");
     }
 
     let start = Instant::now();

@@ -19,9 +19,7 @@
 use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm, SpecSessionStats};
-use lightening_transformer::nn::serve::decode::{
-    DecodeRequest, DecodeServeConfig, DecodeServer, SpecConfig,
-};
+use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer};
 use lightening_transformer::nn::serve::sched::KvServeConfig;
 
 /// Varied prompts and generation lengths over the tiny vocabulary.
@@ -34,7 +32,7 @@ fn make_request(i: usize) -> DecodeRequest {
 
 /// Serves the fixed mix once and returns the replies plus the server's
 /// speculation counters.
-fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, SpecSessionStats) {
+fn serve(spec_k: usize, total: usize) -> (Vec<DecodeReply>, SpecSessionStats) {
     let mut rng = GaussianSampler::new(42);
     let mut model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     // The synthetic stand-in for a trained LM's layer-wise refinement:
@@ -53,7 +51,7 @@ fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, SpecSessionStats)
                 pool_blocks: 64,
                 ..KvServeConfig::default()
             },
-            spec,
+            spec_k,
             ..DecodeServeConfig::default()
         },
     );
@@ -65,18 +63,22 @@ fn serve(spec: SpecConfig, total: usize) -> (Vec<DecodeReply>, SpecSessionStats)
 }
 
 fn main() {
-    let env = SpecConfig::from_env();
-    let k = if env.is_enabled() { env.k } else { 4 };
+    // Unset, empty, zero or unparsable `LT_SPEC_K` means k = 4.
+    let k = std::env::var("LT_SPEC_K")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&k| k > 0)
+        .unwrap_or(4);
     let total = 8;
 
     println!("== Speculative decoding (LT_SPEC_K={k}, noisy DPTC backend) ==\n");
-    let (base, plain) = serve(SpecConfig::default(), total);
+    let (base, plain) = serve(0, total);
     assert_eq!(
         plain,
         SpecSessionStats::default(),
         "plain serving must not speculate"
     );
-    let (spec, stats) = serve(SpecConfig::with_k(k), total);
+    let (spec, stats) = serve(k, total);
     let (proposed, accepted, draft_cycles) = (stats.proposed, stats.accepted, stats.draft_cycles);
 
     assert!(proposed > 0, "speculation must propose");

@@ -29,7 +29,7 @@ use lightening_transformer::core::{
 use lightening_transformer::dptc::{Dptc, DptcBackend, DptcConfig, Fidelity, NoiseModel};
 use lightening_transformer::nn::data;
 use lightening_transformer::nn::decode::{
-    greedy, DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
+    greedy, DecodeReply, DecodeSession, DecoderConfig, DecoderLm, SessionConfig,
 };
 use lightening_transformer::nn::kv::{BlockPool, PagedKvCache, PreemptPolicy};
 use lightening_transformer::nn::layers::ForwardCtx;
@@ -402,7 +402,7 @@ fn decode_path_digest<B: ComputeBackend + Clone>(
 
     let mut tapered = model.clone();
     tapered.taper_deep_blocks(0.25);
-    let draft = DraftLm::from_target(&tapered);
+    let draft = tapered.draft();
     let mut s = DecodeSession::new(&tapered, 5, prompt.clone(), 12, backend.clone(), config);
     words.extend(trace_words(&s.prefill(&tapered, &sim)));
     while !s.is_done() {

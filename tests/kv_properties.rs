@@ -27,7 +27,7 @@ use lightening_transformer::core::{ComputeBackend, NonGemmKind, Op};
 use lightening_transformer::core::{GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, SessionConfig,
 };
 use lightening_transformer::nn::kv::{BlockPool, PagedKvCache, PreemptPolicy, PrefixIndex};
 use lightening_transformer::nn::serve::decode::DecodeRequest;
@@ -296,7 +296,7 @@ fn private_and_shared_replies<B: ComputeBackend + Clone>(
     k: usize,
     pool: &BlockPool,
 ) -> [DecodeReply; 2] {
-    let draft = DraftLm::from_target(m);
+    let draft = m.draft();
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let config = SessionConfig::default();
     let sessions = [

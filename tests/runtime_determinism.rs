@@ -36,7 +36,7 @@ use lightening_transformer::nn::serve::{Request, ServeConfig, Server};
 use lightening_transformer::nn::{
     BackendEngine, QuantConfig, Tensor, TextClassifier, VisionTransformer,
 };
-use lightening_transformer::runtime::{BatchQueue, ParallelBackend, ThreadsConfig};
+use lightening_transformer::runtime::{BatchQueue, ParallelBackend};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -440,7 +440,7 @@ fn forward_serving_is_invariant_to_threads_config() {
                 workers: 2,
                 max_batch: 2,
                 seed: 29,
-                threads: ThreadsConfig::new(threads),
+                threads,
                 ..ServeConfig::default()
             },
         );
@@ -486,7 +486,7 @@ fn decode_serving_is_invariant_to_threads_config() {
                 workers: 2,
                 max_active: 4,
                 seed: 23,
-                threads: ThreadsConfig::new(threads),
+                threads,
                 ..DecodeServeConfig::default()
             },
         );
@@ -532,7 +532,7 @@ fn paged_pressure_replies_are_invariant_to_threads_config() {
                 max_active: 8,
                 seed: 31,
                 kv,
-                threads: ThreadsConfig::new(threads),
+                threads,
                 ..DecodeServeConfig::default()
             },
         );

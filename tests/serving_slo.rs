@@ -30,7 +30,7 @@ use lightening_transformer::arch::Simulator;
 use lightening_transformer::core::{GaussianSampler, NativeBackend};
 use lightening_transformer::nn::decode::{DecoderConfig, DecoderLm};
 use lightening_transformer::nn::kv::PreemptPolicy;
-use lightening_transformer::nn::serve::decode::{DecodeServeConfig, SpecConfig};
+use lightening_transformer::nn::serve::decode::DecodeServeConfig;
 use lightening_transformer::nn::serve::lifecycle::{
     RequestLifecycle, RequestOutcome, ServingReport, SloFrontend,
 };
@@ -289,7 +289,7 @@ fn slo_frontend_runs_are_pinned_bit_for_bit() {
         ..DecodeServeConfig::default()
     };
     let spec = |config: DecodeServeConfig| DecodeServeConfig {
-        spec: SpecConfig::with_k(4),
+        spec_k: 4,
         ..config
     };
     let open = [

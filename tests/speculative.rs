@@ -20,10 +20,10 @@ use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::core::{ComputeBackend, GaussianSampler, NativeBackend};
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{
-    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, DraftLm, SessionConfig, SpecSessionStats,
+    DecodeReply, DecodeSession, DecoderConfig, DecoderLm, SessionConfig, SpecSessionStats,
 };
 use lightening_transformer::nn::kv::{BlockPool, PagedKvCache};
-use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, SpecConfig};
+use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig};
 use lightening_transformer::nn::serve::lifecycle::SloFrontend;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
 use lightening_transformer::runtime::loadgen::LoadgenConfig;
@@ -53,7 +53,7 @@ fn run<B: ComputeBackend + Clone>(
     pool: Option<&BlockPool>,
 ) -> DecodeReply {
     let sim = Simulator::new(ArchConfig::lt_base(8));
-    let draft = DraftLm::from_target(model);
+    let draft = model.draft();
     let cache = pool.map_or_else(|| model.empty_cache(), PagedKvCache::new);
     let mut session = DecodeSession::new_paged(
         model,
@@ -149,7 +149,7 @@ fn rollback_restores_the_block_pool_free_count_exactly() {
     // yields both accepted and rolled-back proposals.
     let mut rng = GaussianSampler::new(5);
     let model = DecoderLm::new(config, &mut rng);
-    let draft = DraftLm::from_target(&model);
+    let draft = model.draft();
     let sim = Simulator::new(ArchConfig::lt_base(8));
     let pool = BlockPool::new(64, config.layers, config.dim, 4);
     let cache = PagedKvCache::new(&pool);
@@ -214,7 +214,7 @@ fn the_spec_serving_report_is_invariant_to_gemm_thread_count() {
             pool_blocks: 64,
             ..KvServeConfig::default()
         },
-        spec: SpecConfig::with_k(4),
+        spec_k: 4,
         ..DecodeServeConfig::default()
     };
     let run = |threads: usize| {

@@ -262,10 +262,9 @@ fn recorded_verify_step_traces_match_the_analytical_spec_trace() {
     // the same when replayed through the accelerator model. The whole
     // recorded pass must also equal the verify trace the session charges
     // without running it (`SpecStepReport::verify_trace`).
-    use lightening_transformer::nn::decode::DraftLm;
     let spec = TransformerConfig::gpt2_small(16).tiny_validation();
     let model = decoder_at(&spec, 16);
-    let draft = DraftLm::from_target(&model);
+    let draft = model.draft();
     let sim = Simulator::new(ArchConfig::lt_base(8));
     for k in [1usize, 2, 4] {
         let prompt = vec![3usize, 1, 4, 1];
