@@ -234,17 +234,6 @@ impl ArchConfig {
         2.0 * self.macs_per_cycle() as f64 * self.clock.to_hz() / 1e12
     }
 
-    /// Returns a copy with a different precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `[2, 16]`.
-    pub fn with_precision(mut self, bits: u32) -> Self {
-        assert!((2..=16).contains(&bits), "precision {bits} out of range");
-        self.precision_bits = bits;
-        self
-    }
-
     /// Returns a copy that schedules under a different dataflow.
     pub fn with_dataflow(mut self, dataflow: DataflowPolicy) -> Self {
         self.dataflow = dataflow;

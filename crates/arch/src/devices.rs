@@ -137,11 +137,6 @@ impl DeviceRack {
         2 * waveguides * c.core.nlambda
     }
 
-    /// Directional couplers (one per DDot).
-    pub fn coupler_count(&self) -> usize {
-        self.config.num_cores() * self.config.core.num_ddots()
-    }
-
     /// The per-signal optical path from an M1 modulator to a detector:
     /// modulator, WDM demux+mux, intra-core 1:Nv broadcast, crossings, the
     /// DDot coupler and phase shifter.

@@ -97,18 +97,6 @@ impl MrrAccelerator {
         }
     }
 
-    /// Bank (weight block) size `k`.
-    pub fn bank_size(&self) -> usize {
-        self.k
-    }
-
-    /// The numeric [`lt_core::ComputeBackend`] matching this
-    /// accelerator's precision (4-pass non-negative decomposition), for
-    /// accuracy experiments.
-    pub fn compute_backend(&self) -> crate::backend::MrrBackend {
-        crate::backend::MrrBackend::new(self.bits)
-    }
-
     /// Number of bank systems.
     pub fn banks(&self) -> usize {
         self.banks

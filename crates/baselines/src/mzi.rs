@@ -101,18 +101,6 @@ impl MziAccelerator {
         }
     }
 
-    /// Mesh size `N`.
-    pub fn mesh_size(&self) -> usize {
-        self.n
-    }
-
-    /// The numeric [`lt_core::ComputeBackend`] matching this
-    /// accelerator's mesh size and precision (SVD mapping + quantized
-    /// diagonal), for accuracy experiments.
-    pub fn compute_backend(&self) -> crate::backend::MziBackend {
-        crate::backend::MziBackend::new(self.n, self.bits)
-    }
-
     /// Number of core systems.
     pub fn cores(&self) -> usize {
         self.cores

@@ -96,18 +96,6 @@ impl PcmAccelerator {
         }
     }
 
-    /// Crossbar (weight block) size `k`.
-    pub fn crossbar_size(&self) -> usize {
-        self.k
-    }
-
-    /// The numeric [`lt_core::ComputeBackend`] matching this
-    /// accelerator's precision (discrete conductance levels + programming
-    /// variability), for accuracy experiments.
-    pub fn compute_backend(&self) -> crate::backend::PcmBackend {
-        crate::backend::PcmBackend::paper(self.bits)
-    }
-
     /// Number of crossbar systems.
     pub fn crossbars(&self) -> usize {
         self.crossbars

@@ -134,12 +134,12 @@ fn serving_sweep() {
     }
 }
 
-/// The wired serving path: the same request mix served through
-/// `ServeConfig::threads` (the `LT_THREADS` knob) at every thread
-/// count. On a 1-core host this prints parity (the table's purpose
-/// there is bounding the pool's dispatch overhead); on a multi-core
-/// host it prints the row-block scaling. Replies are bit-identical
-/// either way (`tests/runtime_determinism.rs`).
+/// The serving path over a `ParallelBackend`: the same request mix
+/// served with every GEMM fanned out over one pool shared by both
+/// workers, at every thread count. On a 1-core host this prints parity
+/// (the table's purpose there is bounding the pool's dispatch
+/// overhead); on a multi-core host it prints the row-block scaling.
+/// Replies are bit-identical either way (`tests/runtime_determinism.rs`).
 fn serving_threads_sweep() {
     let mut rng = GaussianSampler::new(42);
     let vision = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
@@ -155,19 +155,19 @@ fn serving_threads_sweep() {
         .collect();
     let mut baseline: Option<BenchReport> = None;
     for threads in THREADS {
+        let backend = ParallelBackend::new(DptcBackend::paper(8, 7), threads);
         let report = bench_for(
-            &format!("serve 12 DPTC requests, LT_THREADS={threads}"),
+            &format!("serve 12 DPTC requests, {threads} gemm threads"),
             WINDOW,
             || {
                 let server = Server::new(
                     vision.clone(),
                     text.clone(),
-                    DptcBackend::paper(8, 7),
+                    backend.clone(),
                     ServeConfig {
                         workers: 2,
                         max_batch: 4,
                         seed: 7,
-                        threads,
                         ..ServeConfig::default()
                     },
                 );

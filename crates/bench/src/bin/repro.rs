@@ -11,13 +11,14 @@
 //! repro list           list available experiments
 //! ```
 //!
-//! `BENCH_repro.json` is the machine-readable perf/cost snapshot
-//! (per-model cycles/energy/EDP plus record→replay wall-clock); commit
-//! or diff it to track the trajectory across PRs. `repro check` is the
-//! CI gate over exactly that file: modeled metrics must stay within
-//! tolerance of the committed baseline (wall-clock `*_us` fields are
-//! host-dependent and exempt), so a cost-model change either updates
-//! the baseline intentionally in the same PR or fails the build.
+//! `BENCH_repro.json` is the machine-readable cost snapshot (per-model
+//! cycles/energy/EDP, decode, KV, schedule-cache, serving and
+//! speculation sections); commit or diff it to track the trajectory
+//! across PRs. `repro check` is the CI gate over exactly that file:
+//! every field is modeled and must stay within tolerance of the
+//! committed baseline, so a cost-model change either updates the
+//! baseline intentionally in the same PR or fails the build. Host time
+//! is servebench's to measure.
 
 use lt_bench::{all_experiments, bench_repro_json, compare};
 
@@ -71,7 +72,7 @@ fn run_check(args: &[String]) -> ! {
     };
     eprintln!(
         "regenerating the snapshot and diffing against {baseline_path} \
-         (tolerance {:.3}%, wall-clock *_us exempt)...",
+         (tolerance {:.3}%)...",
         tolerance * 100.0
     );
     let fresh = bench_repro_json();

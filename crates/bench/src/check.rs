@@ -5,8 +5,8 @@
 //! workload shapes, never on the host. So any drift between a fresh
 //! snapshot and the committed baseline is a real change to the cost
 //! model or the workloads — either an intended one (update the baseline
-//! in the same PR) or a regression (fail the build). Wall-clock fields
-//! (`*_us`) are host-dependent and exempt.
+//! in the same PR) or a regression (fail the build). Every field is
+//! gated: the snapshot holds no host-clock field.
 //!
 //! The workspace has no serde, so this module carries a minimal
 //! recursive-descent JSON reader sufficient for the snapshot's own
@@ -187,14 +187,6 @@ impl Parser<'_> {
     }
 }
 
-/// Whether a field is host-dependent wall-clock, exempt from the gate.
-fn is_wall_clock(path: &str) -> bool {
-    path.rsplit('.').next().is_some_and(|leaf| {
-        leaf.trim_end_matches(|c: char| c == ']' || c.is_ascii_digit() || c == '[')
-            .ends_with("_us")
-    })
-}
-
 /// Compares a fresh snapshot against the committed baseline under a
 /// relative tolerance (e.g. `0.005` = 0.5%). Returns the list of
 /// drifted fields — structural differences, string changes, and numeric
@@ -228,9 +220,6 @@ pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<Vec<String
     }
 
     for ((path, want), (_, got)) in base.iter().zip(&new) {
-        if is_wall_clock(path) {
-            continue; // host-dependent; tracked via the uploaded artifact
-        }
         match (want, got) {
             (Scalar::Num(a), Scalar::Num(b)) => {
                 let scale = a.abs().max(b.abs());
@@ -261,7 +250,7 @@ mod tests {
       "schema": 3, "config": "LT-B",
       "models": [ { "name": "DeiT-T-224", "cycles": 97000, "fps": 51000.0,
                     "utilization": 0.93, "bandwidth_stall_ms": 1.0e-5, "fill_ms": 2.0e-9 } ],
-      "compute_path": { "forward_record_us": 1234.5 },
+      "compute_path": { "recorded_ops": 12 },
       "decode": { "batches": [ { "batch": 1, "tokens_per_s": 2.5e6,
                                  "bandwidth_stall_frac": 0.8 } ] }
     }"#;
@@ -302,17 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_fields_are_exempt() {
-        let slower = DOC.replace("1234.5", "99999.0");
-        assert!(compare(DOC, &slower, 0.005).unwrap().is_empty());
-    }
-
-    #[test]
     fn schema3_stall_fields_are_gated_not_exempt() {
         // The scheduler's self-explanation is a modeled, deterministic
         // quantity: drift in utilization or the stall breakdown is a
-        // real cost-model change and must trip the gate (unlike the
-        // `_ms` suffix's cousin `_us`, which is wall-clock).
+        // real cost-model change and must trip the gate.
         for (field, drifted) in [
             ("utilization", DOC.replace("0.93", "0.80")),
             ("bandwidth_stall_ms", DOC.replace("1.0e-5", "9.0e-5")),
@@ -379,21 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn schema5_kernel_fields_are_gated_except_wall_clock() {
-        // The kernel section mixes host wall-clock (`*_us`, exempt,
-        // whatever the field's prefix) with modeled integer-path facts
-        // (gated: trace footprint, code bytes, pure quantization error).
+    fn schema5_kernel_fields_are_gated() {
+        // The kernel section holds modeled integer-path facts: trace
+        // footprint, code bytes, pure quantization error.
         const KERNEL_DOC: &str = r#"{ "kernel": { "micro_tile": "4x8x256",
-          "prev_forward_record_us": 27115.36, "forward_record_us": 3000.0,
-          "i8_gemm_us": 700.0, "int8_forward_macs": 323840,
+          "int8_forward_macs": 323840,
           "i4_weight_code_bytes": 12288, "int8_logit_err": 0.004 } }"#;
-        for wall in ["27115.36", "3000.0", "700.0"] {
-            let slower = KERNEL_DOC.replace(wall, "999999.0");
-            assert!(
-                compare(KERNEL_DOC, &slower, 0.005).unwrap().is_empty(),
-                "wall-clock field holding {wall} must be exempt"
-            );
-        }
         for (field, drifted) in [
             ("micro_tile", KERNEL_DOC.replace("4x8x256", "8x8x128")),
             ("int8_forward_macs", KERNEL_DOC.replace("323840", "331072")),
@@ -409,23 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn schema6_schedule_cache_fields_are_gated_except_wall_clock() {
+    fn schema6_schedule_cache_fields_are_gated() {
         // The cache counters replay a fixed op sequence, so they are
         // deterministic and gated: a hit/miss drift means the cache key,
         // the invalidation fingerprint, or the replay workload changed.
-        // The decode wall-clocks (`*_us`, whatever the prefix) stay
-        // exempt.
         const CACHE_DOC: &str = r#"{ "schedule_cache": { "hits": 120,
-          "misses": 14, "entries": 14, "hit_rate": 0.895522,
-          "prev_decode_record_replay_us": 12336.68,
-          "decode_record_replay_us": 3000.0 } }"#;
-        for wall in ["12336.68", "3000.0"] {
-            let slower = CACHE_DOC.replace(wall, "999999.0");
-            assert!(
-                compare(CACHE_DOC, &slower, 0.005).unwrap().is_empty(),
-                "wall-clock field holding {wall} must be exempt"
-            );
-        }
+          "misses": 14, "entries": 14, "hit_rate": 0.895522 } }"#;
         for (field, drifted) in [
             ("hits", CACHE_DOC.replace("120", "80")),
             ("misses", CACHE_DOC.replace(": 14,", ": 28,")),
@@ -446,10 +408,9 @@ mod tests {
     #[test]
     fn schema7_serving_fields_are_gated_with_no_exemptions() {
         // The serving section is entirely simulated time on a seeded
-        // workload — no field ends in `_us`, so every percentile,
-        // count, and goodput number is inside the gate. A TTFT or ITL
-        // drift means the scheduler, the chunking, or the cost model
-        // changed behavior.
+        // workload: every percentile, count, and goodput number is
+        // inside the gate. A TTFT or ITL drift means the scheduler, the
+        // chunking, or the cost model changed behavior.
         const SERVING_DOC: &str = r#"{ "serving": { "requests": 24,
           "prefill_chunk_tokens": 4,
           "unchunked": { "completed": 22, "rejected": 1,
@@ -538,7 +499,6 @@ mod tests {
         }
         for kernel_field in [
             "kernel.micro_tile",
-            "kernel.forward_record_us",
             "kernel.int8_forward_macs",
             "kernel.i4_weight_code_bytes",
             "kernel.int8_logit_err",
@@ -553,7 +513,6 @@ mod tests {
             "schedule_cache.misses",
             "schedule_cache.entries",
             "schedule_cache.hit_rate",
-            "schedule_cache.decode_record_replay_us",
         ] {
             assert!(
                 flat.iter().any(|(k, _)| k == cache_field),
@@ -586,8 +545,7 @@ mod tests {
                 "missing {spec_field}"
             );
         }
-        // And a regenerated snapshot passes its own gate on the
-        // deterministic fields.
+        // And a regenerated snapshot passes its own gate.
         let again = crate::bench_repro_json();
         assert_eq!(compare(&json, &again, 0.005).unwrap(), Vec::<String>::new());
     }

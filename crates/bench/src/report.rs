@@ -1,21 +1,23 @@
-//! `BENCH_repro.json` — the machine-readable perf/cost snapshot the
-//! `repro` binary emits so the trajectory of cycles, energy, EDP, and
-//! compute-path wall-clock is tracked across PRs (diff two checkouts'
-//! files to see what a change cost or saved).
+//! `BENCH_repro.json` — the machine-readable cost snapshot the `repro`
+//! binary emits so the trajectory of cycles, energy, and EDP is tracked
+//! across PRs (diff two checkouts' files to see what a change cost or
+//! saved).
 //!
 //! The workspace has no serde (no crates.io access), so the JSON is
 //! assembled by hand from a fixed, flat schema:
 //!
 //! ```json
 //! {
-//!   "schema": 4,
+//!   "schema": 8,
 //!   "config": "LT-B",
 //!   "precision_bits": 4,
 //!   "models": [ { "name", "cycles", "energy_mj", "latency_ms",
 //!                 "edp_mj_ms", "fps", "gmacs", "utilization",
 //!                 "bandwidth_stall_ms", "fill_ms" }, ... ],
-//!   "compute_path": { "recorded_ops", "recorded_gemm_macs",
-//!                     "forward_record_us", "trace_replay_us" }
+//!   "compute_path": { "recorded_ops", "recorded_gemm_macs" },
+//!   "kernel": { ... }, "decode": { ... }, "kv": { ... },
+//!   "schedule_cache": { ... }, "serving": { ... },
+//!   "speculation": { ... }
 //! }
 //! ```
 //!
@@ -32,9 +34,7 @@
 //! and gated.
 //!
 //! Schema 5 added the `kernel` section for the shared GEMM kernel and
-//! the true integer execution path: `forward_record_us`, tiled-vs-naive
-//! and f64-vs-i8 wall-clocks (`_us` fields, exempt like all
-//! wall-clock), and gated deterministic fields — the kernel's blocking
+//! the true integer execution path: the kernel's blocking
 //! (`micro_tile`, `RBxKxN`: rows per block, each block over all of B),
 //! the int8 forward's recorded op/MAC counts (integer execution must be
 //! workload-transparent), i8/i4 code bytes for a reference weight
@@ -43,16 +43,14 @@
 //!
 //! Schema 6 added the `schedule_cache` section: the memoized op-schedule
 //! cache's hit/miss/entry counters over a fixed replay workload (every
-//! paper benchmark plus the analytical decode trace) — deterministic and
-//! gated, since the op sequence is fixed — plus the decode serving
-//! loop's wall-clock (`decode_record_replay_us`, exempt).
+//! paper benchmark plus the analytical decode trace) — deterministic,
+//! since the op sequence is fixed.
 //!
 //! Schema 7 added the `serving` section: the SLO frontend's fixed
 //! open-loop scenario (see [`crate::experiments::serving`]) run
 //! unchunked and with chunked prefill. Every timestamp is *simulated*
-//! picoseconds on a deterministic clock, so the whole section —
-//! completion/rejection counts, TTFT and inter-token-latency
-//! percentiles, goodput — is gated with no wall-clock exemptions.
+//! picoseconds on a deterministic clock: completion/rejection counts,
+//! TTFT and inter-token-latency percentiles, goodput.
 //!
 //! Schema 8 added the `speculation` section: the speculative-decoding
 //! sweep (see [`crate::experiments::spec`]) — k∈{0,2,4,8} at batch 1
@@ -64,22 +62,19 @@
 //!
 //! `models` replays every paper benchmark's analytical trace through the
 //! LT-B 4-bit model (the Table V / Fig. 13 methodology). `compute_path`
-//! wall-clocks the *real* record→replay pipeline: a tiny ViT forward
-//! pass on the photonic DPTC backend in a recording context, then the
-//! recorded trace costed by the simulator. `decode` replays the
-//! autoregressive decode step (paper Section VI-B) at batch 1/4/16 —
-//! cycles and energy per token, replayed tokens/s, KV-cache footprint
-//! vs. context — and wall-clocks the executable KV-cached decode loop.
+//! counts what the *real* record pipeline records: a tiny ViT forward
+//! pass on the photonic DPTC backend in a recording context. `decode`
+//! replays the autoregressive decode step (paper Section VI-B) at batch
+//! 1/4/16 — cycles and energy per token, replayed tokens/s, KV-cache
+//! footprint vs. context.
 //!
-//! Every field is deterministic except the `*_us` wall-clock ones, so
-//! `repro check` can diff this file against a committed baseline with a
-//! tight tolerance and fail CI on cycle/energy/EDP drift.
+//! Every field is deterministic, so `repro check` can diff this file
+//! against a committed baseline with a tight tolerance and fail CI on
+//! any drift. Host time is servebench's to measure, not this file's.
 
-use crate::timing::bench;
 use lt_arch::{ArchConfig, Simulator};
 use lt_core::{GaussianSampler, Trace};
 use lt_dptc::DptcBackend;
-use lt_nn::decode::{DecodeSession, DecoderConfig, DecoderLm, SessionConfig};
 use lt_nn::layers::ForwardCtx;
 use lt_nn::model::{Classifier, ModelConfig, VisionTransformer};
 use lt_nn::quant::QuantConfig;
@@ -124,41 +119,31 @@ pub fn bench_repro_json() -> String {
         ));
     }
 
-    // Wall-clock the real compute path: record a tiny ViT forward on the
-    // photonic backend, then replay the trace through the simulator.
+    // The real compute path: record a tiny ViT forward on the photonic
+    // backend.
     let mut rng = GaussianSampler::new(7);
     let mut vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
     let patches = Tensor::randn(16, 16, 1.0, &mut rng);
-    let mut trace = Trace::new();
-    let record = bench("forward_record", || {
-        let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 42);
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx =
-            ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
-        let logits = vit.forward(&patches, &mut ctx);
-        trace = ctx.take_trace(); // keep only the latest pass
-        logits
-    });
-    let trace = trace.coalesce();
-    let replay = bench("trace_replay", || sim.run_trace(&trace));
+    let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 42);
+    let mut nrng = GaussianSampler::new(0);
+    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
+    vit.forward(&patches, &mut ctx);
+    let trace = ctx.take_trace().coalesce();
 
-    let (decode, decode_us) = decode_section();
     format!(
         "{{\n  \"schema\": 8,\n  \"config\": \"{}\",\n  \"precision_bits\": {},\n  \
          \"models\": [\n{}\n  ],\n  \"compute_path\": {{ \"recorded_ops\": {}, \
-         \"recorded_gemm_macs\": {}, \"forward_record_us\": {}, \"trace_replay_us\": {} }},\n\
+         \"recorded_gemm_macs\": {} }},\n\
          {},\n{},\n{},\n{},\n{},\n{}\n}}\n",
         arch.name,
         bits,
         models.join(",\n"),
         trace.len(),
         trace.total_macs(),
-        num(record.us_per_iter()),
-        num(replay.us_per_iter()),
-        kernel_section(record.us_per_iter()),
-        decode,
+        kernel_section(),
+        decode_section(),
         kv_section(),
-        schedule_cache_section(decode_us),
+        schedule_cache_section(),
         serving_section(),
         speculation_section(),
     )
@@ -253,9 +238,8 @@ fn serving_section() -> String {
 /// cache's counters over a fixed replay — every paper benchmark's
 /// analytical trace plus the batch-1 decode trace through one LT-B
 /// simulator. The op sequence is fixed, so hits/misses/entries (and
-/// their ratio) are deterministic and gated; the decode serving loop's
-/// wall-clock rides along as an exempt `_us` field.
-fn schedule_cache_section(decode_record_replay_us: f64) -> String {
+/// their ratio) are deterministic and gated.
+fn schedule_cache_section() -> String {
     // Two passes over the fixed workload: the first populates (all
     // misses once coalesced traces are deduped by shape x dataflow),
     // the second replays warm — the steady-state serving regime.
@@ -269,35 +253,23 @@ fn schedule_cache_section(decode_record_replay_us: f64) -> String {
     let stats = sim.schedule_cache_stats();
     format!(
         "  \"schedule_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \
-         \"hit_rate\": {}, \"decode_record_replay_us\": {} }}",
+         \"hit_rate\": {} }}",
         stats.hits,
         stats.misses,
         stats.entries,
         num(stats.hit_rate()),
-        num(decode_record_replay_us),
     )
 }
 
-/// The `kernel` section (schema 5): the kernel's wall-clock and the
-/// integer path's deterministic footprint. The `_us` suffix keeps every
-/// host-dependent field out of the `repro check` gate, while the
-/// integer-path fields are modeled/deterministic and gated.
-fn kernel_section(forward_record_us: f64) -> String {
+/// The `kernel` section (schema 5): the kernel's blocking and the
+/// integer path's deterministic footprint.
+fn kernel_section() -> String {
     use lt_core::kernel::RB;
-    use lt_core::{quantized_gemm, reference_gemm, Matrix32, Matrix64, QuantizedMatrix};
+    use lt_core::{Matrix32, QuantizedMatrix};
 
-    let (m, k, n) = (96usize, 256, 96);
-    let mut rng = GaussianSampler::new(3);
-    let a64 = Matrix64::randn(m, k, 1.0, &mut rng);
-    let b64 = Matrix64::randn(k, n, 1.0, &mut rng);
-    let naive = bench("naive_f64", || reference_gemm(&a64.view(), &b64.view()));
-    let tiled = bench("tiled_f64", || a64.view().matmul(&b64.view()));
-
-    let a32 = Matrix32::randn(m, k, 1.0, &mut rng);
-    let b32 = Matrix32::randn(k, n, 1.0, &mut rng);
-    let aq = QuantizedMatrix::quantize_rows(&a32.view(), 8, 32);
+    // Code bytes depend only on the reference weight's shape.
+    let b32 = Matrix32::randn(256, 96, 1.0, &mut GaussianSampler::new(3));
     let bq = QuantizedMatrix::quantize_cols(&b32.view(), 8, 32);
-    let i8_gemm = bench("i8_gemm", || quantized_gemm(&aq, &bq));
     let wq4 = QuantizedMatrix::quantize_cols(&b32.view(), 4, 32);
 
     // Deterministic integer-path footprint: an int8 tiny-ViT forward on
@@ -321,15 +293,9 @@ fn kernel_section(forward_record_us: f64) -> String {
 
     format!(
         "  \"kernel\": {{ \"micro_tile\": \"{RB}xKxN\", \
-         \"forward_record_us\": {}, \
-         \"naive_f64_gemm_us\": {}, \"tiled_f64_gemm_us\": {}, \"i8_gemm_us\": {}, \
          \"int8_forward_ops\": {}, \"int8_forward_macs\": {}, \
          \"i8_weight_code_bytes\": {}, \"i4_weight_code_bytes\": {}, \
          \"int8_logit_err\": {} }}",
-        num(forward_record_us),
-        num(naive.us_per_iter()),
-        num(tiled.us_per_iter()),
-        num(i8_gemm.us_per_iter()),
         int8_trace.len(),
         int8_trace.total_macs(),
         bq.code_bytes(),
@@ -364,16 +330,12 @@ fn kv_section() -> String {
     )
 }
 
-/// The `decode` section: the paper's Section VI-B decode regime, both
-/// analytical (GPT2-small at context 512, batch 1/4/16, replayed through
-/// LT-B 8-bit) and executable (a KV-cached tiny decoder LM wall-clocked
-/// through record→replay). All fields deterministic except `*_us`.
-/// Returns the section plus the decode wall-clock, which the
-/// `schedule_cache` section reports next to its committed baseline.
-fn decode_section() -> (String, f64) {
+/// The `decode` section: the paper's Section VI-B decode regime,
+/// GPT2-small at context 512, batch 1/4/16, replayed through LT-B
+/// 8-bit, and the KV-cache footprint against context.
+fn decode_section() -> String {
     let bits = 8;
-    let arch = ArchConfig::lt_base(bits);
-    let sim = Simulator::new(arch.clone());
+    let sim = Simulator::new(ArchConfig::lt_base(bits));
     let model = TransformerConfig::gpt2_small(1);
     let context = 512;
 
@@ -413,43 +375,14 @@ fn decode_section() -> (String, f64) {
         })
         .collect();
 
-    // Wall-clock the executable KV-cached decode loop: one real session
-    // (prefill + steps) on the photonic backend, costed per token.
-    let mut rng = GaussianSampler::new(7);
-    let lm = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
-    let new_tokens = 8;
-    let decode = bench("decode_record_replay", || {
-        let mut session = DecodeSession::new(
-            &lm,
-            0,
-            vec![3, 1, 4, 1, 5, 9],
-            new_tokens,
-            DptcBackend::paper(8, 7),
-            SessionConfig {
-                seed: 42,
-                kv_bits: bits,
-                ..SessionConfig::default()
-            },
-        );
-        session.prefill(&lm, &sim);
-        while !session.is_done() {
-            session.step(&lm, &sim);
-        }
-        session.into_reply()
-    });
-
-    let section = format!(
+    format!(
         "  \"decode\": {{\n    \"model\": \"{}\",\n    \"context\": {},\n    \
-         \"batches\": [\n{}\n    ],\n    \"kv_vs_context\": [\n{}\n    ],\n    \
-         \"compute_path\": {{ \"decoded_tokens\": {}, \"decode_record_replay_us\": {} }}\n  }}",
+         \"batches\": [\n{}\n    ],\n    \"kv_vs_context\": [\n{}\n    ]\n  }}",
         model.name,
         context,
         batches.join(",\n"),
         kv_rows.join(",\n"),
-        new_tokens,
-        num(decode.us_per_iter()),
-    );
-    (section, decode.us_per_iter())
+    )
 }
 
 #[cfg(test)]
@@ -473,13 +406,10 @@ mod tests {
             "\"cycles\"",
             "\"energy_mj\"",
             "\"edp_mj_ms\"",
-            "\"forward_record_us\"",
-            "\"trace_replay_us\"",
             "\"decode\"",
             "\"cycles_per_token\"",
             "\"tokens_per_s\"",
             "\"kv_vs_context\"",
-            "\"decode_record_replay_us\"",
             "\"utilization\"",
             "\"bandwidth_stall_ms\"",
             "\"fill_ms\"",
@@ -491,7 +421,6 @@ mod tests {
             "\"kv_bandwidth_stall_frac\"",
             "\"kernel\"",
             "\"micro_tile\"",
-            "\"i8_gemm_us\"",
             "\"int8_forward_macs\"",
             "\"i4_weight_code_bytes\"",
             "\"int8_logit_err\"",

@@ -159,11 +159,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Reshapes in place to `rows x cols` with every element zeroed,
     /// reusing the existing allocation whenever capacity allows. A
     /// scratch matrix cycled through a run's shapes stops allocating
@@ -491,23 +486,6 @@ pub struct MatrixView<'a, T> {
 }
 
 impl<'a, T: Scalar> MatrixView<'a, T> {
-    /// Wraps a flat row-major slice as a view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &'a [T]) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer length mismatch");
-        MatrixView {
-            rows,
-            cols,
-            stride: cols,
-            data,
-            source: None,
-            memo: None,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -71,13 +71,6 @@ impl Quantizer {
         (v.clamp(-1.0, 1.0) * levels).round() / levels
     }
 
-    /// Quantizes a slice in place (normalized values).
-    pub fn quantize_slice(&self, values: &mut [f64]) {
-        for v in values {
-            *v = self.quantize_unit(*v);
-        }
-    }
-
     /// Quantizes a general value given its scale (`max_abs`), returning the
     /// dequantized result. `scale <= 0` passes the value through unchanged
     /// (an all-zero tensor has nothing to quantize).

@@ -113,11 +113,6 @@ impl DDot {
         }
     }
 
-    /// Creates an engine over an explicit wavelength grid.
-    pub fn with_grid(grid: WavelengthGrid) -> Self {
-        DDot { grid }
-    }
-
     /// The underlying wavelength grid.
     pub fn grid(&self) -> &WavelengthGrid {
         &self.grid

@@ -4,13 +4,13 @@
 //! reused across the whole batch).
 //!
 //! Concurrent clients [`Server::submit`] mixed vision (DeiT stand-in)
-//! and text (BERT stand-in) requests; a [`lt_runtime::BatchQueue`]
-//! coalesces them into FIFO batches that worker threads drain. Each
+//! and text (BERT stand-in) requests; a [`lt_runtime::Workers`] shell
+//! coalesces them into FIFO batches that its threads drain. Each
 //! worker holds its own clone of the model weights (loaded once, reused
 //! for every request it serves) and runs whole transformer forward
-//! passes with every GEMM routed through the configured backend — wrap
-//! the backend in [`lt_runtime::ParallelBackend`] to also parallelize
-//! inside each GEMM.
+//! passes with every GEMM routed through the given backend — pass a
+//! [`lt_runtime::ParallelBackend`] to also parallelize inside each GEMM
+//! over one pool that every worker shares.
 //!
 //! What coalescing amortizes today: queue synchronization (one lock
 //! round per batch, not per request) and weight residency (a worker
@@ -58,11 +58,9 @@ use crate::tensor::Tensor;
 use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::backend::split_seed;
 use lt_core::{ComputeBackend, GaussianSampler, Trace};
-use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool};
+use lt_runtime::{BatchQueue, Job, Pending, Workers};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// One inference request: an image (patch matrix) for the vision model
 /// or a token sequence for the text model.
@@ -88,12 +86,6 @@ pub struct ServeConfig {
     /// Accelerator model that costs every request's recorded trace
     /// (default: LT-B at 8 bits, the paper's high-accuracy point).
     pub arch: ArchConfig,
-    /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
-    /// out as row-block jobs on one pool shared by all workers
-    /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. `1` (the default) or `0` runs the backend
-    /// unwrapped.
-    pub threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -104,7 +96,6 @@ impl Default for ServeConfig {
             seed: 0,
             quant: QuantConfig::fp32(),
             arch: ArchConfig::lt_base(8),
-            threads: 1,
         }
     }
 }
@@ -122,40 +113,6 @@ pub struct Reply {
     /// evidence behind `cost`, and the input a scheduler or DSE loop
     /// can re-cost under a different [`ArchConfig`].
     pub trace: Trace,
-}
-
-/// A handle to one in-flight request.
-#[derive(Debug)]
-pub struct PendingReply {
-    ticket: u64,
-    rx: Receiver<Reply>,
-}
-
-impl PendingReply {
-    /// The queue ticket (submission order, also the noise-stream index).
-    pub fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// Blocks until the reply (logits + hardware cost) arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server was shut down before serving this request,
-    /// or if the request itself was malformed (e.g. a wrong-length
-    /// token sequence) and its forward pass panicked — other requests
-    /// and the worker are unaffected.
-    pub fn wait(self) -> Reply {
-        self.rx
-            .recv()
-            .expect("request failed or server dropped before replying")
-    }
-}
-
-#[derive(Debug)]
-struct Job {
-    request: Request,
-    reply: Sender<Reply>,
 }
 
 /// The batching inference server. See the [module docs](self).
@@ -182,8 +139,7 @@ struct Job {
 /// ```
 #[derive(Debug)]
 pub struct Server {
-    queue: Arc<BatchQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers<Job<Request, Reply>>,
     served: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
 }
@@ -193,92 +149,58 @@ impl Server {
     /// of the two models (weights loaded once per worker, amortized
     /// across every request that worker serves). The backend type is
     /// consumed by the workers, so the handle itself is not generic.
-    ///
-    /// With [`ServeConfig::threads`] above 1, the backend is wrapped
-    /// in a [`ParallelBackend`] over one pool shared by every worker,
-    /// so each GEMM inside a forward pass fans out as row-block jobs —
-    /// with bit-identical replies, per the seed-partition contract.
-    pub fn new<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    pub fn new<B: ComputeBackend + Clone + Send + 'static>(
         vision: VisionTransformer,
         text: TextClassifier,
         backend: B,
         config: ServeConfig,
     ) -> Self {
-        if config.threads > 1 {
-            let pool = Arc::new(ThreadPool::new(config.threads));
-            return Server::spawn(
-                vision,
-                text,
-                ParallelBackend::with_pool(backend, pool),
-                config,
-            );
-        }
-        Server::spawn(vision, text, backend, config)
-    }
-
-    /// The monomorphic worker bring-up both construction paths share.
-    fn spawn<B: ComputeBackend + Clone + Send + 'static>(
-        vision: VisionTransformer,
-        text: TextClassifier,
-        backend: B,
-        config: ServeConfig,
-    ) -> Self {
-        let queue: Arc<BatchQueue<Job>> = Arc::new(BatchQueue::new(config.max_batch.max(1)));
         let served = Arc::new(AtomicU64::new(0));
         let batches = Arc::new(AtomicU64::new(0));
-        let workers = (0..config.workers.max(1))
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let served = Arc::clone(&served);
-                let batches = Arc::clone(&batches);
-                let mut vision = vision.clone();
-                let mut text = text.clone();
-                let backend = backend.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("lt-serve-worker-{w}"))
-                    .spawn(move || {
-                        // One simulator per worker, built once and reused
-                        // to cost every request it serves.
-                        let sim = Simulator::new(config.arch.clone());
-                        while let Some(batch) = queue.next_batch() {
-                            batches.fetch_add(1, Ordering::Relaxed);
-                            for (ticket, job) in batch {
-                                // Contain per-request panics (wrong
-                                // sequence length, out-of-range token
-                                // id, ...): the offending client's
-                                // reply sender is dropped — its `wait`
-                                // panics with a clear message — while
-                                // the rest of the batch and the worker
-                                // survive. Model forward caches are
-                                // overwritten on every pass, so the
-                                // clones stay valid after an unwind.
-                                let outcome =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        serve_one(
-                                            &mut vision,
-                                            &mut text,
-                                            &backend,
-                                            &config,
-                                            &sim,
-                                            ticket,
-                                            &job.request,
-                                        )
-                                    }));
-                                if let Ok(reply) = outcome {
-                                    served.fetch_add(1, Ordering::Relaxed);
-                                    // A client that dropped its handle
-                                    // just doesn't read the reply.
-                                    let _ = job.reply.send(reply);
-                                }
-                            }
+        let workers = Workers::spawn(config.workers, config.max_batch, "lt-serve-worker", |_| {
+            let served = Arc::clone(&served);
+            let batches = Arc::clone(&batches);
+            let mut vision = vision.clone();
+            let mut text = text.clone();
+            let backend = backend.clone();
+            let config = config.clone();
+            move |queue: &BatchQueue<Job<Request, Reply>>| {
+                // One simulator per worker, built once and reused to
+                // cost every request it serves.
+                let sim = Simulator::new(config.arch.clone());
+                while let Some(batch) = queue.next_batch() {
+                    batches.fetch_add(1, Ordering::Relaxed);
+                    for (ticket, (request, tx)) in batch {
+                        // Contain per-request panics (wrong sequence
+                        // length, out-of-range token id, ...): the
+                        // offending client's reply sender is dropped —
+                        // its `wait` panics with a clear message — while
+                        // the rest of the batch and the worker survive.
+                        // Model forward caches are overwritten on every
+                        // pass, so the clones stay valid after an unwind.
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                serve_one(
+                                    &mut vision,
+                                    &mut text,
+                                    &backend,
+                                    &config,
+                                    &sim,
+                                    ticket,
+                                    &request,
+                                )
+                            }));
+                        if let Ok(reply) = outcome {
+                            served.fetch_add(1, Ordering::Relaxed);
+                            // A client that dropped its handle just
+                            // doesn't read the reply.
+                            let _ = tx.send(reply);
                         }
-                    })
-                    .expect("failed to spawn serve worker")
-            })
-            .collect();
+                    }
+                }
+            }
+        });
         Server {
-            queue,
             workers,
             served,
             batches,
@@ -286,10 +208,8 @@ impl Server {
     }
 
     /// Enqueues a request; returns immediately with a reply handle.
-    pub fn submit(&self, request: Request) -> PendingReply {
-        let (reply, rx) = channel();
-        let ticket = self.queue.submit(Job { request, reply });
-        PendingReply { ticket, rx }
+    pub fn submit(&self, request: Request) -> Pending<Reply> {
+        self.workers.request(request)
     }
 
     /// Requests served *successfully* so far (a request whose forward
@@ -307,20 +227,8 @@ impl Server {
     /// Drains outstanding requests, stops the workers, and returns the
     /// total number of requests served successfully.
     pub fn shutdown(mut self) -> u64 {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.workers.join();
         self.served()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -387,16 +295,16 @@ mod tests {
             .collect()
     }
 
-    fn serve_all<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    fn serve_all<B: ComputeBackend + Clone + Send + 'static>(
         backend: B,
         cfg: ServeConfig,
         requests: &[Request],
     ) -> Vec<Reply> {
         let (vision, text) = models();
         let server = Server::new(vision, text, backend, cfg);
-        let pending: Vec<PendingReply> =
+        let pending: Vec<Pending<Reply>> =
             requests.iter().map(|r| server.submit(r.clone())).collect();
-        let replies: Vec<Reply> = pending.into_iter().map(PendingReply::wait).collect();
+        let replies: Vec<Reply> = pending.into_iter().map(Pending::wait).collect();
         assert_eq!(server.shutdown(), requests.len() as u64);
         replies
     }

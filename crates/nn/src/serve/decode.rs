@@ -37,8 +37,9 @@
 //! [`DecodeServeConfig::scheduler`] is the one mapping from them to a
 //! [`KvScheduler`]: every [`DecodeServer`] worker and
 //! [`crate::serve::lifecycle::SloFrontend`] build theirs with it.
-//! Nothing here reads the environment; the examples map `LT_THREADS`
-//! and `LT_SPEC_K` onto [`DecodeServeConfig::threads`] and
+//! Nothing here reads the environment: the `llm_serving_decode`
+//! example maps `LT_THREADS` onto a [`lt_runtime::ParallelBackend`] it
+//! passes in, and `llm_speculative` maps `LT_SPEC_K` onto
 //! [`DecodeServeConfig::spec_k`].
 
 use crate::decode::{DecodeReply, DecoderLm, SessionConfig};
@@ -46,11 +47,10 @@ use crate::quant::QuantConfig;
 use crate::serve::sched::{KvSchedStats, KvScheduler, KvServeConfig};
 use lt_arch::{ArchConfig, ScheduleCacheStats, Simulator};
 use lt_core::ComputeBackend;
-use lt_runtime::{BatchQueue, ParallelBackend, ThreadPool};
+use lt_runtime::{BatchQueue, Job, Pending, Workers};
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// One autoregressive generation request.
 #[derive(Debug, Clone)]
@@ -82,12 +82,6 @@ pub struct DecodeServeConfig {
     /// to derive it from `arch.kv_pool_bytes`), prefix sharing, and the
     /// preemption policy. Validated at [`DecodeServer::new`].
     pub kv: KvServeConfig,
-    /// Intra-GEMM parallelism: `threads > 1` fans every routed GEMM
-    /// out as row-block jobs on one pool shared by all workers
-    /// ([`lt_runtime::ParallelBackend`]); replies are bit-identical at
-    /// every thread count. `1` (the default) or `0` runs the backend
-    /// unwrapped.
-    pub threads: usize,
     /// Chunked-prefill size in prompt tokens: `0` (default) prefills a
     /// whole prompt at admission; a positive chunk interleaves prefill
     /// pieces with running sessions' decode steps, bounding how long a
@@ -112,7 +106,6 @@ impl Default for DecodeServeConfig {
             quant: QuantConfig::fp32(),
             arch: ArchConfig::lt_base(8),
             kv: KvServeConfig::default(),
-            threads: 1,
             prefill_chunk_tokens: 0,
             spec_k: 0,
         }
@@ -122,8 +115,7 @@ impl Default for DecodeServeConfig {
 impl DecodeServeConfig {
     /// The scheduler this configuration describes over `model`, costed
     /// by `sim` (built from `self.arch`) and running GEMMs through
-    /// `backend`. `workers` and `threads` belong to the server, not the
-    /// scheduler.
+    /// `backend`. `workers` belongs to the server, not the scheduler.
     ///
     /// # Panics
     ///
@@ -151,41 +143,6 @@ impl DecodeServeConfig {
         .with_prefill_chunk(self.prefill_chunk_tokens)
         .with_speculation(self.spec_k)
     }
-}
-
-/// A handle to one in-flight decode request.
-#[derive(Debug)]
-pub struct PendingDecode {
-    ticket: u64,
-    rx: Receiver<DecodeReply>,
-}
-
-impl PendingDecode {
-    /// The queue ticket (submission order, also the noise-stream index).
-    pub fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// Blocks until the reply (tokens + prefill and per-token costs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server shut down before serving this request, or if
-    /// the request was malformed (empty prompt, no new tokens, context
-    /// overflow, out-of-vocabulary token; see
-    /// [`crate::decode::DecoderConfig::check_request`]) and failed
-    /// admission — other requests and the worker are unaffected.
-    pub fn wait(self) -> DecodeReply {
-        self.rx
-            .recv()
-            .expect("decode request failed or server dropped before replying")
-    }
-}
-
-#[derive(Debug)]
-struct Job {
-    request: DecodeRequest,
-    reply: Sender<DecodeReply>,
 }
 
 /// A snapshot of serving counters: one worker's, or every worker's
@@ -239,8 +196,7 @@ impl ServingStats {
 /// ```
 #[derive(Debug)]
 pub struct DecodeServer {
-    queue: Arc<BatchQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers<Job<DecodeRequest, DecodeReply>>,
     /// One snapshot per worker, overwritten after each of its ticks.
     slots: Arc<[Mutex<ServingStats>]>,
 }
@@ -255,25 +211,7 @@ impl DecodeServer {
     /// Panics if `config.kv` is invalid for this model and architecture
     /// (zero block size, or a pool too small to hold one full-context
     /// session — see [`KvServeConfig::validate`]).
-    ///
-    /// With [`DecodeServeConfig::threads`] above 1, the backend is
-    /// wrapped in a [`ParallelBackend`] over one pool shared by every
-    /// worker, so each step's GEMMs fan out as row-block jobs — with
-    /// bit-identical replies, per the seed-partition contract.
-    pub fn new<B: ComputeBackend + Clone + Send + Sync + 'static>(
-        model: DecoderLm,
-        backend: B,
-        config: DecodeServeConfig,
-    ) -> Self {
-        if config.threads > 1 {
-            let pool = Arc::new(ThreadPool::new(config.threads));
-            return DecodeServer::spawn(model, ParallelBackend::with_pool(backend, pool), config);
-        }
-        DecodeServer::spawn(model, backend, config)
-    }
-
-    /// The monomorphic worker bring-up both construction paths share.
-    fn spawn<B: ComputeBackend + Clone + Send + 'static>(
+    pub fn new<B: ComputeBackend + Clone + Send + 'static>(
         model: DecoderLm,
         backend: B,
         config: DecodeServeConfig,
@@ -281,34 +219,34 @@ impl DecodeServer {
         // Reject impossible pools on the caller's thread, before any
         // worker starts.
         config.kv.validate(&model.config(), &config.arch);
-        let queue: Arc<BatchQueue<Job>> = Arc::new(BatchQueue::new(config.max_active.max(1)));
-        let workers = config.workers.max(1);
-        let slots: Arc<[Mutex<ServingStats>]> = (0..workers).map(|_| Mutex::default()).collect();
-        let workers = (0..workers)
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let slots = Arc::clone(&slots);
-                let model = model.clone();
-                let backend = backend.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("lt-decode-worker-{w}"))
-                    .spawn(move || worker_loop(&model, &backend, &config, &queue, &slots[w]))
-                    .expect("failed to spawn decode worker")
-            })
+        let slots: Arc<[Mutex<ServingStats>]> = (0..config.workers.max(1))
+            .map(|_| Mutex::default())
             .collect();
-        DecodeServer {
-            queue,
-            workers,
-            slots,
-        }
+        let workers = Workers::spawn(config.workers, config.max_active, "lt-decode-worker", |w| {
+            let slots = Arc::clone(&slots);
+            let model = model.clone();
+            let backend = backend.clone();
+            let config = config.clone();
+            move |queue: &BatchQueue<Job<DecodeRequest, DecodeReply>>| {
+                worker_loop(&model, &backend, &config, queue, &slots[w]);
+            }
+        });
+        DecodeServer { workers, slots }
     }
 
-    /// Enqueues a request; returns immediately with a reply handle.
-    pub fn submit(&self, request: DecodeRequest) -> PendingDecode {
-        let (reply, rx) = channel();
-        let ticket = self.queue.submit(Job { request, reply });
-        PendingDecode { ticket, rx }
+    /// Enqueues a request; returns immediately with a reply handle
+    /// whose [`Pending::wait`] yields the tokens plus prefill and
+    /// per-token costs.
+    ///
+    /// # Panics
+    ///
+    /// `wait` panics if the server shut down before serving this
+    /// request, or if the request was malformed (empty prompt, no new
+    /// tokens, context overflow, out-of-vocabulary token; see
+    /// [`crate::decode::DecoderConfig::check_request`]) and failed
+    /// admission — other requests and the worker are unaffected.
+    pub fn submit(&self, request: DecodeRequest) -> Pending<DecodeReply> {
+        self.workers.request(request)
     }
 
     /// Every worker's latest snapshot, merged. A worker publishes its
@@ -325,20 +263,8 @@ impl DecodeServer {
     /// Drains outstanding requests, stops the workers, and returns the
     /// number of requests served.
     pub fn shutdown(mut self) -> u64 {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.workers.join();
         self.stats().served
-    }
-}
-
-impl Drop for DecodeServer {
-    fn drop(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -355,7 +281,7 @@ fn worker_loop<B: ComputeBackend + Clone>(
     model: &DecoderLm,
     backend: &B,
     config: &DecodeServeConfig,
-    queue: &BatchQueue<Job>,
+    queue: &BatchQueue<Job<DecodeRequest, DecodeReply>>,
     slot: &Mutex<ServingStats>,
 ) {
     let sim = Simulator::new(config.arch.clone());
@@ -373,9 +299,9 @@ fn worker_loop<B: ComputeBackend + Clone>(
                 None => break, // closed and drained
             }
         };
-        for (ticket, job) in admitted {
-            replies.insert(ticket, job.reply);
-            sched.submit(ticket, job.request);
+        for (ticket, (request, tx)) in admitted {
+            replies.insert(ticket, tx);
+            sched.submit(ticket, request);
         }
 
         // A tick that did nothing is fine only if failed admissions
@@ -432,15 +358,15 @@ mod tests {
             .collect()
     }
 
-    fn serve_all<B: ComputeBackend + Clone + Send + Sync + 'static>(
+    fn serve_all<B: ComputeBackend + Clone + Send + 'static>(
         backend: B,
         cfg: DecodeServeConfig,
         requests: &[DecodeRequest],
     ) -> Vec<DecodeReply> {
         let server = DecodeServer::new(model(), backend, cfg);
-        let pending: Vec<PendingDecode> =
+        let pending: Vec<Pending<DecodeReply>> =
             requests.iter().map(|r| server.submit(r.clone())).collect();
-        let replies: Vec<DecodeReply> = pending.into_iter().map(PendingDecode::wait).collect();
+        let replies: Vec<DecodeReply> = pending.into_iter().map(Pending::wait).collect();
         assert_eq!(server.shutdown(), requests.len() as u64);
         replies
     }
@@ -550,9 +476,9 @@ mod tests {
                 ..DecodeServeConfig::default()
             },
         );
-        let pending: Vec<PendingDecode> =
+        let pending: Vec<Pending<DecodeReply>> =
             requests.iter().map(|r| server.submit(r.clone())).collect();
-        let spec: Vec<DecodeReply> = pending.into_iter().map(PendingDecode::wait).collect();
+        let spec: Vec<DecodeReply> = pending.into_iter().map(Pending::wait).collect();
         assert_eq!(plain, spec, "speculation never changes a reply");
         let stats = server.stats().sched;
         assert!(stats.spec.proposed > 0, "speculation must have run");
@@ -616,9 +542,9 @@ mod tests {
                 ..DecodeServeConfig::default()
             },
         );
-        let pending: Vec<PendingDecode> =
+        let pending: Vec<Pending<DecodeReply>> =
             requests.iter().map(|r| server.submit(r.clone())).collect();
-        let tight: Vec<DecodeReply> = pending.into_iter().map(PendingDecode::wait).collect();
+        let tight: Vec<DecodeReply> = pending.into_iter().map(Pending::wait).collect();
         let stats = server.stats().sched;
         assert!(stats.preemptions > 0, "the small pool must evict");
         assert_eq!(stats.preemptions, stats.resumes);

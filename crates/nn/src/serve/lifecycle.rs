@@ -245,7 +245,7 @@ impl<B: ComputeBackend + Clone> std::fmt::Debug for SloFrontend<'_, B> {
 impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
     /// Builds a frontend over `model`, costed by `sim` (which must be
     /// built from `config.arch`), running GEMMs through `backend`.
-    /// `config.workers` and `config.threads` are ignored: the frontend
+    /// `config.workers` is ignored: the frontend
     /// is a single deterministic event loop, which is what makes its
     /// latency stamps CI-gateable.
     pub fn new(

@@ -229,13 +229,6 @@ impl MilliWatts {
     }
 }
 
-impl Watts {
-    /// Converts to milliwatts.
-    pub fn to_milliwatts(self) -> MilliWatts {
-        MilliWatts(self.0 * 1e3)
-    }
-}
-
 impl SquareMicrometers {
     /// Converts to square millimeters.
     pub fn to_mm2(self) -> SquareMillimeters {
@@ -256,11 +249,6 @@ impl SquareMillimeters {
 }
 
 impl Picoseconds {
-    /// Converts to milliseconds.
-    pub fn to_ms(self) -> Milliseconds {
-        Milliseconds(self.0 * 1e-9)
-    }
-
     /// Converts to seconds.
     pub fn to_seconds(self) -> f64 {
         self.0 * 1e-12
@@ -317,20 +305,6 @@ impl Mul<Milliseconds> for Watts {
     fn mul(self, rhs: Milliseconds) -> MilliJoules {
         // W * ms = 1e-3 J = 1 mJ
         MilliJoules(self.0 * rhs.0)
-    }
-}
-
-impl PicoJoules {
-    /// Converts to millijoules.
-    pub fn to_millijoules(self) -> MilliJoules {
-        MilliJoules(self.0 * 1e-9)
-    }
-}
-
-impl MilliJoules {
-    /// Converts to picojoules.
-    pub fn to_picojoules(self) -> PicoJoules {
-        PicoJoules(self.0 * 1e9)
     }
 }
 

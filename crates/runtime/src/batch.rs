@@ -1,5 +1,5 @@
 //! [`BatchQueue`]: FIFO coalescing of concurrent requests into
-//! batches.
+//! batches, and [`Workers`]: the named threads that drain one.
 //!
 //! The accelerator amortizes per-layer weight loading (and DAC setup)
 //! across a batch of inputs; the serving runtime mirrors that by letting
@@ -7,10 +7,13 @@
 //! batches of bounded size. Every submission gets a monotonically
 //! increasing *ticket*, and requests are handed out in ticket order, so
 //! admission order is a pure function of what was submitted, never of
-//! which consumer thread drained it.
+//! which consumer thread drained it. [`crate::ThreadPool`] and both
+//! servers in `lt_nn::serve` are a [`Workers`] plus their worker body.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 /// A blocking multi-producer batch queue.
 ///
@@ -120,10 +123,109 @@ impl<T> BatchQueue<T> {
     }
 }
 
+/// A request paired with the sender its reply goes back on.
+pub type Job<Q, R> = (Q, Sender<R>);
+
+/// `count` named threads draining one [`BatchQueue`]. Dropping (or
+/// [`join`](Workers::join)ing) closes the queue and joins every thread;
+/// requests already submitted still drain first.
+#[derive(Debug)]
+pub struct Workers<T> {
+    queue: Arc<BatchQueue<T>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<T: Send + 'static> Workers<T> {
+    /// Starts `count.max(1)` threads named `{name}-{i}` over a queue of
+    /// `max_batch.max(1)`-request batches. `make(i)` runs on the
+    /// caller's thread and returns worker `i`'s body, so per-worker
+    /// state is built before the thread starts; the body drains the
+    /// queue until [`BatchQueue::next_batch`] returns `None`.
+    pub fn spawn<F, W>(count: usize, max_batch: usize, name: &str, mut make: F) -> Self
+    where
+        F: FnMut(usize) -> W,
+        W: FnOnce(&BatchQueue<T>) + Send + 'static,
+    {
+        let queue = Arc::new(BatchQueue::new(max_batch.max(1)));
+        let threads = (0..count.max(1))
+            .map(|i| {
+                let body = make(i);
+                let queue = Arc::clone(&queue);
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || body(&queue))
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
+        Workers { queue, threads }
+    }
+}
+
+impl<T> Workers<T> {
+    /// Enqueues `item` and returns its ticket ([`BatchQueue::submit`]).
+    pub fn submit(&self, item: T) -> u64 {
+        self.queue.submit(item)
+    }
+
+    /// Number of running threads (zero after [`join`](Workers::join)).
+    pub fn count(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// Closes the queue, lets the threads drain it, and joins them.
+    pub fn join(&mut self) {
+        self.queue.close();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl<Q, R> Workers<Job<Q, R>> {
+    /// Enqueues `request` with a fresh reply channel; returns at once.
+    pub fn request(&self, request: Q) -> Pending<R> {
+        let (reply, rx) = channel();
+        let ticket = self.submit((request, reply));
+        Pending { ticket, rx }
+    }
+}
+
+impl<T> Drop for Workers<T> {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// A handle to one in-flight [`Job`].
+#[derive(Debug)]
+pub struct Pending<R> {
+    ticket: u64,
+    rx: Receiver<R>,
+}
+
+impl<R> Pending<R> {
+    /// The queue ticket (submission order; the servers also use it as
+    /// the request's noise-stream index).
+    pub fn ticket(&self) -> u64 {
+        self.ticket
+    }
+
+    /// Blocks until the reply arrives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker dropped the reply sender: the request
+    /// failed, or the workers stopped before serving it.
+    pub fn wait(self) -> R {
+        self.rx
+            .recv()
+            .expect("request failed or workers stopped before replying")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn batches_are_fifo_and_bounded() {

@@ -6,19 +6,22 @@
 //! of inputs. This crate is the software analogue of that execution
 //! layer, built on `std` only (the container has no crates.io access):
 //!
-//! * [`ThreadPool`] — a fixed-size worker pool over `std::sync::mpsc`.
-//! * [`ParallelBackend`] — wraps any [`lt_core::ComputeBackend`] and
-//!   partitions every GEMM into the canonical
-//!   [`lt_core::backend::row_blocks`] work items, dispatched across the
-//!   pool. It is itself a `ComputeBackend`, so it drops into
-//!   `lt_nn::BackendEngine` (or anywhere else) unchanged. The serving
-//!   layers (`lt_nn::serve::Server`, `lt_nn::serve::decode::DecodeServer`)
-//!   wrap their backend in one over a pool shared by every worker when
-//!   their `threads` setting is above 1.
 //! * [`BatchQueue`] — a FIFO request-coalescing queue: concurrent
 //!   inference submissions drain in ticket order as batches, mirroring
 //!   how the accelerator amortizes per-layer weight loading across a
 //!   batch of requests.
+//! * [`Workers`] — the one thread shell: `count` named threads draining
+//!   one `BatchQueue`, closed and joined on drop. A [`Job`] carries its
+//!   reply sender, and [`Workers::request`] returns a [`Pending`] reply.
+//!   The pool below and both servers in `lt_nn::serve` run on it.
+//! * [`ThreadPool`] — a fixed-size pool of `'static` jobs on `Workers`.
+//! * [`ParallelBackend`] — wraps any [`lt_core::ComputeBackend`] and
+//!   partitions every GEMM into the canonical
+//!   [`lt_core::backend::row_blocks`] work items, dispatched across its
+//!   own pool, which every clone shares. It is itself a
+//!   `ComputeBackend`, so it drops into `lt_nn::BackendEngine` or the
+//!   servers unchanged: a server given one fans every GEMM of every
+//!   worker out over that one pool.
 //! * [`loadgen`] — a seeded open/closed-loop load generator (Poisson
 //!   and Markov-modulated bursty arrivals, mixed length and
 //!   [`SloClass`] distributions) plus latency percentile helpers, for
@@ -56,7 +59,7 @@ pub mod loadgen;
 pub mod parallel;
 pub mod pool;
 
-pub use batch::BatchQueue;
+pub use batch::{BatchQueue, Job, Pending, Workers};
 pub use loadgen::{ArrivalModel, GenRequest, LengthMix, LoadgenConfig, SloClass, SloMix};
 pub use parallel::{ParallelBackend, MIN_PARALLEL_MACS};
 pub use pool::ThreadPool;

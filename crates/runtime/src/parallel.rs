@@ -62,17 +62,13 @@ impl<B> Clone for ParallelBackend<B> {
 }
 
 impl<B: ComputeBackend + Send + Sync + 'static> ParallelBackend<B> {
-    /// Wraps `backend` with a dedicated pool of `threads` workers.
+    /// Wraps `backend` with a dedicated pool of `threads` workers,
+    /// which every clone shares.
     pub fn new(backend: B, threads: usize) -> Self {
-        ParallelBackend::with_pool(backend, Arc::new(ThreadPool::new(threads)))
-    }
-
-    /// Wraps `backend` over an existing (possibly shared) pool.
-    pub fn with_pool(backend: B, pool: Arc<ThreadPool>) -> Self {
         let name = format!("parallel({})", backend.name());
         ParallelBackend {
             backend: Arc::new(backend),
-            pool,
+            pool: Arc::new(ThreadPool::new(threads)),
             name,
             min_parallel_macs: MIN_PARALLEL_MACS,
         }
@@ -98,11 +94,6 @@ impl<B: ComputeBackend + Send + Sync + 'static> ParallelBackend<B> {
     /// Number of worker threads in the pool.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The shared pool (e.g. to wrap a second backend over it).
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 }
 
@@ -263,7 +254,6 @@ mod tests {
         assert_eq!(par.name(), "parallel(native)");
         assert_eq!(par.threads(), 3);
         assert_eq!(par.backend(), &lt_core::NativeBackend);
-        let second = ParallelBackend::with_pool(lt_core::NativeBackend, Arc::clone(par.pool()));
-        assert_eq!(second.threads(), 3);
+        assert_eq!(par.clone().threads(), 3, "a clone shares the pool");
     }
 }

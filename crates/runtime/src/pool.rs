@@ -1,24 +1,23 @@
-//! A fixed-size worker pool over `std::sync::mpsc` — the `std`-only
+//! A fixed-size worker pool on [`Workers`] — the `std`-only
 //! substitute for `rayon` (the build container has no crates.io access).
 //!
-//! Jobs are `'static` closures; workers pull them from one shared
-//! channel, so an idle worker always takes the next job (work stealing
-//! degenerates to a single shared queue, which is optimal for the
-//! coarse, similar-cost row-block jobs the runtime submits).
+//! Jobs are `'static` closures; workers pull them one at a time from one
+//! shared queue, so an idle worker always takes the next job (work
+//! stealing degenerates to a single shared queue, which is optimal for
+//! the coarse, similar-cost row-block jobs the runtime submits).
 
+use crate::batch::{BatchQueue, Workers};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size thread pool.
 ///
-/// Dropping the pool closes the job channel and joins every worker;
-/// jobs already submitted still run to completion.
+/// Dropping the pool closes its queue and joins every worker; jobs
+/// already submitted still run to completion.
 ///
 /// ```
 /// use lt_runtime::ThreadPool;
@@ -37,38 +36,32 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// assert_eq!(hits.load(Ordering::SeqCst), 32);
 /// ```
 pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers<Job>,
     panicked: Arc<AtomicUsize>,
 }
 
 impl ThreadPool {
     /// Spawns a pool of `threads` workers (at least one).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
         let panicked = Arc::new(AtomicUsize::new(0));
-        let workers = (0..threads)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let panicked = Arc::clone(&panicked);
-                std::thread::Builder::new()
-                    .name(format!("lt-runtime-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver, &panicked))
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        ThreadPool {
-            sender: Some(sender),
-            workers,
-            panicked,
-        }
+        let workers = Workers::spawn(threads, 1, "lt-runtime-worker", |_| {
+            let panicked = Arc::clone(&panicked);
+            move |queue: &BatchQueue<Job>| {
+                while let Some(batch) = queue.next_batch() {
+                    for (_, job) in batch {
+                        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                            panicked.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                }
+            }
+        });
+        ThreadPool { workers, panicked }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.count()
     }
 
     /// Number of jobs that panicked so far (their panics are contained
@@ -80,29 +73,7 @@ impl ThreadPool {
     /// Submits a job. Jobs run in submission order per worker pickup;
     /// completion order is unspecified.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool is shutting down")
-            .send(Box::new(job))
-            .expect("all workers exited");
-    }
-}
-
-fn worker_loop(receiver: &Mutex<Receiver<Job>>, panicked: &AtomicUsize) {
-    loop {
-        // Hold the lock only while popping, never while running the job.
-        let job = match receiver.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return, // a peer panicked while popping; shut down
-        };
-        match job {
-            Ok(job) => {
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    panicked.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            Err(_) => return, // channel closed: pool dropped
-        }
+        self.workers.submit(Box::new(job));
     }
 }
 
@@ -112,15 +83,6 @@ impl fmt::Debug for ThreadPool {
             .field("threads", &self.threads())
             .field("panicked_jobs", &self.panicked_jobs())
             .finish()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the channel; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 

@@ -25,6 +25,7 @@ use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::decode::{DecodeReply, DecoderConfig, DecoderLm};
 use lightening_transformer::nn::serve::decode::{DecodeRequest, DecodeServeConfig, DecodeServer};
 use lightening_transformer::nn::QuantConfig;
+use lightening_transformer::runtime::ParallelBackend;
 use std::time::Instant;
 
 /// Total requests; override with `LT_DECODE_REQUESTS` (CI smoke runs 4).
@@ -49,7 +50,8 @@ fn quant_mode() -> QuantConfig {
 }
 
 /// Row-block GEMM threads; `LT_THREADS` above 1 fans every GEMM out
-/// over a shared pool. Unset, empty or unparsable means 1 (sequential).
+/// over the backend's pool, which all workers share. Unset, empty or
+/// unparsable means 1 (sequential).
 fn gemm_threads() -> usize {
     std::env::var("LT_THREADS")
         .ok()
@@ -75,11 +77,11 @@ fn main() {
         max_active: 8,
         seed: 7,
         quant,
-        threads,
         ..DecodeServeConfig::default()
     };
     let clock_ghz = config.arch.clock.value();
-    let server = DecodeServer::new(model.clone(), DptcBackend::paper(8, 7), config);
+    let backend = ParallelBackend::new(DptcBackend::paper(8, 7), threads);
+    let server = DecodeServer::new(model.clone(), backend, config);
     if threads > 1 {
         println!("parallel GEMM dispatch: LT_THREADS={threads} (replies stay bit-identical)");
     }

@@ -17,9 +17,9 @@
 use lightening_transformer::core::GaussianSampler;
 use lightening_transformer::dptc::DptcBackend;
 use lightening_transformer::nn::model::ModelConfig;
-use lightening_transformer::nn::serve::{PendingReply, Reply, Request, ServeConfig, Server};
+use lightening_transformer::nn::serve::{Reply, Request, ServeConfig, Server};
 use lightening_transformer::nn::{Tensor, TextClassifier, VisionTransformer};
-use lightening_transformer::runtime::ParallelBackend;
+use lightening_transformer::runtime::{ParallelBackend, Pending};
 use std::sync::mpsc::channel;
 use std::time::Instant;
 
@@ -67,7 +67,7 @@ fn main() {
 
     // Three concurrent clients stream mixed requests.
     let start = Instant::now();
-    let (tx, rx) = channel::<(usize, usize, PendingReply)>();
+    let (tx, rx) = channel::<(usize, usize, Pending<Reply>)>();
     std::thread::scope(|scope| {
         let server = &server;
         for client in 0..CLIENTS {

@@ -15,10 +15,9 @@
 //! * the batching inference server returns logits — and per-request
 //!   hardware costs — that do not depend on worker count, batch size,
 //!   or intra-GEMM thread count;
-//! * the wired serving path (`ServeConfig::threads` /
-//!   `DecodeServeConfig::threads`, the `LT_THREADS` knob) leaves
-//!   forward replies, decode token streams, and memory-pressured paged
-//!   replies bit-identical at 1/2/4/8 threads.
+//! * both servers given a `ParallelBackend` return forward replies,
+//!   decode token streams, and memory-pressured paged replies
+//!   bit-identical to the unwrapped backend at 1/2/4/8 threads.
 
 use lightening_transformer::arch::{ArchConfig, Simulator};
 use lightening_transformer::baselines::PcmBackend;
@@ -413,12 +412,12 @@ fn serving_is_invariant_to_workers_batch_size_and_gemm_threads() {
 }
 
 #[test]
-fn forward_serving_is_invariant_to_threads_config() {
-    // The *wired* parallel serving path: `ServeConfig::threads` (the
-    // `LT_THREADS` knob) wraps the backend in a pool-sharing
-    // `ParallelBackend` inside `Server::new`. Replies — logits, cost,
-    // and the recorded trace — must be bit-identical to the sequential
-    // server at every thread count.
+fn forward_serving_is_invariant_to_gemm_threads() {
+    // The parallel serving path: a server given a `ParallelBackend`
+    // fans every GEMM of every worker out over that backend's one pool.
+    // Replies — logits, cost, and the recorded trace — must be
+    // bit-identical to the server on the unwrapped backend at every
+    // thread count.
     let mut rng = GaussianSampler::new(41);
     let vision = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
     let text = TextClassifier::new(ModelConfig::tiny_text(), 16, 12, &mut rng);
@@ -431,45 +430,46 @@ fn forward_serving_is_invariant_to_threads_config() {
             }
         })
         .collect();
-    let serve = |threads: usize| -> Vec<lightening_transformer::nn::Reply> {
-        let server = Server::new(
-            vision.clone(),
-            text.clone(),
-            DptcBackend::paper(8, 17),
-            ServeConfig {
-                workers: 2,
-                max_batch: 2,
-                seed: 29,
-                threads,
-                ..ServeConfig::default()
-            },
-        );
+    let config = ServeConfig {
+        workers: 2,
+        max_batch: 2,
+        seed: 29,
+        ..ServeConfig::default()
+    };
+    let serve = |server: Server| -> Vec<lightening_transformer::nn::Reply> {
         let pending: Vec<_> = requests.iter().map(|r| server.submit(r.clone())).collect();
         pending.into_iter().map(|p| p.wait()).collect()
     };
-    let base = serve(1);
+    let base = serve(Server::new(
+        vision.clone(),
+        text.clone(),
+        DptcBackend::paper(8, 17),
+        config.clone(),
+    ));
     for reply in &base {
         assert!(reply.cost.cycles > 0, "every reply carries hardware cost");
         assert!(!reply.trace.is_empty(), "every reply carries its trace");
     }
     for threads in THREAD_COUNTS {
-        let got = serve(threads);
+        let got = serve(Server::new(
+            vision.clone(),
+            text.clone(),
+            ParallelBackend::new(DptcBackend::paper(8, 17), threads),
+            config.clone(),
+        ));
         for (a, b) in base.iter().zip(&got) {
-            assert_eq!(
-                a.logits, b.logits,
-                "logits diverged at LT_THREADS={threads}"
-            );
-            assert_eq!(a.cost, b.cost, "cost diverged at LT_THREADS={threads}");
-            assert_eq!(a.trace, b.trace, "trace diverged at LT_THREADS={threads}");
+            assert_eq!(a.logits, b.logits, "logits diverged at {threads} threads");
+            assert_eq!(a.cost, b.cost, "cost diverged at {threads} threads");
+            assert_eq!(a.trace, b.trace, "trace diverged at {threads} threads");
         }
     }
 }
 
 #[test]
-fn decode_serving_is_invariant_to_threads_config() {
-    // Same contract for the decode server: `DecodeServeConfig::threads`
-    // routes every per-token GEMM through the shared pool, and the
-    // token streams plus their replayed per-token costs must not move.
+fn decode_serving_is_invariant_to_gemm_threads() {
+    // Same contract for the decode server: a `ParallelBackend` routes
+    // every per-token GEMM through its shared pool, and the token
+    // streams plus their replayed per-token costs must not move.
     let mut rng = GaussianSampler::new(43);
     let model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     let requests: Vec<DecodeRequest> = (0..6)
@@ -478,43 +478,46 @@ fn decode_serving_is_invariant_to_threads_config() {
             max_new_tokens: 2 + i % 4,
         })
         .collect();
-    let serve = |threads: usize| -> Vec<DecodeReply> {
-        let server = DecodeServer::new(
-            model.clone(),
-            DptcBackend::paper(8, 17),
-            DecodeServeConfig {
-                workers: 2,
-                max_active: 4,
-                seed: 23,
-                threads,
-                ..DecodeServeConfig::default()
-            },
-        );
+    let config = DecodeServeConfig {
+        workers: 2,
+        max_active: 4,
+        seed: 23,
+        ..DecodeServeConfig::default()
+    };
+    let serve = |server: DecodeServer| -> Vec<DecodeReply> {
         let pending: Vec<_> = requests.iter().map(|r| server.submit(r.clone())).collect();
         let replies = pending.into_iter().map(|p| p.wait()).collect();
         assert_eq!(server.shutdown(), requests.len() as u64);
         replies
     };
-    let base = serve(1);
+    let base = serve(DecodeServer::new(
+        model.clone(),
+        DptcBackend::paper(8, 17),
+        config.clone(),
+    ));
     for (i, reply) in base.iter().enumerate() {
         assert_eq!(reply.tokens.len(), requests[i].max_new_tokens);
         assert!(reply.prefill.cycles > 0, "prefill carries replayed cost");
     }
     for threads in THREAD_COUNTS {
-        let got = serve(threads);
+        let got = serve(DecodeServer::new(
+            model.clone(),
+            ParallelBackend::new(DptcBackend::paper(8, 17), threads),
+            config.clone(),
+        ));
         for (a, b) in base.iter().zip(&got) {
-            assert_eq!(a, b, "decode reply diverged at LT_THREADS={threads}");
+            assert_eq!(a, b, "decode reply diverged at {threads} threads");
         }
     }
 }
 
 #[test]
-fn paged_pressure_replies_are_invariant_to_threads_config() {
+fn paged_pressure_replies_are_invariant_to_gemm_threads() {
     // Memory-pressure serving through the parallel path: a deliberately
-    // tight per-worker KV pool forces preemption while `threads` fans
-    // the GEMMs out. Replies must match the roomy sequential server —
-    // neither eviction/restore nor row-block scheduling may leak into
-    // tokens or costs.
+    // tight per-worker KV pool forces preemption while a
+    // `ParallelBackend` fans the GEMMs out. Replies must match the roomy
+    // server on the unwrapped backend — neither eviction/restore nor
+    // row-block scheduling may leak into tokens or costs.
     let mut rng = GaussianSampler::new(47);
     let model = DecoderLm::new(DecoderConfig::tiny(), &mut rng);
     let requests: Vec<DecodeRequest> = (0..8)
@@ -523,19 +526,14 @@ fn paged_pressure_replies_are_invariant_to_threads_config() {
             max_new_tokens: 4 + i % 4,
         })
         .collect();
-    let serve = |threads: usize, kv: KvServeConfig| -> Vec<DecodeReply> {
-        let server = DecodeServer::new(
-            model.clone(),
-            DptcBackend::paper(8, 17),
-            DecodeServeConfig {
-                workers: 1,
-                max_active: 8,
-                seed: 31,
-                kv,
-                threads,
-                ..DecodeServeConfig::default()
-            },
-        );
+    let config = |kv: KvServeConfig| DecodeServeConfig {
+        workers: 1,
+        max_active: 8,
+        seed: 31,
+        kv,
+        ..DecodeServeConfig::default()
+    };
+    let serve = |server: DecodeServer| -> Vec<DecodeReply> {
         let pending: Vec<_> = requests.iter().map(|r| server.submit(r.clone())).collect();
         let replies = pending.into_iter().map(|p| p.wait()).collect();
         server.shutdown();
@@ -552,14 +550,19 @@ fn paged_pressure_replies_are_invariant_to_threads_config() {
         preempt: PreemptPolicy::SwapOut,
         ..KvServeConfig::default()
     };
-    let base = serve(1, roomy);
+    let base = serve(DecodeServer::new(
+        model.clone(),
+        DptcBackend::paper(8, 17),
+        config(roomy),
+    ));
     for threads in THREAD_COUNTS {
-        let got = serve(threads, tight);
+        let got = serve(DecodeServer::new(
+            model.clone(),
+            ParallelBackend::new(DptcBackend::paper(8, 17), threads),
+            config(tight),
+        ));
         for (a, b) in base.iter().zip(&got) {
-            assert_eq!(
-                a, b,
-                "paged-pressure reply diverged at LT_THREADS={threads}"
-            );
+            assert_eq!(a, b, "paged-pressure reply diverged at {threads} threads");
         }
     }
 }
