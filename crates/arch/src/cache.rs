@@ -19,10 +19,9 @@
 //! fresh computation produced. `tests/schedule_cache.rs` pins this
 //! across all three dataflows, the five paper benchmarks, and decode.
 //!
-//! The cache is keyed by `(Op, DataflowPolicy)` and guarded by the
-//! owning config's [`crate::ArchConfig::fingerprint`]: presenting a different
-//! fingerprint (a config change) clears all entries before the lookup
-//! proceeds, so stale schedules can never leak across configurations.
+//! The cache is keyed by `(Op, DataflowPolicy)`. It needs no config in
+//! its key: a [`crate::Simulator`]'s config is fixed at construction,
+//! and the cache is shared only by that simulator's clones.
 
 use crate::schedule::{DataflowPolicy, GemmMap, Segment};
 use crate::sim::RunReport;
@@ -56,15 +55,8 @@ pub(crate) enum CachedOpSchedule {
     },
 }
 
-struct CacheState {
-    /// Fingerprint of the [`ArchConfig`] the entries were built under.
-    fingerprint: u64,
-    entries: HashMap<(Op, DataflowPolicy), CachedOpSchedule>,
-}
-
 /// A concurrent memo table of per-op schedules, shared by every clone
-/// of the owning [`crate::Simulator`] (worker threads serving the same
-/// config pool one cache).
+/// of the owning [`crate::Simulator`].
 ///
 /// Hit/miss counters are totals since construction. On a
 /// single-threaded replay they are exactly reproducible (the coalesced
@@ -73,20 +65,17 @@ struct CacheState {
 /// into several misses (each racing thread computes the entry once) —
 /// the *results* stay bit-identical, only the hit/miss split moves.
 pub(crate) struct ScheduleCache {
-    state: RwLock<CacheState>,
+    entries: RwLock<HashMap<(Op, DataflowPolicy), CachedOpSchedule>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: bool,
 }
 
 impl ScheduleCache {
-    /// An empty, enabled cache bound to the given config fingerprint.
-    pub(crate) fn new(fingerprint: u64) -> Self {
+    /// An empty, enabled cache.
+    pub(crate) fn new() -> Self {
         ScheduleCache {
-            state: RwLock::new(CacheState {
-                fingerprint,
-                entries: HashMap::new(),
-            }),
+            entries: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: true,
@@ -96,63 +85,35 @@ impl ScheduleCache {
     /// A cache that never stores or returns anything — the always-miss
     /// reference path used to prove hits are bit-identical to fresh
     /// computation.
-    pub(crate) fn disabled(fingerprint: u64) -> Self {
+    pub(crate) fn disabled() -> Self {
         ScheduleCache {
             enabled: false,
-            ..ScheduleCache::new(fingerprint)
+            ..ScheduleCache::new()
         }
     }
 
-    /// Looks up the memoized schedule for `key` under the config
-    /// identified by `fingerprint`, counting a hit or a miss. A
-    /// fingerprint mismatch invalidates every entry first.
-    pub(crate) fn lookup(
-        &self,
-        fingerprint: u64,
-        key: (Op, DataflowPolicy),
-    ) -> Option<CachedOpSchedule> {
+    /// Looks up the memoized schedule for `key`, counting a hit or a
+    /// miss.
+    pub(crate) fn lookup(&self, key: (Op, DataflowPolicy)) -> Option<CachedOpSchedule> {
         if !self.enabled {
             return None;
         }
-        {
-            let state = self.state.read().expect("schedule cache poisoned");
-            if state.fingerprint == fingerprint {
-                if let Some(entry) = state.entries.get(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(entry.clone());
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        // Config changed under the cache: drop every entry, rebind.
-        let mut state = self.state.write().expect("schedule cache poisoned");
-        if state.fingerprint != fingerprint {
-            state.entries.clear();
-            state.fingerprint = fingerprint;
-        }
-        if let Some(entry) = state.entries.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(entry.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let entries = self.entries.read().expect("schedule cache poisoned");
+        let entry = entries.get(&key).cloned();
+        let counter = if entry.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        entry
     }
 
-    /// Stores a freshly computed schedule. No-op when disabled or when
-    /// the fingerprint no longer matches (a racing config rebind).
-    pub(crate) fn insert(
-        &self,
-        fingerprint: u64,
-        key: (Op, DataflowPolicy),
-        entry: CachedOpSchedule,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let mut state = self.state.write().expect("schedule cache poisoned");
-        if state.fingerprint == fingerprint {
-            state.entries.insert(key, entry);
+    /// Stores a freshly computed schedule. No-op when disabled.
+    pub(crate) fn insert(&self, key: (Op, DataflowPolicy), entry: CachedOpSchedule) {
+        if self.enabled {
+            let mut entries = self.entries.write().expect("schedule cache poisoned");
+            entries.insert(key, entry);
         }
     }
 
@@ -166,11 +127,7 @@ impl ScheduleCache {
 
     /// Number of distinct memoized `(op, dataflow)` keys.
     pub(crate) fn len(&self) -> usize {
-        self.state
-            .read()
-            .expect("schedule cache poisoned")
-            .entries
-            .len()
+        self.entries.read().expect("schedule cache poisoned").len()
     }
 }
 
@@ -250,39 +207,20 @@ mod tests {
 
     #[test]
     fn miss_then_hit_with_counters() {
-        let cache = ScheduleCache::new(7);
-        assert!(cache.lookup(7, key(1)).is_none());
-        cache.insert(7, key(1), CachedOpSchedule::Free);
-        assert!(matches!(
-            cache.lookup(7, key(1)),
-            Some(CachedOpSchedule::Free)
-        ));
+        let cache = ScheduleCache::new();
+        assert!(cache.lookup(key(1)).is_none());
+        cache.insert(key(1), CachedOpSchedule::Free);
+        assert!(matches!(cache.lookup(key(1)), Some(CachedOpSchedule::Free)));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn fingerprint_change_invalidates_everything() {
-        let cache = ScheduleCache::new(7);
-        cache.insert(7, key(1), CachedOpSchedule::Free);
-        cache.insert(7, key(2), CachedOpSchedule::Free);
-        assert_eq!(cache.len(), 2);
-        // A different config fingerprint clears the table, then misses.
-        assert!(cache.lookup(8, key(1)).is_none());
-        assert_eq!(cache.len(), 0);
-        // Entries inserted under the stale fingerprint are rejected.
-        cache.insert(7, key(1), CachedOpSchedule::Free);
-        assert_eq!(cache.len(), 0);
-        cache.insert(8, key(1), CachedOpSchedule::Free);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn disabled_cache_never_stores_or_counts() {
-        let cache = ScheduleCache::disabled(7);
+        let cache = ScheduleCache::disabled();
         assert!(!cache.enabled);
-        cache.insert(7, key(1), CachedOpSchedule::Free);
-        assert!(cache.lookup(7, key(1)).is_none());
+        cache.insert(key(1), CachedOpSchedule::Free);
+        assert!(cache.lookup(key(1)).is_none());
         assert_eq!(cache.stats(), (0, 0));
         assert_eq!(cache.len(), 0);
     }

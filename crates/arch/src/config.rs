@@ -119,33 +119,6 @@ pub struct ArchConfig {
 }
 
 impl ArchConfig {
-    /// A stable 64-bit digest over every field that influences
-    /// scheduling or energy. Two configs with equal fingerprints
-    /// produce identical per-op schedules, which is what lets
-    /// the schedule cache ([`crate::cache`]) key memoized plans to a config
-    /// and invalidate them wholesale when presented with a different
-    /// one. Floats hash by bit pattern (`hbm_bytes_per_s` may be
-    /// `INFINITY`, which hashes fine).
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.name.hash(&mut h);
-        self.nt.hash(&mut h);
-        self.nc.hash(&mut h);
-        self.core.hash(&mut h);
-        self.precision_bits.hash(&mut h);
-        self.clock.value().to_bits().hash(&mut h);
-        self.global_sram_bytes.hash(&mut h);
-        self.tile_sram_bytes.hash(&mut h);
-        self.act_sram_bytes.hash(&mut h);
-        self.hbm_bytes_per_s.to_bits().hash(&mut h);
-        self.kv_pool_bytes.hash(&mut h);
-        self.dataflow.hash(&mut h);
-        self.opts.hash(&mut h);
-        self.topology.hash(&mut h);
-        h.finish()
-    }
-
     /// `LT-B` (Table IV): 4 tiles x 2 cores, 12x12x12, 2 MB global SRAM.
     ///
     /// # Panics

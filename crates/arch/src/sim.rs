@@ -139,17 +139,15 @@ pub struct Simulator {
     rack: DeviceRack,
     mem: MemoryHierarchy,
     laser_w: f64,
-    /// [`ArchConfig::fingerprint`] of `config`, precomputed once.
-    fingerprint: u64,
     /// Memoized per-op schedules, shared by every clone of this
-    /// simulator (parallel serving workers pool one cache).
+    /// simulator. The serve workers each build their own simulator, so
+    /// each has its own cache.
     cache: Arc<crate::cache::ScheduleCache>,
 }
 
 impl Simulator {
     /// Creates a simulator for a configuration.
     pub fn new(config: ArchConfig) -> Self {
-        let fingerprint = config.fingerprint();
         let rack = DeviceRack::paper(&config);
         let mem = MemoryHierarchy::for_config(&config);
         let laser_w = rack.laser_power().to_watts().value();
@@ -158,8 +156,7 @@ impl Simulator {
             rack,
             mem,
             laser_w,
-            fingerprint,
-            cache: Arc::new(crate::cache::ScheduleCache::new(fingerprint)),
+            cache: Arc::new(crate::cache::ScheduleCache::new()),
         }
     }
 
@@ -169,7 +166,7 @@ impl Simulator {
     /// skeptical users) can prove it.
     pub fn uncached(config: ArchConfig) -> Self {
         let mut sim = Simulator::new(config);
-        sim.cache = Arc::new(crate::cache::ScheduleCache::disabled(sim.fingerprint));
+        sim.cache = Arc::new(crate::cache::ScheduleCache::disabled());
         sim
     }
 
@@ -192,11 +189,11 @@ impl Simulator {
         op: &Op,
     ) -> crate::cache::CachedOpSchedule {
         let key = (*op, policy);
-        if let Some(entry) = self.cache.lookup(self.fingerprint, key) {
+        if let Some(entry) = self.cache.lookup(key) {
             return entry;
         }
         let entry = schedule::build_op_schedule(self, policy, op);
-        self.cache.insert(self.fingerprint, key, entry.clone());
+        self.cache.insert(key, entry.clone());
         entry
     }
 

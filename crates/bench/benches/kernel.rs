@@ -294,8 +294,7 @@ fn forward_modes() {
             || {
                 let mut model = vit.clone();
                 let mut engine = ExactEngine;
-                let mut nrng = GaussianSampler::new(0);
-                let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng);
+                let mut ctx = ForwardCtx::inference(&mut engine, quant);
                 model.forward(&patches, &mut ctx)
             },
         );

@@ -69,8 +69,7 @@ fn main() {
     let mut vit = make_vit();
     let mut eng = ExactEngine;
     let r = bench("vit_forward/exact_fp32", || {
-        let mut rng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         vit.forward(&sample, &mut ctx)
     });
     println!("{}", r.row());
@@ -78,8 +77,7 @@ fn main() {
     let mut vit = make_vit();
     let mut eng = BackendEngine::new(DptcBackend::paper(4, 9), 9);
     let r = bench("vit_forward/photonic_4bit_12lambda", || {
-        let mut rng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::low_bit(4), &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::low_bit(4));
         vit.forward(&sample, &mut ctx)
     });
     println!("{}", r.row());

@@ -384,8 +384,8 @@ mod tests {
     #[test]
     fn schema6_schedule_cache_fields_are_gated() {
         // The cache counters replay a fixed op sequence, so they are
-        // deterministic and gated: a hit/miss drift means the cache key,
-        // the invalidation fingerprint, or the replay workload changed.
+        // deterministic and gated: a hit/miss drift means the cache key
+        // or the replay workload changed.
         const CACHE_DOC: &str = r#"{ "schedule_cache": { "hits": 120,
           "misses": 14, "entries": 14, "hit_rate": 0.895522 } }"#;
         for (field, drifted) in [

@@ -125,8 +125,7 @@ pub fn bench_repro_json() -> String {
     let mut vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
     let patches = Tensor::randn(16, 16, 1.0, &mut rng);
     let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 42);
-    let mut nrng = GaussianSampler::new(0);
-    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
+    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32()).recording();
     vit.forward(&patches, &mut ctx);
     let trace = ctx.take_trace().coalesce();
 
@@ -281,8 +280,7 @@ fn kernel_section() -> String {
     let forward = |quant: QuantConfig| -> (Tensor, Trace) {
         let mut model = vit.clone();
         let mut engine = lt_nn::ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng).recording();
+        let mut ctx = ForwardCtx::inference(&mut engine, quant).recording();
         let logits = model.forward(&patches, &mut ctx);
         (logits, ctx.take_trace())
     };

@@ -242,8 +242,7 @@ mod tests {
 
     fn forward_loss(attn: &mut MultiHeadAttention, x: &Tensor, dy: &Tensor) -> f32 {
         let mut eng = ExactEngine;
-        let mut rng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         attn.forward(x, &mut ctx).hadamard(dy).data().iter().sum()
     }
 
@@ -253,8 +252,7 @@ mod tests {
         let mut attn = MultiHeadAttention::new(16, 4, &mut rng);
         let x = Tensor::randn(7, 16, 1.0, &mut rng);
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let y = attn.forward(&x, &mut ctx);
         assert_eq!(y.shape(), (7, 16));
     }
@@ -265,8 +263,7 @@ mod tests {
         let mut attn = MultiHeadAttention::new(8, 2, &mut rng);
         let x = Tensor::randn(5, 8, 1.0, &mut rng);
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let _ = attn.forward(&x, &mut ctx);
         for a in &attn.cache.as_ref().unwrap().probs {
             assert_eq!(a.shape(), (5, 5));
@@ -351,8 +348,7 @@ mod tests {
                     let mut traces: Vec<(Vec<Tensor>, Trace)> = Vec::new();
                     for copy_free in [true, false] {
                         let engine = if copy_free { &mut blocks } else { &mut copies };
-                        let mut nrng = GaussianSampler::new(0);
-                        let mut ctx = ForwardCtx::inference(engine, quant, &mut nrng).recording();
+                        let mut ctx = ForwardCtx::inference(engine, quant).recording();
                         let mut outs = Vec::new();
                         for h in 0..heads {
                             let head = |t: &Tensor| t.col_slice(h * dh, dh);

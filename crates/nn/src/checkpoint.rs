@@ -167,8 +167,7 @@ mod tests {
 
     fn logits_of(vit: &mut VisionTransformer, sample: &Tensor) -> Tensor {
         let mut eng = ExactEngine;
-        let mut rng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         vit.forward(sample, &mut ctx)
     }
 

@@ -629,16 +629,16 @@ impl SpecSessionStats {
 }
 
 /// Per-session draft-model state: the draft's own KV cache (a private
-/// pool, [`DecoderLm::empty_cache`]) and noise streams, kept in sync
-/// with the committed token stream.
+/// pool, [`DecoderLm::empty_cache`]) and engine, whose noise stream is
+/// salted off the session's, kept in sync with the committed token
+/// stream.
 #[derive(Debug)]
 struct SpecState<B: ComputeBackend + Clone> {
     engine: BackendEngine<B>,
-    rng: GaussianSampler,
     cache: PagedKvCache,
 }
 
-/// Seed salt separating the draft model's noise streams from the
+/// Seed salt separating the draft model's noise stream from the
 /// session's own (both still derive from `(seed, ticket)` only, so
 /// speculation stays deterministic under any scheduling).
 const DRAFT_SEED_SALT: u64 = 0xD12A_F75E_C0DE_CAFE;
@@ -708,7 +708,7 @@ impl DecodeReply {
 /// the KV footprint is reported at.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
-    /// Root seed; the session's streams derive via `split_seed(seed, ticket)`.
+    /// Root seed; the session's stream derives via `split_seed(seed, ticket)`.
     pub seed: u64,
     /// Operand fake-quantization applied to every forward pass.
     pub quant: QuantConfig,
@@ -730,8 +730,10 @@ impl Default for SessionConfig {
 /// `max_new_tokens` are generated, recording and costing every pass.
 ///
 /// Everything stochastic flows from `split_seed(seed, ticket)` — the
-/// same discipline as the classifier server — so the token stream and
-/// every attached cost are bit-identical regardless of how many other
+/// same discipline as the classifier server. A session draws from
+/// exactly two streams: its engine's, seeded with that value, and the
+/// speculative draft's, salted off it. So the token stream and every
+/// attached cost are bit-identical regardless of how many other
 /// sessions run interleaved with this one, on how many workers.
 #[derive(Debug)]
 pub struct DecodeSession<B: ComputeBackend + Clone> {
@@ -740,7 +742,6 @@ pub struct DecodeSession<B: ComputeBackend + Clone> {
     max_new_tokens: usize,
     quant: QuantConfig,
     engine: BackendEngine<B>,
-    rng: GaussianSampler,
     cache: PagedKvCache,
     tokens: Vec<usize>,
     /// Merged cost of the prefill chunks fed so far.
@@ -749,7 +750,7 @@ pub struct DecodeSession<B: ComputeBackend + Clone> {
     prefill_fed: usize,
     step_costs: Vec<RunReport>,
     kv_bits: u32,
-    /// Root seed (pre-split), kept to derive the draft's streams lazily.
+    /// Root seed (pre-split), kept to derive the draft's stream lazily.
     seed: u64,
     /// Draft-model state, created on the first [`DecodeSession::spec_step`].
     spec: Option<SpecState<B>>,
@@ -812,7 +813,6 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             max_new_tokens,
             quant: config.quant,
             engine: BackendEngine::new(backend, split_seed(config.seed, ticket)),
-            rng: GaussianSampler::new(split_seed(!config.seed, ticket)),
             cache,
             tokens: Vec::with_capacity(max_new_tokens),
             prefill_cost: None,
@@ -886,10 +886,9 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         }
         let quant = self.quant;
         let mut engine = self.engine.clone();
-        let mut rng = GaussianSampler::new(split_seed(self.ticket, !0));
         let cache = &mut self.cache;
         assert!(cache.is_empty(), "recompute expects a dropped cache");
-        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng).recording();
+        let mut ctx = ForwardCtx::inference(&mut engine, quant).recording();
         let h = model.prefill_chunk(&fed, cache, &mut ctx);
         if done {
             model.logits_at_last(&h, &mut ctx);
@@ -1028,10 +1027,10 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
     /// request so the session never over-generates; at zero this falls
     /// back to one plain step (costed as such).
     ///
-    /// Call with the same `draft` every step; the draft's KV cache,
-    /// engine, and noise streams persist inside the session, seeded
-    /// from `(seed, ticket)` only, so speculation is deterministic
-    /// under any scheduling.
+    /// Call with the same `draft` every step; the draft's KV cache and
+    /// engine persist inside the session, its noise stream seeded from
+    /// `(seed, ticket)` only, so speculation is deterministic under any
+    /// scheduling.
     ///
     /// # Panics
     ///
@@ -1064,14 +1063,13 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
             };
         }
 
-        // --- Draft: propose k_eff tokens on the draft's own streams.
+        // --- Draft: propose k_eff tokens on the draft's own stream.
         if self.spec.is_none() {
             self.spec = Some(SpecState {
                 engine: BackendEngine::new(
                     self.engine.backend().clone(),
                     split_seed(self.seed ^ DRAFT_SEED_SALT, self.ticket),
                 ),
-                rng: GaussianSampler::new(split_seed(!(self.seed ^ DRAFT_SEED_SALT), self.ticket)),
                 cache: draft.empty_cache(),
             });
         }
@@ -1083,8 +1081,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         let last = *self.tokens.last().expect("prefill sampled a token");
         let (drafts, draft_trace) = {
             let spec = self.spec.as_mut().expect("just initialized");
-            let mut ctx =
-                ForwardCtx::inference(&mut spec.engine, self.quant, &mut spec.rng).recording();
+            let mut ctx = ForwardCtx::inference(&mut spec.engine, self.quant).recording();
             if spec.cache.len() < synced {
                 let seq: Vec<usize> = self
                     .prompt
@@ -1168,8 +1165,7 @@ impl<B: ComputeBackend + Clone> DecodeSession<B> {
         model: &DecoderLm,
         pass: impl FnOnce(&DecoderLm, &mut ForwardCtx<'_>, &mut PagedKvCache) -> Tensor,
     ) -> (Tensor, Trace) {
-        let mut ctx =
-            ForwardCtx::inference(&mut self.engine, self.quant, &mut self.rng).recording();
+        let mut ctx = ForwardCtx::inference(&mut self.engine, self.quant).recording();
         let logits = pass(model, &mut ctx, &mut self.cache);
         (logits, ctx.take_trace().coalesce())
     }
@@ -1372,13 +1368,12 @@ mod tests {
         // logits after prefill(p) + k steps equal prefill(p ++ generated[..k])
         // on a fresh cache (causality makes the suffix irrelevant).
         let m = model();
-        let mut rng = GaussianSampler::new(0);
         let quant = QuantConfig::fp32();
         let mut eng = crate::engine::ExactEngine;
         let prompt = vec![3usize, 1, 4, 1, 5];
 
         let mut cache = m.empty_cache();
-        let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, quant);
         let l0 = m.prefill(&prompt, &mut cache, &mut ctx);
         let t0 = greedy(&l0);
         let l1 = m.decode_step(t0, &mut cache, &mut ctx);
@@ -1386,7 +1381,7 @@ mod tests {
         let mut full = prompt.clone();
         full.push(t0);
         let mut fresh = m.empty_cache();
-        let mut ctx2 = ForwardCtx::inference(&mut eng, quant, &mut rng);
+        let mut ctx2 = ForwardCtx::inference(&mut eng, quant);
         let l1_scratch = m.prefill(&full, &mut fresh, &mut ctx2);
         assert!(
             l1.max_abs_diff(&l1_scratch) < 1e-4,
@@ -1405,8 +1400,7 @@ mod tests {
         let mut runs = Vec::new();
         for record in [true, false] {
             let mut engine = BackendEngine::new(DptcBackend::paper(8, 3), 4);
-            let mut rng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+            let mut ctx = ForwardCtx::inference(&mut engine, quant);
             if record {
                 ctx = ctx.recording();
             }
@@ -1542,8 +1536,7 @@ mod tests {
     ) {
         let prior = cache.len();
         let mut eng = crate::engine::ExactEngine;
-        let mut rng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng).recording();
+        let mut ctx = ForwardCtx::inference(&mut eng, quant).recording();
         let tokens: Vec<usize> = (0..rows).map(|i| (prior + 3 * i) % 16).collect();
         m.verify_step(&tokens, cache, &mut ctx);
         let recorded = ctx.take_trace().coalesce();
@@ -1568,7 +1561,6 @@ mod tests {
         let cfg = m.config();
         let sim = Simulator::new(ArchConfig::lt_base(8));
         let mut eng = crate::engine::ExactEngine;
-        let mut rng = GaussianSampler::new(0);
         let caches = [
             (None, QuantConfig::fp32()),
             (None, QuantConfig::int8()),
@@ -1585,11 +1577,11 @@ mod tests {
                         PagedKvCache::new(&BlockPool::new(cfg.max_seq + 1, cfg.layers, cfg.dim, bt))
                     }
                 };
-                let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+                let mut ctx = ForwardCtx::inference(&mut eng, quant);
                 m.prefill(&[1], &mut cache, &mut ctx);
                 for prior in 1..=cfg.max_seq - rows {
                     assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, 0);
-                    let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+                    let mut ctx = ForwardCtx::inference(&mut eng, quant);
                     m.decode_step(prior % 16, &mut cache, &mut ctx);
                 }
             }
@@ -1605,7 +1597,7 @@ mod tests {
         m.prefill(
             &prompt,
             &mut owner,
-            &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
+            &mut ForwardCtx::inference(&mut eng, quant),
         );
         let mut index = PrefixIndex::new();
         index.register(&pool, &prompt, owner.block_refs(prompt.len()));
@@ -1616,7 +1608,7 @@ mod tests {
             m.prefill(
                 &prompt,
                 &mut cache,
-                &mut ForwardCtx::inference(&mut eng, quant, &mut rng),
+                &mut ForwardCtx::inference(&mut eng, quant),
             );
             assert_eq!(cache.tail_cow_elems(), cow, "rows {rows}");
             assert_verify_trace_matches(&m, &sim, &mut cache, quant, rows, cow);
@@ -1737,7 +1729,6 @@ mod tests {
             ),
         ];
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut rng = GaussianSampler::new(0);
         for (label, m) in &models {
             let vocab = m.config().vocab;
             for prompt_len in [1usize, 5, 13] {
@@ -1750,7 +1741,7 @@ mod tests {
                         (false, &mut exact as &mut dyn crate::engine::MatmulEngine),
                         (true, &mut serving),
                     ] {
-                        let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32(), &mut rng);
+                        let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32());
                         let mut batched_cache = m.empty_cache();
                         m.prefill(&prompt, &mut batched_cache, &mut ctx);
                         let batched = m.verify_step(&toks, &mut batched_cache, &mut ctx);
@@ -1800,10 +1791,9 @@ mod tests {
             let mut runs = Vec::new();
             for one_row_verify in [false, true] {
                 let mut engine = make();
-                let mut rng = GaussianSampler::new(context as u64);
                 let mut cache = m.empty_cache();
                 let (logits, trace) = {
-                    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut rng);
+                    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32());
                     m.prefill(&prompt, &mut cache, &mut ctx);
                     let mut ctx = ctx.recording();
                     let logits = if one_row_verify {
@@ -1850,11 +1840,10 @@ mod tests {
     #[test]
     fn spec_rollback_restores_the_private_cache_bit_exactly() {
         let m = model();
-        let mut rng = GaussianSampler::new(4);
         let quant = QuantConfig::fp32();
         let mut eng = crate::engine::ExactEngine;
         let mut cache = m.empty_cache();
-        let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut eng, quant);
         let contexts = |cache: &mut PagedKvCache| -> Vec<(Tensor, Tensor)> {
             (0..m.config().layers)
                 .map(|l| cache.layer_mut(l).context())

@@ -63,9 +63,24 @@ impl Param {
     }
 }
 
+/// Noise-aware training's output perturbation (§V-E): every routed
+/// product's output is scaled element-wise by `1 + std · N(0, 1)`, drawn
+/// from `rng`, to mimic Eq. 9's systematic term.
+#[derive(Debug)]
+pub struct TrainNoise<'a> {
+    /// Relative std-dev of the multiplicative Gaussian noise.
+    pub std: f32,
+    /// The noise source.
+    pub rng: &'a mut GaussianSampler,
+}
+
 /// Per-forward execution context: which backend multiplies matrices, how
 /// operands are quantized, whether training-time noise is injected, and
 /// — optionally — the trace of the executed ops.
+///
+/// An inference pass draws no randomness of its own: a noisy backend
+/// draws from its engine's stream. Only noise-aware training carries a
+/// sampler ([`TrainNoise`]).
 ///
 /// A recording context ([`ForwardCtx::recording`]) owns a [`Trace`]:
 /// every routed matmul is appended with its workload role and the
@@ -81,30 +96,19 @@ pub struct ForwardCtx<'a> {
     pub engine: &'a mut dyn MatmulEngine,
     /// Operand fake-quantization (QAT).
     pub quant: QuantConfig,
-    /// Training mode: enables noise-aware training injection.
-    pub training: bool,
-    /// Noise-aware training: relative std-dev of multiplicative Gaussian
-    /// noise on matmul outputs (mimics Eq. 9's systematic term).
-    pub train_noise_std: f32,
-    /// Noise source for training-time injection.
-    pub rng: &'a mut GaussianSampler,
+    /// Noise-aware training's output noise; `None` at inference.
+    pub train_noise: Option<TrainNoise<'a>>,
     /// The pass's op trace; `Some` while recording.
     pub trace: Option<Trace>,
 }
 
 impl<'a> ForwardCtx<'a> {
     /// An inference context (no training noise, no recording).
-    pub fn inference(
-        engine: &'a mut dyn MatmulEngine,
-        quant: QuantConfig,
-        rng: &'a mut GaussianSampler,
-    ) -> Self {
+    pub fn inference(engine: &'a mut dyn MatmulEngine, quant: QuantConfig) -> Self {
         ForwardCtx {
             engine,
             quant,
-            training: false,
-            train_noise_std: 0.0,
-            rng,
+            train_noise: None,
             trace: None,
         }
     }
@@ -217,12 +221,12 @@ impl<'a> ForwardCtx<'a> {
     }
 
     fn apply_train_noise(&mut self, y: Tensor) -> Tensor {
-        if self.training && self.train_noise_std > 0.0 {
-            let std = self.train_noise_std;
-            let rng = &mut *self.rng;
-            y.map(|v| v * (1.0 + rng.sample() as f32 * std))
-        } else {
-            y
+        match &mut self.train_noise {
+            Some(TrainNoise { std, rng }) => {
+                let std = *std;
+                y.map(|v| v * (1.0 + rng.sample() as f32 * std))
+            }
+            None => y,
         }
     }
 }
@@ -652,10 +656,6 @@ mod tests {
     use lt_core::{ComputeBackend, NativeBackend};
     use lt_dptc::DptcBackend;
 
-    fn ctx_parts() -> (ExactEngine, GaussianSampler) {
-        (ExactEngine, GaussianSampler::new(0))
-    }
-
     /// Finite-difference check of a scalar loss w.r.t. one tensor entry.
     fn numerical_grad(f: &mut dyn FnMut(f32) -> f32, x0: f32) -> f32 {
         let h = 1e-3;
@@ -670,8 +670,8 @@ mod tests {
         let mut layer = Linear::new(4, 2, &mut rng);
         let w0 = layer.w.value.clone();
 
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut eng = ExactEngine;
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let _ = layer.forward(&x, &mut ctx);
         let dx = layer.backward(&dy);
 
@@ -943,12 +943,11 @@ mod tests {
         let x = Tensor::randn(3, 16, 1.0, &mut rng);
         let mut layer = Linear::new(16, 8, &mut rng);
 
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut eng = ExactEngine;
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let y_fp = layer.forward(&x, &mut ctx);
 
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8());
         let y_i8 = layer.forward(&x, &mut ctx);
         // i8 with grouped scales stays close to fp32 on unit-scale data.
         assert!(
@@ -957,12 +956,10 @@ mod tests {
             y_fp.max_abs_diff(&y_i8)
         );
         // forward and infer share the encoder: bit-identical outputs.
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8());
         assert_eq!(layer.infer(&x, &mut ctx), y_i8);
         // 4-bit is coarser but still bounded.
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int4(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int4());
         let y_i4 = layer.infer(&x, &mut ctx);
         assert!(y_fp.max_abs_diff(&y_i4) < 0.8);
         assert!(y_fp.max_abs_diff(&y_i4) > y_fp.max_abs_diff(&y_i8));
@@ -973,8 +970,8 @@ mod tests {
         let mut rng = GaussianSampler::new(7);
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
         let layer = Linear::new(8, 4, &mut rng).with_role(OpKind::Ffn1);
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng).recording();
+        let mut eng = ExactEngine;
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8()).recording();
         let _ = layer.infer(&x, &mut ctx);
         let trace = ctx.take_trace();
         assert_eq!(trace.ops(), &[Op::gemm(OpKind::Ffn1, 2, 8, 4)]);
@@ -986,8 +983,8 @@ mod tests {
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
         let dy = Tensor::randn(2, 4, 1.0, &mut rng);
         let mut layer = Linear::new(8, 4, &mut rng);
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8(), &mut nrng);
+        let mut eng = ExactEngine;
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::int8());
         let _ = layer.forward(&x, &mut ctx);
         let dx = layer.backward(&dy);
         // STE gradient through the dequantized weights: close to fp32's.
@@ -1009,11 +1006,9 @@ mod tests {
         let mut staged = BackendEngine::new(backend.clone(), 5);
         let mut unstaged = BackendEngine::new(backend, 5);
         for x in &xs {
-            let mut nrng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(&mut staged, QuantConfig::fp32(), &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut staged, QuantConfig::fp32());
             let got = layer.infer(x, &mut ctx);
-            let mut nrng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(&mut unstaged, QuantConfig::fp32(), &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut unstaged, QuantConfig::fp32());
             let want = ctx
                 .matmul_as(layer.role, x, &layer.w().value)
                 .add_row_broadcast(&layer.b.value);
@@ -1044,8 +1039,8 @@ mod tests {
         let mut rng = GaussianSampler::new(22);
         let layer = Linear::new(8, 4, &mut rng);
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut eng = ExactEngine;
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let _ = layer.infer(&x, &mut ctx);
         assert!(layer.staged.w64.get().is_none(), "ExactEngine is f32");
         assert!(layer.staged.memo.get().is_none(), "ExactEngine is f32");
@@ -1053,7 +1048,7 @@ mod tests {
         // staged copy is not; the integer path never calls the engine.
         for quant in [QuantConfig::low_bit(8), QuantConfig::int8()] {
             let mut eng = BackendEngine::new(NativeBackend, 0);
-            let mut ctx = ForwardCtx::inference(&mut eng, quant, &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut eng, quant);
             let _ = layer.infer(&x, &mut ctx);
             assert!(layer.staged.w64.get().is_none(), "{quant:?}");
         }
@@ -1064,15 +1059,13 @@ mod tests {
         let mut rng = GaussianSampler::new(5);
         let x = Tensor::randn(2, 4, 1.0, &mut rng);
         let mut layer = Linear::new(4, 4, &mut rng);
-        let (mut eng, mut nrng) = ctx_parts();
-        let mut ctx = ForwardCtx {
-            engine: &mut eng,
-            quant: QuantConfig::fp32(),
-            training: true,
-            train_noise_std: 0.05,
+        let mut eng = ExactEngine;
+        let mut nrng = GaussianSampler::new(0);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
+        ctx.train_noise = Some(TrainNoise {
+            std: 0.05,
             rng: &mut nrng,
-            trace: None,
-        };
+        });
         let y1 = layer.forward(&x, &mut ctx);
         let y2 = layer.forward(&x, &mut ctx);
         assert!(y1.max_abs_diff(&y2) > 0.0, "noise must differ per call");

@@ -9,7 +9,6 @@ use crate::layers::ForwardCtx;
 use crate::model::Classifier;
 use crate::quant::QuantConfig;
 use crate::train::argmax;
-use lt_core::GaussianSampler;
 use std::fmt;
 
 /// A confusion matrix over `n` classes (`rows = true`, `cols = predicted`).
@@ -133,10 +132,9 @@ where
     M: Classifier<I>,
     S: std::borrow::Borrow<I>,
 {
-    let mut rng = GaussianSampler::new(0);
     let mut cm = ConfusionMatrix::new(num_classes);
     for (input, label) in data {
-        let mut ctx = ForwardCtx::inference(engine, quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(engine, quant);
         let logits = model.forward(input.borrow(), &mut ctx);
         cm.record(*label, argmax(&logits));
     }
@@ -209,6 +207,7 @@ mod tests {
         use crate::data;
         use crate::engine::ExactEngine;
         use crate::model::{ModelConfig, VisionTransformer};
+        use lt_core::GaussianSampler;
         let mut rng = GaussianSampler::new(9);
         let mut vit = VisionTransformer::new(
             ModelConfig::tiny_vision(),

@@ -407,8 +407,7 @@ mod tests {
         let mut vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
         let patches = Tensor::randn(16, 16, 1.0, &mut rng);
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let logits = vit.forward(&patches, &mut ctx);
         assert_eq!(logits.shape(), (1, 4));
     }
@@ -419,8 +418,7 @@ mod tests {
         let mut model = TextClassifier::new(ModelConfig::tiny_text(), 16, 12, &mut rng);
         let tokens = vec![1usize, 5, 3, 9, 0, 2, 7, 7, 4, 11, 6, 8];
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let logits = model.forward(&tokens, &mut ctx);
         assert_eq!(logits.shape(), (1, 2));
     }
@@ -440,8 +438,7 @@ mod tests {
         let mut vit = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
         let patches = Tensor::randn(16, 16, 1.0, &mut rng);
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let logits = vit.forward(&patches, &mut ctx);
         let (_, dlogits) = crate::layers::cross_entropy(&logits, &[1]);
         vit.backward(&dlogits);
@@ -469,8 +466,7 @@ mod tests {
 
         let loss = |b: &mut EncoderBlock, x: &Tensor| -> f32 {
             let mut eng = ExactEngine;
-            let mut nrng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
             b.forward(x, &mut ctx).hadamard(&dy).data().iter().sum()
         };
         let _ = loss(&mut block, &x);
@@ -495,8 +491,7 @@ mod tests {
     /// and on the analytic DPTC, which also keeps its codes.
     fn infer_f64(lin: &Linear, x: &Tensor) -> [Tensor; 2] {
         let infer = |engine: &mut dyn MatmulEngine| {
-            let mut nrng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32(), &mut nrng);
+            let mut ctx = ForwardCtx::inference(engine, QuantConfig::fp32());
             lin.infer(x, &mut ctx)
         };
         [
@@ -558,8 +553,7 @@ mod tests {
         let mut rng = GaussianSampler::new(6);
         let mut model = TextClassifier::new(ModelConfig::tiny_text(), 16, 12, &mut rng);
         let mut eng = ExactEngine;
-        let mut nrng = GaussianSampler::new(0);
-        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32(), &mut nrng);
+        let mut ctx = ForwardCtx::inference(&mut eng, QuantConfig::fp32());
         let _ = model.forward(&[1usize, 2, 3], &mut ctx);
     }
 }

@@ -16,10 +16,8 @@
 //! round per batch, not per request) and weight residency (a worker
 //! streams a whole batch through its already-loaded weights). Requests
 //! within a batch still execute as individual forward passes; fusing a
-//! batch's per-layer products into single stacked GEMMs (the backends
-//! already expose [`ComputeBackend::gemm_batch`] for it) requires
-//! batched model forwards and is the natural next step on top of this
-//! queue.
+//! batch's per-layer products into single stacked GEMMs would need
+//! batched model forwards.
 //!
 //! # Per-request hardware cost
 //!
@@ -57,7 +55,7 @@ use crate::quant::QuantConfig;
 use crate::tensor::Tensor;
 use lt_arch::{ArchConfig, RunReport, Simulator};
 use lt_core::backend::split_seed;
-use lt_core::{ComputeBackend, GaussianSampler, Trace};
+use lt_core::{ComputeBackend, Trace};
 use lt_runtime::{BatchQueue, Job, Pending, Workers};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,7 +77,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum requests a worker drains from the queue at once.
     pub max_batch: usize,
-    /// Root seed; request noise streams are `split_seed(seed, ticket)`.
+    /// Root seed; a request's noise stream is `split_seed(seed, ticket)`.
     pub seed: u64,
     /// Operand fake-quantization applied to every forward pass.
     pub quant: QuantConfig,
@@ -233,7 +231,7 @@ impl Server {
 }
 
 /// Runs one request's whole forward pass with its ticket-derived noise
-/// streams, records the executed op trace, and costs it on the
+/// stream, records the executed op trace, and costs it on the
 /// accelerator model. Free-standing (rather than a closure) so the
 /// determinism contract is easy to audit: everything stochastic flows
 /// from `split_seed(config.seed, ticket)`, and the cost is a pure
@@ -248,10 +246,7 @@ fn serve_one<B: ComputeBackend + Clone>(
     request: &Request,
 ) -> Reply {
     let mut engine = BackendEngine::new(backend.clone(), split_seed(config.seed, ticket));
-    // The training-noise RNG is unused at inference but part of the ctx;
-    // seed it off the same stream for full reproducibility.
-    let mut rng = GaussianSampler::new(split_seed(!config.seed, ticket));
-    let mut ctx = ForwardCtx::inference(&mut engine, config.quant, &mut rng).recording();
+    let mut ctx = ForwardCtx::inference(&mut engine, config.quant).recording();
     let logits = match request {
         Request::Vision(patches) => vision.forward(patches, &mut ctx),
         Request::Text(tokens) => text.forward(&tokens[..], &mut ctx),
@@ -271,7 +266,7 @@ fn serve_one<B: ComputeBackend + Clone>(
 mod tests {
     use super::*;
     use crate::model::ModelConfig;
-    use lt_core::NativeBackend;
+    use lt_core::{GaussianSampler, NativeBackend};
     use lt_dptc::DptcBackend;
 
     fn models() -> (VisionTransformer, TextClassifier) {

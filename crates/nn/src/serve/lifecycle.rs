@@ -40,7 +40,7 @@
 //! running session — `tests/serving_slo.rs` pins that bound, and pins
 //! the replies bit-identical to the unchunked path.
 
-use crate::decode::{DecoderConfig, DecoderLm};
+use crate::decode::{DecoderConfig, DecoderLm, SpecSessionStats};
 use crate::serve::decode::{DecodeRequest, DecodeServeConfig};
 use crate::serve::sched::KvScheduler;
 use lt_arch::{CycleClock, Simulator};
@@ -164,56 +164,9 @@ pub struct ServingReport {
     pub preemptions: u64,
     /// Scheduler ticks that stepped at least one session.
     pub ticks: u64,
-    /// Speculative steps executed (zero when speculation is off).
-    pub spec_steps: u64,
-    /// Draft tokens proposed across all speculative steps.
-    pub spec_proposed: u64,
-    /// Draft proposals the target accepted.
-    pub spec_accepted: u64,
-    /// Tokens emitted by speculative steps (accepted plus one
-    /// bonus/correction per step).
-    pub spec_emitted: u64,
-    /// Replayed draft-model cycles — the speculation overhead,
-    /// itemized, never folded into the target's cycles.
-    pub draft_cycles: u64,
-    /// Replayed target-model cycles in batched verify passes (and
-    /// `k_eff = 0` fallback steps).
-    pub verify_cycles: u64,
-}
-
-impl ServingReport {
-    /// Fraction of draft proposals the target accepted (0 when no
-    /// speculation ran).
-    pub fn spec_acceptance_rate(&self) -> f64 {
-        if self.spec_proposed == 0 {
-            0.0
-        } else {
-            self.spec_accepted as f64 / self.spec_proposed as f64
-        }
-    }
-
-    /// Share of the replayed speculative-decode cycles spent in the
-    /// draft model — the overhead a real deployment pays for the
-    /// verify batching (0 when no speculation ran).
-    pub fn draft_overhead_share(&self) -> f64 {
-        let total = self.draft_cycles + self.verify_cycles;
-        if total == 0 {
-            0.0
-        } else {
-            self.draft_cycles as f64 / total as f64
-        }
-    }
-
-    /// Replayed cycles (draft + verify) per token the speculative
-    /// steps emitted — the end-to-end cost-per-token of the
-    /// speculative path (0 when no speculation ran).
-    pub fn cycles_per_accepted_token(&self) -> f64 {
-        if self.spec_emitted == 0 {
-            0.0
-        } else {
-            (self.draft_cycles + self.verify_cycles) as f64 / self.spec_emitted as f64
-        }
-    }
+    /// The scheduler's speculation counters (all zero when
+    /// speculation is off).
+    pub spec: SpecSessionStats,
 }
 
 /// The event-loop frontend. One instance runs one workload trace; see
@@ -490,12 +443,7 @@ impl<'m, B: ComputeBackend + Clone> SloFrontend<'m, B> {
             goodput_tokens_per_s: 0,
             preemptions: stats.preemptions,
             ticks: stats.ticks,
-            spec_steps: stats.spec.spec_steps,
-            spec_proposed: stats.spec.proposed,
-            spec_accepted: stats.spec.accepted,
-            spec_emitted: stats.spec.emitted,
-            draft_cycles: stats.spec.draft_cycles,
-            verify_cycles: stats.spec.verify_cycles,
+            spec: stats.spec,
         };
         let mut ttfts = Vec::new();
         let mut itls = Vec::new();
@@ -678,20 +626,21 @@ mod tests {
                 );
             }
         }
-        assert_eq!(plain_rep.spec_steps, 0, "plain run has no speculation");
-        assert_eq!(plain_rep.spec_acceptance_rate(), 0.0);
-        assert!(spec_rep.spec_steps > 0, "speculative run must speculate");
-        assert!(spec_rep.spec_proposed > 0);
         assert_eq!(
-            spec_rep.spec_emitted,
-            spec_rep.spec_accepted + spec_rep.spec_steps,
+            plain_rep.spec,
+            SpecSessionStats::default(),
+            "plain run has no speculation"
+        );
+        let spec = spec_rep.spec;
+        assert!(spec.spec_steps > 0, "speculative run must speculate");
+        assert!(spec.proposed > 0);
+        assert_eq!(
+            spec.emitted,
+            spec.accepted + spec.spec_steps,
             "each step emits its accepted prefix plus one bonus/correction"
         );
-        assert!(spec_rep.draft_cycles > 0, "draft overhead is itemized");
-        assert!(spec_rep.verify_cycles > 0);
-        let share = spec_rep.draft_overhead_share();
-        assert!(share > 0.0 && share < 1.0, "draft share {share}");
-        assert!(spec_rep.cycles_per_accepted_token() > 0.0);
+        assert!(spec.draft_cycles > 0, "draft overhead is itemized");
+        assert!(spec.verify_cycles > 0);
         assert!(
             spec_rep.ticks <= plain_rep.ticks,
             "accepted tokens save ticks"

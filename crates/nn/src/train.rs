@@ -6,7 +6,7 @@
 //! accuracy experiments of Figs. 14-15 are produced.
 
 use crate::engine::{ExactEngine, MatmulEngine};
-use crate::layers::{cross_entropy, ForwardCtx};
+use crate::layers::{cross_entropy, ForwardCtx, TrainNoise};
 use crate::model::Classifier;
 use crate::quant::QuantConfig;
 use crate::tensor::Tensor;
@@ -86,12 +86,16 @@ where
         for &idx in &order {
             let (input, label) = &data[idx];
             let mut engine = ExactEngine;
+            // The noise draws from the shuffle's stream, and only when
+            // σ > 0, so noiseless training draws nothing but the shuffle.
+            let train_noise = (cfg.train_noise_std > 0.0).then_some(TrainNoise {
+                std: cfg.train_noise_std,
+                rng: &mut rng,
+            });
             let mut ctx = ForwardCtx {
                 engine: &mut engine,
                 quant: cfg.quant,
-                training: true,
-                train_noise_std: cfg.train_noise_std,
-                rng: &mut rng,
+                train_noise,
                 trace: None,
             };
             let logits = model.forward(input.borrow(), &mut ctx);
@@ -140,10 +144,9 @@ where
     M: Classifier<I>,
     S: std::borrow::Borrow<I>,
 {
-    let mut rng = GaussianSampler::new(0);
     let mut correct = 0usize;
     for (input, label) in data {
-        let mut ctx = ForwardCtx::inference(engine, quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(engine, quant);
         let logits = model.forward(input.borrow(), &mut ctx);
         if argmax(&logits) == *label {
             correct += 1;

@@ -30,8 +30,7 @@ fn main() {
 
     // Execute on the photonic backend while recording the op trace.
     let mut engine = BackendEngine::new(DptcBackend::paper(8, 7), 1);
-    let mut nrng = GaussianSampler::new(0);
-    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng).recording();
+    let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32()).recording();
     let logits = vit.forward(&patches, &mut ctx);
     let trace = ctx.take_trace().coalesce();
 

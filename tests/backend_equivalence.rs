@@ -16,7 +16,8 @@
 //! the decode path's outputs, costs and recorded traces on three
 //! backends, so a host-speed change above the backends cannot either,
 //! and the logits of every photonic engine the accuracy experiments
-//! evaluate on, and the outcome of exact-engine training.
+//! evaluate on, the outcome of exact-engine training, and the replies
+//! of the classifier server.
 
 mod common;
 
@@ -39,6 +40,7 @@ use lightening_transformer::nn::model::{
 use lightening_transformer::nn::quant::QuantConfig;
 use lightening_transformer::nn::serve::decode::DecodeRequest;
 use lightening_transformer::nn::serve::sched::{KvScheduler, KvServeConfig};
+use lightening_transformer::nn::serve::{Request, ServeConfig, Server};
 use lightening_transformer::nn::train::{evaluate, train, TrainConfig};
 use lightening_transformer::nn::{BackendEngine, ExactEngine, Tensor};
 use std::borrow::Borrow;
@@ -355,9 +357,8 @@ fn decode_path_digest<B: ComputeBackend + Clone>(
     let mut words = Vec::new();
 
     let mut engine = BackendEngine::new(backend.clone(), 5);
-    let mut rng = GaussianSampler::new(6);
     {
-        let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut engine, quant);
         let prompt = [3, 1, 4, 1, 5, 9, 2];
         let mut cache = model.empty_cache();
         let mut logits = model.prefill(&prompt, &mut cache, &mut ctx);
@@ -553,15 +554,15 @@ fn photonic_accuracy_engines_are_pinned_bit_for_bit() {
             QuantConfig::fp32(),
         ] {
             // One engine and one sampler per sweep point, as `evaluate`.
-            let (mut engine, mut rng) = (new_engine(), GaussianSampler::new(0));
+            let mut engine = new_engine();
             for (image, _) in &images {
-                let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+                let mut ctx = ForwardCtx::inference(&mut engine, quant);
                 words.extend(tensor_words(&vision.forward(image, &mut ctx)));
             }
             words.push(engine.seed_draws());
-            let (mut engine, mut rng) = (new_engine(), GaussianSampler::new(0));
+            let mut engine = new_engine();
             for (sentence, _) in &sentences {
-                let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut rng);
+                let mut ctx = ForwardCtx::inference(&mut engine, quant);
                 words.extend(tensor_words(&text.forward(sentence, &mut ctx)));
             }
             words.push(engine.seed_draws());
@@ -593,9 +594,9 @@ where
     for s in &stats {
         words.extend([u64::from(s.loss.to_bits()), s.accuracy.to_bits()]);
     }
-    let (mut engine, mut rng) = (ExactEngine, GaussianSampler::new(0));
+    let mut engine = ExactEngine;
     for (input, _) in test_set {
-        let mut ctx = ForwardCtx::inference(&mut engine, cfg.quant, &mut rng);
+        let mut ctx = ForwardCtx::inference(&mut engine, cfg.quant);
         words.extend(tensor_words(&model.forward(input.borrow(), &mut ctx)));
     }
     words.push(evaluate(model, test_set, &mut ExactEngine, cfg.quant).to_bits());
@@ -653,4 +654,52 @@ fn exact_training_is_pinned_bit_for_bit() {
     ];
     let got: Vec<(&str, u64)> = want.iter().map(|&(label, _)| label).zip(got).collect();
     assert_eq!(got, want, "exact training outputs moved");
+}
+
+/// The classifier server's replies, pinned bit for bit: one worker on
+/// the noisy DPTC serves nine mixed vision and text requests in batches
+/// of up to four, and the digest covers every reply's logits, cost
+/// (cycles, latency, energy, utilization) and recorded trace, in ticket
+/// order. The digest was taken while each request still seeded a
+/// training-noise sampler it never drew from.
+#[test]
+fn classifier_server_replies_are_pinned_bit_for_bit() {
+    let mut rng = GaussianSampler::new(51);
+    let vision = VisionTransformer::new(ModelConfig::tiny_vision(), 16, 16, &mut rng);
+    let text = TextClassifier::new(ModelConfig::tiny_text(), 16, 12, &mut rng);
+    let requests: Vec<Request> = (0..9)
+        .map(|i| {
+            if i % 2 == 0 {
+                Request::Vision(Tensor::randn(16, 16, 1.0, &mut rng))
+            } else {
+                Request::Text((0..12).map(|t| (i * 5 + t * 3) % 16).collect())
+            }
+        })
+        .collect();
+    let config = ServeConfig {
+        workers: 1,
+        max_batch: 4,
+        seed: 7,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(vision, text, DptcBackend::paper(8, 3), config);
+    let pending: Vec<_> = requests.into_iter().map(|r| server.submit(r)).collect();
+    let mut words = Vec::new();
+    for reply in pending.into_iter().map(|p| p.wait()) {
+        words.extend(tensor_words(&reply.logits));
+        let cost = reply.cost;
+        words.extend([
+            cost.cycles,
+            cost.latency.value().to_bits(),
+            cost.energy.total().value().to_bits(),
+            cost.utilization.to_bits(),
+        ]);
+        words.extend(trace_words(&reply.trace));
+    }
+    assert_eq!(server.shutdown(), 9);
+    assert_eq!(
+        fnv1a(words),
+        0x76f4_d6f7_9ac0_c767,
+        "classifier server replies moved"
+    );
 }

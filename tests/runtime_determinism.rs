@@ -146,8 +146,7 @@ fn quantized_forward_is_invariant_to_gemm_thread_count() {
             let backend =
                 ParallelBackend::new(DptcBackend::paper(8, 17), threads).with_min_parallel_macs(0);
             let mut engine = BackendEngine::new(backend, 11);
-            let mut nrng = GaussianSampler::new(0);
-            let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut engine, quant);
             model.forward(&patches, &mut ctx)
         };
         let base = run(1);

@@ -1,8 +1,9 @@
 //! The schedule cache's correctness contract.
 //!
 //! `Simulator::new` memoizes each GEMM's tile plan (map, staged
-//! segments, energy) keyed by op shape x dataflow, invalidated by the
-//! `ArchConfig` fingerprint; `Simulator::uncached` is the always-miss
+//! segments, energy) keyed by op shape x dataflow, for the one
+//! `ArchConfig` the simulator was built with (its clones share the
+//! cache); `Simulator::uncached` is the always-miss
 //! reference that rebuilds every op from scratch. These tests prove the
 //! two are bit-for-bit identical across every dataflow policy, every
 //! paper benchmark, and the autoregressive decode trace — and that the

@@ -35,8 +35,7 @@ fn record_forward_quant(spec: &TransformerConfig, quant: QuantConfig) -> Trace {
     };
     let mut rng = GaussianSampler::new(42);
     let mut engine = ExactEngine;
-    let mut nrng = GaussianSampler::new(0);
-    let mut ctx = ForwardCtx::inference(&mut engine, quant, &mut nrng).recording();
+    let mut ctx = ForwardCtx::inference(&mut engine, quant).recording();
     match spec.input {
         InputKind::VisionPatches { patch_size, .. } => {
             let patch_dim = 3 * patch_size * patch_size;
@@ -287,9 +286,9 @@ fn recorded_verify_step_traces_match_the_analytical_spec_trace() {
             // (their values do not change a shape).
             let fed: Vec<usize> = prompt.iter().chain(session.tokens()).copied().collect();
             let verified = vec![fed[base]; k_eff + 1];
-            let (mut engine, mut nrng) = (ExactEngine, GaussianSampler::new(0));
+            let mut engine = ExactEngine;
             let mut cache = model.empty_cache();
-            let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32(), &mut nrng);
+            let mut ctx = ForwardCtx::inference(&mut engine, QuantConfig::fp32());
             model.prefill(&fed[..base], &mut cache, &mut ctx);
             let mut ctx = ctx.recording();
             model.verify_step(&verified, &mut cache, &mut ctx);
